@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -68,6 +69,17 @@ def _divisor(text):
             raise argparse.ArgumentTypeError(
                 f"divisor coefficient {coeff!r} is not an integer")
     return out
+
+
+def _jobs(text):
+    """Worker count: a positive integer, capped at the CPU count."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return min(n, os.cpu_count() or 1)
 
 
 def _chi_numbers(text):
@@ -399,7 +411,7 @@ def build_parser():
     p.add_argument("--chi-numbers", type=_chi_numbers, default=None,
                    metavar="CHI_L2,CHI_L,CHI_LINV,D_SQ,D_C1",
                    help="override the prefactor with explicit numbers")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--audit", action="store_true",
                    help="record every fixed-point term in the report")
     common(p)
@@ -417,7 +429,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True, help="total charge")
     p.add_argument("--pg", type=int, default=0,
                    help="geometric genus entering the residue weight")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--audit", action="store_true",
                    help="record every fixed-point term in the report")
     common(p)
@@ -428,7 +440,7 @@ def build_parser():
     p.add_argument("--n1", type=int, default=1)
     p.add_argument("--n2", type=int, default=0)
     p.add_argument("--degree-bound", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--audit", action="store_true",
                    help="record every battery sample in the report")
     common(p)

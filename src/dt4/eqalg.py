@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
-from .poly import Poly, gcd, poly_str
+from .poly import Poly, binom, gcd, poly_str
 
 
 class NonGenericWeightError(ValueError):
@@ -72,7 +73,10 @@ class EqScalar:
 
     Stored in canonical form: numerator and denominator coprime over the
     integers and the denominator with positive graded-lex leading
-    coefficient.  Zero is ``0/1``.
+    coefficient.  Zero is ``0/1``.  Arithmetic keeps that form without a
+    final reduction: ``*`` cancels the two cross gcds, ``+`` cancels
+    gcd(sum, gcd of denominators) (Henrici), and leading coefficients of
+    products are products of leading coefficients.
     """
 
     __slots__ = ("reg", "num", "den")
@@ -138,20 +142,22 @@ class EqScalar:
             return NotImplemented
         a, b, c, d = self.num, self.den, o.num, o.den
         if b == d:
-            return EqScalar(self.reg, a + c, b)
-        g = gcd(b, d)
-        if g.is_one():
-            t = a * d + c * b
-            if t.is_zero():
-                return self.reg.zero()
-            return EqScalar(self.reg, t, b * d, _canonical=True)
-        b0 = b.divexact(g)
-        d0 = d.divexact(g)
-        t = a * d0 + c * b0
-        h = gcd(t, g)
-        if h.is_one():
-            return EqScalar(self.reg, t, b0 * d0 * g)
-        return EqScalar(self.reg, t.divexact(h), b0 * d0 * g.divexact(h))
+            g, t, den = b, a + c, Poly.const(self.reg.nvars, 1)
+        else:
+            g = gcd(b, d)
+            b0 = b.divexact(g)
+            d0 = d.divexact(g)
+            t, den = a * d0 + c * b0, b0 * d0
+        if t.is_zero():
+            return self.reg.zero()
+        if not g.is_one():
+            # Henrici: gcd(t, b0*d0*g) == gcd(t, g), so one gcd makes the
+            # sum canonical
+            h = gcd(t, g)
+            if not h.is_one():
+                t = t.divexact(h)
+                g = g.divexact(h)
+        return EqScalar(self.reg, t, den * g, _canonical=True)
 
     __radd__ = __add__
 
@@ -185,14 +191,18 @@ class EqScalar:
         if not g2.is_one():
             c = c.divexact(g2)
             b = b.divexact(g2)
-        return EqScalar(self.reg, a * c, b * d)
+        # a*c and b*d are now coprime, and b*d keeps a positive leading
+        # coefficient (leading terms multiply under a monomial order)
+        return EqScalar(self.reg, a * c, b * d, _canonical=True)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return EqScalar(self.reg, self.den, self.num)
+        if self.num.lead()[1] < 0:
+            return EqScalar(self.reg, -self.den, -self.num, _canonical=True)
+        return EqScalar(self.reg, self.den, self.num, _canonical=True)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -251,11 +261,6 @@ def _reduce(num, den):
         num = -num
         den = -den
     return num, den
-
-
-def normalize(x):
-    """Recanonicalize an EqScalar; idempotent by construction."""
-    return EqScalar(x.reg, x.num, x.den)
 
 
 # -- Laurent expansion -----------------------------------------------------
@@ -404,32 +409,100 @@ class WeightCharacter:
         return out
 
 
+def _primitive_form(w):
+    """Split a nonzero weight vector as k * p with p primitive and its
+    first nonzero entry (the graded-lex leading coefficient) positive."""
+    k = math.gcd(*w)
+    if not k:
+        raise NonGenericWeightError(
+            "zero torus weight: Euler class is not invertible")
+    if next(x for x in w if x) < 0:
+        k = -k
+    return k, tuple(x // k for x in w)
+
+
+class FactoredScalar(NamedTuple):
+    """``scalar * num / prod(form ** mult)`` over distinct linear forms.
+
+    ``forms`` maps primitive weight vectors with positive leading entry to
+    positive multiplicities.  Distinct such forms are pairwise coprime
+    irreducibles, so trial division by each form replaces the gcd when the
+    value is put in canonical form.
+    """
+    reg: Registry
+    num: Poly
+    forms: dict
+    scalar: Fraction
+
+    @classmethod
+    def euler(cls, char, num=None):
+        """``num`` (default 1) times the Euler class of the character.
+        Multiplicities cancel per primitive form before any product."""
+        reg = char.reg
+        mult = {}
+        scalar = Fraction(1)
+        for w, m in char.items():
+            k, p = _primitive_form(w)
+            scalar *= Fraction(k) ** m
+            mult[p] = mult.get(p, 0) + m
+        if num is None:
+            num = Poly.const(reg.nvars, 1)
+        for p, m in mult.items():
+            if m > 0:
+                num = num * Poly.linear_form(p) ** m
+        return cls(reg, num, {p: -m for p, m in mult.items() if m < 0},
+                   scalar)
+
+    def canonical(self):
+        """The canonical EqScalar: trial division by each form, then the
+        integer content; the denominator's sign is already positive."""
+        reg, num, q = self.reg, self.num, self.scalar
+        if num.is_zero():
+            return reg.zero()
+        den = Poly.const(reg.nvars, q.denominator)
+        for p, m in self.forms.items():
+            f = Poly.linear_form(p)
+            while m:
+                quo = f.divides(num)
+                if quo is None:
+                    break
+                num, m = quo, m - 1
+            den = den * f ** m
+        g = math.gcd(num.content(), q.denominator)
+        return EqScalar(reg, num.divexact(g) * q.numerator, den.divexact(g),
+                        _canonical=True)
+
+
+def factored_sum(terms, reg):
+    """Canonical EqScalar of a sum of FactoredScalars: one least common
+    denominator, one numerator sum, one canonicalisation."""
+    terms = [t for t in terms if not t.num.is_zero()]
+    forms, lcd = {}, 1
+    for t in terms:
+        for p, m in t.forms.items():
+            forms[p] = max(forms.get(p, 0), m)
+        lcd = math.lcm(lcd, t.scalar.denominator)
+    lin = {p: Poly.linear_form(p) for p in forms}
+    acc = {}
+    for t in terms:
+        x = t.num * (t.scalar.numerator * (lcd // t.scalar.denominator))
+        for p, m in forms.items():
+            k = m - t.forms.get(p, 0)
+            if k:
+                x = x * lin[p] ** k
+        for e, c in x.terms.items():
+            acc[e] = acc.get(e, 0) + c
+    return FactoredScalar(reg, Poly(reg.nvars, acc), forms,
+                          Fraction(1, lcd)).canonical()
+
+
 def euler_of_character(char):
     """Equivariant Euler class: product of weight forms to their multiplicities.
 
     A zero weight with nonzero multiplicity has no invertible Euler class
     and raises :class:`NonGenericWeightError`.
     """
-    reg = char.reg
-    num = Poly.const(reg.nvars, 1)
-    den = Poly.const(reg.nvars, 1)
-    for w, m in char.weights.items():
-        if not any(w):
-            raise NonGenericWeightError(
-                "zero torus weight: Euler class is not invertible")
-        f = Poly.linear_form(w) ** abs(m)
-        if m > 0:
-            num = num * f
-        else:
-            den = den * f
-    return EqScalar(reg, num, den)
-
-
-def _binom(m, j):
-    """Binomial coefficient C(m, j) for any integer m and j >= 0."""
-    if m >= 0:
-        return math.comb(m, j) if j <= m else 0
-    return (-1) ** j * math.comb(-m + j - 1, j)
+    return FactoredScalar.euler(char).canonical()
 
 
 def chern_part(char, k):
@@ -446,7 +519,7 @@ def chern_part(char, k):
         if not any(w):
             continue
         lf = Poly.linear_form(w)
-        fac = [Poly.const(nv, _binom(m, j)) * lf ** j for j in range(k + 1)]
+        fac = [Poly.const(nv, binom(m, j)) * lf ** j for j in range(k + 1)]
         nxt = [Poly.zero(nv) for _ in range(k + 1)]
         for i in range(k + 1):
             if coeffs[i].is_zero():
@@ -455,4 +528,4 @@ def chern_part(char, k):
                 if not fac[j].is_zero():
                     nxt[i + j] = nxt[i + j] + coeffs[i] * fac[j]
         coeffs = nxt
-    return EqScalar(reg, coeffs[k])
+    return EqScalar(reg, coeffs[k], _canonical=True)

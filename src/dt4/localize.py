@@ -23,14 +23,14 @@ computations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
 
-from .eqalg import (DEFAULT_REGISTRY, EqScalar, NonGenericWeightError,
-                    WeightCharacter, chern_part, euler_of_character, residue)
-from .partitions import HilbFixedPoint, arm_leg, hilb_fixed_points
-from .poly import Poly
+from .eqalg import (DEFAULT_REGISTRY, FactoredScalar, WeightCharacter,
+                    chern_part, euler_of_character, factored_sum, residue)
+from .partitions import arm_leg, hilb_fixed_points
 
 
 @dataclass(frozen=True)
@@ -67,62 +67,26 @@ def _shift_vec(spec, mu):
 
 
 # -- chart-level character calculus ----------------------------------------
-# Characters at one chart live in plain dicts weight-4-tuple -> multiplicity.
 
-def _dadd(a, b):
-    out = dict(a)
-    for w, m in b.items():
-        n = out.get(w, 0) + m
-        if n:
-            out[w] = n
-        else:
-            del out[w]
-    return out
-
-def _dneg(a):
-    return {w: -m for w, m in a.items()}
-
-def _dconj(a):
-    return {tuple(-x for x in w): m for w, m in a.items()}
-
-def _dmul(a, b):
-    out = {}
-    for w1, m1 in a.items():
-        for w2, m2 in b.items():
-            w = tuple(x + y for x, y in zip(w1, w2))
-            n = out.get(w, 0) + m1 * m2
-            if n:
-                out[w] = n
-            else:
-                del out[w]
-    return out
-
-def _dshift(a, vec):
-    return {tuple(x + y for x, y in zip(w, vec)): m for w, m in a.items()}
+def _box_character(lam, w1, w2, reg):
+    return WeightCharacter(reg, [
+        ((0, 0, -(i * w1[0] + j * w2[0]), -(i * w1[1] + j * w2[1])), 1)
+        for (i, j) in lam.boxes()])
 
 
-def _box_character(lam, w1, w2):
-    out = {}
-    for (i, j) in lam.boxes():
-        w = (0, 0, -(i * w1[0] + j * w2[0]), -(i * w1[1] + j * w2[1]))
-        out[w] = out.get(w, 0) + 1
-    return out
-
-
-def _pair_correction(lam1, lam2, w1, w2):
+def _pair_correction(lam1, lam2, w1, w2, reg):
     """Chart character N(V1, V2) of an ideal-sheaf pair."""
-    v1 = _box_character(lam1, w1, w2)
-    v2 = _box_character(lam2, w1, w2)
-    t1 = {(0, 0, w1[0], w1[1]): 1}
-    t2 = {(0, 0, w2[0], w2[1]): 1}
-    out = dict(v2)
-    if v1:
-        c1 = _dconj(v1)
-        out = _dadd(out, _dmul(c1, _dmul(t1, t2)))
-        if v2:
-            box = _dadd({(0, 0, 0, 0): 1}, _dneg(t1))
-            box = _dmul(box, _dadd({(0, 0, 0, 0): 1}, _dneg(t2)))
-            out = _dadd(out, _dneg(_dmul(_dmul(c1, v2), box)))
+    v1 = _box_character(lam1, w1, w2, reg)
+    v2 = _box_character(lam2, w1, w2, reg)
+    if v1.is_zero():
+        return v2
+    c1 = v1.conjugate()
+    out = v2 + c1.shift((0, 0, w1[0] + w2[0], w1[1] + w2[1]))
+    if not v2.is_zero():
+        one = WeightCharacter(reg, {(0, 0, 0, 0): 1})
+        t1 = one.shift((0, 0) + tuple(w1))
+        t2 = one.shift((0, 0) + tuple(w2))
+        out = out - c1 * v2 * (one - t1) * (one - t2)
     return out
 
 
@@ -165,16 +129,6 @@ def twisted_tangent_character(fp, bundle, model, reg=DEFAULT_REGISTRY):
     return WeightCharacter(reg, acc)
 
 
-def _sheaf_character(model, spec, reg):
-    """Character of the full cohomology of the twisted bundle."""
-    acc = {}
-    coh = model.cohomology_character(spec.divisor_map())
-    for w2, m in coh.items():
-        w = (spec.t_weight, spec.tprime_weight, w2[0], w2[1])
-        acc[w] = acc.get(w, 0) + m
-    return acc
-
-
 def chi_character(fp1, fp2, bundle, model, reg=DEFAULT_REGISTRY):
     """Pair Euler characteristic character of (ideal 1, ideal 2 x bundle).
 
@@ -182,13 +136,14 @@ def chi_character(fp1, fp2, bundle, model, reg=DEFAULT_REGISTRY):
     chi(bundle) - n1 - n2.
     """
     spec = _as_spec(bundle)
-    acc = _sheaf_character(model, spec, reg)
-    acc = _dadd(acc, _dneg(_correction_character(fp1, fp2, spec, model)))
-    return WeightCharacter(reg, acc)
+    coh = model.cohomology_character(spec.divisor_map())
+    sheaf = WeightCharacter(reg, [(_shift_vec(spec, w), m)
+                                  for w, m in coh.items()])
+    return sheaf - _correction_character(fp1, fp2, spec, model, reg)
 
 
-def _correction_character(fp1, fp2, spec, model):
-    acc = {}
+def _correction_character(fp1, fp2, spec, model, reg):
+    acc = WeightCharacter(reg)
     for idx in range(len(model.fixed_points)):
         lam1 = fp1.assignment[idx]
         lam2 = fp2.assignment[idx]
@@ -196,106 +151,68 @@ def _correction_character(fp1, fp2, spec, model):
             continue
         w1, w2 = model.tangent_weights(idx)
         mu = model.bundle_weight(spec.divisor_map(), idx)
-        n = _pair_correction(lam1, lam2, w1, w2)
-        acc = _dadd(acc, _dshift(n, _shift_vec(spec, mu)))
+        n = _pair_correction(lam1, lam2, w1, w2, reg)
+        acc = acc + n.shift(_shift_vec(spec, mu))
     return acc
 
 
 def difference_character(fp1, fp2, bundle, model, reg=DEFAULT_REGISTRY):
     """Character of (cohomology of bundle) minus (pair characteristic);
     rank n1 + n2 identically."""
-    spec = _as_spec(bundle)
-    return WeightCharacter(reg, _correction_character(fp1, fp2, spec, model))
+    return _correction_character(fp1, fp2, _as_spec(bundle), model, reg)
 
 
 def tautological_character(fp, bundle, model, reg=DEFAULT_REGISTRY):
     """Push-forward of the bundle along the universal subscheme: one
     weight per box, shifted by the chart fiber weight."""
     spec = _as_spec(bundle)
-    acc = {}
+    acc = WeightCharacter(reg)
     for idx, lam in enumerate(fp.assignment):
-        if not lam.parts:
-            continue
         w1, w2 = model.tangent_weights(idx)
         mu = model.bundle_weight(spec.divisor_map(), idx)
-        sv = _shift_vec(spec, mu)
-        acc = _dadd(acc, _dshift(_box_character(lam, w1, w2), sv))
-    return WeightCharacter(reg, acc)
+        box = _box_character(lam, w1, w2, reg)
+        acc = acc + box.shift(_shift_vec(spec, mu))
+    return acc
 
 
-# -- Euler class evaluation with optional specialization -------------------
+# -- the weight map: one specialisation for every route ---------------------
 
-def _euler(char, eps, reg, eps_line=None):
-    """Euler class of a WeightCharacter, optionally with (e1, e2)
-    specialized to exact rationals, or restricted to the exact line
-    (e1, e2) = (a u, b u) via ``eps_line=(a, b)``.  Zero weights raise
-    NonGenericWeightError."""
-    if eps_line is not None:
-        a, b = eps_line
-        num = Poly.const(reg.nvars, 1)
-        den = Poly.const(reg.nvars, 1)
-        for w, m in char.items():
-            f = Poly.linear_form((w[0], w[1], w[2] * a + w[3] * b, 0))
-            if f.is_zero():
-                raise NonGenericWeightError(
-                    "zero torus weight on the chosen parameter line")
-            if m > 0:
-                num = num * f ** m
-            else:
-                den = den * f ** (-m)
-        return EqScalar(reg, num, den)
-    if eps is None:
-        return euler_of_character(char)
-    e1, e2 = Fraction(eps[0]), Fraction(eps[1])
-    num = Poly.const(reg.nvars, 1)
-    den = Poly.const(reg.nvars, 1)
-    num_i = 1
-    den_i = 1
-    num_f = Fraction(1)
-    for w, m in char.items():
-        c = e1 * w[2] + e2 * w[3]
-        if w[0] == 0 and w[1] == 0:
-            if c == 0:
-                raise NonGenericWeightError(
-                    "zero torus weight after specialization")
-            num_f *= c ** m
-            continue
-        f = Poly.linear_form((w[0] * c.denominator, w[1] * c.denominator,
-                              0, 0)) + Poly.const(reg.nvars, c.numerator)
-        if m > 0:
-            num = num * f ** m
-            den_i *= c.denominator ** m
-        else:
-            den = den * f ** (-m)
-            num_i *= c.denominator ** (-m)
-    num_i *= num_f.numerator
-    den_i *= num_f.denominator
-    return EqScalar(reg, num * num_i, den * den_i)
+@dataclass(frozen=True)
+class WeightMap:
+    """Integer map on weight vectors, applied before any polynomial exists.
+
+    ``line=None`` is the identity (fully symbolic).  ``line=(a, b)``
+    restricts the chart parameters to (e1, e2) = (a u, b u), with u kept
+    in the e1 slot.  A rational point (x, y) = (a/D, b/D) is that line
+    followed by ``finish``, which evaluates the summed value at u = 1/D.
+    Chern classes commute with the map, so mapping the character suffices.
+    """
+    line: tuple = None
+    at: Fraction = None
+
+    @classmethod
+    def make(cls, eps=None, eps_line=None):
+        if eps_line is not None:
+            return cls(tuple(eps_line))
+        if eps is None:
+            return cls()
+        x, y = Fraction(eps[0]), Fraction(eps[1])
+        d = math.lcm(x.denominator, y.denominator)
+        return cls((int(x * d), int(y * d)), Fraction(1, d))
+
+    def __call__(self, char):
+        if self.line is None:
+            return char
+        a, b = self.line
+        mapped = [((w[0], w[1], a * w[2] + b * w[3], 0), m)
+                  for w, m in char.items()]
+        return WeightCharacter(char.reg, mapped)
+
+    def finish(self, x):
+        return x if self.at is None else x.specialize({"e1": self.at})
 
 
-def _poly_line(p, a, b, nvars):
-    terms = {}
-    for e, c in p.terms.items():
-        c2 = c * a ** e[2] * b ** e[3]
-        if not c2:
-            continue
-        e2 = (e[0], e[1], e[2] + e[3], 0)
-        n = terms.get(e2, 0) + c2
-        if n:
-            terms[e2] = n
-        else:
-            del terms[e2]
-    return Poly(nvars, terms)
-
-
-def _maybe_specialize(x, eps, eps_line=None):
-    if eps_line is not None:
-        a, b = eps_line
-        return EqScalar(x.reg, _poly_line(x.num, a, b, x.reg.nvars),
-                        _poly_line(x.den, a, b, x.reg.nvars))
-    if eps is None:
-        return x
-    return x.specialize({"e1": Fraction(eps[0]), "e2": Fraction(eps[1])})
+SYMBOLIC = WeightMap()
 
 
 # -- generic localization sum ----------------------------------------------
@@ -307,13 +224,15 @@ def _pool_call(fp1, fp2):
     return _POOL_FN(fp1, fp2)
 
 
-def assemble_sum(model, n1, n2, term_fn, reg=DEFAULT_REGISTRY, batch=64,
-                 jobs=1, audit=None):
+def assemble_sum(model, n1, n2, term_fn, reg=DEFAULT_REGISTRY, jobs=1,
+                 audit=None, wmap=SYMBOLIC):
     """Sum term_fn(fp1, fp2) over all fixed-point pairs of the product of
     the n1- and n2-point Hilbert schemes.
 
-    Deterministic pair order; partial sums renormalize every ``batch``
-    terms; ``jobs`` > 1 evaluates terms in a process pool.
+    Terms are FactoredScalars, summed over one least common denominator
+    and canonicalised once, or EqScalars, summed with ``+``.  The total
+    and every audited term pass through ``wmap.finish``.  Deterministic
+    pair order; ``jobs`` > 1 evaluates terms in a process pool.
     """
     pairs = list(itertools.product(hilb_fixed_points(model, n1),
                                    hilb_fixed_points(model, n2)))
@@ -332,18 +251,14 @@ def assemble_sum(model, n1, n2, term_fn, reg=DEFAULT_REGISTRY, batch=64,
             _POOL_FN = None
     else:
         terms = [term_fn(fp1, fp2) for fp1, fp2 in pairs]
+    factored = isinstance(terms[0], FactoredScalar)
     if audit is not None:
         for (fp1, fp2), t in zip(pairs, terms):
             audit({"fixed_point": [[list(p.parts) for p in fp1.assignment],
                                    [list(p.parts) for p in fp2.assignment]],
-                   "term": str(t)})
-    total = reg.zero()
-    for start in range(0, len(terms), batch):
-        part = reg.zero()
-        for t in terms[start:start + batch]:
-            part = part + t
-        total = total + part
-    return total
+                   "term": str(wmap.finish(t.canonical() if factored else t))})
+    total = factored_sum(terms, reg) if factored else sum(terms, reg.zero())
+    return wmap.finish(total)
 
 
 # -- type II component integral --------------------------------------------
@@ -409,19 +324,21 @@ class PrefactorData:
 
 def typeII_component_integral(model, L, K=None, n1=0, n2=0, prefactor=None,
                               reg=DEFAULT_REGISTRY, eps=None, eps_line=None,
-                              batch=64, jobs=1, audit=None):
+                              jobs=1, audit=None):
     """Contribution of one nested component, reduced to the product of
     two Hilbert schemes of points.
 
-    The integrand at a fixed-point pair is
+    The integrand at a fixed-point pair is the top Chern part of the pair
+    difference class times the Euler class of the one virtual character
 
-        top Chern part of the pair difference class
-        * e(tangent_1 x L t) * e(tangent_2 x L t) * e(diff(K - 2L) t^-2)
-        / ( e(diff(K - L) t^-1) * e(diff(-L) t^-1) * e(tangent_1) * e(tangent_2) )
+        tangent_1 x L t + tangent_2 x L t + diff(K - 2L) t^-2
+        - diff(K - L) t^-1 - diff(-L) t^-1 - tangent_1 - tangent_2,
 
-    summed over pairs and multiplied by the prefactor.  ``eps`` optionally
-    pins (e1, e2) to exact rationals for speed; the result is invariant
-    under that choice whenever no weight degenerates.
+    kept factored over its denominator forms; the pair sum is canonicalised
+    once and multiplied by the prefactor.  ``eps`` pins (e1, e2) to exact
+    rationals and ``eps_line`` restricts them to a line (see WeightMap);
+    the result is invariant under that choice whenever no weight
+    degenerates.
     """
     L = _as_spec(L)
     if L.t_weight or L.tprime_weight:
@@ -440,25 +357,22 @@ def typeII_component_integral(model, L, K=None, n1=0, n2=0, prefactor=None,
     m_negl = TwistedBundleSpec.make({k: -v for k, v in Ld.items()}, -1)
     l_t = TwistedBundleSpec.make(Ld, 1)
 
-    def term(fp1, fp2):
-        e_cls = difference_character(fp1, fp2, None, model, reg)
-        top = _maybe_specialize(chern_part(e_cls, n1 + n2), eps, eps_line)
-        num = (top
-               * _euler(twisted_tangent_character(fp1, l_t, model, reg),
-                        eps, reg, eps_line)
-               * _euler(twisted_tangent_character(fp2, l_t, model, reg),
-                        eps, reg, eps_line)
-               * _euler(difference_character(fp1, fp2, m_k2l, model, reg),
-                        eps, reg, eps_line))
-        den = (_euler(difference_character(fp1, fp2, m_kl, model, reg),
-                      eps, reg, eps_line)
-               * _euler(difference_character(fp1, fp2, m_negl, model, reg),
-                        eps, reg, eps_line)
-               * _euler(tangent_character(fp1, model, reg), eps, reg, eps_line)
-               * _euler(tangent_character(fp2, model, reg), eps, reg, eps_line))
-        return num / den
+    wmap = WeightMap.make(eps, eps_line)
 
-    total = assemble_sum(model, n1, n2, term, reg, batch, jobs, audit)
+    def term(fp1, fp2):
+        e_cls = wmap(difference_character(fp1, fp2, None, model, reg))
+        top = chern_part(e_cls, n1 + n2)
+        char = (twisted_tangent_character(fp1, l_t, model, reg)
+                + twisted_tangent_character(fp2, l_t, model, reg)
+                + difference_character(fp1, fp2, m_k2l, model, reg)
+                - difference_character(fp1, fp2, m_kl, model, reg)
+                - difference_character(fp1, fp2, m_negl, model, reg)
+                - tangent_character(fp1, model, reg)
+                - tangent_character(fp2, model, reg))
+        return FactoredScalar.euler(wmap(char), top.num)
+
+    total = assemble_sum(model, n1, n2, term, reg, jobs=jobs, audit=audit,
+                         wmap=wmap)
     return pre * total
 
 
@@ -471,7 +385,8 @@ def pair_euler_factor(fp1, fp2, M, a, model, reg=DEFAULT_REGISTRY, eps=None):
     chi_m = model.chi(spec.divisor_map())
     char = chi_character(fp1, fp2, spec.twisted(dt=-a), model, reg)
     num = (reg.const(a) * reg.var("s")) ** chi_m
-    return num / _euler(char, eps, reg)
+    wmap = WeightMap.make(eps)
+    return wmap.finish(num / euler_of_character(wmap(char)))
 
 
 # -- Mochizuki-style residue coefficients ----------------------------------
@@ -489,6 +404,29 @@ def _pair_chi_shifted(fpA, fpB, divA, divB, extra, dt, dtp, model, reg):
                          model, reg)
 
 
+def _mochizuki_character(fp1, fp2, Lb1, Lb2, L, p_g, model, reg):
+    """Virtual character whose Euler class is the residue integrand before
+    division by the tangent Euler classes; None when a genuinely zero
+    weight in the numerator kills the term."""
+    d1 = Lb1.divisor_map()
+    d2 = Lb2.divisor_map()
+    dl = L.divisor_map()
+    v1 = tautological_character(fp1, Lb1, model, reg)
+    if any(not any(w) for w in v1.weights):
+        return None
+    v2 = tautological_character(fp2, Lb2, model, reg).shift((0, 2, 0, 0))
+    char = v1 + v2
+    for (fa, da, ca), (fb, db, cb) in itertools.product(
+            ((fp1, d1, -1), (fp2, d2, 1)), repeat=2):
+        char = char - _pair_chi_shifted(fa, fb, da, db, dl, 1, cb - ca,
+                                        model, reg)
+    char = (char - _pair_chi_shifted(fp1, fp2, d1, d2, {}, 0, 2, model, reg)
+            - _pair_chi_shifted(fp2, fp1, d2, d1, {}, 0, -2, model, reg))
+    # (2 sp)^(n1+n2-p_g) in the denominator is the weight 2 sp
+    return char + WeightCharacter(
+        reg, {(0, 2, 0, 0): p_g - fp1.total - fp2.total})
+
+
 def mochizuki_integrand(fp1, fp2, Lb1, Lb2, L, p_g, model,
                         reg=DEFAULT_REGISTRY, eps=None):
     """Residue integrand at a fixed-point pair, before division by the
@@ -500,61 +438,39 @@ def mochizuki_integrand(fp1, fp2, Lb1, Lb2, L, p_g, model,
     (ideal 1 x t'^-1 + ideal 2 x t') twisted by L t, and Q the Euler
     class of minus the two cross characteristics without the L t twist.
     """
-    Lb1 = _as_spec(Lb1)
-    Lb2 = _as_spec(Lb2)
-    L = _as_spec(L)
-    d1 = Lb1.divisor_map()
-    d2 = Lb2.divisor_map()
-    dl = L.divisor_map()
-    n1 = fp1.total
-    n2 = fp2.total
-
-    v1 = tautological_character(fp1, Lb1, model, reg)
-    if any(not any(w) for w in v1.weights):
-        # a genuinely zero weight in a numerator Euler class kills the term
+    char = _mochizuki_character(fp1, fp2, _as_spec(Lb1), _as_spec(Lb2),
+                                _as_spec(L), p_g, model, reg)
+    if char is None:
         return reg.zero()
-    v2 = tautological_character(fp2, Lb2, model, reg).shift((0, 2, 0, 0))
-
-    p_char = WeightCharacter(reg)
-    for (fa, da, ca), (fb, db, cb) in itertools.product(
-            ((fp1, d1, -1), (fp2, d2, 1)), repeat=2):
-        p_char = p_char + _pair_chi_shifted(fa, fb, da, db, dl, 1, cb - ca,
-                                            model, reg)
-    q_char = (_pair_chi_shifted(fp1, fp2, d1, d2, {}, 0, 2, model, reg)
-              + _pair_chi_shifted(fp2, fp1, d2, d1, {}, 0, -2, model, reg))
-
-    num = _euler(v1, eps, reg) * _euler(v2, eps, reg)
-    interaction = _euler(-p_char, eps, reg)
-    cross = _euler(-q_char, eps, reg)
-    two_sp = reg.const(2) * reg.var("sp")
-    return num * interaction * cross / two_sp ** (n1 + n2 - p_g)
+    wmap = WeightMap.make(eps)
+    return wmap.finish(euler_of_character(wmap(char)))
 
 
 def mochizuki_coefficient(model, Lb1, Lb2, L, n, p_g, reg=DEFAULT_REGISTRY,
-                          eps=None, batch=64, jobs=1, audit=None):
+                          eps=None, jobs=1, audit=None):
     """Sum of residues in sp of the integrand over all point splittings
     n1 + n2 = n - (twist pairing), localized over fixed-point pairs."""
     Lb1 = _as_spec(Lb1)
     Lb2 = _as_spec(Lb2)
+    L = _as_spec(L)
     cross = model.pair(Lb1.divisor_map(), Lb2.divisor_map())
     budget = n - cross
     if budget < 0:
         return reg.zero()
+    wmap = WeightMap.make(eps)
+
+    def term(fp1, fp2):
+        char = _mochizuki_character(fp1, fp2, Lb1, Lb2, L, p_g, model, reg)
+        if char is None:
+            return reg.zero()
+        char = (char - tangent_character(fp1, model, reg)
+                - tangent_character(fp2, model, reg))
+        return residue(euler_of_character(wmap(char)), "sp")
+
     total = reg.zero()
     for n1 in range(budget, -1, -1):
-        n2 = budget - n1
-
-        def term(fp1, fp2):
-            val = mochizuki_integrand(fp1, fp2, Lb1, Lb2, L, p_g, model,
-                                      reg, eps)
-            t1 = tangent_character(fp1, model, reg)
-            t2 = tangent_character(fp2, model, reg)
-            val = val / (_euler(t1, eps, reg)
-                         * _euler(t2, eps, reg))
-            return residue(val, "sp")
-
-        total = total + assemble_sum(model, n1, n2, term, reg, batch, jobs,
-                                     audit)
+        total = total + assemble_sum(model, n1, budget - n1, term, reg,
+                                     jobs=jobs, audit=audit, wmap=wmap)
     return total
 
 

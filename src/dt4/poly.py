@@ -12,13 +12,27 @@ here are tiny (at most four), so exactness wins over asymptotics.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
+from operator import add, sub
 
 
 def grlex_key(exps):
     """Sort key realizing the graded-lex order on exponent tuples."""
     return (sum(exps), exps)
+
+
+def binom(m, j):
+    """Binomial coefficient C(m, j) for any integer m and j >= 0."""
+    if m >= 0:
+        return math.comb(m, j) if j <= m else 0
+    return (-1) ** j * math.comb(-m + j - 1, j)
+
+
+def _desc(exps):
+    """Min-heap entry that pops exponent tuples in descending grlex order."""
+    return (-sum(exps), tuple(-x for x in exps), exps)
 
 
 class Poly:
@@ -137,9 +151,10 @@ class Poly:
                 return Poly(self.nvars)
             return Poly(self.nvars, {e: c * other for e, c in self.terms.items()})
         t = {}
+        right = list(other.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
                 n = t.get(e, 0) + c1 * c2
                 if n:
                     t[e] = n
@@ -197,19 +212,28 @@ class Poly:
                 q[e] = c // d
             return Poly(self.nvars, q)
         oe, oc = other.lead()
+        rest = [(e, c) for e, c in other.terms.items() if e != oe]
         r = dict(self.terms)
+        # remainder terms in a heap, largest graded-lex first; new terms
+        # always sort below the one being cancelled
+        heap = [_desc(e) for e in r]
+        heapq.heapify(heap)
         q = {}
-        while r:
-            e = max(r, key=grlex_key)
-            c = r[e]
-            de = tuple(a - b for a, b in zip(e, oe))
-            if any(x < 0 for x in de) or c % oc:
+        while heap:
+            e = heapq.heappop(heap)[2]
+            c = r.pop(e, 0)
+            if not c:
+                continue
+            de = tuple(map(sub, e, oe))
+            if min(de) < 0 or c % oc:
                 raise ValueError("inexact polynomial division")
             qc = c // oc
-            q[de] = q.get(de, 0) + qc
-            for e2, c2 in other.terms.items():
-                ne = tuple(a + b for a, b in zip(de, e2))
+            q[de] = qc
+            for e2, c2 in rest:
+                ne = tuple(map(add, de, e2))
                 nc = r.get(ne, 0) - qc * c2
+                if ne not in r:
+                    heapq.heappush(heap, _desc(ne))
                 if nc:
                     r[ne] = nc
                 else:
@@ -318,6 +342,11 @@ def gcd(a, b):
         return b.primitive()[1] * b.content() if not b.is_zero() else b
     if b.is_zero():
         return a.primitive()[1] * a.content()
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        # a single term only has monomial divisors: the gcd of the contents
+        # times the least exponent of each variable over both supports
+        e = tuple(map(min, zip(*a.terms, *b.terms)))
+        return Poly(a.nvars, {e: math.gcd(a.content(), b.content())})
     ca, pa = a.primitive()
     cb, pb = b.primitive()
     cg = math.gcd(abs(ca), abs(cb))

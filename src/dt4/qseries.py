@@ -12,8 +12,9 @@ scaling promotes as needed.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+
+from .poly import binom
 
 
 def _units(e):
@@ -22,12 +23,6 @@ def _units(e):
     if u.denominator != 1:
         raise ValueError(f"exponent {e} is not a half-integer")
     return int(u)
-
-
-def _binom(m, j):
-    if m >= 0:
-        return math.comb(m, j) if j <= m else 0
-    return (-1) ** j * math.comb(-m + j - 1, j)
 
 
 def _norm_coeff(c):
@@ -180,7 +175,7 @@ def product_power(exponent, order):
     res = {0: 1}
     for m in range(1, emax + 1):
         jmax = emax // m
-        fac = {j * m: _binom(exponent, j) * (-1) ** j for j in range(jmax + 1)}
+        fac = {j * m: binom(exponent, j) * (-1) ** j for j in range(jmax + 1)}
         nxt = {}
         for e1, c1 in res.items():
             for e2, c2 in fac.items():

@@ -257,6 +257,15 @@ class ToricSurfaceModel:
 
     @classmethod
     def from_json(cls, data):
+        """Model from preset data; malformed data raises ValueError."""
+        try:
+            return cls._from_json(data)
+        except (KeyError, TypeError, IndexError, AttributeError) as exc:
+            raise ValueError(f"malformed preset: missing or ill-typed entry "
+                             f"({type(exc).__name__}: {exc})") from None
+
+    @classmethod
+    def _from_json(cls, data):
         fan = data["fan"]
         comp = _FanComponent(fan["rays"], fan["cones"], fan["ray_coeffs"])
         fps = []

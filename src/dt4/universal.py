@@ -165,31 +165,13 @@ def fit_universal(samples, degree_bound, fields=None, reg=DEFAULT_REGISTRY):
             f"fit underdetermined: {nrows} samples for {ncols} monomials "
             f"({', '.join(_monomial_name(e) for e in monos)})")
 
-    # exact Gaussian elimination; rhs entries are field scalars
-    piv_of_col = {}
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        rhs[r], rhs[p] = rhs[p], rhs[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        rhs[r] = rhs[r] * inv
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-                rhs[i] = rhs[i] - rhs[r] * f
-        piv_of_col[c] = r
-        r += 1
+    piv_of_col = _eliminate(rows, rhs, ncols)
     missing = [c for c in range(ncols) if c not in piv_of_col]
     if missing:
         names = ", ".join(_monomial_name(monos[c]) for c in missing)
         raise ValueError(f"fit underdetermined: no independent data for "
                          f"monomials: {names}")
-    for i in range(r, nrows):
+    for i in range(len(piv_of_col), nrows):
         if not rhs[i].is_zero():
             raise ValueError("fit inconsistent: samples are not matched by "
                              "any polynomial of this degree")
@@ -216,23 +198,32 @@ def design_rank(vectors, degree_bound, fields=None):
         idx = [FIELDS.index(f) for f in fields]
     monos = _monomials(degree_bound, idx)
     rows = [[Fraction(_monomial_value(e, v)) for e in monos] for v in vectors]
-    rank = 0
-    ncols = len(monos)
+    pivots = _eliminate(rows, [Fraction(0)] * len(rows), len(monos))
+    return len(pivots), len(monos)
+
+
+def _eliminate(rows, rhs, ncols):
+    """Exact Gauss-Jordan elimination in place; the row scalars ``rhs``
+    follow every row operation.  Returns {pivot column: row index}."""
+    piv_of_col = {}
     r = 0
     for c in range(ncols):
         p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
+        rhs[r], rhs[p] = rhs[p], rhs[r]
         inv = 1 / rows[r][c]
         rows[r] = [x * inv for x in rows[r]]
+        rhs[r] = rhs[r] * inv
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rhs[i] = rhs[i] - rhs[r] * f
+        piv_of_col[c] = r
         r += 1
-        rank += 1
-    return rank, ncols
+    return piv_of_col
 
 
 # -- test-surface battery ---------------------------------------------------

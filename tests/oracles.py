@@ -5,7 +5,10 @@ checks: plain integer recurrences, dictionary Laurent algebra over box
 diagrams, Riemann-Roch arithmetic, and Fraction-valued series expansion.
 """
 
+import math
 from fractions import Fraction
+
+from dt4.poly import _gcd_prim
 
 
 # -- counting --------------------------------------------------------------
@@ -169,3 +172,13 @@ def residue_series_oracle(x, var):
         if 0 <= j <= jmax:
             total += c * inv[j]
     return total
+
+
+# -- reference path for the gcd fast paths ---------------------------------
+
+def generic_gcd(a, b):
+    """Polynomial gcd through the content/primitive-part recursion alone,
+    bypassing the single-term shortcut of ``dt4.poly.gcd`` at the top."""
+    ca, pa = a.primitive()
+    cb, pb = b.primitive()
+    return _gcd_prim(pa, pb) * math.gcd(ca, cb)

@@ -218,3 +218,32 @@ def test_fit_audit(capsys):
     assert code == 0
     assert len(report["results"]["audit"]) == 29
     assert all(row["value"] == "1" for row in report["results"]["audit"])
+
+
+@pytest.mark.parametrize("command", [["localize"], ["mochizuki", "--n", "1"],
+                                     ["fit"]])
+def test_jobs_validation(command, capsys, monkeypatch):
+    parser = cli.build_parser()
+    for bad in ("0", "-3", "two"):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(command + ["--jobs", bad])
+        assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    # only parsed, never run: no worker is started here
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert parser.parse_args(command + ["--jobs", "1"]).jobs == 1
+    assert parser.parse_args(command + ["--jobs", "100000"]).jobs == 2
+
+
+def test_malformed_preset_is_a_domain_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("DT4_PRESET_DIR", str(tmp_path))
+    for blob in ('{"name": "plane"}', '[1, 2]',
+                 '{"name": "plane", "fixed_points": 3, "bundles": {},'
+                 ' "chern": {}, "pairing": {}, "canonical": {},'
+                 ' "fan": {"rays": [], "cones": [], "ray_coeffs": {}}}'):
+        (tmp_path / "plane.json").write_text(blob)
+        code, report, _ = run_json(capsys, ["localize", "--surface", "plane",
+                                            "--divisor", "H=1", "--n1", "1"])
+        assert code == 1
+        assert report["error"]["type"] == "ValueError"
+        assert "malformed preset" in report["error"]["message"]

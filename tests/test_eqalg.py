@@ -5,10 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dt4.eqalg import (DEFAULT_REGISTRY as REG, EqScalar, NonGenericWeightError,
-                       Registry, WeightCharacter, chern_part,
-                       euler_of_character, laurent_expand, normalize, residue)
+from dt4.eqalg import (DEFAULT_REGISTRY as REG, EqScalar, FactoredScalar,
+                       NonGenericWeightError, Registry, WeightCharacter,
+                       chern_part, euler_of_character, factored_sum,
+                       laurent_expand, residue)
 from dt4.poly import Poly
+
+from oracles import generic_gcd
 
 S = REG.var("s")
 SP = REG.var("sp")
@@ -61,7 +64,7 @@ def test_canonical_form_is_unique():
     assert a == S + E1
     b = (REG.const(2) * S) / REG.const(4)
     assert b == S / REG.const(2)
-    assert normalize(b) == b
+    assert EqScalar(REG, b.num, b.den) == b
 
 
 def test_field_operations():
@@ -202,3 +205,91 @@ def test_residue_linearity(terms):
         if k == -1:
             expected = expected + REG.const(c)
     assert residue(x, "sp") == expected
+
+
+# -- canonical fast paths ---------------------------------------------------
+
+# Inputs are homogeneous in (s, e1, e2), like the localization sums: the
+# generic gcd that the reference side of these checks relies on can take
+# minutes on dense inhomogeneous or four-variable inputs.
+
+def products():
+    """Products of up to three linear forms over up to two, with factors
+    that recur."""
+    c = st.integers(-2, 2)
+    forms = st.builds(lambda a, b, d: a * S + b * E1 + d * E2, c, c, c).filter(
+        lambda f: not f.is_zero())
+    return st.tuples(st.lists(forms, min_size=1, max_size=3),
+                     st.lists(forms, max_size=2)).map(
+        lambda nd: _product(nd[0]) / _product(nd[1]))
+
+
+def _product(xs):
+    out = REG.one()
+    for x in xs:
+        out = out * x
+    return out
+
+
+def assert_canonical(x):
+    if x.num.is_zero():
+        assert x.den.is_one()
+        return
+    assert generic_gcd(x.num, x.den).is_one()
+    assert x.den.lead()[1] > 0
+
+
+POINT = {"s": Fraction(7, 3), "e1": Fraction(-5, 2), "e2": Fraction(11, 13)}
+
+
+def at_point(x):
+    return x.specialize(POINT).as_fraction()
+
+
+@settings(max_examples=60, deadline=None)
+@given(products(), products())
+def test_arithmetic_results_are_canonical(a, b):
+    for x in (a + b, a - b, a * b, a / b):
+        assert_canonical(x)
+    # the fast paths compute the right values (POINT is off every form
+    # with coefficients in [-2, 2])
+    va, vb = at_point(a), at_point(b)
+    assert at_point(a + b) == va + vb
+    assert at_point(a * b) == va * vb
+    assert at_point(a / b) == va / vb
+
+
+WEIGHTS = st.tuples(st.integers(-1, 1), st.just(0), st.integers(-1, 1),
+                    st.integers(-1, 1)).filter(any)
+
+
+def factored_terms():
+    """(numerator Poly, character) pairs over a small pool of weights."""
+    char = st.lists(st.tuples(WEIGHTS, st.integers(-2, 2)), max_size=3).map(
+        lambda ws: WeightCharacter(REG, ws))
+    num = st.tuples(st.integers(-3, 3), st.lists(WEIGHTS, max_size=2)).map(
+        lambda cv: _product([REG.const(cv[0])]
+                            + [EqScalar(REG, Poly.linear_form(w))
+                               for w in cv[1]]).num)
+    return st.tuples(num, char)
+
+
+def euler_by_products(char):
+    out = REG.one()
+    for w, m in char.items():
+        out = out * EqScalar(REG, Poly.linear_form(w)) ** m
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(factored_terms(), min_size=1, max_size=3))
+def test_factored_sum_matches_plain_sum(terms):
+    plain = REG.zero()
+    for num, char in terms:
+        e = euler_of_character(char)
+        assert e == euler_by_products(char)
+        plain = plain + EqScalar(REG, num) * e
+    got = factored_sum([FactoredScalar.euler(char, num)
+                        for num, char in terms], REG)
+    assert got == plain
+    assert_canonical(got)

@@ -221,7 +221,7 @@ def test_jobs_and_audit():
 
 def test_assemble_sum_batching():
     term = lambda fp1, fp2: REG.one()
-    small = assemble_sum(PLANE, 1, 1, term, REG, batch=2)
+    small = assemble_sum(PLANE, 1, 1, term, REG)
     assert small == REG.const(9)
     assert assemble_sum(PLANE, 0, 0, term, REG) == REG.one()
 
@@ -292,3 +292,32 @@ def test_pure_s_monomial():
     assert pure_s_monomial(S ** 3 * REG.const(-2)) == (Fraction(-2), 3)
     assert pure_s_monomial(S + REG.one()) is None
     assert pure_s_monomial(S * REG.var("e1")) is None
+
+
+# -- route agreement: symbolic, rational point, parameter line --------------
+
+ROUTE_DIVISORS = {"plane": {"H": 1}, "quadric": {"A": 1, "B": 1},
+                  "hirzebruch1": {"C0": 1, "F": 1},
+                  "hirzebruch2": {"C0": 1, "F": 2},
+                  "hirzebruch3": {"C0": 1, "F": 3}}
+ROUTE_POINT = (Fraction(3, 7), Fraction(-5, 11))
+ROUTE_CASES = ([(name, n1, n - n1) for name in ROUTE_DIVISORS
+                for n in range(3) for n1 in range(n + 1)]
+               + [("plane", n1, 3 - n1) for n1 in range(4)])
+
+
+@pytest.mark.parametrize("name,n1,n2", ROUTE_CASES)
+def test_routes_agree_under_specialisation(name, n1, n2):
+    model = from_preset(name)
+    div = ROUTE_DIVISORS[name]
+
+    def integral(**kw):
+        return typeII_component_integral(model, div, n1=n1, n2=n2,
+                                         prefactor=UNIT_PREFACTOR, **kw)
+    symbolic = integral()
+    e1, e2 = ROUTE_POINT
+    assert integral(eps=ROUTE_POINT) == symbolic.specialize(
+        {"e1": e1, "e2": e2})
+    u = Fraction(2, 5)
+    assert integral(eps_line=LINE).specialize({"e1": u}) == \
+        symbolic.specialize({"e1": LINE[0] * u, "e2": LINE[1] * u})

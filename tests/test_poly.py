@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from dt4.poly import Poly, gcd, grlex_key, lcm, poly_str
 
+from oracles import generic_gcd
+
 X = Poly.variable(3, 0)
 Y = Poly.variable(3, 1)
 Z = Poly.variable(3, 2)
@@ -156,3 +158,12 @@ def test_gcd_divides_both(a, b):
         return
     g = gcd(a, b)
     assert g.divides(a) and g.divides(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys(max_terms=1), small_polys())
+def test_monomial_gcd_matches_recursion(m, b):
+    if m.is_zero() or b.is_zero():
+        return
+    assert gcd(m, b) == generic_gcd(m, b)
+    assert gcd(b, m) == generic_gcd(b, m)

@@ -190,3 +190,16 @@ def test_pair_bilinear_symmetric(a, b, c, d):
     assert model.pair(d1, d2) == model.pair(d2, d1)
     dsum = {"C0": a + c, "F": b + d}
     assert model.pair(dsum, d2) == model.pair(d1, d2) + model.pair(d2, d2)
+
+
+def test_malformed_preset_raises_value_error(tmp_path, monkeypatch):
+    from importlib import resources
+    blob = json.loads((resources.files("dt4") / "presets" /
+                       "plane.json").read_text())
+    monkeypatch.setenv("DT4_PRESET_DIR", str(tmp_path))
+    for broken in ({"name": "plane"}, {**blob, "chern": {"c2": 3}},
+                   {**blob, "fixed_points": blob["fixed_points"] * 2},
+                   {**blob, "fan": {"rays": [[1, 0]]}}):
+        (tmp_path / "plane.json").write_text(json.dumps(broken))
+        with pytest.raises(ValueError, match="malformed preset"):
+            from_preset("plane")
