@@ -38,8 +38,6 @@ class RunConfig:
     """
     command: str
     parameters: dict = field(default_factory=dict)
-    jobs: int = 1
-    audit: bool = False
     pretty: bool = False
     deterministic: bool = True
 
@@ -91,14 +89,6 @@ def _chi_numbers(text):
         return tuple(int(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError("chi numbers must be integers")
-
-
-def _frac_str(x):
-    return str(x)
-
-
-def _series_entries(series):
-    return series.to_json_entries()
 
 
 def _series_line(series):
@@ -168,11 +158,11 @@ def cmd_zseries(args):
     checks = [("typeI-series-identity", _series_is_zero(diff)),
               ("typeII-conjecture-odd-vanishing", odd_ok)]
     results = {
-        "typeI_series": _series_entries(lhs),
-        "typeI_closed_form": _series_entries(rhs),
-        "difference": _series_entries(diff),
-        "typeII_conjecture_series": _series_entries(conj),
-        "truncation_order": _frac_str(lhs.truncation_order),
+        "typeI_series": lhs.to_json_entries(),
+        "typeI_closed_form": rhs.to_json_entries(),
+        "difference": diff.to_json_entries(),
+        "typeII_conjecture_series": conj.to_json_entries(),
+        "truncation_order": str(lhs.truncation_order),
     }
     pretty = [f"  non-nested series   {_series_line(lhs)}",
               f"  closed-form route   {_series_line(rhs)}",
@@ -182,8 +172,8 @@ def cmd_zseries(args):
 
 
 def cmd_chamber(args):
-    params = {"k": args.k, "r": args.r, "delta": _frac_str(args.delta),
-              "t": _frac_str(args.t), "u": _frac_str(args.u)}
+    params = {"k": args.k, "r": args.r, "delta": str(args.delta),
+              "t": str(args.t), "u": str(args.u)}
     config = RunConfig("chamber", params, pretty=args.pretty)
     try:
         surface = EllipticSurface(args.k)
@@ -199,7 +189,7 @@ def cmd_chamber(args):
             note = "polarization is outside the ample cone"
     except ValueError as exc:
         return _emit_error(config, exc)
-    results = {"ample": ample, "threshold": _frac_str(threshold),
+    results = {"ample": ample, "threshold": str(threshold),
                "in_chamber": in_chamber}
     if note:
         results["note"] = note
@@ -248,8 +238,7 @@ def cmd_localize(args):
               "alpha_pair": args.alpha_pair}
     if args.chi_numbers is not None:
         params["chi_numbers"] = list(args.chi_numbers)
-    config = RunConfig("localize", params, jobs=args.jobs, audit=args.audit,
-                       pretty=args.pretty)
+    config = RunConfig("localize", params, pretty=args.pretty)
     audit_rows = [] if args.audit else None
     try:
         model = from_preset(args.surface)
@@ -275,7 +264,7 @@ def cmd_localize(args):
     ratio_block = {"value": str(ratio), "pure_s_monomial": mono is not None}
     if mono is not None:
         coeff, expo = mono
-        ratio_block["coefficient"] = _frac_str(coeff)
+        ratio_block["coefficient"] = str(coeff)
         ratio_block["s_exponent"] = expo
     results = {"value": str(value), "prefactor": str(pre.value(REG)),
                "conjecture_leading_ratio": ratio_block}
@@ -294,8 +283,7 @@ def cmd_mochizuki(args):
               "split1": dict(sorted(args.split1.items())),
               "split2": dict(sorted(args.split2.items())),
               "n": args.n, "pg": args.pg}
-    config = RunConfig("mochizuki", params, jobs=args.jobs, audit=args.audit,
-                       pretty=args.pretty)
+    config = RunConfig("mochizuki", params, pretty=args.pretty)
     audit_rows = [] if args.audit else None
     try:
         model = from_preset(args.surface)
@@ -318,8 +306,7 @@ def cmd_mochizuki(args):
 
 def cmd_fit(args):
     params = {"n1": args.n1, "n2": args.n2, "degree_bound": args.degree_bound}
-    config = RunConfig("fit", params, jobs=args.jobs, audit=args.audit,
-                       pretty=args.pretty)
+    config = RunConfig("fit", params, pretty=args.pretty)
     try:
         configs = universal.battery_configs()
         samples = universal.typeII_samples(configs, args.n1, args.n2,

@@ -22,6 +22,7 @@ computations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -217,11 +218,16 @@ SYMBOLIC = WeightMap()
 
 # -- generic localization sum ----------------------------------------------
 
-_POOL_FN = None
-
-
-def _pool_call(fp1, fp2):
-    return _POOL_FN(fp1, fp2)
+def parallel_starmap(fn, args, jobs=1):
+    """``[fn(*a) for a in args]`` in order; ``jobs`` > 1 spreads the calls
+    over that many pool workers.  ``fn`` and the arguments are pickled, so
+    ``fn`` must be a top-level function or a ``functools.partial`` of one;
+    then every start method works."""
+    args = list(args)
+    if jobs < 2:
+        return [fn(*a) for a in args]
+    with Pool(jobs) as pool:
+        return pool.starmap(fn, args, chunksize=max(1, len(args) // jobs))
 
 
 def assemble_sum(model, n1, n2, term_fn, reg=DEFAULT_REGISTRY, jobs=1,
@@ -232,25 +238,13 @@ def assemble_sum(model, n1, n2, term_fn, reg=DEFAULT_REGISTRY, jobs=1,
     Terms are FactoredScalars, summed over one least common denominator
     and canonicalised once, or EqScalars, summed with ``+``.  The total
     and every audited term pass through ``wmap.finish``.  Deterministic
-    pair order; ``jobs`` > 1 evaluates terms in a process pool.
+    pair order; ``jobs`` > 1 evaluates terms with ``parallel_starmap``.
     """
     pairs = list(itertools.product(hilb_fixed_points(model, n1),
                                    hilb_fixed_points(model, n2)))
     if not pairs:
         return reg.zero()
-    if jobs > 1:
-        # term_fn is usually a closure; hand it to forked workers through a
-        # module global instead of pickling it.
-        global _POOL_FN
-        _POOL_FN = term_fn
-        try:
-            with Pool(jobs) as pool:
-                terms = pool.starmap(_pool_call, pairs,
-                                     chunksize=max(1, len(pairs) // jobs))
-        finally:
-            _POOL_FN = None
-    else:
-        terms = [term_fn(fp1, fp2) for fp1, fp2 in pairs]
+    terms = parallel_starmap(term_fn, pairs, jobs)
     factored = isinstance(terms[0], FactoredScalar)
     if audit is not None:
         for (fp1, fp2), t in zip(pairs, terms):
@@ -358,35 +352,25 @@ def typeII_component_integral(model, L, K=None, n1=0, n2=0, prefactor=None,
     l_t = TwistedBundleSpec.make(Ld, 1)
 
     wmap = WeightMap.make(eps, eps_line)
-
-    def term(fp1, fp2):
-        e_cls = wmap(difference_character(fp1, fp2, None, model, reg))
-        top = chern_part(e_cls, n1 + n2)
-        char = (twisted_tangent_character(fp1, l_t, model, reg)
-                + twisted_tangent_character(fp2, l_t, model, reg)
-                + difference_character(fp1, fp2, m_k2l, model, reg)
-                - difference_character(fp1, fp2, m_kl, model, reg)
-                - difference_character(fp1, fp2, m_negl, model, reg)
-                - tangent_character(fp1, model, reg)
-                - tangent_character(fp2, model, reg))
-        return FactoredScalar.euler(wmap(char), top.num)
-
+    term = functools.partial(_typeII_term, model, l_t, m_k2l, m_kl, m_negl,
+                             n1 + n2, wmap, reg)
     total = assemble_sum(model, n1, n2, term, reg, jobs=jobs, audit=audit,
                          wmap=wmap)
     return pre * total
 
 
-def pair_euler_factor(fp1, fp2, M, a, model, reg=DEFAULT_REGISTRY, eps=None):
-    """(a s)^chi(M) over the Euler class of the pair characteristic of
-    (ideal 1, ideal 2 x M t^-a); a must be a nonzero integer."""
-    if a == 0:
-        raise ValueError("twist exponent a must be nonzero")
-    spec = _as_spec(M)
-    chi_m = model.chi(spec.divisor_map())
-    char = chi_character(fp1, fp2, spec.twisted(dt=-a), model, reg)
-    num = (reg.const(a) * reg.var("s")) ** chi_m
-    wmap = WeightMap.make(eps)
-    return wmap.finish(num / euler_of_character(wmap(char)))
+def _typeII_term(model, l_t, m_k2l, m_kl, m_negl, n, wmap, reg, fp1, fp2):
+    """Integrand of typeII_component_integral at one fixed-point pair."""
+    e_cls = wmap(difference_character(fp1, fp2, None, model, reg))
+    top = chern_part(e_cls, n)
+    char = (twisted_tangent_character(fp1, l_t, model, reg)
+            + twisted_tangent_character(fp2, l_t, model, reg)
+            + difference_character(fp1, fp2, m_k2l, model, reg)
+            - difference_character(fp1, fp2, m_kl, model, reg)
+            - difference_character(fp1, fp2, m_negl, model, reg)
+            - tangent_character(fp1, model, reg)
+            - tangent_character(fp2, model, reg))
+    return FactoredScalar.euler(wmap(char), top.num)
 
 
 # -- Mochizuki-style residue coefficients ----------------------------------
@@ -427,23 +411,22 @@ def _mochizuki_character(fp1, fp2, Lb1, Lb2, L, p_g, model, reg):
         reg, {(0, 2, 0, 0): p_g - fp1.total - fp2.total})
 
 
-def mochizuki_integrand(fp1, fp2, Lb1, Lb2, L, p_g, model,
-                        reg=DEFAULT_REGISTRY, eps=None):
-    """Residue integrand at a fixed-point pair, before division by the
-    tangent Euler classes.
+def _mochizuki_term(model, Lb1, Lb2, L, p_g, wmap, reg, fp1, fp2):
+    """Residue in sp of the integrand at one fixed-point pair.
 
-    The value is e(V1) P e(V2 t'^2) / ((2 sp)^(n1+n2-p_g) Q) where V_i
-    are the tautological characters of the twist bundles, P the Euler
-    class of minus the full self-interaction characteristic of
-    (ideal 1 x t'^-1 + ideal 2 x t') twisted by L t, and Q the Euler
-    class of minus the two cross characteristics without the L t twist.
+    The integrand is e(V1) P e(V2 t'^2) / ((2 sp)^(n1+n2-p_g) Q) over the
+    two tangent Euler classes, where V_i are the tautological characters
+    of the twist bundles, P the Euler class of minus the full
+    self-interaction characteristic of (ideal 1 x t'^-1 + ideal 2 x t')
+    twisted by L t, and Q the Euler class of minus the two cross
+    characteristics without the L t twist.
     """
-    char = _mochizuki_character(fp1, fp2, _as_spec(Lb1), _as_spec(Lb2),
-                                _as_spec(L), p_g, model, reg)
+    char = _mochizuki_character(fp1, fp2, Lb1, Lb2, L, p_g, model, reg)
     if char is None:
         return reg.zero()
-    wmap = WeightMap.make(eps)
-    return wmap.finish(euler_of_character(wmap(char)))
+    char = (char - tangent_character(fp1, model, reg)
+            - tangent_character(fp2, model, reg))
+    return residue(euler_of_character(wmap(char)), "sp")
 
 
 def mochizuki_coefficient(model, Lb1, Lb2, L, n, p_g, reg=DEFAULT_REGISTRY,
@@ -458,15 +441,8 @@ def mochizuki_coefficient(model, Lb1, Lb2, L, n, p_g, reg=DEFAULT_REGISTRY,
     if budget < 0:
         return reg.zero()
     wmap = WeightMap.make(eps)
-
-    def term(fp1, fp2):
-        char = _mochizuki_character(fp1, fp2, Lb1, Lb2, L, p_g, model, reg)
-        if char is None:
-            return reg.zero()
-        char = (char - tangent_character(fp1, model, reg)
-                - tangent_character(fp2, model, reg))
-        return residue(euler_of_character(wmap(char)), "sp")
-
+    term = functools.partial(_mochizuki_term, model, Lb1, Lb2, L, p_g, wmap,
+                             reg)
     total = reg.zero()
     for n1 in range(budget, -1, -1):
         total = total + assemble_sum(model, n1, budget - n1, term, reg,

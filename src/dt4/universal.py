@@ -12,12 +12,14 @@ the parameter line, which the integral routines expose exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .eqalg import DEFAULT_REGISTRY
-from .localize import PrefactorData, typeII_component_integral
+from .localize import (PrefactorData, parallel_starmap,
+                       typeII_component_integral)
 from .surfaces import from_preset
 
 FIELDS = ("b1_sq", "b2_sq", "b1_c1", "b2_c1", "b1_D", "b2_D", "b1_b2",
@@ -273,15 +275,16 @@ def typeII_samples(configs, n1, n2, jobs=1):
 
     Each integral is computed exactly on the generic parameter line and
     evaluated at the origin of that line; beta classes are zero on this
-    route, so only the bundle and surface invariants vary.
+    route, so only the bundle and surface invariants vary.  ``jobs`` > 1
+    spreads the configurations over one process pool.
     """
-    zero_at = {"e1": Fraction(0)}
+    return parallel_starmap(functools.partial(_typeII_sample, n1=n1, n2=n2),
+                            configs, jobs)
+
+
+def _typeII_sample(model, L, n1, n2):
     unit = PrefactorData.from_numbers(0, 0, 0, 0, 0)
-    samples = []
-    for model, L in configs:
-        cn = chern_invariants(model, {}, {}, L)
-        val = typeII_component_integral(model, L, n1=n1, n2=n2,
-                                        prefactor=unit, eps_line=EPS_LINE,
-                                        jobs=jobs)
-        samples.append((cn, val.specialize(zero_at)))
-    return samples
+    val = typeII_component_integral(model, L, n1=n1, n2=n2, prefactor=unit,
+                                    eps_line=EPS_LINE)
+    return (chern_invariants(model, {}, {}, L),
+            val.specialize({"e1": Fraction(0)}))

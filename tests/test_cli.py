@@ -1,9 +1,13 @@
 """JSON command-line surface: determinism, exit codes, audit plumbing."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import dt4
 from dt4 import cli
 
 
@@ -233,6 +237,33 @@ def test_jobs_validation(command, capsys, monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     assert parser.parse_args(command + ["--jobs", "1"]).jobs == 1
     assert parser.parse_args(command + ["--jobs", "100000"]).jobs == 2
+
+
+# sets the start method before dt4 runs, as a user's own script would
+START_METHOD_SCRIPT = ("import multiprocessing, sys\n"
+                       "multiprocessing.set_start_method(sys.argv[1])\n"
+                       "from dt4.cli import main\n"
+                       "sys.exit(main(sys.argv[2:]))\n")
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+@pytest.mark.parametrize("command", [
+    ["localize", "--surface", "plane", "--divisor", "H=2", "--n1", "1",
+     "--n2", "1"],
+    ["mochizuki", "--n", "1"],
+    ["fit", "--n1", "1", "--n2", "0", "--degree-bound", "1"]])
+def test_jobs_under_every_start_method(command, method, capsys):
+    code, serial, _ = run(capsys, command + ["--jobs", "1"])
+    assert code == 0
+    src = os.path.dirname(os.path.dirname(dt4.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # two workers (fewer if the machine has fewer CPUs)
+    proc = subprocess.run([sys.executable, "-c", START_METHOD_SCRIPT, method]
+                          + command + ["--jobs", "2"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == serial
 
 
 def test_malformed_preset_is_a_domain_error(capsys, tmp_path, monkeypatch):

@@ -7,12 +7,12 @@ import pytest
 
 from dt4.eqalg import (DEFAULT_REGISTRY as REG, NonGenericWeightError,
                        WeightCharacter, chern_part, euler_of_character)
-from dt4.localize import (PrefactorData, TwistedBundleSpec, assemble_sum,
-                          chi_character, difference_character,
-                          mochizuki_coefficient, mochizuki_integrand,
-                          pair_euler_factor, pure_s_monomial,
-                          tangent_character, tautological_character,
-                          twisted_tangent_character, typeII_component_integral)
+from dt4.localize import (SYMBOLIC, PrefactorData, TwistedBundleSpec,
+                          _mochizuki_term, assemble_sum, chi_character,
+                          difference_character, mochizuki_coefficient,
+                          pure_s_monomial, tangent_character,
+                          tautological_character, twisted_tangent_character,
+                          typeII_component_integral)
 from dt4.partitions import hilb_fixed_points
 from dt4.surfaces import from_preset
 
@@ -228,22 +228,6 @@ def test_assemble_sum_batching():
 
 # -- pairwise residue machinery --------------------------------------------
 
-def test_pair_euler_factor():
-    empty = hilb_fixed_points(PLANE, 0)[0]
-    assert pair_euler_factor(empty, empty, {}, -1, PLANE, REG) == -REG.one()
-    with pytest.raises(ValueError):
-        pair_euler_factor(empty, empty, {}, 0, PLANE, REG)
-
-
-def test_pair_euler_factor_chi_exponent():
-    empty = hilb_fixed_points(PLANE, 0)[0]
-    v = pair_euler_factor(empty, empty, {"H": 1}, 1, PLANE, REG)
-    # (a s)^chi(M) over the Euler class of the chi character at a = 1
-    assert not v.is_zero()
-    num_s_degree = v.num.degree_in(0) - v.den.degree_in(0)
-    assert num_s_degree <= PLANE.chi({"H": 1})
-
-
 def test_mochizuki_zero_charge():
     assert mochizuki_coefficient(PLANE, {}, {}, {}, 0, 0, REG) == REG.zero()
 
@@ -257,10 +241,11 @@ def test_mochizuki_frozen_value():
 
 
 def test_mochizuki_eps_consistency():
-    sym = mochizuki_coefficient(PLANE, {}, {}, {}, 1, 0, REG)
     eps = (Fraction(10), Fraction(-7))
-    num = mochizuki_coefficient(PLANE, {}, {}, {}, 1, 0, REG, eps=eps)
-    assert num == sym.specialize({"e1": eps[0], "e2": eps[1]})
+    for n in (1, 2):
+        sym = mochizuki_coefficient(PLANE, {}, {}, {}, n, 0, REG)
+        num = mochizuki_coefficient(PLANE, {}, {}, {}, n, 0, REG, eps=eps)
+        assert num == sym.specialize({"e1": eps[0], "e2": eps[1]})
 
 
 def test_mochizuki_negative_budget_is_zero():
@@ -273,7 +258,9 @@ def test_mochizuki_integrand_zero_weight_term():
     # trivial twist data puts an honest zero weight in the numerator
     empty = hilb_fixed_points(PLANE, 0)[0]
     one_pt = hilb_fixed_points(PLANE, 1)[0]
-    val = mochizuki_integrand(one_pt, empty, {}, {}, {}, 0, PLANE, REG)
+    trivial = TwistedBundleSpec.make({})
+    val = _mochizuki_term(PLANE, trivial, trivial, trivial, 0, SYMBOLIC, REG,
+                          one_pt, empty)
     assert val == REG.zero()
 
 
@@ -303,7 +290,8 @@ ROUTE_DIVISORS = {"plane": {"H": 1}, "quadric": {"A": 1, "B": 1},
 ROUTE_POINT = (Fraction(3, 7), Fraction(-5, 11))
 ROUTE_CASES = ([(name, n1, n - n1) for name in ROUTE_DIVISORS
                 for n in range(3) for n1 in range(n + 1)]
-               + [("plane", n1, 3 - n1) for n1 in range(4)])
+               + [("plane", n1, 3 - n1) for n1 in range(4)]
+               + [(name, 2, 1) for name in ROUTE_DIVISORS if name != "plane"])
 
 
 @pytest.mark.parametrize("name,n1,n2", ROUTE_CASES)
