@@ -263,53 +263,6 @@ def _reduce(num, den):
     return num, den
 
 
-# -- Laurent expansion -----------------------------------------------------
-
-def laurent_expand(x, var, order):
-    """Laurent coefficients of ``x`` in ``var`` around 0 through ``order``.
-
-    Returns an ascending list of (exponent, EqScalar) pairs with nonzero
-    coefficients free of ``var``, from the valuation up to and including
-    ``order``.
-    """
-    return sorted(_laurent_dict(x, var, order).items())
-
-
-def _laurent_dict(x, var, order):
-    reg = x.reg
-    v = reg.index(var)
-    if x.is_zero():
-        return {}
-    nparts = x.num.by_var(v)
-    dparts = x.den.by_var(v)
-    b = min(nparts)
-    a = min(dparts)
-    val = b - a
-    if order < val:
-        return {}
-    d0 = dparts[a]
-    dt = {j - a: p for j, p in dparts.items()}
-    nt = {j - b: p for j, p in nparts.items()}
-    jmax = order - val
-    u = []
-    out = {}
-    for j in range(jmax + 1):
-        uj = nt.get(j, Poly.zero(x.num.nvars)) * d0 ** j
-        for i in range(1, j + 1):
-            if i in dt:
-                uj = uj - dt[i] * u[j - i] * d0 ** (i - 1)
-        u.append(uj)
-        c = EqScalar(reg, uj, d0 ** (j + 1))
-        if not c.is_zero():
-            out[val + j] = c
-    return out
-
-
-def residue(x, var):
-    """Coefficient of ``var``^(-1) in the Laurent expansion around 0."""
-    return _laurent_dict(x, var, -1).get(-1, x.reg.zero())
-
-
 # -- weight characters -----------------------------------------------------
 
 class WeightCharacter:
@@ -435,23 +388,8 @@ class FactoredScalar(NamedTuple):
     scalar: Fraction
 
     @classmethod
-    def euler(cls, char, num=None):
-        """``num`` (default 1) times the Euler class of the character.
-        Multiplicities cancel per primitive form before any product."""
-        reg = char.reg
-        mult = {}
-        scalar = Fraction(1)
-        for w, m in char.items():
-            k, p = _primitive_form(w)
-            scalar *= Fraction(k) ** m
-            mult[p] = mult.get(p, 0) + m
-        if num is None:
-            num = Poly.const(reg.nvars, 1)
-        for p, m in mult.items():
-            if m > 0:
-                num = num * Poly.linear_form(p) ** m
-        return cls(reg, num, {p: -m for p, m in mult.items() if m < 0},
-                   scalar)
+    def zero(cls, reg):
+        return cls(reg, Poly.zero(reg.nvars), {}, Fraction(1))
 
     def canonical(self):
         """The canonical EqScalar: trial division by each form, then the
@@ -473,9 +411,33 @@ class FactoredScalar(NamedTuple):
                         _canonical=True)
 
 
+def euler_of_character(char, num=None):
+    """``num`` (default 1) times the equivariant Euler class of the
+    character: product of weight forms to their multiplicities, factored.
+
+    Multiplicities cancel per primitive form before any product.  A zero
+    weight with nonzero multiplicity has no invertible Euler class and
+    raises :class:`NonGenericWeightError`.
+    """
+    reg = char.reg
+    mult = {}
+    scalar = Fraction(1)
+    for w, m in char.items():
+        k, p = _primitive_form(w)
+        scalar *= Fraction(k) ** m
+        mult[p] = mult.get(p, 0) + m
+    if num is None:
+        num = Poly.const(reg.nvars, 1)
+    for p, m in mult.items():
+        if m > 0:
+            num = num * Poly.linear_form(p) ** m
+    return FactoredScalar(reg, num, {p: -m for p, m in mult.items() if m < 0},
+                          scalar)
+
+
 def factored_sum(terms, reg):
-    """Canonical EqScalar of a sum of FactoredScalars: one least common
-    denominator, one numerator sum, one canonicalisation."""
+    """Sum of FactoredScalars over one least common denominator (the
+    largest multiplicity of each form): one numerator sum, no reduction."""
     terms = [t for t in terms if not t.num.is_zero()]
     forms, lcd = {}, 1
     for t in terms:
@@ -492,17 +454,51 @@ def factored_sum(terms, reg):
                 x = x * lin[p] ** k
         for e, c in x.terms.items():
             acc[e] = acc.get(e, 0) + c
-    return FactoredScalar(reg, Poly(reg.nvars, acc), forms,
-                          Fraction(1, lcd)).canonical()
+    return FactoredScalar(reg, Poly(reg.nvars, acc), forms, Fraction(1, lcd))
 
 
-def euler_of_character(char):
-    """Equivariant Euler class: product of weight forms to their multiplicities.
+def residue(x, var):
+    """Coefficient of ``var``^(-1) of the FactoredScalar ``x`` around 0.
 
-    A zero weight with nonzero multiplicity has no invertible Euler class
-    and raises :class:`NonGenericWeightError`.
+    The multiplicity p of the form ``var`` is the pole order.  Each mixed
+    form c var + r (r != 0) to the power m is expanded as
+    r^-m (1 + c var / r)^-m through order p - 1, over the denominator
+    r^(m + p - 1), with r split into an integer and a primitive form;
+    forms free of ``var`` pass through.  The result is a FactoredScalar
+    and no gcd runs.
     """
-    return FactoredScalar.euler(char).canonical()
+    reg = x.reg
+    v = reg.index(var)
+    pole = tuple(int(i == v) for i in range(reg.nvars))
+    order = x.forms.get(pole, 0) - 1
+    if order < 0:
+        return FactoredScalar.zero(reg)
+    # coefficients of var^0 .. var^order, each free of var
+    parts = x.num.by_var(v)
+    series = [parts.get(d, Poly.zero(reg.nvars)) for d in range(order + 1)]
+    forms, scalar = {}, x.scalar
+    for w, m in x.forms.items():
+        if not w[v]:
+            forms[w] = forms.get(w, 0) + m
+        elif w != pole:
+            c, r = w[v], w[:v] + (0,) + w[v + 1:]
+            k, p = _primitive_form(r)
+            forms[p] = forms.get(p, 0) + m + order
+            scalar /= Fraction(k) ** (m + order)
+            rf = Poly.linear_form(r)
+            series = _truncated_product(series, [
+                rf ** (order - j) * (binom(-m, j) * c ** j)
+                for j in range(order + 1)])
+    return FactoredScalar(reg, series[order], forms, scalar)
+
+
+def _truncated_product(a, b):
+    """Product of two power series, given as coefficient lists of one
+    length, truncated to that length."""
+    zero = Poly.zero(a[0].nvars)
+    return [sum((a[i - j] * b[j] for j in range(i + 1)
+                 if not a[i - j].is_zero() and not b[j].is_zero()), zero)
+            for i in range(len(a))]
 
 
 def chern_part(char, k):
@@ -512,20 +508,11 @@ def chern_part(char, k):
     negative multiplicities expanded as formal power series.  Zero weights
     are legal and contribute nothing.
     """
-    reg = char.reg
-    nv = reg.nvars
-    coeffs = [Poly.const(nv, 1)] + [Poly.zero(nv) for _ in range(k)]
+    nv = char.reg.nvars
+    coeffs = [Poly.const(nv, 1)] + [Poly.zero(nv)] * k
     for w, m in char.weights.items():
-        if not any(w):
-            continue
-        lf = Poly.linear_form(w)
-        fac = [Poly.const(nv, binom(m, j)) * lf ** j for j in range(k + 1)]
-        nxt = [Poly.zero(nv) for _ in range(k + 1)]
-        for i in range(k + 1):
-            if coeffs[i].is_zero():
-                continue
-            for j in range(k + 1 - i):
-                if not fac[j].is_zero():
-                    nxt[i + j] = nxt[i + j] + coeffs[i] * fac[j]
-        coeffs = nxt
-    return EqScalar(reg, coeffs[k], _canonical=True)
+        if any(w):
+            lf = Poly.linear_form(w)
+            coeffs = _truncated_product(
+                coeffs, [lf ** j * binom(m, j) for j in range(k + 1)])
+    return EqScalar(char.reg, coeffs[k], _canonical=True)

@@ -235,24 +235,20 @@ def assemble_sum(model, n1, n2, term_fn, reg=DEFAULT_REGISTRY, jobs=1,
     """Sum term_fn(fp1, fp2) over all fixed-point pairs of the product of
     the n1- and n2-point Hilbert schemes.
 
-    Terms are FactoredScalars, summed over one least common denominator
-    and canonicalised once, or EqScalars, summed with ``+``.  The total
-    and every audited term pass through ``wmap.finish``.  Deterministic
-    pair order; ``jobs`` > 1 evaluates terms with ``parallel_starmap``.
+    Terms are FactoredScalars; the sum is their ``factored_sum``, left
+    for the caller to canonicalise once.  Audited terms are canonicalised
+    one by one and pass through ``wmap.finish``.  Deterministic pair
+    order; ``jobs`` > 1 evaluates terms with ``parallel_starmap``.
     """
     pairs = list(itertools.product(hilb_fixed_points(model, n1),
                                    hilb_fixed_points(model, n2)))
-    if not pairs:
-        return reg.zero()
     terms = parallel_starmap(term_fn, pairs, jobs)
-    factored = isinstance(terms[0], FactoredScalar)
     if audit is not None:
         for (fp1, fp2), t in zip(pairs, terms):
             audit({"fixed_point": [[list(p.parts) for p in fp1.assignment],
                                    [list(p.parts) for p in fp2.assignment]],
-                   "term": str(wmap.finish(t.canonical() if factored else t))})
-    total = factored_sum(terms, reg) if factored else sum(terms, reg.zero())
-    return wmap.finish(total)
+                   "term": str(wmap.finish(t.canonical()))})
+    return factored_sum(terms, reg)
 
 
 # -- type II component integral --------------------------------------------
@@ -356,7 +352,7 @@ def typeII_component_integral(model, L, K=None, n1=0, n2=0, prefactor=None,
                              n1 + n2, wmap, reg)
     total = assemble_sum(model, n1, n2, term, reg, jobs=jobs, audit=audit,
                          wmap=wmap)
-    return pre * total
+    return pre * wmap.finish(total.canonical())
 
 
 def _typeII_term(model, l_t, m_k2l, m_kl, m_negl, n, wmap, reg, fp1, fp2):
@@ -370,7 +366,7 @@ def _typeII_term(model, l_t, m_k2l, m_kl, m_negl, n, wmap, reg, fp1, fp2):
             - difference_character(fp1, fp2, m_negl, model, reg)
             - tangent_character(fp1, model, reg)
             - tangent_character(fp2, model, reg))
-    return FactoredScalar.euler(wmap(char), top.num)
+    return euler_of_character(wmap(char), top.num)
 
 
 # -- Mochizuki-style residue coefficients ----------------------------------
@@ -423,7 +419,7 @@ def _mochizuki_term(model, Lb1, Lb2, L, p_g, wmap, reg, fp1, fp2):
     """
     char = _mochizuki_character(fp1, fp2, Lb1, Lb2, L, p_g, model, reg)
     if char is None:
-        return reg.zero()
+        return FactoredScalar.zero(reg)
     char = (char - tangent_character(fp1, model, reg)
             - tangent_character(fp2, model, reg))
     return residue(euler_of_character(wmap(char)), "sp")
@@ -432,22 +428,20 @@ def _mochizuki_term(model, Lb1, Lb2, L, p_g, wmap, reg, fp1, fp2):
 def mochizuki_coefficient(model, Lb1, Lb2, L, n, p_g, reg=DEFAULT_REGISTRY,
                           eps=None, jobs=1, audit=None):
     """Sum of residues in sp of the integrand over all point splittings
-    n1 + n2 = n - (twist pairing), localized over fixed-point pairs."""
+    n1 + n2 = n - (twist pairing), localized over fixed-point pairs; the
+    factored sums of all splittings are canonicalised once."""
     Lb1 = _as_spec(Lb1)
     Lb2 = _as_spec(Lb2)
     L = _as_spec(L)
     cross = model.pair(Lb1.divisor_map(), Lb2.divisor_map())
     budget = n - cross
-    if budget < 0:
-        return reg.zero()
     wmap = WeightMap.make(eps)
     term = functools.partial(_mochizuki_term, model, Lb1, Lb2, L, p_g, wmap,
                              reg)
-    total = reg.zero()
-    for n1 in range(budget, -1, -1):
-        total = total + assemble_sum(model, n1, budget - n1, term, reg,
-                                     jobs=jobs, audit=audit, wmap=wmap)
-    return total
+    total = factored_sum([assemble_sum(model, n1, budget - n1, term, reg,
+                                       jobs=jobs, audit=audit, wmap=wmap)
+                          for n1 in range(budget, -1, -1)], reg)
+    return wmap.finish(total.canonical())
 
 
 # -- small analysis helpers ------------------------------------------------

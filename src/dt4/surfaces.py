@@ -266,6 +266,10 @@ class ToricSurfaceModel:
 
     @classmethod
     def _from_json(cls, data):
+        basis = sorted(data["bundles"])
+        _check_ints(data["chern"], "chern")
+        _check_ints(data["canonical"], "canonical", basis)
+        _check_ints(data["pairing"], "pairing", basis, depth=2)
         fan = data["fan"]
         comp = _FanComponent(fan["rays"], fan["cones"], fan["ray_coeffs"])
         fps = []
@@ -279,8 +283,8 @@ class ToricSurfaceModel:
                                  f"point {ci} disagree with cone {comp.cones[ci]}")
             fps.append(FixedPointChart(0, ci, w1, w2))
         chern = SurfaceChernData(**data["chern"])
-        model = cls(data["name"], [comp], fps, sorted(data["bundles"]),
-                    data["pairing"], data["canonical"], chern)
+        model = cls(data["name"], [comp], fps, basis, data["pairing"],
+                    data["canonical"], chern)
         # stored bundle weights double as a consistency check on the fan
         for k, rec in data["bundles"].items():
             for i, w in enumerate(rec["weights"]):
@@ -288,6 +292,20 @@ class ToricSurfaceModel:
                     raise ValueError(f"preset {data['name']}: stored weight of "
                                      f"{k} at point {i} disagrees with its fan")
         return model
+
+
+def _check_ints(mapping, what, basis=None, depth=1):
+    """Preset entries at nesting ``depth`` are plain ints (no bools,
+    strings or floats), keyed by basis divisor names given a ``basis``."""
+    for k, v in mapping.items():
+        if basis is not None and k not in basis:
+            raise ValueError(f"malformed preset: {what} names {k!r}, "
+                             "which is not a basis divisor")
+        if depth > 1:
+            _check_ints(v, f"{what}[{k!r}]", basis, depth - 1)
+        elif type(v) is not int:
+            raise ValueError(f"malformed preset: {what}[{k!r}] is {v!r}, "
+                             "not an integer")
 
 
 PRESET_NAMES = ("plane", "quadric", "hirzebruch1", "hirzebruch2", "hirzebruch3")

@@ -8,12 +8,14 @@ bound where stated.
 """
 
 import json
+import math
 import random
 import time
 from fractions import Fraction
 
 from dt4 import cli
-from dt4.eqalg import (DEFAULT_REGISTRY as REG, NonGenericWeightError,
+from dt4.eqalg import (DEFAULT_REGISTRY as REG, FactoredScalar,
+                       NonGenericWeightError, WeightCharacter,
                        euler_of_character, residue)
 from dt4.localize import (PrefactorData, tangent_character,
                           tautological_character, assemble_sum,
@@ -96,19 +98,18 @@ def test_criterion_4_fixed_point_counts():
 
 def _top_chern_term(model, bundle):
     """Summand of the square of the top induced Chern class against the
-    two tangent Euler classes; an honestly zero numerator weight means a
-    zero term, not a failure."""
+    two tangent Euler classes, as the Euler class of one virtual
+    character; an honestly zero numerator weight means a zero term, not a
+    failure."""
     def term(fp1, fp2):
-        num = REG.one()
-        for fp in (fp1, fp2):
-            try:
-                e = euler_of_character(tautological_character(fp, bundle, model))
-            except NonGenericWeightError:
-                return REG.zero()
-            num = num * e * e
-        den = (euler_of_character(tangent_character(fp1, model))
-               * euler_of_character(tangent_character(fp2, model)))
-        return num / den
+        char = (2 * tautological_character(fp1, bundle, model)
+                + 2 * tautological_character(fp2, bundle, model)
+                - tangent_character(fp1, model)
+                - tangent_character(fp2, model))
+        try:
+            return euler_of_character(char)
+        except NonGenericWeightError:
+            return FactoredScalar.zero(REG)
     return term
 
 
@@ -147,7 +148,7 @@ def test_criterion_5_localization_engine():
         for n1 in range(3):
             for n2 in range(3 - n1):
                 total = assemble_sum(model, n1, n2, term, REG)
-                assert total.den.is_const()
+                assert total.canonical().den.is_const()
 
     # (d) invariance under random rational torus parameters
     rng = random.Random(17)
@@ -206,31 +207,63 @@ def test_criterion_8_chamber_and_component_counts():
     _passed(8, "chamber thresholds and component counts")
 
 
-def _random_rational_function(rng):
+# s, e1, e2 at this point are off every linear form with coefficients in
+# [-12, 12]: 182 a - 195 b + 66 c = 0 forces c = 0 (mod 13), then
+# 14 a = 15 b forces a = b = 0
+RESIDUE_POINT = {"s": Fraction(7, 3), "e1": Fraction(-5, 2),
+                 "e2": Fraction(11, 13)}
+
+
+def _random_factored_term(rng):
+    """A pole sp^-(1..4), mixed forms c sp + r with r possibly not
+    primitive or with a negative leading coefficient, sp-free forms, and
+    a numerator with powers of sp, as one FactoredScalar."""
+    def free():
+        r = (0, 0, 0)
+        while not any(r):
+            r = tuple(rng.randint(-3, 3) for _ in range(3))
+        return r
+
+    weights = [((0, 1, 0, 0), -rng.randint(1, 4))]
+    for _ in range(rng.randint(0, 3)):
+        s, e1, e2 = free()
+        if rng.random() < 0.5 and (e1 or e2):
+            s = 0                       # sp leads, r may be negative
+        k = rng.choice((-2, -1, 1, 2))  # odd c keeps 2 r unprimitive
+        c = rng.choice((-3, -1, 1, 3))
+        weights.append(((k * s, c, k * e1, k * e2),
+                        rng.choice((-2, -1, -1, 1))))
+    for _ in range(rng.randint(0, 2)):
+        s, e1, e2 = free()
+        weights.append(((s, 0, e1, e2), rng.choice((-2, -1, 1))))
     num = REG.zero()
     for e in range(5):
         if rng.random() < 0.6:
-            c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            num = num + REG.const(c) * SP ** e
-    pole_order = rng.randint(1, 4)
-    den = REG.const(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
-                             rng.randint(1, 9)))
-    for e in range(1, 3):
-        if rng.random() < 0.5:
-            c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            den = den + REG.const(c) * SP ** e
-    return num * (SP ** pole_order * den).inverse()
+            lin = REG.const(rng.randint(-9, 9)) + rng.randint(-3, 3) * S
+            num = num + lin * SP ** e
+    return euler_of_character(WeightCharacter(REG, weights), num.num)
+
+
+def _awkward_mixed_form(w):
+    """c sp + r with r not primitive or with negative leading entry."""
+    r = [w[0]] + list(w[2:])
+    if not w[1] or not any(r):
+        return False
+    return (math.gcd(*r) > 1 or next(x for x in r if x) < 0)
 
 
 def test_criterion_9_residue_against_series_oracle():
     rng = random.Random(20260825)
-    nonzero = 0
+    nonzero = awkward = 0
     for _ in range(50):
-        x = _random_rational_function(rng)
-        got = residue(x, "sp").as_fraction()
-        want = residue_series_oracle(x, "sp")
-        assert got == want
+        x = _random_factored_term(rng)
+        got = residue(x, "sp").canonical().specialize(RESIDUE_POINT)
+        want = residue_series_oracle(
+            x.canonical().specialize(RESIDUE_POINT), "sp")
+        assert got.as_fraction() == want
         if want:
             nonzero += 1
+        awkward += any(_awkward_mixed_form(w) for w in x.forms)
     assert nonzero >= 20
+    assert awkward >= 10
     _passed(9, "residues match series oracle")

@@ -278,3 +278,33 @@ def test_malformed_preset_is_a_domain_error(capsys, tmp_path, monkeypatch):
         assert code == 1
         assert report["error"]["type"] == "ValueError"
         assert "malformed preset" in report["error"]["message"]
+
+
+def _plane_preset():
+    path = os.path.join(os.path.dirname(dt4.__file__), "presets", "plane.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("section,entry", [
+    ("pairing", {"H": {"H": "1"}}),
+    ("pairing", {"H": {"H": 1.0}}),
+    ("pairing", {"H": {"H": 1}, "X": {"H": 0}}),
+    ("pairing", {"H": {"H": 1, "X": 0}}),
+    ("chern", {"c1_sq": 9, "c2": 3, "chi_O": "1"}),
+    ("chern", {"c1_sq": 9, "c2": True, "chi_O": 1}),
+    ("canonical", {"H": 1.5}),
+    ("canonical", {"H": -3, "X": 1}),
+])
+def test_ill_typed_preset_values_are_domain_errors(section, entry, capsys,
+                                                   tmp_path, monkeypatch):
+    data = _plane_preset()
+    data[section] = entry
+    (tmp_path / "plane.json").write_text(json.dumps(data))
+    monkeypatch.setenv("DT4_PRESET_DIR", str(tmp_path))
+    code, report, err = run_json(capsys, ["localize", "--surface", "plane",
+                                          "--divisor", "H=1", "--n1", "1"])
+    assert code == 1
+    assert report["error"]["type"] == "ValueError"
+    assert report["error"]["message"].startswith("malformed preset")
+    assert "Traceback" not in err

@@ -1,4 +1,4 @@
-"""Rational-function scalars, Laurent residues, weight characters."""
+"""Rational-function scalars, factored residues, weight characters."""
 
 from fractions import Fraction
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dt4.eqalg import (DEFAULT_REGISTRY as REG, EqScalar, FactoredScalar,
                        NonGenericWeightError, Registry, WeightCharacter,
                        chern_part, euler_of_character, factored_sum,
-                       laurent_expand, residue)
+                       residue)
 from dt4.poly import Poly
 
 from oracles import generic_gcd
@@ -17,6 +17,7 @@ S = REG.var("s")
 SP = REG.var("sp")
 E1 = REG.var("e1")
 E2 = REG.var("e2")
+SP_W = (0, 1, 0, 0)
 
 
 def rationals():
@@ -105,31 +106,41 @@ def test_as_fraction():
         S.as_fraction()
 
 
-def test_laurent_expand_regular():
-    # 1/(1 - sp) = 1 + sp + sp^2 + ...
-    x = REG.one() / (REG.one() - SP)
-    got = laurent_expand(x, "sp", 2)
-    assert got == [(0, REG.one()), (1, REG.one()), (2, REG.one())]
+def factored(num, weights=None):
+    """``num`` (a polynomial EqScalar) times the Euler class of the
+    weights, as a FactoredScalar."""
+    return euler_of_character(WeightCharacter(REG, weights), num.num)
 
 
-def test_laurent_expand_pole():
-    x = (S + SP) / (SP * SP)
-    got = dict(laurent_expand(x, "sp", 0))
-    assert got[-2] == S
-    assert got[-1] == REG.one()
-    assert 0 not in got
+def res(x):
+    return residue(x, "sp").canonical()
 
 
 def test_residue_basics():
-    assert residue(REG.one() / SP, "sp") == REG.one()
-    assert residue(S / SP + REG.const(5) / (SP * SP), "sp") == S
-    assert residue(S + SP * E1, "sp") == REG.zero()
-    assert residue(REG.zero(), "sp") == REG.zero()
+    assert res(factored(REG.one(), {SP_W: -1})) == REG.one()
+    # s/sp + 5/sp^2
+    assert res(factored(S * SP + 5, {SP_W: -2})) == S
+    assert res(factored(S + SP * E1)) == REG.zero()
+    assert res(FactoredScalar.zero(REG)) == REG.zero()
 
 
 def test_residue_of_shifted_pole_is_zero_at_origin():
     # pole at sp = -s only; expansion around 0 is regular
-    assert residue(REG.one() / (SP + S), "sp") == REG.zero()
+    assert res(factored(REG.one(), {(1, 1, 0, 0): -1})) == REG.zero()
+
+
+def test_residue_expands_mixed_forms():
+    # 1/(sp^2 (sp + s)): the sp coefficient of 1/(s (1 + sp/s))
+    assert res(factored(REG.one(), {SP_W: -2, (1, 1, 0, 0): -1})) == \
+        REG.const(-1) / (S * S)
+    # r = -2 e1 is neither primitive nor positive: 1/(sp^2 (sp - 2 e1))
+    assert res(factored(REG.one(), {SP_W: -2, (0, 1, -2, 0): -1})) == \
+        REG.const(-1) / (REG.const(4) * E1 * E1)
+    # (s + sp)/(sp (2 sp + e1)^2) at sp = 0, with an sp-free form passing
+    # through
+    assert res(factored(REG.one(), {SP_W: -1, (0, 2, 1, 0): -2,
+                                    (1, 1, 0, 0): 1, (0, 0, 1, 1): -1})) == \
+        S / (E1 * E1 * (E1 + E2))
 
 
 def test_weight_character_algebra():
@@ -150,14 +161,14 @@ def test_weight_character_product():
 
 def test_euler_of_character():
     c = WeightCharacter(REG, {(1, 0, 0, 0): 2, (0, 0, 1, 1): -1})
-    assert euler_of_character(c) == S * S / (E1 + E2)
+    assert euler_of_character(c).canonical() == S * S / (E1 + E2)
     with pytest.raises(NonGenericWeightError):
         euler_of_character(WeightCharacter(REG, {(0, 0, 0, 0): 1}))
 
 
 def test_euler_of_zero_multiplicity_weight():
     c = WeightCharacter(REG, {(1, 0, 0, 0): 1})
-    assert euler_of_character(c + (-c)) == REG.one()
+    assert euler_of_character(c + (-c)).canonical() == REG.one()
 
 
 def test_chern_part():
@@ -179,7 +190,7 @@ def test_chern_part_negative_multiplicity():
 
 def test_chern_top_equals_euler():
     c = WeightCharacter(REG, {(1, 0, 0, 0): 1, (0, 0, 1, 0): 1, (0, 0, 0, 1): 1})
-    assert chern_part(c, c.rank()) == euler_of_character(c)
+    assert chern_part(c, c.rank()) == euler_of_character(c).canonical()
 
 
 @settings(max_examples=40, deadline=None)
@@ -198,13 +209,15 @@ def test_field_axioms(a, b, c):
                 min_size=1, max_size=5))
 def test_residue_linearity(terms):
     # sum of c * sp^k has residue = sum of c at k = -1
-    x = REG.zero()
+    x = factored_sum([FactoredScalar(REG, (SP ** max(k, 0)).num * c.numerator,
+                                     {SP_W: -k} if k < 0 else {},
+                                     Fraction(1, c.denominator))
+                      for k, c in terms], REG)
     expected = REG.zero()
     for k, c in terms:
-        x = x + REG.const(c) * SP ** k
         if k == -1:
             expected = expected + REG.const(c)
-    assert residue(x, "sp") == expected
+    assert res(x) == expected
 
 
 # -- canonical fast paths ---------------------------------------------------
@@ -286,10 +299,10 @@ def euler_by_products(char):
 def test_factored_sum_matches_plain_sum(terms):
     plain = REG.zero()
     for num, char in terms:
-        e = euler_of_character(char)
+        e = euler_of_character(char).canonical()
         assert e == euler_by_products(char)
         plain = plain + EqScalar(REG, num) * e
-    got = factored_sum([FactoredScalar.euler(char, num)
-                        for num, char in terms], REG)
+    got = factored_sum([euler_of_character(char, num)
+                        for num, char in terms], REG).canonical()
     assert got == plain
     assert_canonical(got)

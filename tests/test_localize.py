@@ -220,10 +220,10 @@ def test_jobs_and_audit():
 
 
 def test_assemble_sum_batching():
-    term = lambda fp1, fp2: REG.one()
+    term = lambda fp1, fp2: euler_of_character(WeightCharacter(REG))
     small = assemble_sum(PLANE, 1, 1, term, REG)
-    assert small == REG.const(9)
-    assert assemble_sum(PLANE, 0, 0, term, REG) == REG.one()
+    assert small.canonical() == REG.const(9)
+    assert assemble_sum(PLANE, 0, 0, term, REG).canonical() == REG.one()
 
 
 # -- pairwise residue machinery --------------------------------------------
@@ -242,9 +242,12 @@ def test_mochizuki_frozen_value():
 
 def test_mochizuki_eps_consistency():
     eps = (Fraction(10), Fraction(-7))
-    for n in (1, 2):
-        sym = mochizuki_coefficient(PLANE, {}, {}, {}, n, 0, REG)
-        num = mochizuki_coefficient(PLANE, {}, {}, {}, n, 0, REG, eps=eps)
+    cases = ([(PLANE, {}, n) for n in (1, 2, 3)]
+             + [(from_preset(name), div, 2)
+                for name, div in ROUTE_DIVISORS.items()])
+    for model, div, n in cases:
+        sym = mochizuki_coefficient(model, {}, {}, div, n, 0, REG)
+        num = mochizuki_coefficient(model, {}, {}, div, n, 0, REG, eps=eps)
         assert num == sym.specialize({"e1": eps[0], "e2": eps[1]})
 
 
@@ -261,7 +264,7 @@ def test_mochizuki_integrand_zero_weight_term():
     trivial = TwistedBundleSpec.make({})
     val = _mochizuki_term(PLANE, trivial, trivial, trivial, 0, SYMBOLIC, REG,
                           one_pt, empty)
-    assert val == REG.zero()
+    assert val.canonical() == REG.zero()
 
 
 def test_mochizuki_audit():
@@ -291,7 +294,9 @@ ROUTE_POINT = (Fraction(3, 7), Fraction(-5, 11))
 ROUTE_CASES = ([(name, n1, n - n1) for name in ROUTE_DIVISORS
                 for n in range(3) for n1 in range(n + 1)]
                + [("plane", n1, 3 - n1) for n1 in range(4)]
-               + [(name, 2, 1) for name in ROUTE_DIVISORS if name != "plane"])
+               + [(name, n1, 3 - n1) for name in ROUTE_DIVISORS
+                  if name != "plane" for n1 in range(3)]
+               + [("quadric", 3, 0)])
 
 
 @pytest.mark.parametrize("name,n1,n2", ROUTE_CASES)
