@@ -5,7 +5,7 @@ All arithmetic is exact: integer polynomials, rational-function scalars,
 and truncated Laurent series in half-integer powers of q.
 """
 
-from .eqalg import DEFAULT_REGISTRY, EqScalar, Registry
+from .eqalg import DEFAULT_REGISTRY, EqScalar
 from .qseries import HalfQSeries, delta_inverse, goettsche_series
 from .surfaces import PRESET_NAMES, ToricSurfaceModel, from_preset
 from .localize import (PrefactorData, assemble_sum, mochizuki_coefficient,
@@ -17,7 +17,7 @@ from .universal import ChernNumbers, UniversalPolynomial, fit_universal
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_REGISTRY", "EqScalar", "Registry",
+    "DEFAULT_REGISTRY", "EqScalar",
     "HalfQSeries", "delta_inverse", "goettsche_series",
     "PRESET_NAMES", "ToricSurfaceModel", "from_preset",
     "PrefactorData", "assemble_sum", "mochizuki_coefficient",

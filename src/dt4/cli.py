@@ -69,15 +69,24 @@ def _divisor(text):
     return out
 
 
-def _jobs(text):
-    """Worker count: a positive integer, capped at the CPU count."""
+def _int_at_least(text, lo):
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return min(n, os.cpu_count() or 1)
+    if n < lo:
+        raise argparse.ArgumentTypeError(f"must be at least {lo}, got {n}")
+    return n
+
+
+def _jobs(text):
+    """Worker count: a positive integer, capped at the CPU count."""
+    return min(_int_at_least(text, 1), os.cpu_count() or 1)
+
+
+def _degree_bound(text):
+    """Total degree of the fitted polynomial: a nonnegative integer."""
+    return _int_at_least(text, 0)
 
 
 def _chi_numbers(text):
@@ -266,12 +275,12 @@ def cmd_localize(args):
         coeff, expo = mono
         ratio_block["coefficient"] = str(coeff)
         ratio_block["s_exponent"] = expo
-    results = {"value": str(value), "prefactor": str(pre.value(REG)),
+    results = {"value": str(value), "prefactor": str(pre.value()),
                "conjecture_leading_ratio": ratio_block}
     if audit_rows is not None:
         results["audit"] = audit_rows
     pretty = [f"  value      {value}",
-              f"  prefactor  {pre.value(REG)}",
+              f"  prefactor  {pre.value()}",
               f"  ratio to (1/4)/s: {ratio} "
               f"(pure s-monomial: {mono is not None})"]
     return _emit(config, results, checks=[], pretty_lines=pretty)
@@ -426,7 +435,7 @@ def build_parser():
                                    "over the toric battery")
     p.add_argument("--n1", type=int, default=1)
     p.add_argument("--n2", type=int, default=0)
-    p.add_argument("--degree-bound", type=int, default=1)
+    p.add_argument("--degree-bound", type=_degree_bound, default=1)
     p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--audit", action="store_true",
                    help="record every battery sample in the report")

@@ -1,13 +1,13 @@
 """Exact rational functions and torus weight characters.
 
-All equivariant quantities live in the fraction field of an integer
-polynomial ring whose variables are fixed by a :class:`Registry`.  The
-default registry carries the primary localization parameter ``s``, a
-secondary parameter ``sp`` used for residue integrals, and two auxiliary
-deformation parameters ``e1``, ``e2``.
+All equivariant quantities live in the fraction field of one integer
+polynomial ring.  Its variables are fixed: the fiber-scaling parameter
+``s``, the secondary parameter ``sp`` of residue integrals, and the two
+toric chart parameters ``e1``, ``e2``, in that order.
+:data:`DEFAULT_REGISTRY` is the ring's one object.
 
 A :class:`WeightCharacter` is a finite multiset of integer linear forms in
-the registry variables; it models the character of a virtual torus
+these variables; it models the character of a virtual torus
 representation.  Euler classes and Chern class parts are read off from it.
 """
 
@@ -19,44 +19,37 @@ from typing import NamedTuple
 
 from .poly import Poly, binom, gcd, poly_str
 
+NAMES = ("s", "sp", "e1", "e2")
+NVARS = len(NAMES)
+
 
 class NonGenericWeightError(ValueError):
     """A zero torus weight occurred where an invertible Euler class is needed."""
 
 
 class Registry:
-    """Fixed, ordered set of equivariant variable names."""
+    """The ring's variables, in the fixed order of :data:`NAMES`."""
 
     __slots__ = ("names", "_index")
 
-    def __init__(self, *names):
-        self.names = tuple(names)
-        self._index = {n: i for i, n in enumerate(self.names)}
+    def __init__(self):
+        self.names = NAMES
+        self._index = {n: i for i, n in enumerate(NAMES)}
 
     @property
     def nvars(self):
-        return len(self.names)
+        return NVARS
 
     def index(self, name):
         return self._index[name]
 
-    def linear(self, coeffs):
-        """Integer linear form from a coefficient sequence or name map."""
-        if isinstance(coeffs, dict):
-            vec = [0] * self.nvars
-            for n, c in coeffs.items():
-                vec[self._index[n]] = c
-            coeffs = vec
-        return Poly.linear_form(tuple(coeffs))
-
     def var(self, name):
-        return EqScalar(self, Poly.variable(self.nvars, self._index[name]))
+        return EqScalar(Poly.variable(NVARS, self._index[name]))
 
     def const(self, c):
         if isinstance(c, Fraction):
-            return EqScalar(self, Poly.const(self.nvars, c.numerator),
-                            Poly.const(self.nvars, c.denominator))
-        return EqScalar(self, Poly.const(self.nvars, c))
+            return EqScalar(c.numerator, c.denominator)
+        return EqScalar(c)
 
     def zero(self):
         return self.const(0)
@@ -65,11 +58,11 @@ class Registry:
         return self.const(1)
 
 
-DEFAULT_REGISTRY = Registry("s", "sp", "e1", "e2")
+DEFAULT_REGISTRY = Registry()
 
 
 class EqScalar:
-    """Element of the rational function field over a registry.
+    """Element of the rational function field of the ring.
 
     Stored in canonical form: numerator and denominator coprime over the
     integers and the denominator with positive graded-lex leading
@@ -79,16 +72,15 @@ class EqScalar:
     products are products of leading coefficients.
     """
 
-    __slots__ = ("reg", "num", "den")
+    __slots__ = ("num", "den")
 
-    def __init__(self, reg, num, den=None, _canonical=False):
-        self.reg = reg
+    def __init__(self, num, den=None, _canonical=False):
         if isinstance(num, int):
-            num = Poly.const(reg.nvars, num)
+            num = Poly.const(NVARS, num)
         if den is None:
-            den = Poly.const(reg.nvars, 1)
+            den = Poly.const(NVARS, 1)
         elif isinstance(den, int):
-            den = Poly.const(reg.nvars, den)
+            den = Poly.const(NVARS, den)
         if not _canonical:
             num, den = _reduce(num, den)
         self.num = num
@@ -108,19 +100,19 @@ class EqScalar:
     def __eq__(self, other):
         if not isinstance(other, EqScalar):
             if isinstance(other, (int, Fraction)):
-                other = self.reg.const(other)
+                other = DEFAULT_REGISTRY.const(other)
             else:
                 return NotImplemented
-        return self.reg.names == other.reg.names and self.key() == other.key()
+        return self.key() == other.key()
 
     def __hash__(self):
         return hash(self.key())
 
     def __str__(self):
-        ns = poly_str(self.num, self.reg.names)
+        ns = poly_str(self.num, NAMES)
         if self.den.is_one():
             return ns
-        return f"({ns})/({poly_str(self.den, self.reg.names)})"
+        return f"({ns})/({poly_str(self.den, NAMES)})"
 
     def __repr__(self):
         return f"EqScalar({self})"
@@ -131,9 +123,9 @@ class EqScalar:
         if isinstance(other, EqScalar):
             return other
         if isinstance(other, (int, Fraction)):
-            return self.reg.const(other)
+            return DEFAULT_REGISTRY.const(other)
         if isinstance(other, Poly):
-            return EqScalar(self.reg, other)
+            return EqScalar(other)
         return None
 
     def __add__(self, other):
@@ -142,14 +134,14 @@ class EqScalar:
             return NotImplemented
         a, b, c, d = self.num, self.den, o.num, o.den
         if b == d:
-            g, t, den = b, a + c, Poly.const(self.reg.nvars, 1)
+            g, t, den = b, a + c, Poly.const(NVARS, 1)
         else:
             g = gcd(b, d)
             b0 = b.divexact(g)
             d0 = d.divexact(g)
             t, den = a * d0 + c * b0, b0 * d0
         if t.is_zero():
-            return self.reg.zero()
+            return DEFAULT_REGISTRY.zero()
         if not g.is_one():
             # Henrici: gcd(t, b0*d0*g) == gcd(t, g), so one gcd makes the
             # sum canonical
@@ -157,12 +149,12 @@ class EqScalar:
             if not h.is_one():
                 t = t.divexact(h)
                 g = g.divexact(h)
-        return EqScalar(self.reg, t, den * g, _canonical=True)
+        return EqScalar(t, den * g, _canonical=True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return EqScalar(self.reg, -self.num, self.den, _canonical=True)
+        return EqScalar(-self.num, self.den, _canonical=True)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -182,7 +174,7 @@ class EqScalar:
             return NotImplemented
         a, b, c, d = self.num, self.den, o.num, o.den
         if a.is_zero() or c.is_zero():
-            return self.reg.zero()
+            return DEFAULT_REGISTRY.zero()
         g1 = gcd(a, d)
         g2 = gcd(c, b)
         if not g1.is_one():
@@ -193,7 +185,7 @@ class EqScalar:
             b = b.divexact(g2)
         # a*c and b*d are now coprime, and b*d keeps a positive leading
         # coefficient (leading terms multiply under a monomial order)
-        return EqScalar(self.reg, a * c, b * d, _canonical=True)
+        return EqScalar(a * c, b * d, _canonical=True)
 
     __rmul__ = __mul__
 
@@ -201,8 +193,8 @@ class EqScalar:
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self.num.lead()[1] < 0:
-            return EqScalar(self.reg, -self.den, -self.num, _canonical=True)
-        return EqScalar(self.reg, self.den, self.num, _canonical=True)
+            return EqScalar(-self.den, -self.num, _canonical=True)
+        return EqScalar(self.den, self.num, _canonical=True)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -219,7 +211,7 @@ class EqScalar:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        r = self.reg.one()
+        r = DEFAULT_REGISTRY.one()
         b = self
         while k:
             if k & 1:
@@ -233,12 +225,13 @@ class EqScalar:
 
     def specialize(self, assign):
         """Substitute Fractions for named variables, staying exact."""
-        idx = {self.reg.index(n): Fraction(v) for n, v in assign.items()}
+        idx = {DEFAULT_REGISTRY.index(n): Fraction(v)
+               for n, v in assign.items()}
         pn, dn = self.num.substitute_scaled(idx)
         pd, dd = self.den.substitute_scaled(idx)
         if pd.is_zero():
             raise ZeroDivisionError("denominator vanishes under specialization")
-        return EqScalar(self.reg, pn * dd, pd * dn)
+        return EqScalar(pn * dd, pd * dn)
 
     def as_fraction(self):
         """Value as a Fraction; requires a constant rational function."""
@@ -268,15 +261,14 @@ def _reduce(num, den):
 class WeightCharacter:
     """Finite multiset of integer weight vectors with integer multiplicity.
 
-    Vectors are coefficient tuples over the registry variables.  Addition
+    Vectors are coefficient tuples over the ring's variables.  Addition
     and subtraction are of virtual representations; ``mul`` is the tensor
     product (weights add, multiplicities multiply).
     """
 
-    __slots__ = ("reg", "weights")
+    __slots__ = ("weights",)
 
-    def __init__(self, reg, weights=None):
-        self.reg = reg
+    def __init__(self, weights=None):
         self.weights = {}
         if weights:
             for w, m in (weights.items() if isinstance(weights, dict) else weights):
@@ -299,7 +291,6 @@ class WeightCharacter:
 
     def __eq__(self, other):
         return (isinstance(other, WeightCharacter)
-                and self.reg.names == other.reg.names
                 and self.weights == other.weights)
 
     def __repr__(self):
@@ -314,12 +305,12 @@ class WeightCharacter:
                 t[w] = n
             else:
                 del t[w]
-        out = WeightCharacter(self.reg)
+        out = WeightCharacter()
         out.weights = t
         return out
 
     def __neg__(self):
-        out = WeightCharacter(self.reg)
+        out = WeightCharacter()
         out.weights = {w: -m for w, m in self.weights.items()}
         return out
 
@@ -328,7 +319,7 @@ class WeightCharacter:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            out = WeightCharacter(self.reg)
+            out = WeightCharacter()
             if other:
                 out.weights = {w: m * other for w, m in self.weights.items()}
             return out
@@ -341,7 +332,7 @@ class WeightCharacter:
                     t[w] = n
                 else:
                     del t[w]
-        out = WeightCharacter(self.reg)
+        out = WeightCharacter()
         out.weights = t
         return out
 
@@ -350,14 +341,14 @@ class WeightCharacter:
     def shift(self, vec):
         """Tensor with the one dimensional representation of weight ``vec``."""
         vec = tuple(vec)
-        out = WeightCharacter(self.reg)
+        out = WeightCharacter()
         out.weights = {tuple(a + b for a, b in zip(w, vec)): m
                        for w, m in self.weights.items()}
         return out
 
     def conjugate(self):
         """Dual representation: all weights negated."""
-        out = WeightCharacter(self.reg)
+        out = WeightCharacter()
         out.weights = {tuple(-a for a in w): m for w, m in self.weights.items()}
         return out
 
@@ -382,22 +373,21 @@ class FactoredScalar(NamedTuple):
     irreducibles, so trial division by each form replaces the gcd when the
     value is put in canonical form.
     """
-    reg: Registry
     num: Poly
     forms: dict
     scalar: Fraction
 
     @classmethod
-    def zero(cls, reg):
-        return cls(reg, Poly.zero(reg.nvars), {}, Fraction(1))
+    def zero(cls):
+        return cls(Poly.zero(NVARS), {}, Fraction(1))
 
     def canonical(self):
         """The canonical EqScalar: trial division by each form, then the
         integer content; the denominator's sign is already positive."""
-        reg, num, q = self.reg, self.num, self.scalar
+        num, q = self.num, self.scalar
         if num.is_zero():
-            return reg.zero()
-        den = Poly.const(reg.nvars, q.denominator)
+            return DEFAULT_REGISTRY.zero()
+        den = Poly.const(NVARS, q.denominator)
         for p, m in self.forms.items():
             f = Poly.linear_form(p)
             while m:
@@ -407,7 +397,7 @@ class FactoredScalar(NamedTuple):
                 num, m = quo, m - 1
             den = den * f ** m
         g = math.gcd(num.content(), q.denominator)
-        return EqScalar(reg, num.divexact(g) * q.numerator, den.divexact(g),
+        return EqScalar(num.divexact(g) * q.numerator, den.divexact(g),
                         _canonical=True)
 
 
@@ -419,7 +409,6 @@ def euler_of_character(char, num=None):
     weight with nonzero multiplicity has no invertible Euler class and
     raises :class:`NonGenericWeightError`.
     """
-    reg = char.reg
     mult = {}
     scalar = Fraction(1)
     for w, m in char.items():
@@ -427,15 +416,15 @@ def euler_of_character(char, num=None):
         scalar *= Fraction(k) ** m
         mult[p] = mult.get(p, 0) + m
     if num is None:
-        num = Poly.const(reg.nvars, 1)
+        num = Poly.const(NVARS, 1)
     for p, m in mult.items():
         if m > 0:
             num = num * Poly.linear_form(p) ** m
-    return FactoredScalar(reg, num, {p: -m for p, m in mult.items() if m < 0},
+    return FactoredScalar(num, {p: -m for p, m in mult.items() if m < 0},
                           scalar)
 
 
-def factored_sum(terms, reg):
+def factored_sum(terms):
     """Sum of FactoredScalars over one least common denominator (the
     largest multiplicity of each form): one numerator sum, no reduction."""
     terms = [t for t in terms if not t.num.is_zero()]
@@ -454,7 +443,7 @@ def factored_sum(terms, reg):
                 x = x * lin[p] ** k
         for e, c in x.terms.items():
             acc[e] = acc.get(e, 0) + c
-    return FactoredScalar(reg, Poly(reg.nvars, acc), forms, Fraction(1, lcd))
+    return FactoredScalar(Poly(NVARS, acc), forms, Fraction(1, lcd))
 
 
 def residue(x, var):
@@ -467,15 +456,14 @@ def residue(x, var):
     forms free of ``var`` pass through.  The result is a FactoredScalar
     and no gcd runs.
     """
-    reg = x.reg
-    v = reg.index(var)
-    pole = tuple(int(i == v) for i in range(reg.nvars))
+    v = DEFAULT_REGISTRY.index(var)
+    pole = tuple(int(i == v) for i in range(NVARS))
     order = x.forms.get(pole, 0) - 1
     if order < 0:
-        return FactoredScalar.zero(reg)
+        return FactoredScalar.zero()
     # coefficients of var^0 .. var^order, each free of var
     parts = x.num.by_var(v)
-    series = [parts.get(d, Poly.zero(reg.nvars)) for d in range(order + 1)]
+    series = [parts.get(d, Poly.zero(NVARS)) for d in range(order + 1)]
     forms, scalar = {}, x.scalar
     for w, m in x.forms.items():
         if not w[v]:
@@ -489,7 +477,7 @@ def residue(x, var):
             series = _truncated_product(series, [
                 rf ** (order - j) * (binom(-m, j) * c ** j)
                 for j in range(order + 1)])
-    return FactoredScalar(reg, series[order], forms, scalar)
+    return FactoredScalar(series[order], forms, scalar)
 
 
 def _truncated_product(a, b):
@@ -508,11 +496,10 @@ def chern_part(char, k):
     negative multiplicities expanded as formal power series.  Zero weights
     are legal and contribute nothing.
     """
-    nv = char.reg.nvars
-    coeffs = [Poly.const(nv, 1)] + [Poly.zero(nv)] * k
+    coeffs = [Poly.const(NVARS, 1)] + [Poly.zero(NVARS)] * k
     for w, m in char.weights.items():
         if any(w):
             lf = Poly.linear_form(w)
             coeffs = _truncated_product(
                 coeffs, [lf ** j * binom(m, j) for j in range(k + 1)])
-    return EqScalar(char.reg, coeffs[k], _canonical=True)
+    return EqScalar(coeffs[k], _canonical=True)

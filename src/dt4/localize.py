@@ -1,6 +1,6 @@
 """Equivariant localization integrands over Hilbert schemes of points.
 
-All characters are finite weight multisets over the registry
+All characters are finite weight multisets over the ring's variables
 (s, sp, e1, e2): s is the fiber-scaling parameter, sp the auxiliary
 residue parameter, (e1, e2) the toric chart parameters.  A twisted line
 bundle contributes its per-chart fiber form plus t_weight * s plus
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
 
-from .eqalg import (DEFAULT_REGISTRY, FactoredScalar, WeightCharacter,
+from .eqalg import (DEFAULT_REGISTRY as REG, FactoredScalar, WeightCharacter,
                     chern_part, euler_of_character, factored_sum, residue)
 from .partitions import arm_leg, hilb_fixed_points
 
@@ -52,10 +52,6 @@ class TwistedBundleSpec:
     def divisor_map(self):
         return dict(self.divisor)
 
-    def twisted(self, dt=0, dtp=0):
-        return TwistedBundleSpec(self.divisor, self.t_weight + dt,
-                                 self.tprime_weight + dtp)
-
 
 def _as_spec(bundle):
     if isinstance(bundle, TwistedBundleSpec):
@@ -69,22 +65,22 @@ def _shift_vec(spec, mu):
 
 # -- chart-level character calculus ----------------------------------------
 
-def _box_character(lam, w1, w2, reg):
-    return WeightCharacter(reg, [
+def _box_character(lam, w1, w2):
+    return WeightCharacter([
         ((0, 0, -(i * w1[0] + j * w2[0]), -(i * w1[1] + j * w2[1])), 1)
         for (i, j) in lam.boxes()])
 
 
-def _pair_correction(lam1, lam2, w1, w2, reg):
+def _pair_correction(lam1, lam2, w1, w2):
     """Chart character N(V1, V2) of an ideal-sheaf pair."""
-    v1 = _box_character(lam1, w1, w2, reg)
-    v2 = _box_character(lam2, w1, w2, reg)
+    v1 = _box_character(lam1, w1, w2)
+    v2 = _box_character(lam2, w1, w2)
     if v1.is_zero():
         return v2
     c1 = v1.conjugate()
     out = v2 + c1.shift((0, 0, w1[0] + w2[0], w1[1] + w2[1]))
     if not v2.is_zero():
-        one = WeightCharacter(reg, {(0, 0, 0, 0): 1})
+        one = WeightCharacter({(0, 0, 0, 0): 1})
         t1 = one.shift((0, 0) + tuple(w1))
         t2 = one.shift((0, 0) + tuple(w2))
         out = out - c1 * v2 * (one - t1) * (one - t2)
@@ -93,7 +89,7 @@ def _pair_correction(lam1, lam2, w1, w2, reg):
 
 # -- public characters -----------------------------------------------------
 
-def tangent_character(fp, model, reg=DEFAULT_REGISTRY):
+def tangent_character(fp, model):
     """Tangent weights of the Hilbert scheme at a monomial fixed point.
 
     Per chart, each box of the partition contributes the arm/leg pair
@@ -108,10 +104,10 @@ def tangent_character(fp, model, reg=DEFAULT_REGISTRY):
             for (c1, c2) in (((l + 1), -a), (-l, (a + 1))):
                 w = (0, 0, c1 * w1[0] + c2 * w2[0], c1 * w1[1] + c2 * w2[1])
                 acc[w] = acc.get(w, 0) + 1
-    return WeightCharacter(reg, acc)
+    return WeightCharacter(acc)
 
 
-def twisted_tangent_character(fp, bundle, model, reg=DEFAULT_REGISTRY):
+def twisted_tangent_character(fp, bundle, model):
     """Tangent character with every chart's weights shifted by the chart
     fiber weight of the twisted bundle."""
     spec = _as_spec(bundle)
@@ -127,10 +123,10 @@ def twisted_tangent_character(fp, bundle, model, reg=DEFAULT_REGISTRY):
                      c1 * w1[0] + c2 * w2[0] + sv[2],
                      c1 * w1[1] + c2 * w2[1] + sv[3])
                 acc[w] = acc.get(w, 0) + 1
-    return WeightCharacter(reg, acc)
+    return WeightCharacter(acc)
 
 
-def chi_character(fp1, fp2, bundle, model, reg=DEFAULT_REGISTRY):
+def chi_character(fp1, fp2, bundle, model):
     """Pair Euler characteristic character of (ideal 1, ideal 2 x bundle).
 
     Cohomology of the bundle minus the chart corrections; the rank is
@@ -138,13 +134,13 @@ def chi_character(fp1, fp2, bundle, model, reg=DEFAULT_REGISTRY):
     """
     spec = _as_spec(bundle)
     coh = model.cohomology_character(spec.divisor_map())
-    sheaf = WeightCharacter(reg, [(_shift_vec(spec, w), m)
-                                  for w, m in coh.items()])
-    return sheaf - _correction_character(fp1, fp2, spec, model, reg)
+    sheaf = WeightCharacter([(_shift_vec(spec, w), m)
+                             for w, m in coh.items()])
+    return sheaf - _correction_character(fp1, fp2, spec, model)
 
 
-def _correction_character(fp1, fp2, spec, model, reg):
-    acc = WeightCharacter(reg)
+def _correction_character(fp1, fp2, spec, model):
+    acc = WeightCharacter()
     for idx in range(len(model.fixed_points)):
         lam1 = fp1.assignment[idx]
         lam2 = fp2.assignment[idx]
@@ -152,26 +148,26 @@ def _correction_character(fp1, fp2, spec, model, reg):
             continue
         w1, w2 = model.tangent_weights(idx)
         mu = model.bundle_weight(spec.divisor_map(), idx)
-        n = _pair_correction(lam1, lam2, w1, w2, reg)
+        n = _pair_correction(lam1, lam2, w1, w2)
         acc = acc + n.shift(_shift_vec(spec, mu))
     return acc
 
 
-def difference_character(fp1, fp2, bundle, model, reg=DEFAULT_REGISTRY):
+def difference_character(fp1, fp2, bundle, model):
     """Character of (cohomology of bundle) minus (pair characteristic);
     rank n1 + n2 identically."""
-    return _correction_character(fp1, fp2, _as_spec(bundle), model, reg)
+    return _correction_character(fp1, fp2, _as_spec(bundle), model)
 
 
-def tautological_character(fp, bundle, model, reg=DEFAULT_REGISTRY):
+def tautological_character(fp, bundle, model):
     """Push-forward of the bundle along the universal subscheme: one
     weight per box, shifted by the chart fiber weight."""
     spec = _as_spec(bundle)
-    acc = WeightCharacter(reg)
+    acc = WeightCharacter()
     for idx, lam in enumerate(fp.assignment):
         w1, w2 = model.tangent_weights(idx)
         mu = model.bundle_weight(spec.divisor_map(), idx)
-        box = _box_character(lam, w1, w2, reg)
+        box = _box_character(lam, w1, w2)
         acc = acc + box.shift(_shift_vec(spec, mu))
     return acc
 
@@ -207,7 +203,7 @@ class WeightMap:
         a, b = self.line
         mapped = [((w[0], w[1], a * w[2] + b * w[3], 0), m)
                   for w, m in char.items()]
-        return WeightCharacter(char.reg, mapped)
+        return WeightCharacter(mapped)
 
     def finish(self, x):
         return x if self.at is None else x.specialize({"e1": self.at})
@@ -230,8 +226,7 @@ def parallel_starmap(fn, args, jobs=1):
         return pool.starmap(fn, args, chunksize=max(1, len(args) // jobs))
 
 
-def assemble_sum(model, n1, n2, term_fn, reg=DEFAULT_REGISTRY, jobs=1,
-                 audit=None, wmap=SYMBOLIC):
+def assemble_sum(model, n1, n2, term_fn, jobs=1, audit=None, wmap=SYMBOLIC):
     """Sum term_fn(fp1, fp2) over all fixed-point pairs of the product of
     the n1- and n2-point Hilbert schemes.
 
@@ -248,7 +243,7 @@ def assemble_sum(model, n1, n2, term_fn, reg=DEFAULT_REGISTRY, jobs=1,
             audit({"fixed_point": [[list(p.parts) for p in fp1.assignment],
                                    [list(p.parts) for p in fp2.assignment]],
                    "term": str(wmap.finish(t.canonical()))})
-    return factored_sum(terms, reg)
+    return factored_sum(terms)
 
 
 # -- type II component integral --------------------------------------------
@@ -301,20 +296,19 @@ class PrefactorData:
             doubled += -2 * alpha_pair
         return cls(chi_L2, chi_L, chi_Linv, doubled, variant)
 
-    def value(self, reg=DEFAULT_REGISTRY):
+    def value(self):
         if self.sign_exponent_doubled % 2:
             raise ValueError("prefactor parity undefined: sign exponent "
                              f"{self.sign_exponent_doubled}/2 is not an integer")
         sign = -1 if (self.sign_exponent_doubled // 2) % 2 else 1
-        minus_s = -reg.var("s")
+        minus_s = -REG.var("s")
         s_exp = self.chi_L2 + self.chi_L - self.chi_Linv
-        return (reg.const(sign)
-                / (reg.const(2) ** self.chi_L2 * minus_s ** s_exp))
+        return (REG.const(sign)
+                / (REG.const(2) ** self.chi_L2 * minus_s ** s_exp))
 
 
 def typeII_component_integral(model, L, K=None, n1=0, n2=0, prefactor=None,
-                              reg=DEFAULT_REGISTRY, eps=None, eps_line=None,
-                              jobs=1, audit=None):
+                              eps=None, eps_line=None, jobs=1, audit=None):
     """Contribution of one nested component, reduced to the product of
     two Hilbert schemes of points.
 
@@ -338,7 +332,7 @@ def typeII_component_integral(model, L, K=None, n1=0, n2=0, prefactor=None,
     kd = model.check_divisor(K) if K is not None else model.canonical_divisor()
     if prefactor is None:
         prefactor = PrefactorData.from_model(model, Ld)
-    pre = prefactor.value(reg)
+    pre = prefactor.value()
 
     m_k2l = TwistedBundleSpec.make(
         {k: kd.get(k, 0) - 2 * Ld.get(k, 0) for k in set(kd) | set(Ld)}, -2)
@@ -349,29 +343,29 @@ def typeII_component_integral(model, L, K=None, n1=0, n2=0, prefactor=None,
 
     wmap = WeightMap.make(eps, eps_line)
     term = functools.partial(_typeII_term, model, l_t, m_k2l, m_kl, m_negl,
-                             n1 + n2, wmap, reg)
-    total = assemble_sum(model, n1, n2, term, reg, jobs=jobs, audit=audit,
+                             n1 + n2, wmap)
+    total = assemble_sum(model, n1, n2, term, jobs=jobs, audit=audit,
                          wmap=wmap)
     return pre * wmap.finish(total.canonical())
 
 
-def _typeII_term(model, l_t, m_k2l, m_kl, m_negl, n, wmap, reg, fp1, fp2):
+def _typeII_term(model, l_t, m_k2l, m_kl, m_negl, n, wmap, fp1, fp2):
     """Integrand of typeII_component_integral at one fixed-point pair."""
-    e_cls = wmap(difference_character(fp1, fp2, None, model, reg))
+    e_cls = wmap(difference_character(fp1, fp2, None, model))
     top = chern_part(e_cls, n)
-    char = (twisted_tangent_character(fp1, l_t, model, reg)
-            + twisted_tangent_character(fp2, l_t, model, reg)
-            + difference_character(fp1, fp2, m_k2l, model, reg)
-            - difference_character(fp1, fp2, m_kl, model, reg)
-            - difference_character(fp1, fp2, m_negl, model, reg)
-            - tangent_character(fp1, model, reg)
-            - tangent_character(fp2, model, reg))
+    char = (twisted_tangent_character(fp1, l_t, model)
+            + twisted_tangent_character(fp2, l_t, model)
+            + difference_character(fp1, fp2, m_k2l, model)
+            - difference_character(fp1, fp2, m_kl, model)
+            - difference_character(fp1, fp2, m_negl, model)
+            - tangent_character(fp1, model)
+            - tangent_character(fp2, model))
     return euler_of_character(wmap(char), top.num)
 
 
 # -- Mochizuki-style residue coefficients ----------------------------------
 
-def _pair_chi_shifted(fpA, fpB, divA, divB, extra, dt, dtp, model, reg):
+def _pair_chi_shifted(fpA, fpB, divA, divB, extra, dt, dtp, model):
     """chi-character of (ideal A x divA x t'^cA, ideal B x divB x extra);
     the divisor arithmetic collapses to divB - divA + extra with uniform
     t and t' shifts."""
@@ -380,34 +374,31 @@ def _pair_chi_shifted(fpA, fpB, divA, divB, extra, dt, dtp, model, reg):
         v = divB.get(k, 0) - divA.get(k, 0) + extra.get(k, 0)
         if v:
             dm[k] = v
-    return chi_character(fpA, fpB, TwistedBundleSpec.make(dm, dt, dtp),
-                         model, reg)
+    return chi_character(fpA, fpB, TwistedBundleSpec.make(dm, dt, dtp), model)
 
 
-def _mochizuki_character(fp1, fp2, Lb1, Lb2, L, p_g, model, reg):
+def _mochizuki_character(fp1, fp2, Lb1, Lb2, L, p_g, model):
     """Virtual character whose Euler class is the residue integrand before
     division by the tangent Euler classes; None when a genuinely zero
     weight in the numerator kills the term."""
     d1 = Lb1.divisor_map()
     d2 = Lb2.divisor_map()
     dl = L.divisor_map()
-    v1 = tautological_character(fp1, Lb1, model, reg)
+    v1 = tautological_character(fp1, Lb1, model)
     if any(not any(w) for w in v1.weights):
         return None
-    v2 = tautological_character(fp2, Lb2, model, reg).shift((0, 2, 0, 0))
+    v2 = tautological_character(fp2, Lb2, model).shift((0, 2, 0, 0))
     char = v1 + v2
     for (fa, da, ca), (fb, db, cb) in itertools.product(
             ((fp1, d1, -1), (fp2, d2, 1)), repeat=2):
-        char = char - _pair_chi_shifted(fa, fb, da, db, dl, 1, cb - ca,
-                                        model, reg)
-    char = (char - _pair_chi_shifted(fp1, fp2, d1, d2, {}, 0, 2, model, reg)
-            - _pair_chi_shifted(fp2, fp1, d2, d1, {}, 0, -2, model, reg))
+        char = char - _pair_chi_shifted(fa, fb, da, db, dl, 1, cb - ca, model)
+    char = (char - _pair_chi_shifted(fp1, fp2, d1, d2, {}, 0, 2, model)
+            - _pair_chi_shifted(fp2, fp1, d2, d1, {}, 0, -2, model))
     # (2 sp)^(n1+n2-p_g) in the denominator is the weight 2 sp
-    return char + WeightCharacter(
-        reg, {(0, 2, 0, 0): p_g - fp1.total - fp2.total})
+    return char + WeightCharacter({(0, 2, 0, 0): p_g - fp1.total - fp2.total})
 
 
-def _mochizuki_term(model, Lb1, Lb2, L, p_g, wmap, reg, fp1, fp2):
+def _mochizuki_term(model, Lb1, Lb2, L, p_g, wmap, fp1, fp2):
     """Residue in sp of the integrand at one fixed-point pair.
 
     The integrand is e(V1) P e(V2 t'^2) / ((2 sp)^(n1+n2-p_g) Q) over the
@@ -417,16 +408,16 @@ def _mochizuki_term(model, Lb1, Lb2, L, p_g, wmap, reg, fp1, fp2):
     twisted by L t, and Q the Euler class of minus the two cross
     characteristics without the L t twist.
     """
-    char = _mochizuki_character(fp1, fp2, Lb1, Lb2, L, p_g, model, reg)
+    char = _mochizuki_character(fp1, fp2, Lb1, Lb2, L, p_g, model)
     if char is None:
-        return FactoredScalar.zero(reg)
-    char = (char - tangent_character(fp1, model, reg)
-            - tangent_character(fp2, model, reg))
+        return FactoredScalar.zero()
+    char = (char - tangent_character(fp1, model)
+            - tangent_character(fp2, model))
     return residue(euler_of_character(wmap(char)), "sp")
 
 
-def mochizuki_coefficient(model, Lb1, Lb2, L, n, p_g, reg=DEFAULT_REGISTRY,
-                          eps=None, jobs=1, audit=None):
+def mochizuki_coefficient(model, Lb1, Lb2, L, n, p_g, eps=None, jobs=1,
+                          audit=None):
     """Sum of residues in sp of the integrand over all point splittings
     n1 + n2 = n - (twist pairing), localized over fixed-point pairs; the
     factored sums of all splittings are canonicalised once."""
@@ -436,11 +427,10 @@ def mochizuki_coefficient(model, Lb1, Lb2, L, n, p_g, reg=DEFAULT_REGISTRY,
     cross = model.pair(Lb1.divisor_map(), Lb2.divisor_map())
     budget = n - cross
     wmap = WeightMap.make(eps)
-    term = functools.partial(_mochizuki_term, model, Lb1, Lb2, L, p_g, wmap,
-                             reg)
-    total = factored_sum([assemble_sum(model, n1, budget - n1, term, reg,
+    term = functools.partial(_mochizuki_term, model, Lb1, Lb2, L, p_g, wmap)
+    total = factored_sum([assemble_sum(model, n1, budget - n1, term,
                                        jobs=jobs, audit=audit, wmap=wmap)
-                          for n1 in range(budget, -1, -1)], reg)
+                          for n1 in range(budget, -1, -1)])
     return wmap.finish(total.canonical())
 
 

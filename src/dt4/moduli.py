@@ -3,10 +3,10 @@
 A surface here is determined by the single integer k with canonical
 class k times the fiber class; divisor classes live in the rank-two
 lattice spanned by the section and the fiber.  On top of the
-intersection form the module provides slope and discriminant quantities,
-the no-wall chamber test for the adiabatic polarizations, enumeration of
-the nested fixed-locus components, and the two partition-function series
-the fiberwise count produces.
+intersection form the module provides the no-wall chamber test for the
+adiabatic polarizations, enumeration of the nested fixed-locus
+components, and the two partition-function series the fiberwise count
+produces.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .eqalg import DEFAULT_REGISTRY
+from .eqalg import DEFAULT_REGISTRY as REG
 from .qseries import (HalfQSeries, delta_inverse, goettsche_series,
                       substitute_power, substitute_sqrt)
 
@@ -58,28 +58,6 @@ class EllipticSurface:
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("k must be nonnegative")
-
-    @property
-    def is_K3(self):
-        return self.k == 0
-
-    def canonical_class(self):
-        return DivisorClass(0, self.k)
-
-    def c1(self):
-        return DivisorClass(0, -self.k)
-
-
-@dataclass(frozen=True)
-class GammaClass:
-    """Topological type (rank, divisor class, point count)."""
-    r: int
-    beta: DivisorClass
-    n: int
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("rank must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -144,43 +122,6 @@ def is_effective(d):
 
 def is_ample(h, S):
     return 0 < (S.k + 2) * h.t < h.u
-
-
-def mu_slope(g, h, S):
-    """Divisor slope of the class against the polarization."""
-    if g.r == 0:
-        raise ValueError("slope undefined for rank zero")
-    return pair_h(h, g.beta, S) / g.r
-
-
-def nu_slope(g, S):
-    """Tie-breaking slope used at equal divisor slope."""
-    if g.r == 0:
-        raise ValueError("slope undefined for rank zero")
-    half = Fraction(pair(g.beta, g.beta + S.c1(), S), 2)
-    return (half - g.n) / g.r
-
-
-def twist_slope_shift(g, D, h, S):
-    """Slope of the class twisted down by D; shifts by the pairing."""
-    return mu_slope(g, h, S) - pair_h(h, D, S)
-
-
-def bogomolov_ok(g, S, delta=None):
-    """Discriminant and its nonnegativity.
-
-    For fiber-multiple divisor classes the discriminant reduces to the
-    point count n; other classes must supply it explicitly, since the
-    dictionary between n and the second Chern class is not fixed here.
-    """
-    if g.r == 0:
-        raise ValueError("discriminant undefined for rank zero")
-    if delta is None:
-        if g.beta.a != 0:
-            raise ValueError("explicit discriminant required when the "
-                             "divisor class is not a fiber multiple")
-        delta = g.n
-    return delta, delta >= 0
 
 
 def wall_threshold(S, r, delta):
@@ -259,7 +200,7 @@ def enumerate_typeII_general(beta, m, k, n, h, search_box):
 
 # -- partition function assembly -------------------------------------------
 
-def typeI_DT_K3(n, reg=DEFAULT_REGISTRY):
+def typeI_DT_K3(n):
     """Fiberwise rank-two count of the non-nested locus on K3.
 
     Zero for n <= 1 (empty moduli); otherwise 1/s times the Euler number
@@ -268,27 +209,27 @@ def typeI_DT_K3(n, reg=DEFAULT_REGISTRY):
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n <= 1:
-        return reg.zero()
-    chi = goettsche_series(24, 2 * n - 2).coefficient(2 * n - 3)
-    return reg.const(chi) / reg.var("s")
+        return REG.zero()
+    return z_typeI_series(n - 2).coefficient(n - 2)
 
 
-def z_typeI_series(order, reg=DEFAULT_REGISTRY):
-    """Series of non-nested counts, exponent n-2, known through
-    q^order inclusive."""
+def z_typeI_series(order):
+    """Series of non-nested counts typeI_DT_K3(n) at exponent n-2, known
+    through q^order inclusive; every Euler number is read off one
+    expansion of the Hilbert-scheme generating series."""
     if 2 * Fraction(order) <= -4:
         raise ValueError("order must exceed -2")
-    units = {}
-    n = 0
-    while n - 2 <= Fraction(order):
-        c = typeI_DT_K3(n, reg)
-        if not c.is_zero():
-            units[2 * (n - 2)] = c
-        n += 1
-    return HalfQSeries(units, -4, int(2 * Fraction(order)) + 2)
+    trunc = int(2 * Fraction(order)) + 2
+    # every n with 2(n - 2) < trunc, in half-units
+    nmax = (trunc - 1) // 2 + 2
+    chi = goettsche_series(24, max(2 * nmax - 2, 1))
+    s = REG.var("s")
+    units = {2 * (n - 2): REG.const(chi.coefficient(2 * n - 3)) / s
+             for n in range(2, nmax + 1)}
+    return HalfQSeries(units, -4, trunc)
 
 
-def z_typeI_closed_form(order, reg=DEFAULT_REGISTRY):
+def z_typeI_closed_form(order):
     """Independent route to z_typeI_series: average the two square-root
     substitutions into the inverse discriminant form, scale by 1/s.
 
@@ -300,10 +241,10 @@ def z_typeI_closed_form(order, reg=DEFAULT_REGISTRY):
     plus = substitute_sqrt(inner, 1)
     minus = substitute_sqrt(inner, -1)
     avg = (plus + minus).scale(Fraction(1, 2))
-    return avg.scale(reg.one() / reg.var("s"))
+    return avg.scale(REG.one() / REG.var("s"))
 
 
-def z_typeII_conjecture_series(order, reg=DEFAULT_REGISTRY):
+def z_typeII_conjecture_series(order):
     """Conjectured nested series: 1/(4s) times the inverse discriminant
     form evaluated at q^2; known at least through q^order inclusive."""
     if 2 * Fraction(order) <= -4:
@@ -311,10 +252,10 @@ def z_typeII_conjecture_series(order, reg=DEFAULT_REGISTRY):
     inner_order = -((-Fraction(order)) // 2)
     inner = delta_inverse(max(inner_order, 0))
     expanded = substitute_power(inner, 2)
-    return expanded.scale(reg.const(Fraction(1, 4)) / reg.var("s"))
+    return expanded.scale(REG.const(Fraction(1, 4)) / REG.var("s"))
 
 
-def assemble_typeII_K3_series(m, order, reg=DEFAULT_REGISTRY):
+def assemble_typeII_K3_series(m, order):
     """Sum of nested-component contributions at fiber twist m.
 
     Components flagged as vanishing contribute exactly zero.  A

@@ -87,12 +87,6 @@ class Poly:
     def is_one(self):
         return self.terms == {(0,) * self.nvars: 1}
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
-    def degree_in(self, v):
-        return max((e[v] for e in self.terms), default=0)
-
     def support_vars(self):
         used = set()
         for e in self.terms:
@@ -385,13 +379,6 @@ def _gcd_prim(a, b):
     g = g.divexact(gc) * contg
     c, p = g.primitive()
     return p * abs(c)
-
-
-def lcm(a, b):
-    g = gcd(a, b)
-    if g.is_zero():
-        return g
-    return a.divexact(g) * b
 
 
 def poly_str(p, names):

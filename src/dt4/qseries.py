@@ -232,11 +232,3 @@ def substitute_power(series, k):
     return HalfQSeries({u * k: c for u, c in series.units.items()},
                        series.min_units * k, series.trunc_units * k)
 
-
-def even_projection(series):
-    """Sub-series of integer-exponent terms; truncation unchanged."""
-    units = {u: c for u, c in series.units.items() if u % 2 == 0}
-    m = series.min_units
-    if m % 2:
-        m += 1
-    return HalfQSeries(units, m, series.trunc_units)

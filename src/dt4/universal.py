@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .eqalg import DEFAULT_REGISTRY
+from .eqalg import DEFAULT_REGISTRY as REG
 from .localize import (PrefactorData, parallel_starmap,
                        typeII_component_integral)
 from .surfaces import from_preset
@@ -46,10 +46,6 @@ class ChernNumbers:
 
     def as_vector(self):
         return tuple(getattr(self, f) for f in FIELDS)
-
-    @classmethod
-    def from_vector(cls, vec):
-        return cls(*vec)
 
     @classmethod
     def k3_point(cls, m=0):
@@ -121,9 +117,9 @@ class UniversalPolynomial:
         self.terms = {tuple(e): c for e, c in terms.items() if not c.is_zero()}
         self.degree_bound = degree_bound
 
-    def evaluate(self, at, reg=DEFAULT_REGISTRY):
+    def evaluate(self, at):
         vec = at.as_vector()
-        total = reg.zero()
+        total = REG.zero()
         for exps, coeff in sorted(self.terms.items(),
                                   key=lambda t: (sum(t[0]), t[0])):
             total = total + coeff * _monomial_value(exps, vec)
@@ -139,7 +135,7 @@ class UniversalPolynomial:
         return {"degree_bound": self.degree_bound, "terms": entries}
 
 
-def fit_universal(samples, degree_bound, fields=None, reg=DEFAULT_REGISTRY):
+def fit_universal(samples, degree_bound, fields=None):
     """Solve for the unique polynomial of the given degree matching the
     samples exactly.
 
@@ -189,19 +185,6 @@ def fit_universal(samples, degree_bound, fields=None, reg=DEFAULT_REGISTRY):
         if not coeff.is_zero():
             terms[monos[c]] = coeff
     return UniversalPolynomial(terms, degree_bound)
-
-
-def design_rank(vectors, degree_bound, fields=None):
-    """Rank of the monomial design matrix; cheap pre-check to run before
-    any integrals."""
-    if fields is None:
-        idx = list(range(len(FIELDS)))
-    else:
-        idx = [FIELDS.index(f) for f in fields]
-    monos = _monomials(degree_bound, idx)
-    rows = [[Fraction(_monomial_value(e, v)) for e in monos] for v in vectors]
-    pivots = _eliminate(rows, [Fraction(0)] * len(rows), len(monos))
-    return len(pivots), len(monos)
 
 
 def _eliminate(rows, rhs, ncols):

@@ -8,6 +8,7 @@ diagrams, Riemann-Roch arithmetic, and Fraction-valued series expansion.
 import math
 from fractions import Fraction
 
+from dt4.eqalg import DEFAULT_REGISTRY
 from dt4.poly import _gcd_prim
 
 
@@ -147,7 +148,7 @@ def residue_series_oracle(x, var):
     The num/den must already be free of the other variables (specialize
     first); expansion inverts the denominator as a geometric series.
     """
-    v = x.reg.index(var)
+    v = DEFAULT_REGISTRY.index(var)
     num = _poly_in_var(x.num, v)
     den = _poly_in_var(x.den, v)
     if not num:

@@ -109,7 +109,7 @@ def _top_chern_term(model, bundle):
         try:
             return euler_of_character(char)
         except NonGenericWeightError:
-            return FactoredScalar.zero(REG)
+            return FactoredScalar.zero()
     return term
 
 
@@ -125,7 +125,7 @@ def test_criterion_5_localization_engine():
         model = from_preset(name)
         for n in range(4):
             for fp in hilb_fixed_points(model, n):
-                got = tangent_character(fp, model, REG)
+                got = tangent_character(fp, model)
                 assert got.weights == tangent_weights_oracle(fp, model)
 
     # (b) pair characteristic rank drops by one per point
@@ -147,7 +147,7 @@ def test_criterion_5_localization_engine():
         term = _top_chern_term(model, divisors[name])
         for n1 in range(3):
             for n2 in range(3 - n1):
-                total = assemble_sum(model, n1, n2, term, REG)
+                total = assemble_sum(model, n1, n2, term)
                 assert total.canonical().den.is_const()
 
     # (d) invariance under random rational torus parameters
@@ -241,7 +241,7 @@ def _random_factored_term(rng):
         if rng.random() < 0.6:
             lin = REG.const(rng.randint(-9, 9)) + rng.randint(-3, 3) * S
             num = num + lin * SP ** e
-    return euler_of_character(WeightCharacter(REG, weights), num.num)
+    return euler_of_character(WeightCharacter(weights), num.num)
 
 
 def _awkward_mixed_form(w):

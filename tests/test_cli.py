@@ -239,6 +239,17 @@ def test_jobs_validation(command, capsys, monkeypatch):
     assert parser.parse_args(command + ["--jobs", "100000"]).jobs == 2
 
 
+def test_fit_degree_bound_validation(capsys):
+    # rejected while parsing, before any battery integral runs
+    for bad in ("-1", "-7", "one"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fit", "--degree-bound", bad])
+        assert exc.value.code == 2
+        assert "--degree-bound" in capsys.readouterr().err
+    parser = cli.build_parser()
+    assert parser.parse_args(["fit", "--degree-bound", "0"]).degree_bound == 0
+
+
 # sets the start method before dt4 runs, as a user's own script would
 START_METHOD_SCRIPT = ("import multiprocessing, sys\n"
                        "multiprocessing.set_start_method(sys.argv[1])\n"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dt4.eqalg import (DEFAULT_REGISTRY as REG, EqScalar, FactoredScalar,
-                       NonGenericWeightError, Registry, WeightCharacter,
+                       NonGenericWeightError, WeightCharacter,
                        chern_part, euler_of_character, factored_sum,
                        residue)
 from dt4.poly import Poly
@@ -42,8 +42,7 @@ def test_registry():
     assert REG.index("e2") == 3
     with pytest.raises(KeyError):
         REG.index("nope")
-    r = Registry("a", "b")
-    assert r.var("a").num == Poly.variable(2, 0)
+    assert REG.var("e1").num == Poly.variable(4, 2)
 
 
 def test_const_accepts_fractions():
@@ -65,7 +64,7 @@ def test_canonical_form_is_unique():
     assert a == S + E1
     b = (REG.const(2) * S) / REG.const(4)
     assert b == S / REG.const(2)
-    assert EqScalar(REG, b.num, b.den) == b
+    assert EqScalar(b.num, b.den) == b
 
 
 def test_field_operations():
@@ -109,7 +108,7 @@ def test_as_fraction():
 def factored(num, weights=None):
     """``num`` (a polynomial EqScalar) times the Euler class of the
     weights, as a FactoredScalar."""
-    return euler_of_character(WeightCharacter(REG, weights), num.num)
+    return euler_of_character(WeightCharacter(weights), num.num)
 
 
 def res(x):
@@ -121,7 +120,7 @@ def test_residue_basics():
     # s/sp + 5/sp^2
     assert res(factored(S * SP + 5, {SP_W: -2})) == S
     assert res(factored(S + SP * E1)) == REG.zero()
-    assert res(FactoredScalar.zero(REG)) == REG.zero()
+    assert res(FactoredScalar.zero()) == REG.zero()
 
 
 def test_residue_of_shifted_pole_is_zero_at_origin():
@@ -144,52 +143,52 @@ def test_residue_expands_mixed_forms():
 
 
 def test_weight_character_algebra():
-    c = WeightCharacter(REG, {(1, 0, 0, 0): 2, (0, 0, 1, 0): -1})
+    c = WeightCharacter({(1, 0, 0, 0): 2, (0, 0, 1, 0): -1})
     assert c.rank() == 1
     assert (-c).weights == {(1, 0, 0, 0): -2, (0, 0, 1, 0): 1}
-    d = WeightCharacter(REG, {(1, 0, 0, 0): -2})
+    d = WeightCharacter({(1, 0, 0, 0): -2})
     assert (c + d).weights == {(0, 0, 1, 0): -1}
     assert c.conjugate().weights == {(-1, 0, 0, 0): 2, (0, 0, -1, 0): -1}
     assert c.shift((0, 0, 0, 1)).weights == {(1, 0, 0, 1): 2, (0, 0, 1, 1): -1}
 
 
 def test_weight_character_product():
-    a = WeightCharacter(REG, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1})
-    b = WeightCharacter(REG, {(0, 0, 1, 0): 1})
+    a = WeightCharacter({(1, 0, 0, 0): 1, (0, 1, 0, 0): 1})
+    b = WeightCharacter({(0, 0, 1, 0): 1})
     assert (a * b).weights == {(1, 0, 1, 0): 1, (0, 1, 1, 0): 1}
 
 
 def test_euler_of_character():
-    c = WeightCharacter(REG, {(1, 0, 0, 0): 2, (0, 0, 1, 1): -1})
+    c = WeightCharacter({(1, 0, 0, 0): 2, (0, 0, 1, 1): -1})
     assert euler_of_character(c).canonical() == S * S / (E1 + E2)
     with pytest.raises(NonGenericWeightError):
-        euler_of_character(WeightCharacter(REG, {(0, 0, 0, 0): 1}))
+        euler_of_character(WeightCharacter({(0, 0, 0, 0): 1}))
 
 
 def test_euler_of_zero_multiplicity_weight():
-    c = WeightCharacter(REG, {(1, 0, 0, 0): 1})
+    c = WeightCharacter({(1, 0, 0, 0): 1})
     assert euler_of_character(c + (-c)).canonical() == REG.one()
 
 
 def test_chern_part():
-    c = WeightCharacter(REG, {(1, 0, 0, 0): 1, (0, 0, 1, 0): 1})
+    c = WeightCharacter({(1, 0, 0, 0): 1, (0, 0, 1, 0): 1})
     assert chern_part(c, 0) == REG.one()
     assert chern_part(c, 1) == S + E1
     assert chern_part(c, 2) == S * E1
     # zero weights are legal in Chern classes and contribute nothing
-    z = WeightCharacter(REG, {(0, 0, 0, 0): 3, (1, 0, 0, 0): 1})
+    z = WeightCharacter({(0, 0, 0, 0): 3, (1, 0, 0, 0): 1})
     assert chern_part(z, 1) == S
 
 
 def test_chern_part_negative_multiplicity():
     # (1 + s)^-1 expands as 1 - s + s^2 - ...
-    c = WeightCharacter(REG, {(1, 0, 0, 0): -1})
+    c = WeightCharacter({(1, 0, 0, 0): -1})
     assert chern_part(c, 1) == -S
     assert chern_part(c, 2) == S * S
 
 
 def test_chern_top_equals_euler():
-    c = WeightCharacter(REG, {(1, 0, 0, 0): 1, (0, 0, 1, 0): 1, (0, 0, 0, 1): 1})
+    c = WeightCharacter({(1, 0, 0, 0): 1, (0, 0, 1, 0): 1, (0, 0, 0, 1): 1})
     assert chern_part(c, c.rank()) == euler_of_character(c).canonical()
 
 
@@ -209,10 +208,10 @@ def test_field_axioms(a, b, c):
                 min_size=1, max_size=5))
 def test_residue_linearity(terms):
     # sum of c * sp^k has residue = sum of c at k = -1
-    x = factored_sum([FactoredScalar(REG, (SP ** max(k, 0)).num * c.numerator,
+    x = factored_sum([FactoredScalar((SP ** max(k, 0)).num * c.numerator,
                                      {SP_W: -k} if k < 0 else {},
                                      Fraction(1, c.denominator))
-                      for k, c in terms], REG)
+                      for k, c in terms])
     expected = REG.zero()
     for k, c in terms:
         if k == -1:
@@ -279,10 +278,10 @@ WEIGHTS = st.tuples(st.integers(-1, 1), st.just(0), st.integers(-1, 1),
 def factored_terms():
     """(numerator Poly, character) pairs over a small pool of weights."""
     char = st.lists(st.tuples(WEIGHTS, st.integers(-2, 2)), max_size=3).map(
-        lambda ws: WeightCharacter(REG, ws))
+        lambda ws: WeightCharacter(ws))
     num = st.tuples(st.integers(-3, 3), st.lists(WEIGHTS, max_size=2)).map(
         lambda cv: _product([REG.const(cv[0])]
-                            + [EqScalar(REG, Poly.linear_form(w))
+                            + [EqScalar(Poly.linear_form(w))
                                for w in cv[1]]).num)
     return st.tuples(num, char)
 
@@ -290,7 +289,7 @@ def factored_terms():
 def euler_by_products(char):
     out = REG.one()
     for w, m in char.items():
-        out = out * EqScalar(REG, Poly.linear_form(w)) ** m
+        out = out * EqScalar(Poly.linear_form(w)) ** m
     return out
 
 
@@ -301,8 +300,8 @@ def test_factored_sum_matches_plain_sum(terms):
     for num, char in terms:
         e = euler_of_character(char).canonical()
         assert e == euler_by_products(char)
-        plain = plain + EqScalar(REG, num) * e
+        plain = plain + EqScalar(num) * e
     got = factored_sum([euler_of_character(char, num)
-                        for num, char in terms], REG).canonical()
+                        for num, char in terms]).canonical()
     assert got == plain
     assert_canonical(got)

@@ -41,8 +41,6 @@ def test_twisted_bundle_spec():
     spec = TwistedBundleSpec.make({"H": 2, "A": -1}, t_weight=1)
     assert spec.divisor == (("A", -1), ("H", 2))
     assert spec.divisor_map() == {"A": -1, "H": 2}
-    shifted = spec.twisted(-1, 2)
-    assert (shifted.t_weight, shifted.tprime_weight) == (0, 2)
     assert TwistedBundleSpec.make(None).divisor == ()
 
 
@@ -52,7 +50,7 @@ def test_tangent_matches_deformation_oracle():
     for model in (PLANE, QUADRIC):
         for n in range(4):
             for fp in hilb_fixed_points(model, n):
-                got = tangent_character(fp, model, REG)
+                got = tangent_character(fp, model)
                 assert got.weights == tangent_weights_oracle(fp, model)
                 assert got.rank() == 2 * n
 
@@ -60,8 +58,8 @@ def test_tangent_matches_deformation_oracle():
 def test_twisted_tangent_shifts_charts():
     fp = hilb_fixed_points(PLANE, 2)[0]
     spec = TwistedBundleSpec.make({"H": 1}, t_weight=1)
-    plain = tangent_character(fp, PLANE, REG)
-    twisted = twisted_tangent_character(fp, spec, PLANE, REG)
+    plain = tangent_character(fp, PLANE)
+    twisted = twisted_tangent_character(fp, spec, PLANE)
     assert twisted.rank() == plain.rank()
     # every twisted weight carries the t-grading
     assert all(w[0] == 1 for w in twisted.weights)
@@ -74,7 +72,7 @@ def test_chi_character_rank():
             for n2 in range(3 - n1):
                 for fp1 in hilb_fixed_points(model, n1):
                     for fp2 in hilb_fixed_points(model, n2):
-                        c = chi_character(fp1, fp2, div, model, REG)
+                        c = chi_character(fp1, fp2, div, model)
                         assert c.rank() == chi - n1 - n2
 
 
@@ -83,12 +81,12 @@ def test_difference_character_rank_and_consistency():
     for n1, n2 in ((0, 0), (1, 0), (1, 1), (2, 1)):
         for fp1 in hilb_fixed_points(PLANE, n1)[:4]:
             for fp2 in hilb_fixed_points(PLANE, n2)[:4]:
-                d = difference_character(fp1, fp2, div, PLANE, REG)
+                d = difference_character(fp1, fp2, div, PLANE)
                 assert d.rank() == n1 + n2
-                c = chi_character(fp1, fp2, div, PLANE, REG)
+                c = chi_character(fp1, fp2, div, PLANE)
                 total = WeightCharacter(
-                    REG, {(0, 0) + w: m
-                          for w, m in PLANE.cohomology_character(div).items()})
+                    {(0, 0) + w: m
+                     for w, m in PLANE.cohomology_character(div).items()})
                 assert (c + d).weights == total.weights
 
 
@@ -96,18 +94,18 @@ def test_diagonal_difference_of_trivial_bundle_is_tangent():
     # nested pair (I, I) with no twist deforms exactly like one ideal
     for n in range(4):
         for fp in hilb_fixed_points(PLANE, n):
-            d = difference_character(fp, fp, None, PLANE, REG)
-            assert d.weights == tangent_character(fp, PLANE, REG).weights
+            d = difference_character(fp, fp, None, PLANE)
+            assert d.weights == tangent_character(fp, PLANE).weights
 
 
 def test_tautological_character():
     for n in range(4):
         for fp in hilb_fixed_points(QUADRIC, n):
-            t = tautological_character(fp, None, QUADRIC, REG)
+            t = tautological_character(fp, None, QUADRIC)
             assert t.rank() == n
     fp = hilb_fixed_points(PLANE, 1)[0]
-    plain = tautological_character(fp, None, PLANE, REG)
-    tw = tautological_character(fp, {"H": 1}, PLANE, REG)
+    plain = tautological_character(fp, None, PLANE)
+    tw = tautological_character(fp, {"H": 1}, PLANE)
     assert plain.rank() == tw.rank() == 1
     assert plain.weights != tw.weights
 
@@ -116,25 +114,25 @@ def test_tautological_character():
 
 def test_prefactor_k3_numbers():
     pre = PrefactorData.from_numbers(2, 2, 2, 0, 0)
-    assert pre.value(REG) == REG.one() / (REG.const(4) * S * S)
+    assert pre.value() == REG.one() / (REG.const(4) * S * S)
 
 
 def test_prefactor_from_model():
     pre = PrefactorData.from_model(PLANE, {"H": 1})
-    assert pre.value(REG) == REG.one() / (REG.const(64) * S ** 9)
+    assert pre.value() == REG.one() / (REG.const(64) * S ** 9)
 
 
 def test_prefactor_parity_error():
     pre = PrefactorData.from_numbers(0, 0, 0, 1, 0)
     with pytest.raises(ValueError, match="parity"):
-        pre.value(REG)
+        pre.value()
 
 
 def test_prefactor_variant_sign():
     base = PrefactorData.from_numbers(2, 2, 2, 2, 0)
     flipped = PrefactorData.from_numbers(2, 2, 2, 2, 0, variant="typeIIB",
                                          alpha_pair=1)
-    assert flipped.value(REG) == -base.value(REG)
+    assert flipped.value() == -base.value()
     with pytest.raises(ValueError, match="variant"):
         PrefactorData.from_numbers(0, 0, 0, 0, 0, variant="nope")
 
@@ -145,7 +143,7 @@ def test_length_zero_returns_prefactor():
     for model, div in ((PLANE, {"H": 1}), (QUADRIC, {"A": 1, "B": 1})):
         pre = PrefactorData.from_model(model, div)
         val = typeII_component_integral(model, div, n1=0, n2=0)
-        assert val == pre.value(REG)
+        assert val == pre.value()
 
 
 def test_frozen_plane_integrals():
@@ -220,20 +218,20 @@ def test_jobs_and_audit():
 
 
 def test_assemble_sum_batching():
-    term = lambda fp1, fp2: euler_of_character(WeightCharacter(REG))
-    small = assemble_sum(PLANE, 1, 1, term, REG)
+    term = lambda fp1, fp2: euler_of_character(WeightCharacter())
+    small = assemble_sum(PLANE, 1, 1, term)
     assert small.canonical() == REG.const(9)
-    assert assemble_sum(PLANE, 0, 0, term, REG).canonical() == REG.one()
+    assert assemble_sum(PLANE, 0, 0, term).canonical() == REG.one()
 
 
 # -- pairwise residue machinery --------------------------------------------
 
 def test_mochizuki_zero_charge():
-    assert mochizuki_coefficient(PLANE, {}, {}, {}, 0, 0, REG) == REG.zero()
+    assert mochizuki_coefficient(PLANE, {}, {}, {}, 0, 0) == REG.zero()
 
 
 def test_mochizuki_frozen_value():
-    val = mochizuki_coefficient(PLANE, {}, {}, {}, 1, 0, REG)
+    val = mochizuki_coefficient(PLANE, {}, {}, {}, 1, 0)
     e1, e2 = REG.var("e1"), REG.var("e2")
     want = (REG.const(-9) * S * S - 3 * e1 * e1 + 3 * e1 * e2
             - 3 * e2 * e2) / S ** 3
@@ -246,15 +244,15 @@ def test_mochizuki_eps_consistency():
              + [(from_preset(name), div, 2)
                 for name, div in ROUTE_DIVISORS.items()])
     for model, div, n in cases:
-        sym = mochizuki_coefficient(model, {}, {}, div, n, 0, REG)
-        num = mochizuki_coefficient(model, {}, {}, div, n, 0, REG, eps=eps)
+        sym = mochizuki_coefficient(model, {}, {}, div, n, 0)
+        num = mochizuki_coefficient(model, {}, {}, div, n, 0, eps=eps)
         assert num == sym.specialize({"e1": eps[0], "e2": eps[1]})
 
 
 def test_mochizuki_negative_budget_is_zero():
     # split pairing exceeds the charge: empty range of splittings
-    assert mochizuki_coefficient(PLANE, {"H": 1}, {"H": 1}, {}, 0, 0,
-                                 REG) == REG.zero()
+    assert mochizuki_coefficient(PLANE, {"H": 1}, {"H": 1}, {}, 0,
+                                 0) == REG.zero()
 
 
 def test_mochizuki_integrand_zero_weight_term():
@@ -262,14 +260,14 @@ def test_mochizuki_integrand_zero_weight_term():
     empty = hilb_fixed_points(PLANE, 0)[0]
     one_pt = hilb_fixed_points(PLANE, 1)[0]
     trivial = TwistedBundleSpec.make({})
-    val = _mochizuki_term(PLANE, trivial, trivial, trivial, 0, SYMBOLIC, REG,
+    val = _mochizuki_term(PLANE, trivial, trivial, trivial, 0, SYMBOLIC,
                           one_pt, empty)
     assert val.canonical() == REG.zero()
 
 
 def test_mochizuki_audit():
     rows = []
-    mochizuki_coefficient(PLANE, {}, {}, {}, 1, 0, REG, audit=rows.append)
+    mochizuki_coefficient(PLANE, {}, {}, {}, 1, 0, audit=rows.append)
     assert rows and all("term" in r for r in rows)
 
 

@@ -7,13 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from dt4.eqalg import DEFAULT_REGISTRY as REG
 from dt4.moduli import (FIBER, SECTION, ZERO_DIVISOR, DivisorClass,
-                        EllipticSurface, GammaClass, Polarization,
-                        assemble_typeII_K3_series, bogomolov_ok,
-                        enumerate_typeII_K3, enumerate_typeII_general,
-                        in_stable_chamber, is_ample, is_effective, mu_slope,
-                        nu_slope, pair, pair_h, twist_slope_shift,
-                        typeI_DT_K3, wall_threshold, z_typeI_closed_form,
-                        z_typeI_series, z_typeII_conjecture_series)
+                        EllipticSurface, Polarization,
+                        assemble_typeII_K3_series, enumerate_typeII_K3,
+                        enumerate_typeII_general, in_stable_chamber, is_ample,
+                        is_effective, pair, pair_h, typeI_DT_K3,
+                        wall_threshold, z_typeI_closed_form, z_typeI_series,
+                        z_typeII_conjecture_series)
 
 from oracles import colored_counts, k3_component_count
 
@@ -41,11 +40,6 @@ def test_divisor_class():
 def test_surface_validation():
     with pytest.raises(ValueError):
         EllipticSurface(-1)
-    assert S_K3.is_K3
-    assert not EllipticSurface(1).is_K3
-    assert EllipticSurface(2).canonical_class() == DivisorClass(0, 2)
-    assert EllipticSurface(2).c1() == DivisorClass(0, -2)
-    assert S_K3.canonical_class().is_zero()
 
 
 def test_intersection_form():
@@ -78,48 +72,6 @@ def test_polarization_validation():
         Polarization(1, 0)
     h = Polarization(Fraction(1, 2), 3)
     assert h.t == Fraction(1, 2)
-
-
-def test_gamma_validation():
-    with pytest.raises(ValueError):
-        GammaClass(-1, ZERO_DIVISOR, 0)
-    g = GammaClass(2, FIBER, 3)
-    assert g.r == 2 and g.n == 3
-
-
-# -- slopes ----------------------------------------------------------------
-
-def test_mu_slope():
-    h = Polarization(1, 10)
-    g = GammaClass(2, FIBER, 0)
-    assert mu_slope(g, h, S_K3) == Fraction(1, 2)
-    g2 = GammaClass(1, FIBER, 0)
-    assert mu_slope(g2, h, S_K3) == 1
-    with pytest.raises(ValueError):
-        mu_slope(GammaClass(0, FIBER, 0), h, S_K3)
-
-
-def test_nu_slope():
-    assert nu_slope(GammaClass(1, ZERO_DIVISOR, 0), S_K3) == 0
-    assert nu_slope(GammaClass(1, ZERO_DIVISOR, 2), S_K3) == -2
-    assert nu_slope(GammaClass(2, ZERO_DIVISOR, 2), S_K3) == -1
-
-
-def test_twist_slope_shift():
-    h = Polarization(1, 10)
-    g = GammaClass(1, FIBER, 0)
-    assert twist_slope_shift(g, FIBER, h, S_K3) == \
-        mu_slope(g, h, S_K3) - pair_h(h, FIBER, S_K3)
-
-
-def test_bogomolov():
-    assert bogomolov_ok(GammaClass(2, FIBER, 3), S_K3) == (3, True)
-    assert bogomolov_ok(GammaClass(2, FIBER, -1), S_K3) == (-1, False)
-    assert bogomolov_ok(GammaClass(1, ZERO_DIVISOR, 0), S_K3) == (0, True)
-    with pytest.raises(ValueError):
-        bogomolov_ok(GammaClass(2, SECTION, 1), S_K3)
-    # explicit discriminant always allowed
-    assert bogomolov_ok(GammaClass(2, SECTION, 1), S_K3, delta=5) == (5, True)
 
 
 # -- chambers --------------------------------------------------------------
@@ -236,6 +188,25 @@ def test_z_typeI_spots():
     assert z.coefficient(2) == sval(176256)
     with pytest.raises(ValueError):
         z_typeI_series(-2)
+
+
+@pytest.mark.parametrize("order, trunc", [
+    (Fraction(-3, 2), Fraction(-1, 2)), (-1, 0),
+    (Fraction(1, 2), Fraction(3, 2)), (25, 26)])
+def test_z_typeI_series_vs_convolution_oracle(order, trunc):
+    # q^(n-2) carries the 24-colored count at 2n-3 points over s for
+    # n >= 2; every other half-integer exponent in the window is zero
+    z = z_typeI_series(order)
+    assert z.truncation_order == trunc
+    c24 = colored_counts(24, max(int(2 * trunc), 0))
+    for u in range(-4, int(2 * trunc)):
+        e = Fraction(u, 2)
+        n = u // 2 + 2
+        want = sval(c24[2 * n - 3]) if u % 2 == 0 and n >= 2 else 0
+        assert z.coefficient(e) == want, e
+    with pytest.raises(ValueError):
+        z.coefficient(trunc)
+    assert z.matches(z_typeI_closed_form(order))
 
 
 def test_z_typeI_closed_form_identity():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dt4.eqalg import DEFAULT_REGISTRY as REG
-from dt4.qseries import (HalfQSeries, coeff_str, delta_inverse, even_projection,
+from dt4.qseries import (HalfQSeries, coeff_str, delta_inverse,
                          goettsche_series, product_power, substitute_power,
                          substitute_sqrt)
 
@@ -142,14 +142,6 @@ def test_substitute_power():
         substitute_power(f, 0)
 
 
-def test_even_projection():
-    f = HalfQSeries({-1: 1, 0: 24, 1: 324, 2: 3200}, -1, 4)
-    e = even_projection(f)
-    assert e.coefficient(0) == 24
-    assert e.coefficient(Fraction(1, 2)) == 0
-    assert e.coefficient(1) == 3200
-
-
 def test_coeff_str():
     assert coeff_str(3) == "3"
     assert coeff_str(Fraction(1, 2)) == "(1)/(2)"
@@ -172,12 +164,3 @@ def test_product_power_additivity(a, b):
     f = product_power(a, N) * product_power(b, N)
     g = product_power(a + b, N)
     assert f.matches(g, through=N - 1)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.dictionaries(st.integers(-4, 8), st.integers(-9, 9), max_size=6))
-def test_even_projection_idempotent(units):
-    f = HalfQSeries(units, min(units, default=0), 10)
-    e = even_projection(f)
-    assert even_projection(e) == e
-    assert all(u % 2 == 0 for u in e.units)
