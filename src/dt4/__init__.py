@@ -3,27 +3,36 @@ on local fourfold geometries over toric and elliptic surfaces.
 
 All arithmetic is exact: integer polynomials, rational-function scalars,
 and truncated Laurent series in half-integer powers of q.
+
+The public names below are imported on first use (PEP 562), so a
+command imports only the modules it runs.
 """
 
-from .eqalg import DEFAULT_REGISTRY, EqScalar
-from .qseries import HalfQSeries, delta_inverse, goettsche_series
-from .surfaces import PRESET_NAMES, ToricSurfaceModel, from_preset
-from .localize import (PrefactorData, assemble_sum, mochizuki_coefficient,
-                       typeII_component_integral)
-from .moduli import (EllipticSurface, enumerate_typeII_K3, wall_threshold,
-                     z_typeI_series, z_typeII_conjecture_series)
-from .universal import ChernNumbers, UniversalPolynomial, fit_universal
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_REGISTRY", "EqScalar",
-    "HalfQSeries", "delta_inverse", "goettsche_series",
-    "PRESET_NAMES", "ToricSurfaceModel", "from_preset",
-    "PrefactorData", "assemble_sum", "mochizuki_coefficient",
-    "typeII_component_integral",
-    "EllipticSurface", "enumerate_typeII_K3", "wall_threshold",
-    "z_typeI_series", "z_typeII_conjecture_series",
-    "ChernNumbers", "UniversalPolynomial", "fit_universal",
-    "__version__",
-]
+# public name -> submodule that defines it
+_HOME = {
+    "DEFAULT_REGISTRY": "eqalg", "EqScalar": "eqalg",
+    "HalfQSeries": "qseries", "delta_inverse": "qseries",
+    "goettsche_series": "qseries",
+    "PRESET_NAMES": "surfaces", "ToricSurfaceModel": "surfaces",
+    "from_preset": "surfaces",
+    "PrefactorData": "localize", "assemble_sum": "localize",
+    "mochizuki_coefficient": "localize",
+    "typeII_component_integral": "localize",
+    "EllipticSurface": "moduli", "enumerate_typeII_K3": "moduli",
+    "wall_threshold": "moduli", "z_typeI_series": "moduli",
+    "z_typeII_conjecture_series": "moduli",
+    "ChernNumbers": "universal", "UniversalPolynomial": "universal",
+    "fit_universal": "universal",
+}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)

@@ -13,10 +13,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import universal
 from .eqalg import DEFAULT_REGISTRY as REG
 from .localize import (PrefactorData, mochizuki_coefficient,
                        pure_s_monomial, typeII_component_integral)
@@ -27,19 +25,6 @@ from .moduli import (EllipticSurface, Polarization, enumerate_typeII_K3,
 from .surfaces import from_preset
 
 FIT_FIELDS = ("D_sq", "D_c1", "c1_sq", "c2")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters of one run.
-
-    ``deterministic`` is a statement of contract, not a switch: no
-    randomness enters any pipeline, so reruns are byte-identical.
-    """
-    command: str
-    parameters: dict = field(default_factory=dict)
-    pretty: bool = False
-    deterministic: bool = True
 
 
 # -- argument parsing helpers ----------------------------------------------
@@ -115,21 +100,19 @@ def _series_is_zero(series):
 
 # -- report plumbing -------------------------------------------------------
 
-def _report(config, results, checks):
-    return {
-        "tool": "dt4",
-        "command": config.command,
-        "parameters": config.parameters,
-        "deterministic": config.deterministic,
-        "results": results,
-        "checks": [{"id": cid, "pass": ok} for cid, ok in checks],
-    }
-
-
-def _emit(config, results, checks, pretty_lines):
-    report = _report(config, results, checks)
+def _write_report(args, params, **body):
+    """Print the JSON report of a run.  ``deterministic`` is a statement of
+    contract, not a switch: no randomness enters any pipeline, so reruns
+    are byte-identical."""
+    report = {"tool": "dt4", "command": args.command, "parameters": params,
+              "deterministic": True, **body}
     sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    if config.pretty:
+
+
+def _emit(args, params, results, checks, pretty_lines):
+    _write_report(args, params, results=results,
+                  checks=[{"id": cid, "pass": ok} for cid, ok in checks])
+    if args.pretty:
         for line in pretty_lines:
             print(line, file=sys.stderr)
         for cid, ok in checks:
@@ -138,16 +121,10 @@ def _emit(config, results, checks, pretty_lines):
     return 0 if all(ok for _, ok in checks) else 1
 
 
-def _emit_error(config, exc):
-    report = {
-        "tool": "dt4",
-        "command": config.command,
-        "parameters": config.parameters,
-        "deterministic": config.deterministic,
-        "error": {"type": type(exc).__name__, "message": str(exc)},
-    }
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    if config.pretty:
+def _emit_error(args, params, exc):
+    _write_report(args, params, error={"type": type(exc).__name__,
+                                       "message": str(exc)})
+    if args.pretty:
         print(f"  error ({type(exc).__name__}): {exc}", file=sys.stderr)
     return 1
 
@@ -155,14 +132,14 @@ def _emit_error(config, exc):
 # -- subcommands -----------------------------------------------------------
 
 def cmd_zseries(args):
-    config = RunConfig("zseries", {"order": args.order}, pretty=args.pretty)
+    params = {"order": args.order}
     try:
         lhs = z_typeI_series(args.order)
         rhs = z_typeI_closed_form(args.order)
         diff = lhs - rhs
         conj = z_typeII_conjecture_series(args.order)
     except ValueError as exc:
-        return _emit_error(config, exc)
+        return _emit_error(args, params, exc)
     odd_ok = all(e["exponent_den"] == 1 for e in conj.to_json_entries())
     checks = [("typeI-series-identity", _series_is_zero(diff)),
               ("typeII-conjecture-odd-vanishing", odd_ok)]
@@ -177,13 +154,12 @@ def cmd_zseries(args):
               f"  closed-form route   {_series_line(rhs)}",
               f"  difference          {_series_line(diff)}",
               f"  nested conjecture   {_series_line(conj)}"]
-    return _emit(config, results, checks, pretty)
+    return _emit(args, params, results, checks, pretty)
 
 
 def cmd_chamber(args):
     params = {"k": args.k, "r": args.r, "delta": str(args.delta),
               "t": str(args.t), "u": str(args.u)}
-    config = RunConfig("chamber", params, pretty=args.pretty)
     try:
         surface = EllipticSurface(args.k)
         threshold = wall_threshold(surface, args.r, args.delta)
@@ -197,7 +173,7 @@ def cmd_chamber(args):
         else:
             note = "polarization is outside the ample cone"
     except ValueError as exc:
-        return _emit_error(config, exc)
+        return _emit_error(args, params, exc)
     results = {"ample": ample, "threshold": str(threshold),
                "in_chamber": in_chamber}
     if note:
@@ -205,16 +181,15 @@ def cmd_chamber(args):
     pretty = [f"  ample        {ample}",
               f"  threshold    {threshold}",
               f"  in chamber   {in_chamber}"]
-    return _emit(config, results, checks=[], pretty_lines=pretty)
+    return _emit(args, params, results, checks=[], pretty_lines=pretty)
 
 
 def cmd_fixedloci(args):
-    config = RunConfig("fixedloci", {"m": args.m, "n": args.n},
-                       pretty=args.pretty)
+    params = {"m": args.m, "n": args.n}
     try:
         comps = enumerate_typeII_K3(args.m, args.n)
     except ValueError as exc:
-        return _emit_error(config, exc)
+        return _emit_error(args, params, exc)
     points = 2 * args.n - 3
     results = {
         "typeII_components": [c.to_json() for c in comps],
@@ -237,7 +212,7 @@ def cmd_fixedloci(args):
                       f"vanishes={j['vanishes']}")
     pretty.append(f"  non-nested locus: {points}-point Hilbert scheme"
                   if points >= 0 else "  non-nested locus: empty")
-    return _emit(config, results, checks=[], pretty_lines=pretty)
+    return _emit(args, params, results, checks=[], pretty_lines=pretty)
 
 
 def cmd_localize(args):
@@ -247,7 +222,6 @@ def cmd_localize(args):
               "alpha_pair": args.alpha_pair}
     if args.chi_numbers is not None:
         params["chi_numbers"] = list(args.chi_numbers)
-    config = RunConfig("localize", params, pretty=args.pretty)
     audit_rows = [] if args.audit else None
     try:
         model = from_preset(args.surface)
@@ -264,7 +238,7 @@ def cmd_localize(args):
             jobs=args.jobs,
             audit=audit_rows.append if audit_rows is not None else None)
     except ValueError as exc:
-        return _emit_error(config, exc)
+        return _emit_error(args, params, exc)
     # ratio against the leading nested-conjecture coefficient (1/4) 1/s
     s = REG.var("s")
     lead = (REG.one() / REG.const(4)) / s
@@ -283,7 +257,7 @@ def cmd_localize(args):
               f"  prefactor  {pre.value()}",
               f"  ratio to (1/4)/s: {ratio} "
               f"(pure s-monomial: {mono is not None})"]
-    return _emit(config, results, checks=[], pretty_lines=pretty)
+    return _emit(args, params, results, checks=[], pretty_lines=pretty)
 
 
 def cmd_mochizuki(args):
@@ -292,7 +266,6 @@ def cmd_mochizuki(args):
               "split1": dict(sorted(args.split1.items())),
               "split2": dict(sorted(args.split2.items())),
               "n": args.n, "pg": args.pg}
-    config = RunConfig("mochizuki", params, pretty=args.pretty)
     audit_rows = [] if args.audit else None
     try:
         model = from_preset(args.surface)
@@ -303,27 +276,29 @@ def cmd_mochizuki(args):
             jobs=args.jobs,
             audit=audit_rows.append if audit_rows is not None else None)
     except ValueError as exc:
-        return _emit_error(config, exc)
+        return _emit_error(args, params, exc)
     results = {"value": str(value), "split_budget": budget,
                "empty_split_range": budget < 0}
     if audit_rows is not None:
         results["audit"] = audit_rows
     pretty = [f"  coefficient  {value}",
               f"  length budget after pairing: {budget}"]
-    return _emit(config, results, checks=[], pretty_lines=pretty)
+    return _emit(args, params, results, checks=[], pretty_lines=pretty)
 
 
 def cmd_fit(args):
     params = {"n1": args.n1, "n2": args.n2, "degree_bound": args.degree_bound}
-    config = RunConfig("fit", params, pretty=args.pretty)
+    from . import universal     # only fit needs it
     try:
         configs = universal.battery_configs()
+        # fail before any integral when the monomials outnumber the samples
+        universal.fit_basis(len(configs) - 1, args.degree_bound, FIT_FIELDS)
         samples = universal.typeII_samples(configs, args.n1, args.n2,
                                            jobs=args.jobs)
         train, held = samples[:-1], samples[-1]
         poly = universal.fit_universal(train, args.degree_bound, FIT_FIELDS)
     except ValueError as exc:
-        return _emit_error(config, exc)
+        return _emit_error(args, params, exc)
     held_ok = poly.evaluate(held[0]) == held[1]
     k3_values = [poly.evaluate(universal.ChernNumbers.k3_point(m))
                  for m in (0, 1, 3)]
@@ -350,7 +325,7 @@ def cmd_fit(args):
         pretty.append(f"    {universal._monomial_name(exps):<16} {coeff}")
     pretty.append(f"  held-out ({held_model.name}, {dict(sorted(held_div.items()))}): "
                   f"{'reproduced' if held_ok else 'MISMATCH'}")
-    return _emit(config, results, checks, pretty)
+    return _emit(args, params, results, checks, pretty)
 
 
 # -- parser ----------------------------------------------------------------

@@ -25,17 +25,15 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import Pool
+from typing import NamedTuple
 
 from .eqalg import (DEFAULT_REGISTRY as REG, FactoredScalar, WeightCharacter,
                     chern_part, euler_of_character, factored_sum, residue)
 from .partitions import arm_leg, hilb_fixed_points
 
 
-@dataclass(frozen=True)
-class TwistedBundleSpec:
+class TwistedBundleSpec(NamedTuple):
     """Line bundle data: a divisor class plus integer t and t' twists."""
     divisor: tuple
     t_weight: int = 0
@@ -174,8 +172,7 @@ def tautological_character(fp, bundle, model):
 
 # -- the weight map: one specialisation for every route ---------------------
 
-@dataclass(frozen=True)
-class WeightMap:
+class WeightMap(NamedTuple):
     """Integer map on weight vectors, applied before any polynomial exists.
 
     ``line=None`` is the identity (fully symbolic).  ``line=(a, b)``
@@ -214,6 +211,13 @@ SYMBOLIC = WeightMap()
 
 # -- generic localization sum ----------------------------------------------
 
+def Pool(processes):
+    """A ``multiprocessing`` pool; the module is imported only here, so
+    serial runs never load it."""
+    import multiprocessing
+    return multiprocessing.Pool(processes)
+
+
 def parallel_starmap(fn, args, jobs=1):
     """``[fn(*a) for a in args]`` in order; ``jobs`` > 1 spreads the calls
     over that many pool workers.  ``fn`` and the arguments are pickled, so
@@ -251,8 +255,7 @@ def assemble_sum(model, n1, n2, term_fn, jobs=1, audit=None, wmap=SYMBOLIC):
 PREFACTOR_VARIANTS = ("product", "typeIIB")
 
 
-@dataclass(frozen=True)
-class PrefactorData:
+class PrefactorData(NamedTuple):
     """Numerical inputs of the component prefactor.
 
     ``sign_exponent_doubled`` stores twice the sign exponent so that the

@@ -11,16 +11,15 @@ produces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .eqalg import DEFAULT_REGISTRY as REG
 from .qseries import (HalfQSeries, delta_inverse, goettsche_series,
                       substitute_power, substitute_sqrt)
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(NamedTuple):
     """a * section + b * fiber, integer coefficients."""
     a: int
     b: int
@@ -49,32 +48,30 @@ FIBER = DivisorClass(0, 1)
 ZERO_DIVISOR = DivisorClass(0, 0)
 
 
-@dataclass(frozen=True)
-class EllipticSurface:
+class EllipticSurface(NamedTuple("EllipticSurface", [("k", int)])):
     """Weierstrass fibration with canonical class k * fiber; k = 0 is
     the K3 case."""
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 0:
+    def __new__(cls, k):
+        if k < 0:
             raise ValueError("k must be nonnegative")
+        return super().__new__(cls, k)
 
 
-@dataclass(frozen=True)
-class Polarization:
+class Polarization(NamedTuple("Polarization",
+                                [("t", Fraction), ("u", Fraction)])):
     """t * section + u * fiber with positive rational coefficients."""
-    t: Fraction
-    u: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", Fraction(self.t))
-        object.__setattr__(self, "u", Fraction(self.u))
-        if self.t <= 0 or self.u <= 0:
+    def __new__(cls, t, u):
+        t, u = Fraction(t), Fraction(u)
+        if t <= 0 or u <= 0:
             raise ValueError("polarization coefficients must be positive")
+        return super().__new__(cls, t, u)
 
 
-@dataclass(frozen=True)
-class TypeIIComponent:
+class TypeIIComponent(NamedTuple):
     """One nested component over the K3 fiberwise count."""
     b: int
     n1: int
@@ -87,8 +84,7 @@ class TypeIIComponent:
                 "alpha": self.alpha.to_json(), "vanishes": self.vanishes}
 
 
-@dataclass(frozen=True)
-class TypeIIGeneralComponent:
+class TypeIIGeneralComponent(NamedTuple):
     """Decomposition datum of the general nested enumeration."""
     beta1: DivisorClass
     beta2: DivisorClass

@@ -20,21 +20,18 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SurfaceChernData:
+class SurfaceChernData(NamedTuple):
     """Chern numbers of the model surface."""
     c1_sq: int
     c2: int
     chi_O: int
 
 
-@dataclass(frozen=True)
-class FixedPointChart:
+class FixedPointChart(NamedTuple):
     """One torus fixed point: component and cone indices plus tangent
     weight forms, each a coefficient pair over (e1, e2)."""
     component: int
@@ -309,28 +306,22 @@ def _check_ints(mapping, what, basis=None, depth=1):
 
 
 PRESET_NAMES = ("plane", "quadric", "hirzebruch1", "hirzebruch2", "hirzebruch3")
-
-
-def preset_path(name):
-    env = os.environ.get("DT4_PRESET_DIR")
-    if env:
-        p = os.path.join(env, f"{name}.json")
-        if os.path.exists(p):
-            return p
-    return None
+PRESET_DIR = os.path.join(os.path.dirname(__file__), "presets")
 
 
 def from_preset(name):
-    """Load a packaged or DT4_PRESET_DIR surface model by name."""
-    p = preset_path(name)
-    if p:
-        with open(p, encoding="utf-8") as fh:
-            return ToricSurfaceModel.from_json(json.load(fh))
+    """Load a surface model by name from DT4_PRESET_DIR if it holds the
+    preset, else from the packaged presets next to this module."""
+    env = os.environ.get("DT4_PRESET_DIR")
+    path = os.path.join(env or PRESET_DIR, f"{name}.json")
+    if env and not os.path.exists(path):
+        path = os.path.join(PRESET_DIR, f"{name}.json")
     try:
-        blob = (resources.files("dt4") / "presets" / f"{name}.json").read_text()
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
     except FileNotFoundError:
         raise ValueError(f"unknown surface preset: {name}") from None
-    return ToricSurfaceModel.from_json(json.loads(blob))
+    return ToricSurfaceModel.from_json(data)
 
 
 # -- lattice-point cohomology ----------------------------------------------

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .eqalg import DEFAULT_REGISTRY as REG
 from .localize import (PrefactorData, parallel_starmap,
@@ -30,8 +30,7 @@ FIELDS = ("b1_sq", "b2_sq", "b1_c1", "b2_c1", "b1_D", "b2_D", "b1_b2",
 EPS_LINE = (89, -55)
 
 
-@dataclass(frozen=True)
-class ChernNumbers:
+class ChernNumbers(NamedTuple):
     b1_sq: int
     b2_sq: int
     b1_c1: int
@@ -45,7 +44,7 @@ class ChernNumbers:
     c2: int
 
     def as_vector(self):
-        return tuple(getattr(self, f) for f in FIELDS)
+        return tuple(self)
 
     @classmethod
     def k3_point(cls, m=0):
@@ -135,6 +134,22 @@ class UniversalPolynomial:
         return {"degree_bound": self.degree_bound, "terms": entries}
 
 
+def fit_basis(sample_count, degree_bound, fields=None):
+    """Monomials of a fit over ``fields`` (default all FIELDS) up to the
+    degree bound; raises when they outnumber ``sample_count``, which
+    callers can check before computing any sample."""
+    if fields is None:
+        idx = list(range(len(FIELDS)))
+    else:
+        idx = [FIELDS.index(f) for f in fields]
+    monos = _monomials(degree_bound, idx)
+    if sample_count < len(monos):
+        raise ValueError(
+            f"fit underdetermined: {sample_count} samples for {len(monos)} "
+            f"monomials ({', '.join(_monomial_name(e) for e in monos)})")
+    return monos
+
+
 def fit_universal(samples, degree_bound, fields=None):
     """Solve for the unique polynomial of the given degree matching the
     samples exactly.
@@ -145,11 +160,7 @@ def fit_universal(samples, degree_bound, fields=None):
     without a pivot; coefficients must come out free of the toric chart
     parameters, anything else is reported as an error.
     """
-    if fields is None:
-        idx = list(range(len(FIELDS)))
-    else:
-        idx = [FIELDS.index(f) for f in fields]
-    monos = _monomials(degree_bound, idx)
+    monos = fit_basis(len(samples), degree_bound, fields)
     rows = []
     rhs = []
     for cn, val in samples:
@@ -158,11 +169,6 @@ def fit_universal(samples, degree_bound, fields=None):
         rhs.append(val)
     ncols = len(monos)
     nrows = len(rows)
-    if nrows < ncols:
-        raise ValueError(
-            f"fit underdetermined: {nrows} samples for {ncols} monomials "
-            f"({', '.join(_monomial_name(e) for e in monos)})")
-
     piv_of_col = _eliminate(rows, rhs, ncols)
     missing = [c for c in range(ncols) if c not in piv_of_col]
     if missing:

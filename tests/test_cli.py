@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import dt4
-from dt4 import cli
+from dt4 import cli, universal
 
 
 def run(capsys, argv):
@@ -214,6 +214,17 @@ def test_fit_rank_deficient_named_error(capsys):
     assert code == 1
     assert report["error"]["type"] == "ValueError"
     assert "underdetermined" in report["error"]["message"]
+
+
+def test_fit_underdetermined_fails_before_integrating(capsys, monkeypatch):
+    def no_samples(*args, **kwargs):
+        raise AssertionError("battery integrated for an underdetermined fit")
+    monkeypatch.setattr(universal, "typeII_samples", no_samples)
+    code, report, _ = run_json(capsys, ["fit", "--n1", "1", "--n2", "1",
+                                        "--degree-bound", "3"])
+    assert code == 1
+    assert report["error"]["message"].startswith(
+        "fit underdetermined: 28 samples for 35 monomials (1, c2, ")
 
 
 def test_fit_audit(capsys):

@@ -1,0 +1,92 @@
+"""What ``import dt4.cli`` loads, and the names perfbench's tracer rebinds.
+
+Both tests run in fresh interpreters: one to see a clean ``sys.modules``,
+the other so that the tracer's patches never reach other tests.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import dt4
+
+SRC = os.path.dirname(os.path.dirname(dt4.__file__))
+TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "perfbench", "tracer.py")
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+# multiprocessing comes with a pool and dt4.universal with fit; the rest never
+NOT_AT_IMPORT = ("multiprocessing", "dataclasses", "inspect", "dt4.universal")
+
+FOOTPRINT_SCRIPT = f"""
+import json, sys
+before = set(sys.modules)
+import dt4.cli
+loaded = sorted(m for m in {NOT_AT_IMPORT!r}
+                if m in sys.modules and m not in before)
+import dt4
+unresolved = [n for n in dt4.__all__ if not hasattr(dt4, n)]
+from dt4 import *
+print(json.dumps({{"loaded": loaded, "unresolved": unresolved}}))
+"""
+
+
+def run_python(code, *args):
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=ENV,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_footprint():
+    got = run_python(FOOTPRINT_SCRIPT)
+    assert got == {"loaded": [], "unresolved": []}
+
+
+# Runs COMMANDS through cli.main, with the tracer installed when argv[2]
+# is "1"; prints each command's exit code, report and span names.
+TRACED_SCRIPT = """
+import contextlib, importlib.util, io, json, os, sys
+spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+os.cpu_count = lambda: 2        # --jobs 2 makes a pool on any machine
+tr = tracer.Tracer("t")
+if sys.argv[2] == "1":
+    tracer.install(tr)
+from dt4 import cli
+out = []
+for argv in json.loads(sys.argv[3]):
+    mark = len(tr.spans)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    out.append([code, buf.getvalue(),
+                sorted({s[0] for s in tr.spans[mark:]})])
+print(json.dumps(out))
+"""
+
+COMMANDS = [
+    (["localize", "--surface", "plane", "--divisor", "H=1", "--n1", "1",
+      "--n2", "0"], {"surfaces.from_preset", "localize.integral"}),
+    (["mochizuki", "--n", "1"], {"surfaces.from_preset", "localize.integral"}),
+    # its integrals run in pool workers, whose spans stay there
+    (["fit", "--n1", "1", "--n2", "0", "--degree-bound", "1", "--jobs", "2"],
+     {"surfaces.from_preset", "universal.fit_universal", "localize.pool"}),
+    (["zseries", "--order", "10"], {"moduli.z_typeI_series"}),
+]
+
+
+def test_tracer_rebinds_what_commands_call():
+    argvs = json.dumps([argv for argv, _ in COMMANDS])
+    plain = run_python(TRACED_SCRIPT, TRACER, "0", argvs)
+    traced = run_python(TRACED_SCRIPT, TRACER, "1", argvs)
+    for (argv, spans), (code, out, none), (tcode, tout, names) in zip(
+            COMMANDS, plain, traced):
+        assert code == tcode == 0, argv
+        assert tout == out, argv
+        assert none == []
+        # a name imported inside a function would escape the tracer
+        assert spans <= set(names), (argv, names)
