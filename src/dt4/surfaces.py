@@ -18,6 +18,7 @@ denominators nonzero because no character ever mixes components.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from fractions import Fraction
@@ -51,6 +52,34 @@ class _FanComponent:
         # basis divisor name -> per-ray integer coefficients
         self.ray_coeffs = {k: tuple(v) for k, v in ray_coeffs.items()}
 
+    def divisor_coeffs(self, d):
+        """Per-ray coefficients of the divisor map ``d`` on this fan."""
+        coeffs = [0] * len(self.rays)
+        for k, c in d.items():
+            rc = self.ray_coeffs.get(k)
+            if rc is not None:
+                for r in range(len(coeffs)):
+                    coeffs[r] += c * rc[r]
+        return coeffs
+
+    def cone_weight(self, cone, a, b):
+        """The integral m with <m, v_i> = a and <m, v_j> = b, cone (i, j)."""
+        i, j = self.cones[cone]
+        return _as_int_pair(*_solve2(self.rays[i], self.rays[j], a, b))
+
+    def dual_basis(self, cone):
+        """Tangent weight forms at a cone: its dual basis (m1, m2)."""
+        return self.cone_weight(cone, 1, 0), self.cone_weight(cone, 0, 1)
+
+    def basis_weight(self, k, cone):
+        """Fiber weight form -m_p(D_k) of O(D_k) at a cone."""
+        a = self.ray_coeffs.get(k)
+        if a is None:
+            return (0, 0)
+        i, j = self.cones[cone]
+        m = self.cone_weight(cone, -a[i], -a[j])
+        return (-m[0], -m[1])
+
 
 def _solve2(v1, v2, b1, b2):
     """Solve m·v1 = b1, m·v2 = b2 for m, exactly."""
@@ -80,7 +109,11 @@ class ToricSurfaceModel:
         self.pairing = {k: dict(v) for k, v in pairing.items()}
         self.canonical = dict(canonical)
         self.chern = chern
-        self._bundle_cache = {}
+        # basis divisor name -> its fiber weight form at every fixed point
+        self._basis_weights = {
+            k: [components[fp.component].basis_weight(k, fp.cone)
+                for fp in fixed_points]
+            for k in self.basis}
         self._coh_cache = {}
 
     # -- construction ------------------------------------------------------
@@ -92,11 +125,8 @@ class ToricSurfaceModel:
         n = len(rays)
         cones = [(i, (i + 1) % n) for i in range(n)]
         comp = _FanComponent(rays, cones, ray_coeffs)
-        fps = []
-        for ci, (i, j) in enumerate(cones):
-            m1 = _as_int_pair(*_solve2(rays[i], rays[j], 1, 0))
-            m2 = _as_int_pair(*_solve2(rays[i], rays[j], 0, 1))
-            fps.append(FixedPointChart(0, ci, m1, m2))
+        fps = [FixedPointChart(0, ci, *comp.dual_basis(ci))
+               for ci in range(n)]
         return cls(name, [comp], fps, sorted(ray_coeffs), pairing, canonical,
                    chern)
 
@@ -143,32 +173,13 @@ class ToricSurfaceModel:
         fp = self.fixed_points[i]
         return fp.w1, fp.w2
 
-    def bundle_weight(self, d, i):
-        """Fiber weight form of O(d) at fixed point i, over (e1, e2)."""
-        d = self.check_divisor(d)
-        w = (0, 0)
-        for k, c in d.items():
-            bw = self._basis_bundle_weight(k, i)
-            w = (w[0] + c * bw[0], w[1] + c * bw[1])
-        return w
-
-    def _basis_bundle_weight(self, k, i):
-        key = (k, i)
-        cached = self._bundle_cache.get(key)
-        if cached is not None:
-            return cached
-        fp = self.fixed_points[i]
-        comp = self.components[fp.component]
-        coeffs = comp.ray_coeffs.get(k)
-        if coeffs is None:
-            w = (0, 0)
-        else:
-            r1, r2 = comp.cones[fp.cone]
-            m = _solve2(comp.rays[r1], comp.rays[r2], -coeffs[r1], -coeffs[r2])
-            mp = _as_int_pair(*m)
-            w = (-mp[0], -mp[1])
-        self._bundle_cache[key] = w
-        return w
+    def bundle_weights(self, d):
+        """Fiber weight forms of O(d) at every fixed point, over (e1, e2)."""
+        out = [(0, 0)] * self.euler_char
+        for k, c in self.check_divisor(d).items():
+            out = [(x + c * a, y + c * b)
+                   for (x, y), (a, b) in zip(out, self._basis_weights[k])]
+        return out
 
     # -- sheaf cohomology --------------------------------------------------
 
@@ -185,12 +196,7 @@ class ToricSurfaceModel:
             return dict(cached)
         out = {}
         for comp in self.components:
-            coeffs = [0] * len(comp.rays)
-            for k, c in d.items():
-                rc = comp.ray_coeffs.get(k)
-                if rc is not None:
-                    for r in range(len(coeffs)):
-                        coeffs[r] += c * rc[r]
+            coeffs = comp.divisor_coeffs(d)
             for (m, mult) in _lattice_cohomology(comp.rays, coeffs):
                 w = (-m[0], -m[1])
                 n = out.get(w, 0) + mult
@@ -203,9 +209,8 @@ class ToricSurfaceModel:
 
     # -- composition -------------------------------------------------------
 
-    def disjoint_union(self, other, prefixes=("a.", "b.")):
-        """Blockwise union; basis names get the given prefixes."""
-        pa, pb = prefixes
+    def disjoint_union(self, other):
+        """Blockwise union; basis names get the prefixes "a." and "b."."""
 
         def relabel(model, prefix, comp_offset):
             comps = [_FanComponent(c.rays, c.cones,
@@ -220,8 +225,8 @@ class ToricSurfaceModel:
             canonical = {prefix + k: v for k, v in model.canonical.items()}
             return comps, fps, basis, pairing, canonical
 
-        ca, fa, ba, paira, kana = relabel(self, pa, 0)
-        cb, fb, bb, pairb, kanb = relabel(other, pb, len(self.components))
+        ca, fa, ba, paira, kana = relabel(self, "a.", 0)
+        cb, fb, bb, pairb, kanb = relabel(other, "b.", len(self.components))
         chern = SurfaceChernData(self.chern.c1_sq + other.chern.c1_sq,
                                  self.chern.c2 + other.chern.c2,
                                  self.chern.chi_O + other.chern.chi_O)
@@ -239,9 +244,8 @@ class ToricSurfaceModel:
             "name": self.name,
             "fixed_points": [{"w1": list(fp.w1), "w2": list(fp.w2)}
                              for fp in self.fixed_points],
-            "bundles": {k: {"weights": [list(self.bundle_weight({k: 1}, i))
-                                        for i in range(self.euler_char)]}
-                        for k in self.basis},
+            "bundles": {k: {"weights": [list(w) for w in ws]}
+                        for k, ws in self._basis_weights.items()},
             "chern": {"c1_sq": self.chern.c1_sq, "c2": self.chern.c2,
                       "chi_O": self.chern.chi_O},
             "pairing": {k1: dict(row) for k1, row in self.pairing.items()},
@@ -272,10 +276,7 @@ class ToricSurfaceModel:
         fps = []
         for ci, fp in enumerate(data["fixed_points"]):
             w1, w2 = tuple(fp["w1"]), tuple(fp["w2"])
-            i, j = comp.cones[ci]
-            m1 = _as_int_pair(*_solve2(comp.rays[i], comp.rays[j], 1, 0))
-            m2 = _as_int_pair(*_solve2(comp.rays[i], comp.rays[j], 0, 1))
-            if (w1, w2) != (m1, m2):
+            if (w1, w2) != comp.dual_basis(ci):
                 raise ValueError(f"preset {data['name']}: stored weights at "
                                  f"point {ci} disagree with cone {comp.cones[ci]}")
             fps.append(FixedPointChart(0, ci, w1, w2))
@@ -285,7 +286,7 @@ class ToricSurfaceModel:
         # stored bundle weights double as a consistency check on the fan
         for k, rec in data["bundles"].items():
             for i, w in enumerate(rec["weights"]):
-                if tuple(w) != model.bundle_weight({k: 1}, i):
+                if tuple(w) != model._basis_weights[k][i]:
                     raise ValueError(f"preset {data['name']}: stored weight of "
                                      f"{k} at point {i} disagrees with its fan")
         return model
@@ -312,6 +313,8 @@ PRESET_DIR = os.path.join(os.path.dirname(__file__), "presets")
 def from_preset(name):
     """Load a surface model by name from DT4_PRESET_DIR if it holds the
     preset, else from the packaged presets next to this module."""
+    if os.path.basename(name) != name:
+        raise ValueError(f"unknown surface preset: {name}")
     env = os.environ.get("DT4_PRESET_DIR")
     path = os.path.join(env or PRESET_DIR, f"{name}.json")
     if env and not os.path.exists(path):
@@ -367,7 +370,7 @@ def _lattice_cohomology(rays, coeffs):
 
 # -- validation oracles ----------------------------------------------------
 
-def validate_model(model, divisor_box=2):
+def validate_model(model):
     """Cross-check a model's declared data against independent routes.
 
     Raises AssertionError with a diagnostic on any mismatch.  Checks:
@@ -389,7 +392,7 @@ def validate_model(model, divisor_box=2):
     assert triv == {(0, 0): len(model.components)}, \
         f"{model.name}: cohomology of O is {triv}"
 
-    div_iter = _divisor_samples(model, divisor_box)
+    div_iter = _divisor_samples(model)
     eps = (Fraction(97, 89), Fraction(-61, 53))
     for d in div_iter:
         coh = model.cohomology_character(d)
@@ -399,12 +402,7 @@ def validate_model(model, divisor_box=2):
         # character-level Serre duality per component, with the canonical
         # linearization a_r = -1 on every ray
         for comp in model.components:
-            coeffs = [0] * len(comp.rays)
-            for k, c in d.items():
-                rc = comp.ray_coeffs.get(k)
-                if rc is not None:
-                    for r in range(len(coeffs)):
-                        coeffs[r] += c * rc[r]
+            coeffs = comp.divisor_coeffs(d)
             here = {}
             for m, mult in _lattice_cohomology(comp.rays, coeffs):
                 here[m] = here.get(m, 0) + mult
@@ -419,12 +417,12 @@ def validate_model(model, divisor_box=2):
     for k1 in model.basis:
         for k2 in model.basis:
             total = Fraction(0)
-            for i in range(model.euler_char):
-                w1, w2 = model.tangent_weights(i)
+            for fp, b1, b2 in zip(model.fixed_points,
+                                  model.bundle_weights({k1: 1}),
+                                  model.bundle_weights({k2: 1})):
+                w1, w2 = fp.w1, fp.w2
                 den = ((w1[0] * eps[0] + w1[1] * eps[1])
                        * (w2[0] * eps[0] + w2[1] * eps[1]))
-                b1 = model.bundle_weight({k1: 1}, i)
-                b2 = model.bundle_weight({k2: 1}, i)
                 num = ((b1[0] * eps[0] + b1[1] * eps[1])
                        * (b2[0] * eps[0] + b2[1] * eps[1]))
                 total += num / den
@@ -433,14 +431,9 @@ def validate_model(model, divisor_box=2):
                 f"{model.name}: localized {k1}.{k2} = {total} != {expected}"
 
 
-def _divisor_samples(model, box):
+def _divisor_samples(model):
+    """Every divisor with coefficients in [-2, 2] on the first two basis
+    divisors."""
     names = model.basis[:2]
-    out = []
-    if len(names) == 1:
-        for a in range(-box, box + 1):
-            out.append({names[0]: a})
-    else:
-        for a in range(-box, box + 1):
-            for b in range(-box, box + 1):
-                out.append({names[0]: a, names[1]: b})
-    return [model.check_divisor(d) for d in out]
+    return [model.check_divisor(dict(zip(names, coeffs)))
+            for coeffs in itertools.product(range(-2, 3), repeat=len(names))]

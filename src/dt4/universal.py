@@ -134,15 +134,11 @@ class UniversalPolynomial:
         return {"degree_bound": self.degree_bound, "terms": entries}
 
 
-def fit_basis(sample_count, degree_bound, fields=None):
-    """Monomials of a fit over ``fields`` (default all FIELDS) up to the
+def fit_basis(sample_count, degree_bound, fields):
+    """Monomials of a fit over ``fields`` (a subset of FIELDS) up to the
     degree bound; raises when they outnumber ``sample_count``, which
     callers can check before computing any sample."""
-    if fields is None:
-        idx = list(range(len(FIELDS)))
-    else:
-        idx = [FIELDS.index(f) for f in fields]
-    monos = _monomials(degree_bound, idx)
+    monos = _monomials(degree_bound, [FIELDS.index(f) for f in fields])
     if sample_count < len(monos):
         raise ValueError(
             f"fit underdetermined: {sample_count} samples for {len(monos)} "
@@ -150,12 +146,12 @@ def fit_basis(sample_count, degree_bound, fields=None):
     return monos
 
 
-def fit_universal(samples, degree_bound, fields=None):
+def fit_universal(samples, degree_bound, fields):
     """Solve for the unique polynomial of the given degree matching the
     samples exactly.
 
     ``samples`` is a list of (ChernNumbers, scalar value).  ``fields``
-    restricts the monomial basis to a subset of FIELDS (default all).
+    restricts the monomial basis to a subset of FIELDS.
     Underdetermined or inconsistent systems raise, naming the monomials
     without a pivot; coefficients must come out free of the toric chart
     parameters, anything else is reported as an error.
@@ -219,7 +215,7 @@ def _eliminate(rows, rhs, ncols):
 
 # -- test-surface battery ---------------------------------------------------
 
-def battery_configs(include_unions=True):
+def battery_configs():
     """Deterministic list of (model, bundle divisor) configurations
     covering the presets, a spread of divisors, and disjoint unions
     (the unions break the fixed linear relation between c1 squared and
@@ -240,22 +236,20 @@ def battery_configs(include_unions=True):
         (h2, {"C0": 1, "F": 2}), (h2, {"C0": 1, "F": 3}),
         (h3, {"C0": 1, "F": 3}), (h3, {"C0": 1, "F": 4}),
     ]
-    if include_unions:
-        pq = plane.disjoint_union(quadric)
-        pp = plane.disjoint_union(plane)
-        qq = quadric.disjoint_union(quadric)
-        ppp = pp.disjoint_union(plane)
-        ppq = pp.disjoint_union(quadric)
-        configs += [
-            (pq, {"a.H": 1}), (pq, {"a.H": 1, "b.A": 1, "b.B": 1}),
-            (pq, {"a.H": 2, "b.A": 1}),
-            (pp, {"a.H": 1}), (pp, {"a.H": 1, "b.H": 1}),
-            (pp, {"a.H": 2, "b.H": 1}),
-            (qq, {"a.A": 1, "b.B": 1}), (qq, {"a.A": 1, "a.B": 1, "b.A": 1}),
-            (ppp, {"a.a.H": 1, "b.H": 1}), (ppp, {"a.a.H": 1, "a.b.H": 2}),
-            (ppq, {"a.a.H": 1, "b.A": 1}), (ppq, {"a.b.H": 2, "b.B": 1}),
-        ]
-    return configs
+    pq = plane.disjoint_union(quadric)
+    pp = plane.disjoint_union(plane)
+    qq = quadric.disjoint_union(quadric)
+    ppp = pp.disjoint_union(plane)
+    ppq = pp.disjoint_union(quadric)
+    return configs + [
+        (pq, {"a.H": 1}), (pq, {"a.H": 1, "b.A": 1, "b.B": 1}),
+        (pq, {"a.H": 2, "b.A": 1}),
+        (pp, {"a.H": 1}), (pp, {"a.H": 1, "b.H": 1}),
+        (pp, {"a.H": 2, "b.H": 1}),
+        (qq, {"a.A": 1, "b.B": 1}), (qq, {"a.A": 1, "a.B": 1, "b.A": 1}),
+        (ppp, {"a.a.H": 1, "b.H": 1}), (ppp, {"a.a.H": 1, "a.b.H": 2}),
+        (ppq, {"a.a.H": 1, "b.A": 1}), (ppq, {"a.b.H": 2, "b.B": 1}),
+    ]
 
 
 def typeII_samples(configs, n1, n2, jobs=1):

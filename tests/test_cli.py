@@ -167,6 +167,18 @@ def test_localize_bad_inputs(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name", [
+    os.path.join(os.path.dirname(dt4.__file__), "presets", "plane"),
+    "../presets/plane"], ids=["absolute", "relative"])
+def test_surface_is_a_preset_name_not_a_path(name, capsys):
+    # both paths lead to a real preset file; only DT4_PRESET_DIR adds presets
+    for argv in (["localize", "--n1", "1"], ["mochizuki", "--n", "1"]):
+        code, report, _ = run_json(capsys, argv + ["--surface", name])
+        assert code == 1
+        assert report["error"] == {"type": "ValueError", "message":
+                                   f"unknown surface preset: {name}"}
+
+
 def test_localize_variant_flag(capsys):
     base = run_json(capsys, ["localize", "--surface", "quadric",
                              "--divisor", "A=1,B=1"])[1]

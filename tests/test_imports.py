@@ -46,7 +46,8 @@ def test_cli_import_footprint():
 
 
 # Runs COMMANDS through cli.main, with the tracer installed when argv[2]
-# is "1"; prints each command's exit code, report and span names.
+# is "1"; prints each command's exit code, report, span names and the
+# tracer's call counts.
 TRACED_SCRIPT = """
 import contextlib, importlib.util, io, json, os, sys
 spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
@@ -59,34 +60,41 @@ if sys.argv[2] == "1":
 from dt4 import cli
 out = []
 for argv in json.loads(sys.argv[3]):
-    mark = len(tr.spans)
+    mark, calls = len(tr.spans), dict(tr.calls)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(argv)
     out.append([code, buf.getvalue(),
-                sorted({s[0] for s in tr.spans[mark:]})])
+                sorted({s[0] for s in tr.spans[mark:]}),
+                {k: v - calls.get(k, 0) for k, v in tr.calls.items()}])
 print(json.dumps(out))
 """
 
+# (argv, spans it must record, its localize.characters count or None);
+# a character that called another by name would be counted twice
 COMMANDS = [
     (["localize", "--surface", "plane", "--divisor", "H=1", "--n1", "1",
-      "--n2", "0"], {"surfaces.from_preset", "localize.integral"}),
-    (["mochizuki", "--n", "1"], {"surfaces.from_preset", "localize.integral"}),
+      "--n2", "0"], {"surfaces.from_preset", "localize.integral"}, 24),
+    (["mochizuki", "--n", "1"], {"surfaces.from_preset", "localize.integral"},
+     33),
     # its integrals run in pool workers, whose spans stay there
     (["fit", "--n1", "1", "--n2", "0", "--degree-bound", "1", "--jobs", "2"],
-     {"surfaces.from_preset", "universal.fit_universal", "localize.pool"}),
-    (["zseries", "--order", "10"], {"moduli.z_typeI_series"}),
+     {"surfaces.from_preset", "universal.fit_universal", "localize.pool"},
+     None),
+    (["zseries", "--order", "10"], {"moduli.z_typeI_series"}, None),
 ]
 
 
 def test_tracer_rebinds_what_commands_call():
-    argvs = json.dumps([argv for argv, _ in COMMANDS])
+    argvs = json.dumps([argv for argv, _, _ in COMMANDS])
     plain = run_python(TRACED_SCRIPT, TRACER, "0", argvs)
     traced = run_python(TRACED_SCRIPT, TRACER, "1", argvs)
-    for (argv, spans), (code, out, none), (tcode, tout, names) in zip(
-            COMMANDS, plain, traced):
+    for (argv, spans, characters), (code, out, none, _), \
+            (tcode, tout, names, calls) in zip(COMMANDS, plain, traced):
         assert code == tcode == 0, argv
         assert tout == out, argv
         assert none == []
         # a name imported inside a function would escape the tracer
         assert spans <= set(names), (argv, names)
+        if characters is not None:
+            assert calls["localize.characters"] == characters, argv

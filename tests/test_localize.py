@@ -13,7 +13,7 @@ from dt4.localize import (SYMBOLIC, PrefactorData, TwistedBundleSpec,
                           pure_s_monomial, tangent_character,
                           tautological_character, twisted_tangent_character,
                           typeII_component_integral)
-from dt4.partitions import hilb_fixed_points
+from dt4.partitions import HilbFixedPoint, hilb_fixed_points
 from dt4.surfaces import from_preset
 
 from oracles import tangent_weights_oracle
@@ -108,6 +108,37 @@ def test_tautological_character():
     tw = tautological_character(fp, {"H": 1}, PLANE)
     assert plain.rank() == tw.rank() == 1
     assert plain.weights != tw.weights
+
+
+@pytest.mark.parametrize("left,right", [("plane", "hirzebruch2"),
+                                        ("quadric", "hirzebruch1")])
+def test_characters_add_over_disjoint_unions(left, right):
+    a, b = from_preset(left), from_preset(right)
+    union = a.disjoint_union(b)
+    da = {k: i + 1 for i, k in enumerate(a.basis)}
+    db = {k: 1 - 2 * i for i, k in enumerate(b.basis)}
+    du = {**{"a." + k: v for k, v in da.items()},
+          **{"b." + k: v for k, v in db.items()}}
+    sa, sb, su = (TwistedBundleSpec.make(d, 1, -2) for d in (da, db, du))
+    points = [(fa, fb)
+              for fa in [p for n in range(3) for p in hilb_fixed_points(a, n)]
+              for fb in [p for n in range(2) for p in hilb_fixed_points(b, n)]]
+
+    def joined(fa, fb):
+        return HilbFixedPoint(fa.assignment + fb.assignment)
+
+    for fa, fb in points:
+        fu = joined(fa, fb)
+        assert (tangent_character(fu, union)
+                == tangent_character(fa, a) + tangent_character(fb, b))
+        for char in (twisted_tangent_character, tautological_character):
+            assert char(fu, su, union) == char(fa, sa, a) + char(fb, sb, b)
+    for (fa1, fb1), (fa2, fb2) in zip(points + points,
+                                      points + points[::-1]):
+        f1, f2 = joined(fa1, fb1), joined(fa2, fb2)
+        for char in (chi_character, difference_character):
+            assert (char(f1, f2, su, union)
+                    == char(fa1, fa2, sa, a) + char(fb1, fb2, sb, b))
 
 
 # -- prefactors ------------------------------------------------------------

@@ -139,12 +139,11 @@ def test_tangent_weights_are_dual_bases():
 
 def test_bundle_weight_linearity():
     model = from_preset("quadric")
-    for i in range(len(model.fixed_points)):
-        wa = model.bundle_weight({"A": 1}, i)
-        wb = model.bundle_weight({"B": 1}, i)
-        wab = model.bundle_weight({"A": 2, "B": -1}, i)
-        assert wab == (2 * wa[0] - wb[0], 2 * wa[1] - wb[1])
-    assert model.bundle_weight({}, 0) == (0, 0)
+    wa = model.bundle_weights({"A": 1})
+    wb = model.bundle_weights({"B": 1})
+    assert model.bundle_weights({"A": 2, "B": -1}) == [
+        (2 * a[0] - b[0], 2 * a[1] - b[1]) for a, b in zip(wa, wb)]
+    assert model.bundle_weights({}) == [(0, 0)] * 4
 
 
 def test_disjoint_union():

@@ -57,7 +57,7 @@ def main():
     out_dir.mkdir(parents=True, exist_ok=True)
     models = [plane(), quadric(), hirzebruch(1), hirzebruch(2), hirzebruch(3)]
     for model in models:
-        validate_model(model, divisor_box=2)
+        validate_model(model)
         blob = model.to_json()
         # round trip through the loader before shipping
         ToricSurfaceModel.from_json(json.loads(json.dumps(blob)))
