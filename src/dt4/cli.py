@@ -421,6 +421,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # exact values outgrow Python's int/str digit limit; argv integers
+    # above were still parsed under it
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     return args.func(args)
 
 

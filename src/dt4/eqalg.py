@@ -490,7 +490,7 @@ def _truncated_product(a, b):
 
 
 def chern_part(char, k):
-    """Degree ``k`` part of the total Chern class of the character.
+    """Degree ``k`` part of the total Chern class of the character: a Poly.
 
     The total class is the product over weights w of (1 + w)^mult, with
     negative multiplicities expanded as formal power series.  Zero weights
@@ -502,4 +502,4 @@ def chern_part(char, k):
             lf = Poly.linear_form(w)
             coeffs = _truncated_product(
                 coeffs, [lf ** j * binom(m, j) for j in range(k + 1)])
-    return EqScalar(coeffs[k], _canonical=True)
+    return coeffs[k]

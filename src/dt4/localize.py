@@ -257,7 +257,6 @@ class PrefactorData(NamedTuple):
     chi_L: int
     chi_Linv: int
     sign_exponent_doubled: int
-    variant: str = "product"
 
     @classmethod
     def from_model(cls, model, L_divisor, variant="product", alpha_pair=0):
@@ -280,7 +279,7 @@ class PrefactorData(NamedTuple):
         doubled = D_c1 + 3 * D_sq
         if variant == "typeIIB":
             doubled += -2 * alpha_pair
-        return cls(chi_L2, chi_L, chi_Linv, doubled, variant)
+        return cls(chi_L2, chi_L, chi_Linv, doubled)
 
     def value(self):
         if self.sign_exponent_doubled % 2:
@@ -344,7 +343,7 @@ def _typeII_term(model, l_t, m_k2l, m_kl, m_negl, n, wmap, fp1, fp2):
             - difference_character(fp1, fp2, m_negl, model)
             - tangent_character(fp1, model)
             - tangent_character(fp2, model))
-    return euler_of_character(wmap(char), top.num)
+    return euler_of_character(wmap(char), top)
 
 
 # -- Mochizuki-style residue coefficients ----------------------------------

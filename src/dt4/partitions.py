@@ -111,21 +111,15 @@ class HilbFixedPoint:
         return f"HilbFixedPoint{tuple(p.parts for p in self.assignment)!r}"
 
 
-def _chart_count(model):
-    if isinstance(model, int):
-        return model
-    return len(model.fixed_points)
-
 def hilb_fixed_points(model, n):
-    """All monomial fixed points of the Hilbert scheme of n points.
-
-    ``model`` is a toric surface model or a bare chart count.  Order is
-    deterministic: lexicographic over charts, with each chart running
-    through larger partition sizes first and reverse-lex within a size.
+    """All monomial fixed points of the Hilbert scheme of n points on a
+    toric surface model.  Order is deterministic: lexicographic over
+    charts, with each chart running through larger partition sizes first
+    and reverse-lex within a size.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    k = _chart_count(model)
+    k = len(model.fixed_points)
     out = []
 
     def rec(idx, remaining, acc):
@@ -137,7 +131,5 @@ def hilb_fixed_points(model, n):
             for lam in partitions_of(size):
                 rec(idx + 1, remaining - size, acc + [lam])
 
-    if k == 0:
-        return [HilbFixedPoint(())] if n == 0 else []
     rec(0, n, [])
     return out

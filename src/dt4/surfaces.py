@@ -123,6 +123,8 @@ class ToricSurfaceModel:
         """Build a one-component model; cones are consecutive ray pairs,
         rays listed counterclockwise."""
         n = len(rays)
+        if n < 3:
+            raise ValueError(f"fan of {name} has {n} rays, fewer than three")
         cones = [(i, (i + 1) % n) for i in range(n)]
         comp = _FanComponent(rays, cones, ray_coeffs)
         fps = [FixedPointChart(0, ci, *comp.dual_basis(ci))
@@ -135,12 +137,6 @@ class ToricSurfaceModel:
         return len(self.fixed_points)
 
     # -- divisor arithmetic ------------------------------------------------
-
-    def divisor(self, **coeffs):
-        unknown = set(coeffs) - set(self.basis)
-        if unknown:
-            raise ValueError(f"unknown basis divisors: {sorted(unknown)}")
-        return {k: int(v) for k, v in coeffs.items() if v}
 
     def check_divisor(self, d):
         unknown = set(d) - set(self.basis)
@@ -168,10 +164,6 @@ class ToricSurfaceModel:
         return self.chern.chi_O + (self.pair(d, d) - self.pair(d, k)) // 2
 
     # -- per-fixed-point weights -------------------------------------------
-
-    def tangent_weights(self, i):
-        fp = self.fixed_points[i]
-        return fp.w1, fp.w2
 
     def bundle_weights(self, d):
         """Fiber weight forms of O(d) at every fixed point, over (e1, e2)."""
@@ -267,28 +259,19 @@ class ToricSurfaceModel:
 
     @classmethod
     def _from_json(cls, data):
-        basis = sorted(data["bundles"])
+        """Model from its fan; stored entries must equal ``to_json``'s."""
+        fan = data["fan"]
+        basis = sorted(fan["ray_coeffs"])
         _check_ints(data["chern"], "chern")
         _check_ints(data["canonical"], "canonical", basis)
         _check_ints(data["pairing"], "pairing", basis, depth=2)
-        fan = data["fan"]
-        comp = _FanComponent(fan["rays"], fan["cones"], fan["ray_coeffs"])
-        fps = []
-        for ci, fp in enumerate(data["fixed_points"]):
-            w1, w2 = tuple(fp["w1"]), tuple(fp["w2"])
-            if (w1, w2) != comp.dual_basis(ci):
-                raise ValueError(f"preset {data['name']}: stored weights at "
-                                 f"point {ci} disagree with cone {comp.cones[ci]}")
-            fps.append(FixedPointChart(0, ci, w1, w2))
-        chern = SurfaceChernData(**data["chern"])
-        model = cls(data["name"], [comp], fps, basis, data["pairing"],
-                    data["canonical"], chern)
-        # stored bundle weights double as a consistency check on the fan
-        for k, rec in data["bundles"].items():
-            for i, w in enumerate(rec["weights"]):
-                if tuple(w) != model._basis_weights[k][i]:
-                    raise ValueError(f"preset {data['name']}: stored weight of "
-                                     f"{k} at point {i} disagrees with its fan")
+        model = cls.from_fan(data["name"], fan["rays"], fan["ray_coeffs"],
+                             data["pairing"], data["canonical"],
+                             SurfaceChernData(**data["chern"]))
+        for key, derived in model.to_json().items():
+            if data[key] != derived:
+                raise ValueError(f"malformed preset: {data['name']} stores "
+                                 f"{key} that disagree with its fan")
         return model
 
 

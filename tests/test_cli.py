@@ -10,6 +10,8 @@ import pytest
 import dt4
 from dt4 import cli, universal
 
+from test_surfaces import inconsistent_presets, packaged_preset
+
 
 def run(capsys, argv):
     code = cli.main(argv)
@@ -273,6 +275,25 @@ def test_fit_degree_bound_validation(capsys):
     assert parser.parse_args(["fit", "--degree-bound", "0"]).degree_bound == 0
 
 
+def run_process(args):
+    """Run a fresh Python interpreter, with this dt4 importable."""
+    src = os.path.dirname(os.path.dirname(dt4.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable] + args, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_exact_value_longer_than_the_int_str_limit():
+    # 2^chi(2H) in the prefactor has over 6,000 digits; Python refuses to
+    # print integers above 4,300 digits unless the CLI lifts that limit
+    proc = run_process(["-m", "dt4.cli", "localize", "--divisor", "H=100",
+                        "--n1", "0"])
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(json.loads(proc.stdout)["results"]["value"]) > 4300
+
+
 # sets the start method before dt4 runs, as a user's own script would
 START_METHOD_SCRIPT = ("import multiprocessing, sys\n"
                        "multiprocessing.set_start_method(sys.argv[1])\n"
@@ -289,35 +310,51 @@ START_METHOD_SCRIPT = ("import multiprocessing, sys\n"
 def test_jobs_under_every_start_method(command, method, capsys):
     code, serial, _ = run(capsys, command + ["--jobs", "1"])
     assert code == 0
-    src = os.path.dirname(os.path.dirname(dt4.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     # two workers (fewer if the machine has fewer CPUs)
-    proc = subprocess.run([sys.executable, "-c", START_METHOD_SCRIPT, method]
-                          + command + ["--jobs", "2"], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_process(["-c", START_METHOD_SCRIPT, method] + command
+                       + ["--jobs", "2"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == serial
 
 
 def test_malformed_preset_is_a_domain_error(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("DT4_PRESET_DIR", str(tmp_path))
-    for blob in ('{"name": "plane"}', '[1, 2]',
-                 '{"name": "plane", "fixed_points": 3, "bundles": {},'
-                 ' "chern": {}, "pairing": {}, "canonical": {},'
-                 ' "fan": {"rays": [], "cones": [], "ray_coeffs": {}}}'):
-        (tmp_path / "plane.json").write_text(blob)
-        code, report, _ = run_json(capsys, ["localize", "--surface", "plane",
-                                            "--divisor", "H=1", "--n1", "1"])
+    cases = [("plane", blob) for blob in (
+        '{"name": "plane"}', '[1, 2]',
+        '{"name": "plane", "fixed_points": 3, "bundles": {},'
+        ' "chern": {}, "pairing": {}, "canonical": {},'
+        ' "fan": {"rays": [], "cones": [], "ray_coeffs": {}}}')]
+    # a preset that disagrees with its fan must not load as another surface
+    cases += [(name, json.dumps(data))
+              for name, data in inconsistent_presets()]
+    divisors = {"plane": "H=1", "quadric": "A=1,B=1"}
+    for name, blob in cases:
+        (tmp_path / f"{name}.json").write_text(blob)
+        code, report, err = run_json(capsys, [
+            "localize", "--surface", name, "--divisor", divisors[name],
+            "--n1", "1"])
         assert code == 1
         assert report["error"]["type"] == "ValueError"
         assert "malformed preset" in report["error"]["message"]
+        assert "Traceback" not in err
 
 
-def _plane_preset():
-    path = os.path.join(os.path.dirname(dt4.__file__), "presets", "plane.json")
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+def test_preset_without_charts_is_a_domain_error(capsys, tmp_path,
+                                                 monkeypatch):
+    # consistent with its empty fan, but no surface: nothing to localize on
+    empty = {"name": "plane", "fixed_points": [], "bundles": {},
+             "chern": {"c1_sq": 0, "c2": 0, "chi_O": 0}, "pairing": {},
+             "canonical": {},
+             "fan": {"rays": [], "cones": [], "ray_coeffs": {}}}
+    (tmp_path / "plane.json").write_text(json.dumps(empty))
+    monkeypatch.setenv("DT4_PRESET_DIR", str(tmp_path))
+    code, report, err = run_json(capsys, ["localize", "--surface", "plane",
+                                          "--n1", "1"])
+    assert code == 1
+    assert report["error"] == {
+        "type": "ValueError",
+        "message": "fan of plane has 0 rays, fewer than three"}
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("section,entry", [
@@ -332,7 +369,7 @@ def _plane_preset():
 ])
 def test_ill_typed_preset_values_are_domain_errors(section, entry, capsys,
                                                    tmp_path, monkeypatch):
-    data = _plane_preset()
+    data = packaged_preset("plane")
     data[section] = entry
     (tmp_path / "plane.json").write_text(json.dumps(data))
     monkeypatch.setenv("DT4_PRESET_DIR", str(tmp_path))

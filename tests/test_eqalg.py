@@ -172,24 +172,24 @@ def test_euler_of_zero_multiplicity_weight():
 
 def test_chern_part():
     c = WeightCharacter({(1, 0, 0, 0): 1, (0, 0, 1, 0): 1})
-    assert chern_part(c, 0) == REG.one()
-    assert chern_part(c, 1) == S + E1
-    assert chern_part(c, 2) == S * E1
+    assert chern_part(c, 0) == REG.one().num
+    assert chern_part(c, 1) == (S + E1).num
+    assert chern_part(c, 2) == (S * E1).num
     # zero weights are legal in Chern classes and contribute nothing
     z = WeightCharacter({(0, 0, 0, 0): 3, (1, 0, 0, 0): 1})
-    assert chern_part(z, 1) == S
+    assert chern_part(z, 1) == S.num
 
 
 def test_chern_part_negative_multiplicity():
     # (1 + s)^-1 expands as 1 - s + s^2 - ...
     c = WeightCharacter({(1, 0, 0, 0): -1})
-    assert chern_part(c, 1) == -S
-    assert chern_part(c, 2) == S * S
+    assert chern_part(c, 1) == (-S).num
+    assert chern_part(c, 2) == (S * S).num
 
 
 def test_chern_top_equals_euler():
     c = WeightCharacter({(1, 0, 0, 0): 1, (0, 0, 1, 0): 1, (0, 0, 0, 1): 1})
-    assert chern_part(c, c.rank()) == euler_of_character(c).canonical()
+    assert chern_part(c, c.rank()) == euler_of_character(c).canonical().num
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from dt4.partitions import (HilbFixedPoint, Partition, arm_leg,
                             hilb_fixed_points, partitions_of)
+from dt4.surfaces import from_preset
 
 from oracles import colored_counts, partition_numbers
 
@@ -78,10 +79,12 @@ def test_hilb_fixed_point_type():
 def test_hilb_fixed_points_counts_vs_convolution():
     # chart count c: number of fixed points of size n is the n-th
     # coefficient of (partition generating series)^c
-    for charts in (1, 3, 4):
+    plane = from_preset("plane")
+    for model in (plane, from_preset("quadric"), plane.disjoint_union(plane)):
+        charts = len(model.fixed_points)
         want = colored_counts(charts, 6)
         for n in range(7):
-            fps = hilb_fixed_points(charts, n)
+            fps = hilb_fixed_points(model, n)
             assert len(fps) == want[n]
             assert len(set(fps)) == want[n]
             assert all(fp.total == n for fp in fps)
@@ -89,16 +92,10 @@ def test_hilb_fixed_points_counts_vs_convolution():
 
 
 def test_hilb_fixed_points_deterministic():
-    a = hilb_fixed_points(3, 3)
-    b = hilb_fixed_points(3, 3)
-    assert a == b
+    plane = from_preset("plane")
+    assert hilb_fixed_points(plane, 3) == hilb_fixed_points(plane, 3)
     with pytest.raises(ValueError):
-        hilb_fixed_points(3, -1)
-
-
-def test_hilb_fixed_points_zero_charts():
-    assert hilb_fixed_points(0, 0) == [HilbFixedPoint([])]
-    assert hilb_fixed_points(0, 1) == []
+        hilb_fixed_points(plane, -1)
 
 
 @settings(max_examples=25, deadline=None)

@@ -27,11 +27,33 @@ def test_unknown_preset():
         from_preset("banana")
 
 
-def test_preset_dir_env(tmp_path, monkeypatch):
+def packaged_preset(name):
     from importlib import resources
-    blob = json.loads((resources.files("dt4") / "presets" /
-                       "plane.json").read_text())
+    return json.loads((resources.files("dt4") / "presets" /
+                       f"{name}.json").read_text())
+
+
+def inconsistent_presets():
+    """(preset name, data): copies of packaged presets whose stored charts
+    or bundle weights disagree with their fan: truncated, one weight per
+    bundle, reversed."""
+    plane, quadric = packaged_preset("plane"), packaged_preset("quadric")
+    return [
+        ("plane",
+         {**plane, "fixed_points": plane["fixed_points"][:2],
+          "bundles": {"H": {"weights": plane["bundles"]["H"]["weights"][:2]}}}),
+        ("quadric",
+         {**quadric, "bundles": {k: {"weights": rec["weights"][:1]}
+                                 for k, rec in quadric["bundles"].items()}}),
+        ("plane", {**plane, "fixed_points": plane["fixed_points"][::-1]}),
+    ]
+
+
+def test_preset_dir_env(tmp_path, monkeypatch):
+    blob = packaged_preset("plane")
     blob["name"] = "custom"
+    # entries that to_json does not write are ignored
+    blob["comment"] = "plane under another name"
     (tmp_path / "custom.json").write_text(json.dumps(blob))
     monkeypatch.setenv("DT4_PRESET_DIR", str(tmp_path))
     model = from_preset("custom")
@@ -131,8 +153,8 @@ def test_tangent_weights_are_dual_bases():
     # each chart's weights span the lattice with determinant +-1
     for name in PRESET_NAMES:
         model = from_preset(name)
-        for i in range(len(model.fixed_points)):
-            w1, w2 = model.tangent_weights(i)
+        for fp in model.fixed_points:
+            w1, w2 = fp.w1, fp.w2
             det = w1[0] * w2[1] - w1[1] * w2[0]
             assert det in (1, -1)
 
@@ -162,13 +184,6 @@ def test_disjoint_union():
     assert u.chi({"a.H": 1, "b.A": 1, "b.B": 1}) == 3 + 4
 
 
-def test_divisor_constructor():
-    plane = from_preset("plane")
-    assert plane.divisor(H=3) == {"H": 3}
-    with pytest.raises(ValueError):
-        plane.divisor(Z=1)
-
-
 def test_to_json_roundtrip():
     plane = from_preset("plane")
     blob = plane.to_json()
@@ -192,13 +207,14 @@ def test_pair_bilinear_symmetric(a, b, c, d):
 
 
 def test_malformed_preset_raises_value_error(tmp_path, monkeypatch):
-    from importlib import resources
-    blob = json.loads((resources.files("dt4") / "presets" /
-                       "plane.json").read_text())
+    blob = packaged_preset("plane")
     monkeypatch.setenv("DT4_PRESET_DIR", str(tmp_path))
-    for broken in ({"name": "plane"}, {**blob, "chern": {"c2": 3}},
-                   {**blob, "fixed_points": blob["fixed_points"] * 2},
-                   {**blob, "fan": {"rays": [[1, 0]]}}):
-        (tmp_path / "plane.json").write_text(json.dumps(broken))
+    cases = [("plane", broken) for broken in (
+        {"name": "plane"}, {**blob, "chern": {"c2": 3}},
+        {**blob, "fixed_points": blob["fixed_points"] * 2},
+        {**blob, "fan": {"rays": [[1, 0]]}})]
+    cases += inconsistent_presets()
+    for name, broken in cases:
+        (tmp_path / f"{name}.json").write_text(json.dumps(broken))
         with pytest.raises(ValueError, match="malformed preset"):
-            from_preset("plane")
+            from_preset(name)
