@@ -41,20 +41,16 @@ class TwistedBundleSpec(NamedTuple):
 
     @classmethod
     def make(cls, divisor, t_weight=0, tprime_weight=0):
-        if divisor is None:
-            divisor = ()
-        elif isinstance(divisor, dict):
-            divisor = tuple(sorted(divisor.items()))
-        return cls(tuple(divisor), t_weight, tprime_weight)
+        return cls(tuple(sorted((divisor or {}).items())), t_weight,
+                   tprime_weight)
 
     def divisor_map(self):
         return dict(self.divisor)
 
 
 def _as_spec(bundle):
-    if isinstance(bundle, TwistedBundleSpec):
-        return bundle
-    return TwistedBundleSpec.make(bundle or {})
+    return (bundle if isinstance(bundle, TwistedBundleSpec)
+            else TwistedBundleSpec.make(bundle))
 
 
 def _combine(*terms):
@@ -67,23 +63,67 @@ def _combine(*terms):
     return {k: v for k, v in out.items() if v}
 
 
+# -- the weight map: one specialisation for every route ---------------------
+
+class WeightMap(NamedTuple):
+    """Integer map on weight vectors, applied before any polynomial exists.
+
+    ``line=None`` is the identity (fully symbolic).  ``line=(a, b)``
+    restricts the chart parameters to (e1, e2) = (a u, b u), with u kept
+    in the e1 slot.  A rational point (x, y) = (a/D, b/D) is that line
+    followed by ``finish``, which evaluates the summed value at u = 1/D.
+    Characters are linear in the chart data and Chern classes commute with
+    the map, so mapping the chart data (``charts``) or the character
+    suffices.
+    """
+    line: tuple = None
+    at: Fraction = None
+
+    @classmethod
+    def make(cls, eps=None, eps_line=None):
+        if eps is None or eps_line is not None:
+            return cls(eps_line and tuple(eps_line))
+        x, y = Fraction(eps[0]), Fraction(eps[1])
+        d = math.lcm(x.denominator, y.denominator)
+        return cls((int(x * d), int(y * d)), Fraction(1, d))
+
+    def form(self, v):
+        """The image of a form (e1, e2 coefficients)."""
+        return tuple(v) if self.line is None else (
+            self.line[0] * v[0] + self.line[1] * v[1], 0)
+
+    def charts(self, model, *bundles):
+        """Mapped chart data: the tangent forms (w1, w2) of every chart, and
+        per bundle its weight shift (t, t', fiber form) at every chart."""
+        charts = [(self.form(c.w1), self.form(c.w2))
+                  for c in model.fixed_points]
+        return charts, [
+            [(b.t_weight, b.tprime_weight) + self.form(mu)
+             for mu in model.bundle_weights(b.divisor_map())]
+            for b in map(_as_spec, bundles)]
+
+    def finish(self, x):
+        return x if self.at is None else x.specialize({"e1": self.at})
+
+
+SYMBOLIC = WeightMap()
+
+
 # -- chart-level character calculus ----------------------------------------
 
-def _chart_sum(local, bundle, model, *fps):
-    """Sum over the charts of ``local(partitions at the chart, w1, w2)``,
-    a WeightCharacter or weight -> multiplicity dict, each shifted by
-    (t, t', fiber form of the bundle at that chart).  Charts whose
-    partitions are all empty are skipped."""
-    spec = _as_spec(bundle)
-    t, tp = spec.t_weight, spec.tprime_weight
-    mus = model.bundle_weights(spec.divisor_map())
-    pairs = []
-    for chart, (x, y), *lams in zip(model.fixed_points, mus,
-                                    *(fp.assignment for fp in fps)):
+def _chart_sum(local, charts, shifts, *fps):
+    """One WeightCharacter per entry of ``shifts`` (see WeightMap.charts):
+    the sum over the charts of nonempty partitions of ``local(partitions,
+    w1, w2)`` over (e1, e2), computed once per chart, shifted by the entry."""
+    out = [[] for _ in shifts]
+    for i, ((w1, w2), *lams) in enumerate(
+            zip(charts, *(fp.assignment for fp in fps))):
         if any(lam.parts for lam in lams):
-            pairs += [((w[0] + t, w[1] + tp, w[2] + x, w[3] + y), m)
-                      for w, m in local(*lams, chart.w1, chart.w2).items()]
-    return WeightCharacter(pairs)
+            items = local(*lams, w1, w2).items()
+            for pairs, shift in zip(out, shifts):
+                t, tp, x, y = shift[i]
+                pairs += [((t, tp, w[0] + x, w[1] + y), m) for w, m in items]
+    return [WeightCharacter(pairs) for pairs in out]
 
 
 def _tangent_chart(lam, w1, w2):
@@ -93,15 +133,15 @@ def _tangent_chart(lam, w1, w2):
     for box in lam.boxes():
         a, l = arm_leg(lam, box)
         for (c1, c2) in (((l + 1), -a), (-l, (a + 1))):
-            w = (0, 0, c1 * w1[0] + c2 * w2[0], c1 * w1[1] + c2 * w2[1])
+            w = (c1 * w1[0] + c2 * w2[0], c1 * w1[1] + c2 * w2[1])
             out[w] = out.get(w, 0) + 1
     return out
 
 
 def _box_character(lam, w1, w2):
-    return WeightCharacter([
-        ((0, 0, -(i * w1[0] + j * w2[0]), -(i * w1[1] + j * w2[1])), 1)
-        for (i, j) in lam.boxes()])
+    return WeightCharacter([((-(i * w1[0] + j * w2[0]),
+                              -(i * w1[1] + j * w2[1])), 1)
+                            for (i, j) in lam.boxes()])
 
 
 def _pair_correction(lam1, lam2, w1, w2):
@@ -111,12 +151,12 @@ def _pair_correction(lam1, lam2, w1, w2):
     if v1.is_zero():
         return v2
     c1 = v1.conjugate()
-    out = v2 + c1.shift((0, 0, w1[0] + w2[0], w1[1] + w2[1]))
+    t12 = (w1[0] + w2[0], w1[1] + w2[1])
+    out = v2 + c1.shift(t12)
     if not v2.is_zero():
-        one = WeightCharacter({(0, 0, 0, 0): 1})
-        t1 = one.shift((0, 0) + tuple(w1))
-        t2 = one.shift((0, 0) + tuple(w2))
-        out = out - c1 * v2 * (one - t1) * (one - t2)
+        # (1 - t1)(1 - t2) = 1 - t1 - t2 + t1 t2
+        out = out - c1 * v2 * WeightCharacter(
+            [((0, 0), 1), (w1, -1), (w2, -1), (t12, 1)])
     return out
 
 
@@ -127,13 +167,12 @@ def _pair_correction(lam1, lam2, w1, w2):
 def tangent_character(fp, model):
     """Tangent weights of the Hilbert scheme at a monomial fixed point:
     exactly 2n weights with multiplicity."""
-    return _chart_sum(_tangent_chart, None, model, fp)
+    return _chart_sum(_tangent_chart, *SYMBOLIC.charts(model, None), fp)[0]
 
 
 def twisted_tangent_character(fp, bundle, model):
-    """Tangent character with every chart's weights shifted by the chart
-    fiber weight of the twisted bundle."""
-    return _chart_sum(_tangent_chart, bundle, model, fp)
+    """Tangent character shifted at each chart by the twisted bundle."""
+    return _chart_sum(_tangent_chart, *SYMBOLIC.charts(model, bundle), fp)[0]
 
 
 def chi_character(fp1, fp2, bundle, model):
@@ -146,65 +185,27 @@ def chi_character(fp1, fp2, bundle, model):
     coh = model.cohomology_character(spec.divisor_map())
     sheaf = WeightCharacter([((spec.t_weight, spec.tprime_weight) + w, m)
                              for w, m in coh.items()])
-    return sheaf - _chart_sum(_pair_correction, spec, model, fp1, fp2)
+    return sheaf - _chart_sum(_pair_correction, *SYMBOLIC.charts(model, spec),
+                              fp1, fp2)[0]
 
 
 def difference_character(fp1, fp2, bundle, model):
     """Character of (cohomology of bundle) minus (pair characteristic);
     rank n1 + n2 identically."""
-    return _chart_sum(_pair_correction, bundle, model, fp1, fp2)
+    return _chart_sum(_pair_correction, *SYMBOLIC.charts(model, bundle),
+                      fp1, fp2)[0]
 
 
 def tautological_character(fp, bundle, model):
     """Push-forward of the bundle along the universal subscheme: one
     weight per box, shifted by the chart fiber weight."""
-    return _chart_sum(_box_character, bundle, model, fp)
-
-
-# -- the weight map: one specialisation for every route ---------------------
-
-class WeightMap(NamedTuple):
-    """Integer map on weight vectors, applied before any polynomial exists.
-
-    ``line=None`` is the identity (fully symbolic).  ``line=(a, b)``
-    restricts the chart parameters to (e1, e2) = (a u, b u), with u kept
-    in the e1 slot.  A rational point (x, y) = (a/D, b/D) is that line
-    followed by ``finish``, which evaluates the summed value at u = 1/D.
-    Chern classes commute with the map, so mapping the character suffices.
-    """
-    line: tuple = None
-    at: Fraction = None
-
-    @classmethod
-    def make(cls, eps=None, eps_line=None):
-        if eps_line is not None:
-            return cls(tuple(eps_line))
-        if eps is None:
-            return cls()
-        x, y = Fraction(eps[0]), Fraction(eps[1])
-        d = math.lcm(x.denominator, y.denominator)
-        return cls((int(x * d), int(y * d)), Fraction(1, d))
-
-    def __call__(self, char):
-        if self.line is None:
-            return char
-        a, b = self.line
-        mapped = [((w[0], w[1], a * w[2] + b * w[3], 0), m)
-                  for w, m in char.items()]
-        return WeightCharacter(mapped)
-
-    def finish(self, x):
-        return x if self.at is None else x.specialize({"e1": self.at})
-
-
-SYMBOLIC = WeightMap()
+    return _chart_sum(_box_character, *SYMBOLIC.charts(model, bundle), fp)[0]
 
 
 # -- generic localization sum ----------------------------------------------
 
 def Pool(processes):
-    """A ``multiprocessing`` pool; the module is imported only here, so
-    serial runs never load it."""
+    """A ``multiprocessing`` pool; serial runs never import the module."""
     import multiprocessing
     return multiprocessing.Pool(processes)
 
@@ -223,15 +224,17 @@ def parallel_starmap(fn, args, jobs=1):
 
 def assemble_sum(model, n1, n2, term_fn, jobs=1, audit=None, wmap=SYMBOLIC):
     """Sum term_fn(fp1, fp2) over all fixed-point pairs of the product of
-    the n1- and n2-point Hilbert schemes.
+    the n1- and n2-point Hilbert schemes (see _pair_sum)."""
+    return _pair_sum(model, [(n1, n2)], term_fn, jobs, audit, wmap)
 
-    Terms are FactoredScalars; the sum is their ``factored_sum``, left
-    for the caller to canonicalise once.  Audited terms are canonicalised
-    one by one and pass through ``wmap.finish``.  Deterministic pair
-    order; ``jobs`` > 1 evaluates terms with ``parallel_starmap``.
-    """
-    pairs = list(itertools.product(hilb_fixed_points(model, n1),
-                                   hilb_fixed_points(model, n2)))
+
+def _pair_sum(model, splittings, term_fn, jobs, audit, wmap):
+    """The ``factored_sum`` of the FactoredScalars term_fn over the pairs of
+    every splitting (n1, n2) in turn, one ``parallel_starmap`` for all, left
+    to the caller to canonicalise; audited terms are canonicalised one by
+    one and pass through ``wmap.finish``."""
+    pairs = [p for n1, n2 in splittings for p in itertools.product(
+        hilb_fixed_points(model, n1), hilb_fixed_points(model, n2))]
     terms = parallel_starmap(term_fn, pairs, jobs)
     if audit is not None:
         for (fp1, fp2), t in zip(pairs, terms):
@@ -276,20 +279,17 @@ class PrefactorData(NamedTuple):
                      variant="product", alpha_pair=0):
         if variant not in PREFACTOR_VARIANTS:
             raise ValueError(f"unknown prefactor variant: {variant}")
-        doubled = D_c1 + 3 * D_sq
-        if variant == "typeIIB":
-            doubled += -2 * alpha_pair
-        return cls(chi_L2, chi_L, chi_Linv, doubled)
+        twist = 2 * alpha_pair if variant == "typeIIB" else 0
+        return cls(chi_L2, chi_L, chi_Linv, D_c1 + 3 * D_sq - twist)
 
     def value(self):
         if self.sign_exponent_doubled % 2:
             raise ValueError("prefactor parity undefined: sign exponent "
                              f"{self.sign_exponent_doubled}/2 is not an integer")
         sign = -1 if (self.sign_exponent_doubled // 2) % 2 else 1
-        minus_s = -REG.var("s")
         s_exp = self.chi_L2 + self.chi_L - self.chi_Linv
-        return (REG.const(sign)
-                / (REG.const(2) ** self.chi_L2 * minus_s ** s_exp))
+        return REG.const(sign) / (REG.const(2) ** self.chi_L2
+                                  * (-REG.var("s")) ** s_exp)
 
 
 def typeII_component_integral(model, L, n1=0, n2=0, prefactor=None,
@@ -309,41 +309,48 @@ def typeII_component_integral(model, L, n1=0, n2=0, prefactor=None,
     the result is invariant under that choice whenever no weight
     degenerates.
     """
+    if prefactor is None:
+        prefactor = PrefactorData.from_model(model, _as_spec(L).divisor_map())
+    pre = prefactor.value()
+    wmap = WeightMap.make(eps, eps_line)
+    term = functools.partial(_typeII_term, *_typeII_charts(model, L, wmap),
+                             n1 + n2)
+    return pre * wmap.finish(assemble_sum(model, n1, n2, term, jobs=jobs,
+                                          audit=audit, wmap=wmap).canonical())
+
+
+def _typeII_charts(model, L, wmap):
+    """Mapped chart data (see WeightMap.charts) of the integrand's bundles:
+    untwisted, L t, (K - 2L) t^-2, (K - L) t^-1 and -L t^-1."""
     L = _as_spec(L)
     if L.t_weight or L.tprime_weight:
         raise ValueError("the bundle class must be untwisted here; twists "
                          "are fixed by the integrand")
-    Ld = L.divisor_map()
-    kd = model.canonical_divisor()
-    if prefactor is None:
-        prefactor = PrefactorData.from_model(model, Ld)
-    pre = prefactor.value()
-
-    m_k2l = TwistedBundleSpec.make(_combine((1, kd), (-2, Ld)), -2)
-    m_kl = TwistedBundleSpec.make(_combine((1, kd), (-1, Ld)), -1)
-    m_negl = TwistedBundleSpec.make(_combine((-1, Ld)), -1)
-    l_t = TwistedBundleSpec.make(Ld, 1)
-
-    wmap = WeightMap.make(eps, eps_line)
-    term = functools.partial(_typeII_term, model, l_t, m_k2l, m_kl, m_negl,
-                             n1 + n2, wmap)
-    total = assemble_sum(model, n1, n2, term, jobs=jobs, audit=audit,
-                         wmap=wmap)
-    return pre * wmap.finish(total.canonical())
+    Ld, kd = L.divisor_map(), model.canonical_divisor()
+    return wmap.charts(model, None, L._replace(t_weight=1), *(  # kK - lL t^-l
+        TwistedBundleSpec.make(_combine((k, kd), (-l, Ld)), -l)
+        for k, l in ((1, 2), (1, 1), (0, 1))))
 
 
-def _typeII_term(model, l_t, m_k2l, m_kl, m_negl, n, wmap, fp1, fp2):
+def _typeII_tangent(charts, shifts, fp):
+    """tangent x L t - tangent at one fixed point."""
+    tangent, twisted = _chart_sum(_tangent_chart, charts, shifts[:2], fp)
+    return twisted - tangent
+
+
+def _typeII_difference(charts, shifts, fp1, fp2):
+    """diff(0) and diff(K - 2L) t^-2 - diff(K - L) t^-1 - diff(-L) t^-1."""
+    e_cls, k2l, kl, negl = _chart_sum(_pair_correction, charts,
+                                      shifts[:1] + shifts[2:], fp1, fp2)
+    return e_cls, k2l - kl - negl
+
+
+def _typeII_term(charts, shifts, n, fp1, fp2):
     """Integrand of typeII_component_integral at one fixed-point pair."""
-    e_cls = wmap(difference_character(fp1, fp2, None, model))
-    top = chern_part(e_cls, n)
-    char = (twisted_tangent_character(fp1, l_t, model)
-            + twisted_tangent_character(fp2, l_t, model)
-            + difference_character(fp1, fp2, m_k2l, model)
-            - difference_character(fp1, fp2, m_kl, model)
-            - difference_character(fp1, fp2, m_negl, model)
-            - tangent_character(fp1, model)
-            - tangent_character(fp2, model))
-    return euler_of_character(wmap(char), top)
+    e_cls, char = _typeII_difference(charts, shifts, fp1, fp2)
+    return euler_of_character(char + _typeII_tangent(charts, shifts, fp1)
+                              + _typeII_tangent(charts, shifts, fp2),
+                              chern_part(e_cls, n))
 
 
 # -- Mochizuki-style residue coefficients ----------------------------------
@@ -352,14 +359,11 @@ def _mochizuki_character(fp1, fp2, Lb1, Lb2, L, p_g, model):
     """Virtual character whose Euler class is the residue integrand before
     division by the tangent Euler classes; None when a genuinely zero
     weight in the numerator kills the term."""
-    d1 = Lb1.divisor_map()
-    d2 = Lb2.divisor_map()
-    dl = L.divisor_map()
+    d1, d2, dl = (b.divisor_map() for b in (Lb1, Lb2, L))
     v1 = tautological_character(fp1, Lb1, model)
     if any(not any(w) for w in v1.weights):
         return None
-    v2 = tautological_character(fp2, Lb2, model).shift((0, 2, 0, 0))
-    char = v1 + v2
+    char = v1 + tautological_character(fp2, Lb2, model).shift((0, 2, 0, 0))
     # chi of (ideal A x divA x t'^cA, ideal B x divB x t'^cB), twisted by
     # L t on all four pairs (t = 1) and untwisted on the two cross pairs
     one, two = (fp1, d1, -1), (fp2, d2, 1)
@@ -388,24 +392,21 @@ def _mochizuki_term(model, Lb1, Lb2, L, p_g, wmap, fp1, fp2):
         return FactoredScalar.zero()
     char = (char - tangent_character(fp1, model)
             - tangent_character(fp2, model))
-    return residue(euler_of_character(wmap(char)), "sp")
+    return residue(euler_of_character(WeightCharacter(
+        [(w[:2] + wmap.form(w[2:]), m) for w, m in char.items()])), "sp")
 
 
 def mochizuki_coefficient(model, Lb1, Lb2, L, n, p_g, eps=None, jobs=1,
                           audit=None):
     """Sum of residues in sp of the integrand over all point splittings
-    n1 + n2 = n - (twist pairing), localized over fixed-point pairs; the
-    factored sums of all splittings are canonicalised once."""
-    Lb1 = _as_spec(Lb1)
-    Lb2 = _as_spec(Lb2)
-    L = _as_spec(L)
-    cross = model.pair(Lb1.divisor_map(), Lb2.divisor_map())
-    budget = n - cross
+    n1 + n2 = n - (twist pairing), localized over fixed-point pairs: the
+    pairs of all splittings form one sum, canonicalised once."""
+    Lb1, Lb2, L = map(_as_spec, (Lb1, Lb2, L))
+    budget = n - model.pair(Lb1.divisor_map(), Lb2.divisor_map())
     wmap = WeightMap.make(eps)
     term = functools.partial(_mochizuki_term, model, Lb1, Lb2, L, p_g, wmap)
-    total = factored_sum([assemble_sum(model, n1, budget - n1, term,
-                                       jobs=jobs, audit=audit, wmap=wmap)
-                          for n1 in range(budget, -1, -1)])
+    total = _pair_sum(model, [(k, budget - k) for k in range(budget, -1, -1)],
+                      term, jobs, audit, wmap)
     return wmap.finish(total.canonical())
 
 
@@ -413,12 +414,10 @@ def mochizuki_coefficient(model, Lb1, Lb2, L, n, p_g, eps=None, jobs=1,
 
 def pure_s_monomial(x):
     """If x = c * s^k with c rational, return (c, k); else None."""
-    if x.is_zero():
-        return None
-    if len(x.num.terms) != 1 or len(x.den.terms) != 1:
+    if x.is_zero() or len(x.num.terms) != 1 or len(x.den.terms) != 1:
         return None
     (en, cn), = x.num.terms.items()
     (ed, cd), = x.den.terms.items()
-    if any(en[i] for i in range(1, len(en))) or any(ed[i] for i in range(1, len(ed))):
+    if any(en[1:]) or any(ed[1:]):
         return None
     return Fraction(cn, cd), en[0] - ed[0]

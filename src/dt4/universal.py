@@ -6,20 +6,29 @@ listed in FIELDS.  A fit solves an exact linear system over the chosen
 monomials; exactness is the point, so rank deficiency and inconsistency
 are errors, never least-squares compromises.  The localized integrals
 depend on the toric parameters only through the choice of equivariant
-lift; the classical value used for fitting is the limit at the origin of
-the parameter line, which the integral routines expose exactly.
+lift; the classical value used for fitting is the value at the origin of
+the parameter line (e1, e2) = EPS_LINE * u.  ``classical_limit`` computes
+it without any multivariate polynomial: at s = 1 every term is a Laurent
+series in u with integer coefficients over one integer denominator, and
+the u^0 coefficient of their sum is the value.  The negative-order
+coefficients of that sum must cancel exactly; when they do not, the
+sample is an error, never a value.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .eqalg import DEFAULT_REGISTRY as REG
-from .localize import (PrefactorData, parallel_starmap,
-                       typeII_component_integral)
+from .eqalg import DEFAULT_REGISTRY as REG, NonGenericWeightError
+from .localize import (WeightMap, _typeII_charts, _typeII_difference,
+                       _typeII_tangent, parallel_starmap)
+# perfbench's tracer wraps this module global; fit itself never calls it
+from .localize import typeII_component_integral  # noqa: F401
+from .partitions import hilb_fixed_points
 from .surfaces import from_preset
 
 FIELDS = ("b1_sq", "b2_sq", "b1_c1", "b2_c1", "b1_D", "b2_D", "b1_b2",
@@ -256,8 +265,7 @@ def typeII_samples(configs, n1, n2, jobs=1):
     """Classical (chart-parameter-free) integral parts of the nested
     component integrals, paired with their invariants.
 
-    Each integral is computed exactly on the generic parameter line and
-    evaluated at the origin of that line; beta classes are zero on this
+    Each value is ``classical_limit``; beta classes are zero on this
     route, so only the bundle and surface invariants vary.  ``jobs`` > 1
     spreads the configurations over one process pool.
     """
@@ -266,8 +274,98 @@ def typeII_samples(configs, n1, n2, jobs=1):
 
 
 def _typeII_sample(model, L, n1, n2):
-    unit = PrefactorData.from_numbers(0, 0, 0, 0, 0)
-    val = typeII_component_integral(model, L, n1=n1, n2=n2, prefactor=unit,
-                                    eps_line=EPS_LINE)
     return (chern_invariants(model, {}, {}, L),
-            val.specialize({"e1": Fraction(0)}))
+            REG.const(classical_limit(model, L, n1, n2)))
+
+
+# -- the classical limit as a Laurent series on the parameter line ----------
+
+def classical_limit(model, L, n1, n2):
+    """The unit-prefactor nested component integral, restricted to the
+    parameter line (e1, e2) = EPS_LINE * u and evaluated at u = 0: a
+    Fraction.
+
+    Every term is homogeneous of s-degree n + rank = 0 (n = n1 + n2), so
+    s = 1 loses nothing and every weight becomes a + c u.  A term is
+    T u^n, the top Chern part of its pure-u difference character, times
+    the Euler class of its virtual character: the pure-u weights (a = 0)
+    give a power u^-k, and every mixed form is expanded through u^k.  The
+    u^-K .. u^-1 coefficients of the sum must cancel exactly and the u^0
+    coefficient is the value; a term of nonzero s-degree or a pole that
+    does not cancel raises ValueError, a zero weight
+    NonGenericWeightError.  This equals
+    ``typeII_component_integral(..., eps_line=EPS_LINE)`` with a unit
+    prefactor, specialised at e1 = 0.
+    """
+    charts, shifts = _typeII_charts(model, L, WeightMap(EPS_LINE))
+    # a mixed weight is a + c u with a one of the bundle twists; with
+    # u = scale v it is a (1 + r v) for an integer r
+    scale = math.lcm(*filter(None, (shift[0][0] for shift in shifts)))
+
+    def with_tangents(n):
+        return [(fp, _typeII_tangent(charts, shifts, fp))
+                for fp in hilb_fixed_points(model, n)]
+    acc = {}
+    for (fp1, tan1), (fp2, tan2) in itertools.product(with_tangents(n1),
+                                                      with_tangents(n2)):
+        e_cls, char = _typeII_difference(charts, shifts, fp1, fp2)
+        _add_laurent_term(acc, e_cls, char + tan1 + tan2, n1 + n2, scale)
+    return _constant_term(acc)
+
+
+def _add_laurent_term(acc, e_cls, char, n, scale):
+    """Add the u^-k .. u^0 coefficients of the top Chern part of degree n
+    of ``e_cls`` (pure-u weights) times the Euler class of ``char`` into
+    ``acc`` (order -> Fraction), over one integer denominator."""
+    if n + char.rank():
+        raise ValueError(f"classical limit: a term of s-degree "
+                         f"{n + char.rank()}, not 0")
+    order, num, den, mixed = n, 1, 1, []
+    for (a, _, c, _), m in char.items():
+        if not (a or c):
+            raise NonGenericWeightError(
+                "zero torus weight: Euler class is not invertible")
+        if not a:
+            order += m                              # (c u)^m
+        elif c:
+            mixed.append((c * scale // a, m))       # a^m (1 + r v)^m
+        if m > 0:
+            num *= (a or c) ** m
+        else:
+            den *= (a or c) ** -m
+    k = -order
+    if k < 0:
+        return
+    top = _power_product([(c, m) for (_, _, c, _), m in e_cls.items() if c],
+                         n)[n] * num
+    if top:
+        den *= scale ** k
+        for j, e in enumerate(_power_product(mixed, k)):
+            acc[j - k] = acc.get(j - k, 0) + Fraction(
+                top * e * scale ** (k - j), den)
+
+
+def _power_product(forms, k):
+    """Coefficients of x^0 .. x^k of prod (1 + r x)^m over integer pairs
+    (r, m), all integers: Newton's identity j e_j = sum q_i e_(j-i) with
+    q_i = -sum m (-r)^i."""
+    q = [0] * (k + 1)
+    for r, m in forms:
+        x = -m
+        for i in range(1, k + 1):
+            x *= -r
+            q[i] += x
+    e = [1] + [0] * k
+    for j in range(1, k + 1):
+        e[j] = sum(q[i] * e[j - i] for i in range(1, j + 1)) // j
+    return e
+
+
+def _constant_term(acc):
+    """The u^0 coefficient of a summed Laurent series whose negative orders
+    must all cancel."""
+    for order, c in sorted(acc.items()):
+        if order < 0 and c:
+            raise ValueError(f"classical limit: the u^{order} coefficient "
+                             f"{c} of the sum does not cancel")
+    return acc.get(0, Fraction(0))

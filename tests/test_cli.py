@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import dt4
-from dt4 import cli, universal
+from dt4 import cli, localize, universal
 
 from test_surfaces import inconsistent_presets, packaged_preset
 
@@ -209,6 +209,27 @@ def test_mochizuki_value_and_audit(capsys):
     assert report["results"]["audit"]
 
 
+@pytest.mark.parametrize("audit", [[], ["--audit"]])
+def test_mochizuki_jobs_start_one_pool(audit, capsys, monkeypatch):
+    argv = ["mochizuki", "--surface", "plane", "--divisor", "H=0",
+            "--n", "2"] + audit
+    code, serial, _ = run(capsys, argv + ["--jobs", "1"])
+    assert code == 0
+    pools = []
+    pool = localize.Pool
+
+    def counted_pool(processes):
+        pools.append(processes)
+        return pool(processes)
+    monkeypatch.setattr(localize, "Pool", counted_pool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code, parallel, _ = run(capsys, argv + ["--jobs", "2"])
+    assert code == 0
+    # all three splittings (2,0), (1,1), (0,2) share one pool
+    assert pools == [2]
+    assert parallel == serial
+
+
 def test_fit_command(capsys):
     code, report, _ = run_json(capsys, ["fit", "--n1", "1", "--n2", "0",
                                         "--degree-bound", "1"])
@@ -239,6 +260,21 @@ def test_fit_underdetermined_fails_before_integrating(capsys, monkeypatch):
     assert code == 1
     assert report["error"]["message"].startswith(
         "fit underdetermined: 28 samples for 35 monomials (1, c2, ")
+
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+@pytest.mark.parametrize("n1,n2", [(1, 1), (2, 0)])
+def test_degree_two_fit_reports_are_golden(n1, n2, capsys):
+    # reports of the four-variable route (typeII_component_integral on
+    # EPS_LINE, specialised at its origin), kept byte for byte
+    code, out, _ = run(capsys, ["fit", "--n1", str(n1), "--n2", str(n2),
+                                "--degree-bound", "2", "--audit"])
+    assert code == 0
+    path = os.path.join(DATA, f"fit_n1_{n1}_n2_{n2}_degree_2_audit.json")
+    with open(path, encoding="utf-8") as fh:
+        assert out == fh.read()
 
 
 def test_fit_audit(capsys):

@@ -4,11 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from dt4.eqalg import DEFAULT_REGISTRY as REG
+from dt4 import universal
+from dt4.eqalg import (DEFAULT_REGISTRY as REG, NonGenericWeightError,
+                       WeightCharacter)
 from dt4.surfaces import from_preset, validate_model
 from dt4.universal import (EPS_LINE, FIELDS, ChernNumbers, UniversalPolynomial,
-                           battery_configs, chern_invariants, fit_universal,
-                           typeII_samples, _monomial_name, _monomials)
+                           battery_configs, chern_invariants, classical_limit,
+                           fit_universal, typeII_samples, _add_laurent_term,
+                           _constant_term, _monomial_name, _monomials)
+
+from test_localize import ROUTE_DIVISORS, classical_integral
 
 F4 = ("D_sq", "D_c1", "c1_sq", "c2")
 
@@ -162,3 +167,55 @@ def test_typeII_samples_length_zero():
 def test_eps_line_constants():
     a, b = EPS_LINE
     assert a != 0 and b != 0 and a != b
+
+
+# -- the Laurent route against the four-variable line route -----------------
+
+# every n1 + n2 <= 3 with the route divisor and the zero divisor, and
+# n1 + n2 = 4 with the route divisor on plane and quadric
+ROUTE_CASES = ([pytest.param(name, div, range(4), id=f"{name}-{kind}-n<=3")
+                for name in ROUTE_DIVISORS
+                for kind, div in (("L", ROUTE_DIVISORS[name]), ("zero", {}))]
+               + [pytest.param(name, ROUTE_DIVISORS[name], (4,),
+                               id=f"{name}-L-n=4")
+                  for name in ("plane", "quadric")])
+
+
+@pytest.mark.parametrize("name,div,sizes", ROUTE_CASES)
+def test_classical_limit_equals_the_line_route_at_its_origin(name, div,
+                                                             sizes):
+    model = from_preset(name)
+    for n in sizes:
+        for n1 in range(n + 1):
+            want = classical_integral(model, div, n1, n - n1)
+            assert REG.const(classical_limit(model, div, n1, n - n1)) == \
+                want, (n1, n - n1)
+
+
+def _laurent_sum(*chars):
+    acc = {}
+    for char in chars:
+        _add_laurent_term(acc, WeightCharacter(), WeightCharacter(char), 0, 1)
+    return _constant_term(acc)
+
+
+def test_cancelling_poles_leave_the_constant_term():
+    # (s + u)/u + s/(-u) = 1 at s = 1
+    assert _laurent_sum({(0, 0, 1, 0): -1, (1, 0, 1, 0): 1},
+                        {(0, 0, -1, 0): -1, (1, 0, 0, 0): 1}) == 1
+
+
+def test_a_pole_that_does_not_cancel_raises():
+    with pytest.raises(ValueError, match="u\\^-1 coefficient 1 .*cancel"):
+        _laurent_sum({(0, 0, 1, 0): -1, (1, 0, 1, 0): 1})
+
+
+def test_a_term_of_nonzero_s_degree_raises():
+    with pytest.raises(ValueError, match="s-degree 1"):
+        _laurent_sum({(1, 0, 0, 0): 1})
+
+
+def test_degenerate_line_raises(monkeypatch):
+    monkeypatch.setattr(universal, "EPS_LINE", (1, 1))
+    with pytest.raises(NonGenericWeightError):
+        classical_limit(from_preset("plane"), {"H": 1}, 2, 0)
