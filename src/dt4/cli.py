@@ -10,19 +10,46 @@ a usage error.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
 from fractions import Fraction
 
-from .eqalg import DEFAULT_REGISTRY as REG
-from .localize import (PrefactorData, mochizuki_coefficient,
-                       pure_s_monomial, typeII_component_integral)
-from .moduli import (EllipticSurface, Polarization, enumerate_typeII_K3,
-                     in_stable_chamber, is_ample, wall_threshold,
-                     z_typeI_closed_form, z_typeI_series,
-                     z_typeII_conjecture_series)
-from .surfaces import from_preset
+# Name a command calls -> dt4 module that defines it (a module maps to
+# itself).  A command binds its names as globals of this module when it
+# runs, so it imports only the modules it needs.  A name that is already
+# bound, for instance by a tracer that wrapped it, is kept.
+_HOME = {
+    "DEFAULT_REGISTRY": "eqalg",
+    "PrefactorData": "localize", "mochizuki_coefficient": "localize",
+    "pure_s_monomial": "localize", "typeII_component_integral": "localize",
+    "EllipticSurface": "moduli", "Polarization": "moduli",
+    "enumerate_typeII_K3": "moduli", "in_stable_chamber": "moduli",
+    "is_ample": "moduli", "wall_threshold": "moduli",
+    "z_typeI_closed_form": "moduli", "z_typeI_series": "moduli",
+    "z_typeII_conjecture_series": "moduli",
+    "from_preset": "surfaces",
+    "universal": "universal",
+}
+
+
+def _bind(*names):
+    scope = globals()
+    for name in names:
+        if name not in scope:
+            home = _HOME[name]
+            module = importlib.import_module(f".{home}", __package__)
+            scope[name] = module if name == home else getattr(module, name)
+
+
+def __getattr__(name):
+    """``cli.NAME`` for a name no command has bound yet (PEP 562)."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(name)
+    return globals()[name]
+
 
 FIT_FIELDS = ("D_sq", "D_c1", "c1_sq", "c2")
 
@@ -132,6 +159,8 @@ def _emit_error(args, params, exc):
 # -- subcommands -----------------------------------------------------------
 
 def cmd_zseries(args):
+    _bind("z_typeI_series", "z_typeI_closed_form",
+          "z_typeII_conjecture_series")
     params = {"order": args.order}
     try:
         lhs = z_typeI_series(args.order)
@@ -158,6 +187,8 @@ def cmd_zseries(args):
 
 
 def cmd_chamber(args):
+    _bind("EllipticSurface", "Polarization", "in_stable_chamber", "is_ample",
+          "wall_threshold")
     params = {"k": args.k, "r": args.r, "delta": str(args.delta),
               "t": str(args.t), "u": str(args.u)}
     try:
@@ -185,6 +216,7 @@ def cmd_chamber(args):
 
 
 def cmd_fixedloci(args):
+    _bind("enumerate_typeII_K3")
     params = {"m": args.m, "n": args.n}
     try:
         comps = enumerate_typeII_K3(args.m, args.n)
@@ -216,6 +248,8 @@ def cmd_fixedloci(args):
 
 
 def cmd_localize(args):
+    _bind("DEFAULT_REGISTRY", "PrefactorData", "from_preset",
+          "pure_s_monomial", "typeII_component_integral")
     params = {"surface": args.surface, "divisor": dict(sorted(args.divisor.items())),
               "n1": args.n1, "n2": args.n2,
               "prefactor_variant": args.prefactor_variant,
@@ -240,8 +274,8 @@ def cmd_localize(args):
     except ValueError as exc:
         return _emit_error(args, params, exc)
     # ratio against the leading nested-conjecture coefficient (1/4) 1/s
-    s = REG.var("s")
-    lead = (REG.one() / REG.const(4)) / s
+    reg = DEFAULT_REGISTRY
+    lead = (reg.one() / reg.const(4)) / reg.var("s")
     ratio = value / lead
     mono = pure_s_monomial(ratio)
     ratio_block = {"value": str(ratio), "pure_s_monomial": mono is not None}
@@ -261,6 +295,7 @@ def cmd_localize(args):
 
 
 def cmd_mochizuki(args):
+    _bind("from_preset", "mochizuki_coefficient")
     params = {"surface": args.surface,
               "divisor": dict(sorted(args.divisor.items())),
               "split1": dict(sorted(args.split1.items())),
@@ -287,8 +322,8 @@ def cmd_mochizuki(args):
 
 
 def cmd_fit(args):
+    _bind("universal")
     params = {"n1": args.n1, "n2": args.n2, "degree_bound": args.degree_bound}
-    from . import universal     # only fit needs it
     try:
         configs = universal.battery_configs()
         # fail before any integral when the monomials outnumber the samples

@@ -6,17 +6,15 @@ lattice spanned by the section and the fiber.  On top of the
 intersection form the module provides the no-wall chamber test for the
 adiabatic polarizations, enumeration of the nested fixed-locus
 components, and the two partition-function series the fiberwise count
-produces.
+produces.  Only those series functions need the exact arithmetic and
+the q-series, so they import them when called: the chamber and
+fixed-locus commands never load either.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import NamedTuple
-
-from .eqalg import DEFAULT_REGISTRY as REG
-from .qseries import (HalfQSeries, delta_inverse, goettsche_series,
-                      substitute_power, substitute_sqrt)
 
 
 class DivisorClass(NamedTuple):
@@ -202,6 +200,7 @@ def typeI_DT_K3(n):
     Zero for n <= 1 (empty moduli); otherwise 1/s times the Euler number
     of the Hilbert scheme of 2n-3 points of a K3 surface.
     """
+    from .eqalg import DEFAULT_REGISTRY as REG
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n <= 1:
@@ -213,6 +212,8 @@ def z_typeI_series(order):
     """Series of non-nested counts typeI_DT_K3(n) at exponent n-2, known
     through q^order inclusive; every Euler number is read off one
     expansion of the Hilbert-scheme generating series."""
+    from .eqalg import DEFAULT_REGISTRY as REG
+    from .qseries import HalfQSeries, goettsche_series
     if 2 * Fraction(order) <= -4:
         raise ValueError("order must exceed -2")
     trunc = int(2 * Fraction(order)) + 2
@@ -231,6 +232,8 @@ def z_typeI_closed_form(order):
 
     Same truncation window as z_typeI_series(order).
     """
+    from .eqalg import DEFAULT_REGISTRY as REG
+    from .qseries import delta_inverse, substitute_sqrt
     if 2 * Fraction(order) <= -4:
         raise ValueError("order must exceed -2")
     inner = delta_inverse(max(int(2 * Fraction(order)) + 1, 0))
@@ -243,6 +246,8 @@ def z_typeI_closed_form(order):
 def z_typeII_conjecture_series(order):
     """Conjectured nested series: 1/(4s) times the inverse discriminant
     form evaluated at q^2; known at least through q^order inclusive."""
+    from .eqalg import DEFAULT_REGISTRY as REG
+    from .qseries import delta_inverse, substitute_power
     if 2 * Fraction(order) <= -4:
         raise ValueError("order must exceed -2")
     inner_order = -((-Fraction(order)) // 2)
@@ -259,6 +264,7 @@ def assemble_typeII_K3_series(m, order):
     an odd-twist series raises; for even m the result is the zero
     series on the nose.
     """
+    from .qseries import HalfQSeries
     if 2 * Fraction(order) <= -4:
         raise ValueError("order must exceed -2")
     units = {}

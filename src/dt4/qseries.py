@@ -13,8 +13,7 @@ scaling promotes as needed.
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .poly import binom
+from operator import index, mul
 
 
 def _units(e):
@@ -161,29 +160,35 @@ def coeff_str(c):
 # -- builders --------------------------------------------------------------
 
 def product_power(exponent, order):
-    """Truncated expansion of prod_{m>=1} (1 - q^m)^exponent.
+    """Truncated expansion of prod_{m>=1} (1 - q^m)^a for an integer a.
 
-    ``order`` is the exclusive truncation bound (a half-integer).
+    ``order`` is the exclusive truncation bound (a half-integer).  The
+    q^n coefficients f_n follow from log prod (1 - q^m)^a
+    = -a sum_n sigma(n) q^n / n, sigma(n) the sum of the divisors of n,
+    whose derivative gives the recurrence
+
+        n f_n = -a (sigma(1) f_{n-1} + sigma(2) f_{n-2} + ... + sigma(n) f_0).
+
+    For integer a every f_n is an integer, so the division by n is exact
+    and the arithmetic stays in integers.  N coefficients cost O(N^2)
+    multiplications.
 
     >>> product_power(-1, 5).coefficient(4)
     5
     """
+    a = index(exponent)
     trunc = _units(order)
     if trunc <= 0:
         raise ValueError("order must be positive")
     emax = (trunc - 1) // 2
-    res = {0: 1}
-    for m in range(1, emax + 1):
-        jmax = emax // m
-        fac = {j * m: binom(exponent, j) * (-1) ** j for j in range(jmax + 1)}
-        nxt = {}
-        for e1, c1 in res.items():
-            for e2, c2 in fac.items():
-                e = e1 + e2
-                if e <= emax and c2:
-                    nxt[e] = nxt.get(e, 0) + c1 * c2
-        res = nxt
-    return HalfQSeries({2 * e: c for e, c in res.items()}, 0, trunc)
+    sigma = [0] * (emax + 1)
+    for d in range(1, emax + 1):
+        for k in range(d, emax + 1, d):
+            sigma[k] += d
+    f = [1] + [0] * emax
+    for n in range(1, emax + 1):
+        f[n] = -a * sum(map(mul, sigma[1:n + 1], f[n - 1::-1])) // n
+    return HalfQSeries({2 * e: c for e, c in enumerate(f)}, 0, trunc)
 
 
 def goettsche_series(euler_char, order):

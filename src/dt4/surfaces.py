@@ -307,6 +307,9 @@ def from_preset(name):
             data = json.load(fh)
     except FileNotFoundError:
         raise ValueError(f"unknown surface preset: {name}") from None
+    except (OSError, ValueError) as exc:    # unreadable, undecodable, not JSON
+        raise ValueError(f"malformed preset: {name} is not readable JSON "
+                         f"({type(exc).__name__}: {exc})") from None
     return ToricSurfaceModel.from_json(data)
 
 

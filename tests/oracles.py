@@ -45,6 +45,22 @@ def colored_counts(colors, n):
     return acc
 
 
+def binomial_product(a, n):
+    """Coefficients of prod_{m>=1} (1 - q^m)^a through q^n for an integer
+    a, multiplying in one truncated binomial series per factor."""
+    def binom(j):
+        if a >= 0:
+            return math.comb(a, j)
+        return (-1) ** j * math.comb(j - a - 1, j)
+
+    acc = [1] + [0] * n
+    for m in range(1, n + 1):
+        acc = [sum((-1) ** j * binom(j) * acc[e - j * m]
+                   for j in range(e // m + 1))
+               for e in range(n + 1)]
+    return acc
+
+
 def k3_component_count(m, n):
     """Closed-form count of the nested components at fiber twist m,
     charge n: the twist splits into (b, m+1-b) with b from 1 to the

@@ -375,6 +375,25 @@ def test_malformed_preset_is_a_domain_error(capsys, tmp_path, monkeypatch):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["directory", "undecodable", "not-json"])
+def test_unreadable_preset_is_a_domain_error(kind, capsys, tmp_path,
+                                             monkeypatch):
+    path = tmp_path / "plane.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{" if kind == "undecodable" else b"{")
+    monkeypatch.setenv("DT4_PRESET_DIR", str(tmp_path))
+    for argv in (["localize", "--surface", "plane", "--n1", "1"],
+                 ["mochizuki", "--surface", "plane", "--n", "1"]):
+        code, report, err = run_json(capsys, argv)
+        assert code == 1
+        assert report["error"]["type"] == "ValueError"
+        assert report["error"]["message"].startswith(
+            "malformed preset: plane is not readable JSON")
+        assert "Traceback" not in err
+
+
 def test_preset_without_charts_is_a_domain_error(capsys, tmp_path,
                                                  monkeypatch):
     # consistent with its empty fan, but no surface: nothing to localize on

@@ -1,13 +1,17 @@
-"""What ``import dt4.cli`` loads, and the names perfbench's tracer rebinds.
+"""What ``import dt4.cli`` and each command load, and the names
+perfbench's tracer rebinds.
 
-Both tests run in fresh interpreters: one to see a clean ``sys.modules``,
-the other so that the tracer's patches never reach other tests.
+Every test runs in fresh interpreters: the footprint tests to see a clean
+``sys.modules``, the tracer test so that its patches never reach other
+tests.
 """
 
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import dt4
 
@@ -43,6 +47,38 @@ def run_python(code, *args):
 def test_cli_import_footprint():
     got = run_python(FOOTPRINT_SCRIPT)
     assert got == {"loaded": [], "unresolved": []}
+
+
+# Runs one command through cli.main; prints the dt4 modules then loaded.
+COMMAND_SCRIPT = """
+import contextlib, io, json, sys
+from dt4 import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.startswith("dt4."))]))
+"""
+
+LOCALIZE_MODULES = ["dt4.cli", "dt4.eqalg", "dt4.localize", "dt4.partitions",
+                    "dt4.poly", "dt4.surfaces"]
+
+COMMAND_MODULES = [
+    (["chamber", "--k", "1", "--r", "2", "--delta", "1", "--t", "1",
+      "--u", "1"], ["dt4.cli", "dt4.moduli"]),
+    (["fixedloci", "--m", "1", "--n", "6"], ["dt4.cli", "dt4.moduli"]),
+    (["zseries", "--order", "10"],
+     ["dt4.cli", "dt4.eqalg", "dt4.moduli", "dt4.poly", "dt4.qseries"]),
+    (["localize", "--chi-numbers", "2,2,2,0,0"], LOCALIZE_MODULES),
+    (["mochizuki", "--n", "1"], LOCALIZE_MODULES),
+    (["fit", "--n1", "1", "--n2", "0"],
+     sorted(LOCALIZE_MODULES + ["dt4.universal"])),
+]
+
+
+@pytest.mark.parametrize("argv,modules", COMMAND_MODULES,
+                         ids=[argv[0] for argv, _ in COMMAND_MODULES])
+def test_each_command_loads_only_its_modules(argv, modules):
+    assert run_python(COMMAND_SCRIPT, *argv) == [0, modules]
 
 
 # Runs COMMANDS through cli.main, with the tracer installed when argv[2]
@@ -84,6 +120,9 @@ COMMANDS = [
      {"surfaces.from_preset", "universal.fit_universal", "localize.pool"},
      None),
     (["zseries", "--order", "10"], {"moduli.z_typeI_series"}, None),
+    (["chamber", "--k", "1", "--r", "2", "--delta", "1", "--t", "1",
+      "--u", "1"], set(), None),
+    (["fixedloci", "--m", "1", "--n", "6"], set(), None),
 ]
 
 

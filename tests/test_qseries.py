@@ -10,7 +10,7 @@ from dt4.qseries import (HalfQSeries, coeff_str, delta_inverse,
                          goettsche_series, product_power, substitute_power,
                          substitute_sqrt)
 
-from oracles import colored_counts, partition_numbers
+from oracles import binomial_product, colored_counts, partition_numbers
 
 
 def test_partition_number_oracle_sanity():
@@ -92,6 +92,68 @@ def test_product_power_known():
     # prod (1-q^m)^1 gives pentagonal-number signs
     g = product_power(1, 13)
     assert [g.coefficient(k) for k in range(8)] == [1, -1, -1, 0, 0, 1, 0, 1]
+
+
+def _coefficients(series, n):
+    return [series.coefficient(k) for k in range(n + 1)]
+
+
+def test_product_power_euler_pentagonal():
+    # prod (1 - q^m) = sum over all integers k of (-1)^k q^(k(3k-1)/2)
+    want = [0] * 201
+    for k in range(-12, 13):
+        if k * (3 * k - 1) // 2 <= 200:
+            want[k * (3 * k - 1) // 2] += (-1) ** k
+    assert _coefficients(product_power(1, 201), 200) == want
+
+
+def test_product_power_jacobi_cube():
+    # prod (1 - q^m)^3 = sum_{k>=0} (-1)^k (2k+1) q^(k(k+1)/2)
+    want = [0] * 201
+    for k in range(20):
+        want[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+    assert _coefficients(product_power(3, 201), 200) == want
+
+
+def test_product_power_ramanujan_tau():
+    # q prod (1 - q^m)^24 = sum tau(n) q^n
+    tau = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643,
+           -115920, 534612, -370944]
+    assert _coefficients(product_power(24, 12), 11) == tau
+
+
+def test_product_power_inverse_discriminant_vs_convolution():
+    assert (_coefficients(product_power(-24, 101), 100)
+            == colored_counts(24, 100))
+
+
+def test_product_power_zero_exponent_is_one():
+    assert product_power(0, 50) == HalfQSeries({0: 1}, 0, 100)
+
+
+def test_product_power_half_integer_orders():
+    for a in (-24, -1, 1, 5):
+        for k in (0, 1, 7):
+            f = product_power(a, Fraction(2 * k + 1, 2))
+            g = product_power(a, k + 1)
+            assert f.units == g.units
+            assert f.truncation_order == Fraction(2 * k + 1, 2)
+            with pytest.raises(ValueError):
+                f.coefficient(Fraction(2 * k + 1, 2))
+
+
+def test_product_power_vs_binomial_factors():
+    for a in range(-30, 31):
+        assert (_coefficients(product_power(a, 41), 40)
+                == binomial_product(a, 40)), a
+
+
+def test_product_power_rejects_bad_arguments():
+    for order in (0, Fraction(-1, 2)):
+        with pytest.raises(ValueError):
+            product_power(1, order)
+    with pytest.raises(TypeError):
+        product_power(Fraction(1, 2), 5)
 
 
 def test_goettsche_series_vs_convolution():

@@ -218,3 +218,16 @@ def test_malformed_preset_raises_value_error(tmp_path, monkeypatch):
         (tmp_path / f"{name}.json").write_text(json.dumps(broken))
         with pytest.raises(ValueError, match="malformed preset"):
             from_preset(name)
+
+
+def test_unreadable_preset_raises_value_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("DT4_PRESET_DIR", str(tmp_path))
+    (tmp_path / "folder.json").mkdir()
+    (tmp_path / "latin1.json").write_bytes('{"name": "é"}'.encode("latin-1"))
+    (tmp_path / "truncated.json").write_text('{"name": ')
+    for name, cause in (("folder", "IsADirectoryError"),
+                        ("latin1", "UnicodeDecodeError"),
+                        ("truncated", "JSONDecodeError")):
+        with pytest.raises(ValueError, match=f"malformed preset: {name} "
+                                             f"is not readable JSON .{cause}"):
+            from_preset(name)
