@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 # public name -> submodule that defines it
 _HOME = {
-    "DEFAULT_REGISTRY": "eqalg", "EqScalar": "eqalg",
+    "DEFAULT_REGISTRY": "eqalg", "FactoredScalar": "eqalg",
     "HalfQSeries": "qseries", "delta_inverse": "qseries",
     "goettsche_series": "qseries",
     "PRESET_NAMES": "surfaces", "ToricSurfaceModel": "surfaces",

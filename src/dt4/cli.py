@@ -274,9 +274,7 @@ def cmd_localize(args):
     except ValueError as exc:
         return _emit_error(args, params, exc)
     # ratio against the leading nested-conjecture coefficient (1/4) 1/s
-    reg = DEFAULT_REGISTRY
-    lead = (reg.one() / reg.const(4)) / reg.var("s")
-    ratio = value / lead
+    ratio = value * DEFAULT_REGISTRY.const(4) * DEFAULT_REGISTRY.var("s")
     mono = pure_s_monomial(ratio)
     ratio_block = {"value": str(ratio), "pure_s_monomial": mono is not None}
     if mono is not None:
@@ -287,9 +285,9 @@ def cmd_localize(args):
                "conjecture_leading_ratio": ratio_block}
     if audit_rows is not None:
         results["audit"] = audit_rows
-    pretty = [f"  value      {value}",
-              f"  prefactor  {pre.value()}",
-              f"  ratio to (1/4)/s: {ratio} "
+    pretty = [f"  value      {results['value']}",
+              f"  prefactor  {results['prefactor']}",
+              f"  ratio to (1/4)/s: {ratio_block['value']} "
               f"(pure s-monomial: {mono is not None})"]
     return _emit(args, params, results, checks=[], pretty_lines=pretty)
 
@@ -316,7 +314,7 @@ def cmd_mochizuki(args):
                "empty_split_range": budget < 0}
     if audit_rows is not None:
         results["audit"] = audit_rows
-    pretty = [f"  coefficient  {value}",
+    pretty = [f"  coefficient  {results['value']}",
               f"  length budget after pairing: {budget}"]
     return _emit(args, params, results, checks=[], pretty_lines=pretty)
 
@@ -334,7 +332,9 @@ def cmd_fit(args):
         poly = universal.fit_universal(train, args.degree_bound, FIT_FIELDS)
     except ValueError as exc:
         return _emit_error(args, params, exc)
-    held_ok = poly.evaluate(held[0]) == held[1]
+    exact_str = universal.exact_str
+    predicted = poly.evaluate(held[0])
+    held_ok = predicted == held[1]
     k3_values = [poly.evaluate(universal.ChernNumbers.k3_point(m))
                  for m in (0, 1, 3)]
     k3_ok = all(v == k3_values[0] for v in k3_values)
@@ -344,20 +344,21 @@ def cmd_fit(args):
         "sample_count": len(train),
         "held_out": {"surface": held_model.name,
                      "divisor": dict(sorted(held_div.items())),
-                     "value": str(held[1]),
-                     "predicted": str(poly.evaluate(held[0]))},
-        "k3_point_value": str(k3_values[0]),
+                     "value": exact_str(held[1]),
+                     "predicted": exact_str(predicted)},
+        "k3_point_value": exact_str(k3_values[0]),
     }
     if args.audit:
         results["audit"] = [
             {"surface": model.name, "divisor": dict(sorted(div.items())),
-             "value": str(val)}
+             "value": exact_str(val)}
             for (model, div), (_, val) in zip(configs, samples)]
     checks = [("fit-held-out-exact", held_ok),
               ("fit-k3-m-independent", k3_ok)]
     pretty = [f"  fitted {len(poly.terms)} term(s) from {len(train)} samples"]
     for exps, coeff in sorted(poly.terms.items()):
-        pretty.append(f"    {universal._monomial_name(exps):<16} {coeff}")
+        pretty.append(f"    {universal._monomial_name(exps):<16} "
+                      f"{exact_str(coeff)}")
     pretty.append(f"  held-out ({held_model.name}, {dict(sorted(held_div.items()))}): "
                   f"{'reproduced' if held_ok else 'MISMATCH'}")
     return _emit(args, params, results, checks, pretty)

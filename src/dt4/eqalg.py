@@ -1,10 +1,18 @@
-"""Exact rational functions and torus weight characters.
+"""Exact scalars and torus weight characters.
 
 All equivariant quantities live in the fraction field of one integer
 polynomial ring.  Its variables are fixed: the fiber-scaling parameter
 ``s``, the secondary parameter ``sp`` of residue integrals, and the two
 toric chart parameters ``e1``, ``e2``, in that order.
 :data:`DEFAULT_REGISTRY` is the ring's one object.
+
+Every Atiyah-Bott denominator is a product of torus weights, which are
+linear forms, so every scalar is a :class:`FactoredScalar`: a numerator
+polynomial over a product of forms, times a rational number.  ``*`` adds
+multiplicities, ``+`` lifts both numerators to the union of the forms,
+``/`` turns a divisor's numerator into forms, and ``specialize`` maps
+forms to affine ones.  None of them reduces: ``canonical()`` is the one
+place that does, and it finds its gcd by trial division by each form.
 
 A :class:`WeightCharacter` is a finite multiset of integer linear forms in
 these variables; it models the character of a virtual torus
@@ -15,12 +23,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
 
-from .poly import Poly, binom, gcd, poly_str
+from .poly import Poly, binom, poly_str
 
 NAMES = ("s", "sp", "e1", "e2")
 NVARS = len(NAMES)
+ONE = Fraction(1)
+_UNITS = tuple(tuple(int(i == j) for j in range(NVARS)) for i in range(NVARS))
+_CONSTANT = (0,) * NVARS
 
 
 class NonGenericWeightError(ValueError):
@@ -44,12 +54,12 @@ class Registry:
         return self._index[name]
 
     def var(self, name):
-        return EqScalar(Poly.variable(NVARS, self._index[name]))
+        return FactoredScalar(Poly.variable(NVARS, self._index[name]))
 
     def const(self, c):
-        if isinstance(c, Fraction):
-            return EqScalar(c.numerator, c.denominator)
-        return EqScalar(c)
+        c = Fraction(c)
+        return FactoredScalar(Poly.const(NVARS, c.numerator), {},
+                              Fraction(1, c.denominator))
 
     def zero(self):
         return self.const(0)
@@ -61,199 +71,247 @@ class Registry:
 DEFAULT_REGISTRY = Registry()
 
 
-class EqScalar:
-    """Element of the rational function field of the ring.
+# -- forms -----------------------------------------------------------------
 
-    Stored in canonical form: numerator and denominator coprime over the
-    integers and the denominator with positive graded-lex leading
-    coefficient.  Zero is ``0/1``.  Arithmetic keeps that form without a
-    final reduction: ``*`` cancels the two cross gcds, ``+`` cancels
-    gcd(sum, gcd of denominators) (Henrici), and leading coefficients of
-    products are products of leading coefficients.
+# A form is a tuple of the coefficients of s, sp, e1, e2, then the constant.
+
+def _form_gcd(num, forms):
+    """The gcd of ``num`` and ``prod(form ** mult)`` as a Poly.  Distinct
+    forms are coprime irreducibles, so it is each form to the number of
+    times it divides ``num``, at most ``mult``, found by trial division;
+    ``forms`` is lowered in place to the multiplicities left over."""
+    g = Poly.const(NVARS, 1)
+    for p, m in forms.items():
+        f = Poly.linear_form(p[:-1], p[-1])
+        while m and (quo := f.divides(num)) is not None:
+            num, m, g = quo, m - 1, g * f
+        forms[p] = m
+    return g
+
+
+# canonical() calls the gcd by this name, which perfbench's tracer counts
+# as poly.gcd
+gcd = _form_gcd
+
+
+def _primitive_form(w):
+    """Split a nonzero weight vector or form as k * p with p primitive and
+    its first nonzero entry (the graded-lex leading coefficient, whenever a
+    variable has one) positive."""
+    k = math.gcd(*w)
+    if not k:
+        raise NonGenericWeightError(
+            "zero torus weight: Euler class is not invertible")
+    if next(x for x in w if x) < 0:
+        k = -k
+    return k, tuple(x // k for x in w)
+
+
+def _as_forms(num):
+    """(forms, k) with num == k * prod(forms): for a nonzero constant, a
+    single term (its variables are the forms) or a polynomial of degree
+    one; any other numerator has no known factorisation into forms."""
+    if len(num.terms) == 1:
+        (e, k), = num.terms.items()
+        return {u + (0,): m for u, m in zip(_UNITS, e) if m}, k
+    if max(map(sum, num.terms)) == 1:
+        k, p = _primitive_form(tuple(num.terms.get(u, 0) for u in _UNITS)
+                               + (num.terms.get(_CONSTANT, 0),))
+        return {p: 1}, k
+    raise ValueError("division by a numerator that is not a product of "
+                     "forms")
+
+
+def _coerce(x):
+    if isinstance(x, FactoredScalar):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return DEFAULT_REGISTRY.const(x)
+    return None
+
+
+class FactoredScalar:
+    """``scalar * num / prod(form ** mult)``: the one scalar type.
+
+    ``num`` is a Poly and ``scalar`` a Fraction.  ``forms`` maps forms,
+    primitive with positive leading coefficient, to positive
+    multiplicities; it is never changed in place.  Distinct such
+    forms are pairwise coprime irreducibles, so ``canonical`` reduces by
+    trial division alone, and ``==``, hashing and printing read the
+    canonical form.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "forms", "scalar", "_canon")
 
-    def __init__(self, num, den=None, _canonical=False):
-        if isinstance(num, int):
-            num = Poly.const(NVARS, num)
-        if den is None:
-            den = Poly.const(NVARS, 1)
-        elif isinstance(den, int):
-            den = Poly.const(NVARS, den)
-        if not _canonical:
-            num, den = _reduce(num, den)
+    def __init__(self, num, forms=None, scalar=ONE):
         self.num = num
-        self.den = den
+        self.forms = forms or {}
+        self.scalar = scalar
+        self._canon = None
+
+    @staticmethod
+    def zero():
+        return DEFAULT_REGISTRY.zero()
 
     # -- canonical form ----------------------------------------------------
+
+    def canonical(self):
+        """The canonical form: every form that divides the numerator is
+        divided out, then the integer content.  Its scalar is 1/q with q a
+        positive integer coprime to the numerator's content, so ``num``
+        over ``den`` is the reduced fraction, with a positive leading
+        coefficient in ``den``.  Zero is 0/1."""
+        if self._canon is None:
+            num, q, forms = self.num, self.scalar, dict(self.forms)
+            if num.is_zero():
+                q, forms = ONE, {}
+            else:
+                g = gcd(num, forms)
+                num = num if g.is_one() else num.divexact(g)
+                forms = {p: m for p, m in forms.items() if m}
+                g = math.gcd(num.content(), q.denominator)
+                num = num.divexact(g) * q.numerator
+                q = Fraction(1, q.denominator // g)
+            self._canon = FactoredScalar(num, forms, q)
+            self._canon._canon = self._canon
+        return self._canon
+
+    @property
+    def den(self):
+        """The denominator polynomial: the scalar's denominator times the
+        forms.  The value is ``scalar.numerator * num / den``."""
+        den = Poly.const(NVARS, self.scalar.denominator)
+        for p, m in self.forms.items():
+            den = den * Poly.linear_form(p[:-1], p[-1]) ** m
+        return den
 
     def is_zero(self):
         return self.num.is_zero()
 
-    def is_one(self):
-        return self.num.is_one() and self.den.is_one()
-
     def key(self):
-        return (self.num.key(), self.den.key())
+        x = self.canonical()
+        return x.num.key(), tuple(sorted(x.forms.items())), x.scalar
 
     def __eq__(self, other):
-        if not isinstance(other, EqScalar):
-            if isinstance(other, (int, Fraction)):
-                other = DEFAULT_REGISTRY.const(other)
-            else:
-                return NotImplemented
-        return self.key() == other.key()
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.key() == o.key()
 
     def __hash__(self):
         return hash(self.key())
 
     def __str__(self):
-        ns = poly_str(self.num, NAMES)
-        if self.den.is_one():
+        x = self.canonical()
+        ns = poly_str(x.num, NAMES)
+        if not x.forms and x.scalar == 1:
             return ns
-        return f"({ns})/({poly_str(self.den, NAMES)})"
+        return f"({ns})/({poly_str(x.den, NAMES)})"
 
     def __repr__(self):
-        return f"EqScalar({self})"
+        return f"FactoredScalar({self})"
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, EqScalar):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return DEFAULT_REGISTRY.const(other)
-        if isinstance(other, Poly):
-            return EqScalar(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        a, b, c, d = self.num, self.den, o.num, o.den
-        if b == d:
-            g, t, den = b, a + c, Poly.const(NVARS, 1)
-        else:
-            g = gcd(b, d)
-            b0 = b.divexact(g)
-            d0 = d.divexact(g)
-            t, den = a * d0 + c * b0, b0 * d0
-        if t.is_zero():
-            return DEFAULT_REGISTRY.zero()
-        if not g.is_one():
-            # Henrici: gcd(t, b0*d0*g) == gcd(t, g), so one gcd makes the
-            # sum canonical
-            h = gcd(t, g)
-            if not h.is_one():
-                t = t.divexact(h)
-                g = g.divexact(h)
-        return EqScalar(t, den * g, _canonical=True)
+        return factored_sum([self, o])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return EqScalar(-self.num, self.den, _canonical=True)
+        return FactoredScalar(-self.num, self.forms, self.scalar)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return self + (-o)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o + (-self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        a, b, c, d = self.num, self.den, o.num, o.den
-        if a.is_zero() or c.is_zero():
-            return DEFAULT_REGISTRY.zero()
-        g1 = gcd(a, d)
-        g2 = gcd(c, b)
-        if not g1.is_one():
-            a = a.divexact(g1)
-            d = d.divexact(g1)
-        if not g2.is_one():
-            c = c.divexact(g2)
-            b = b.divexact(g2)
-        # a*c and b*d are now coprime, and b*d keeps a positive leading
-        # coefficient (leading terms multiply under a monomial order)
-        return EqScalar(a * c, b * d, _canonical=True)
+        forms = dict(self.forms)
+        for p, m in o.forms.items():
+            forms[p] = forms.get(p, 0) + m
+        return FactoredScalar(self.num * o.num, forms, self.scalar * o.scalar)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.num.is_zero():
+        """1/self; the canonical numerator must be a product of forms (see
+        ``_as_forms``), and it becomes the denominator."""
+        x = self.canonical()
+        if x.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if self.num.lead()[1] < 0:
-            return EqScalar(-self.den, -self.num, _canonical=True)
-        return EqScalar(self.den, self.num, _canonical=True)
+        forms, k = _as_forms(x.num)
+        return FactoredScalar(x.den, forms, Fraction(1, k))
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o * self.inverse()
 
     def __pow__(self, k):
         if k < 0:
-            return self.inverse() ** (-k)
-        r = DEFAULT_REGISTRY.one()
-        b = self
-        while k:
-            if k & 1:
-                r = r * b
-            k >>= 1
-            if k:
-                b = b * b
-        return r
+            return self.inverse() ** -k
+        return FactoredScalar(self.num ** k,
+                              {p: m * k for p, m in self.forms.items() if k},
+                              self.scalar ** k)
 
     # -- evaluation --------------------------------------------------------
 
     def specialize(self, assign):
-        """Substitute Fractions for named variables, staying exact."""
+        """Substitute Fractions for named variables, staying exact.  Each
+        form becomes an affine one, or a constant that joins the scalar."""
+        x = self.canonical()
         idx = {DEFAULT_REGISTRY.index(n): Fraction(v)
                for n, v in assign.items()}
-        pn, dn = self.num.substitute_scaled(idx)
-        pd, dd = self.den.substitute_scaled(idx)
-        if pd.is_zero():
-            raise ZeroDivisionError("denominator vanishes under specialization")
-        return EqScalar(pn * dd, pd * dn)
+        num, d = x.num.substitute_scaled(idx)
+        scalar, forms = x.scalar / d, {}
+        for p, m in x.forms.items():
+            const = p[NVARS] + sum(p[i] * v for i, v in idx.items())
+            lin = [0 if i in idx else c for i, c in enumerate(p[:NVARS])]
+            if not any(lin):
+                if not const:
+                    raise ZeroDivisionError(
+                        "denominator vanishes under specialization")
+                scalar /= Fraction(const) ** m
+                continue
+            dd = Fraction(const).denominator
+            k, q = _primitive_form(tuple(c * dd for c in lin)
+                                   + (int(const * dd),))
+            scalar *= Fraction(dd, k) ** m
+            forms[q] = forms.get(q, 0) + m
+        return FactoredScalar(num, forms, scalar)
 
     def as_fraction(self):
-        """Value as a Fraction; requires a constant rational function."""
-        if not (self.num.is_const() and self.den.is_const()):
-            raise ValueError(f"not a constant: {self}")
-        return Fraction(self.num.const_value(), self.den.const_value())
+        """Value as a Fraction; requires a constant."""
+        x = self.canonical()
+        if x.forms or not x.num.is_const():
+            raise ValueError(f"not a constant: {x}")
+        return x.num.const_value() * x.scalar
 
 
-def _reduce(num, den):
-    if den.is_zero():
-        raise ZeroDivisionError("zero denominator")
-    if num.is_zero():
-        return num, Poly.const(num.nvars, 1)
-    g = gcd(num, den)
-    if not g.is_one():
-        num = num.divexact(g)
-        den = den.divexact(g)
-    _, lc = den.lead()
-    if lc < 0:
-        num = -num
-        den = -den
-    return num, den
+# perfbench's tracer counts the arithmetic of the one scalar type under
+# this name
+EqScalar = FactoredScalar
 
 
 # -- weight characters -----------------------------------------------------
@@ -353,54 +411,6 @@ class WeightCharacter:
         return out
 
 
-def _primitive_form(w):
-    """Split a nonzero weight vector as k * p with p primitive and its
-    first nonzero entry (the graded-lex leading coefficient) positive."""
-    k = math.gcd(*w)
-    if not k:
-        raise NonGenericWeightError(
-            "zero torus weight: Euler class is not invertible")
-    if next(x for x in w if x) < 0:
-        k = -k
-    return k, tuple(x // k for x in w)
-
-
-class FactoredScalar(NamedTuple):
-    """``scalar * num / prod(form ** mult)`` over distinct linear forms.
-
-    ``forms`` maps primitive weight vectors with positive leading entry to
-    positive multiplicities.  Distinct such forms are pairwise coprime
-    irreducibles, so trial division by each form replaces the gcd when the
-    value is put in canonical form.
-    """
-    num: Poly
-    forms: dict
-    scalar: Fraction
-
-    @classmethod
-    def zero(cls):
-        return cls(Poly.zero(NVARS), {}, Fraction(1))
-
-    def canonical(self):
-        """The canonical EqScalar: trial division by each form, then the
-        integer content; the denominator's sign is already positive."""
-        num, q = self.num, self.scalar
-        if num.is_zero():
-            return DEFAULT_REGISTRY.zero()
-        den = Poly.const(NVARS, q.denominator)
-        for p, m in self.forms.items():
-            f = Poly.linear_form(p)
-            while m:
-                quo = f.divides(num)
-                if quo is None:
-                    break
-                num, m = quo, m - 1
-            den = den * f ** m
-        g = math.gcd(num.content(), q.denominator)
-        return EqScalar(num.divexact(g) * q.numerator, den.divexact(g),
-                        _canonical=True)
-
-
 def euler_of_character(char, num=None):
     """``num`` (default 1) times the equivariant Euler class of the
     character: product of weight forms to their multiplicities, factored.
@@ -412,14 +422,14 @@ def euler_of_character(char, num=None):
     mult = {}
     scalar = Fraction(1)
     for w, m in char.items():
-        k, p = _primitive_form(w)
+        k, p = _primitive_form(w + (0,))
         scalar *= Fraction(k) ** m
         mult[p] = mult.get(p, 0) + m
     if num is None:
         num = Poly.const(NVARS, 1)
     for p, m in mult.items():
         if m > 0:
-            num = num * Poly.linear_form(p) ** m
+            num = num * Poly.linear_form(p[:-1], p[-1]) ** m
     return FactoredScalar(num, {p: -m for p, m in mult.items() if m < 0},
                           scalar)
 
@@ -433,7 +443,7 @@ def factored_sum(terms):
         for p, m in t.forms.items():
             forms[p] = max(forms.get(p, 0), m)
         lcd = math.lcm(lcd, t.scalar.denominator)
-    lin = {p: Poly.linear_form(p) for p in forms}
+    lin = {p: Poly.linear_form(p[:-1], p[-1]) for p in forms}
     acc = {}
     for t in terms:
         x = t.num * (t.scalar.numerator * (lcd // t.scalar.denominator))
@@ -457,7 +467,7 @@ def residue(x, var):
     and no gcd runs.
     """
     v = DEFAULT_REGISTRY.index(var)
-    pole = tuple(int(i == v) for i in range(NVARS))
+    pole = _UNITS[v] + (0,)
     order = x.forms.get(pole, 0) - 1
     if order < 0:
         return FactoredScalar.zero()
@@ -473,7 +483,7 @@ def residue(x, var):
             k, p = _primitive_form(r)
             forms[p] = forms.get(p, 0) + m + order
             scalar /= Fraction(k) ** (m + order)
-            rf = Poly.linear_form(r)
+            rf = Poly.linear_form(r[:-1], r[-1])
             series = _truncated_product(series, [
                 rf ** (order - j) * (binom(-m, j) * c ** j)
                 for j in range(order + 1)])

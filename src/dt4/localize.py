@@ -103,6 +103,10 @@ class WeightMap(NamedTuple):
             for b in map(_as_spec, bundles)]
 
     def finish(self, x):
+        """The canonical sum ``x`` at u = 1/D.  Its homogeneous numerator
+        stays divisible by no form and its forms stay pairwise
+        non-proportional (u becomes a constant), so ``specialize`` needs no
+        polynomial gcd, only each form's integer content and sign."""
         return x if self.at is None else x.specialize({"e1": self.at})
 
 
@@ -247,6 +251,9 @@ def _pair_sum(model, splittings, term_fn, jobs, audit, wmap):
 # -- type II component integral --------------------------------------------
 
 PREFACTOR_VARIANTS = ("product", "typeIIB")
+# |chi(2L)| above this is a domain error: 2^chi(2L) would have more than
+# 30,103 digits
+MAX_CHI_L2 = 100_000
 
 
 class PrefactorData(NamedTuple):
@@ -279,6 +286,9 @@ class PrefactorData(NamedTuple):
                      variant="product", alpha_pair=0):
         if variant not in PREFACTOR_VARIANTS:
             raise ValueError(f"unknown prefactor variant: {variant}")
+        if abs(chi_L2) > MAX_CHI_L2:
+            raise ValueError(f"prefactor too large: |chi(2L)| = {abs(chi_L2)} "
+                             f"exceeds {MAX_CHI_L2}")
         twist = 2 * alpha_pair if variant == "typeIIB" else 0
         return cls(chi_L2, chi_L, chi_Linv, D_c1 + 3 * D_sq - twist)
 
@@ -288,8 +298,8 @@ class PrefactorData(NamedTuple):
                              f"{self.sign_exponent_doubled}/2 is not an integer")
         sign = -1 if (self.sign_exponent_doubled // 2) % 2 else 1
         s_exp = self.chi_L2 + self.chi_L - self.chi_Linv
-        return REG.const(sign) / (REG.const(2) ** self.chi_L2
-                                  * (-REG.var("s")) ** s_exp)
+        return (REG.const(sign / Fraction(2) ** self.chi_L2)
+                / (-REG.var("s")) ** s_exp)
 
 
 def typeII_component_integral(model, L, n1=0, n2=0, prefactor=None,
@@ -303,8 +313,8 @@ def typeII_component_integral(model, L, n1=0, n2=0, prefactor=None,
         tangent_1 x L t + tangent_2 x L t + diff(K - 2L) t^-2
         - diff(K - L) t^-1 - diff(-L) t^-1 - tangent_1 - tangent_2,
 
-    kept factored over its denominator forms; the pair sum is canonicalised
-    once and multiplied by the prefactor.  ``eps`` pins (e1, e2) to exact
+    kept factored over its denominator forms; the pair sum times the
+    prefactor is canonicalised once.  ``eps`` pins (e1, e2) to exact
     rationals and ``eps_line`` restricts them to a line (see WeightMap);
     the result is invariant under that choice whenever no weight
     degenerates.
@@ -315,8 +325,9 @@ def typeII_component_integral(model, L, n1=0, n2=0, prefactor=None,
     wmap = WeightMap.make(eps, eps_line)
     term = functools.partial(_typeII_term, *_typeII_charts(model, L, wmap),
                              n1 + n2)
-    return pre * wmap.finish(assemble_sum(model, n1, n2, term, jobs=jobs,
-                                          audit=audit, wmap=wmap).canonical())
+    return wmap.finish((pre * assemble_sum(model, n1, n2, term, jobs=jobs,
+                                           audit=audit,
+                                           wmap=wmap)).canonical())
 
 
 def _typeII_charts(model, L, wmap):
@@ -414,6 +425,7 @@ def mochizuki_coefficient(model, Lb1, Lb2, L, n, p_g, eps=None, jobs=1,
 
 def pure_s_monomial(x):
     """If x = c * s^k with c rational, return (c, k); else None."""
+    x = x.canonical()
     if x.is_zero() or len(x.num.terms) != 1 or len(x.den.terms) != 1:
         return None
     (en, cn), = x.num.terms.items()

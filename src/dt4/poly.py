@@ -5,9 +5,10 @@ coefficients.  Monomials are ordered graded-lex (total degree first, ties
 broken lexicographically on the exponent tuple); that order fixes leading
 terms, canonical signs and printing everywhere else in the package.
 
-The gcd is the classical content/primitive-part recursion with a primitive
-pseudo-remainder sequence in the top occurring variable.  Variable counts
-here are tiny (at most four), so exactness wins over asymptotics.
+There is no polynomial gcd.  Every denominator dt4 builds is a product of
+linear (or, after specialisation, affine) forms, so exact division by one
+form (``divides``) and the integer ``content`` are all that reducing a
+fraction needs (see ``eqalg.FactoredScalar.canonical``).
 """
 
 from __future__ import annotations
@@ -60,16 +61,11 @@ class Poly:
         return cls(nvars, {tuple(e): 1})
 
     @classmethod
-    def linear_form(cls, coeffs):
-        """Polynomial sum(coeffs[i] * x_i); no constant part."""
+    def linear_form(cls, coeffs, const=0):
+        """Polynomial sum(coeffs[i] * x_i) + const."""
         n = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if c:
-                e = [0] * n
-                e[i] = 1
-                terms[tuple(e)] = int(c)
-        return cls(n, terms)
+        units = (tuple(int(i == j) for j in range(n)) for i in range(n))
+        return cls(n, {**dict(zip(units, coeffs)), (0,) * n: const})
 
     # -- predicates and views ----------------------------------------------
 
@@ -86,14 +82,6 @@ class Poly:
 
     def is_one(self):
         return self.terms == {(0,) * self.nvars: 1}
-
-    def support_vars(self):
-        used = set()
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    used.add(i)
-        return used
 
     def lead(self):
         """Leading (exponent, coefficient) in graded-lex order."""
@@ -170,7 +158,7 @@ class Poly:
             k >>= 1
         return result
 
-    # -- contents, division, gcd ------------------------------------------
+    # -- content and exact division ----------------------------------------
 
     def content(self):
         """gcd of the integer coefficients (nonnegative)."""
@@ -180,16 +168,6 @@ class Poly:
             if g == 1:
                 return 1
         return g
-
-    def primitive(self):
-        """Split into (signed content, primitive part with positive lead)."""
-        if not self.terms:
-            return 0, Poly(self.nvars)
-        c = self.content()
-        _, lc = self.lead()
-        if lc < 0:
-            c = -c
-        return c, Poly(self.nvars, {e: v // c for e, v in self.terms.items()})
 
     def divexact(self, other):
         """Exact division; raises ValueError when not divisible."""
@@ -253,15 +231,6 @@ class Poly:
             sub[e0] = sub.get(e0, 0) + c
         return {d: Poly(self.nvars, t) for d, t in out.items() if any(t.values())}
 
-    @classmethod
-    def from_var_dict(cls, nvars, v, parts):
-        t = {}
-        for d, p in parts.items():
-            for e, c in p.terms.items():
-                e2 = e[:v] + (e[v] + d,) + e[v + 1:]
-                t[e2] = t.get(e2, 0) + c
-        return cls(nvars, t)
-
     # -- evaluation --------------------------------------------------------
 
     def substitute_scaled(self, assign):
@@ -291,94 +260,6 @@ class Poly:
         """Full evaluation to a Fraction (every support variable assigned)."""
         p, d = self.substitute_scaled(assign)
         return Fraction(p.const_value(), d)
-
-
-# -- gcd machinery ---------------------------------------------------------
-
-def _prem(a_parts, b_parts, nvars):
-    """Pseudo-remainder of univariate-in-v polynomials given as degree maps."""
-    db = max(b_parts)
-    lb = b_parts[db]
-    r = dict(a_parts)
-    while r:
-        dr = max(r)
-        if dr < db:
-            break
-        lr = r[dr]
-        nr = {}
-        for d, p in r.items():
-            q = p * lb
-            if not q.is_zero():
-                nr[d] = q
-        for d, p in b_parts.items():
-            dd = d + dr - db
-            q = nr.get(dd, Poly.zero(nvars)) - p * lr
-            if q.is_zero():
-                nr.pop(dd, None)
-            else:
-                nr[dd] = q
-        r = nr
-    return r
-
-
-def _content_of_parts(parts):
-    g = None
-    for p in parts.values():
-        g = p if g is None else gcd(g, p)
-        if g.is_one():
-            break
-    return g
-
-
-def gcd(a, b):
-    """Polynomial gcd over the integers, positive leading coefficient."""
-    if a.is_zero():
-        return b.primitive()[1] * b.content() if not b.is_zero() else b
-    if b.is_zero():
-        return a.primitive()[1] * a.content()
-    if len(a.terms) == 1 or len(b.terms) == 1:
-        # a single term only has monomial divisors: the gcd of the contents
-        # times the least exponent of each variable over both supports
-        e = tuple(map(min, zip(*a.terms, *b.terms)))
-        return Poly(a.nvars, {e: math.gcd(a.content(), b.content())})
-    ca, pa = a.primitive()
-    cb, pb = b.primitive()
-    cg = math.gcd(abs(ca), abs(cb))
-    return _gcd_prim(pa, pb) * cg
-
-
-def _gcd_prim(a, b):
-    """gcd of integer-primitive polynomials with positive leading terms."""
-    sup = a.support_vars() | b.support_vars()
-    if not sup:
-        return Poly.const(a.nvars, 1)
-    v = max(sup)
-    nvars = a.nvars
-    ap = a.by_var(v)
-    bp = b.by_var(v)
-    conta = _content_of_parts(ap)
-    contb = _content_of_parts(bp)
-    contg = gcd(conta, contb)
-    pa = {d: p.divexact(conta) for d, p in ap.items()}
-    pb = {d: p.divexact(contb) for d, p in bp.items()}
-    if max(pa) < max(pb):
-        pa, pb = pb, pa
-    while True:
-        if not pb:
-            g_parts = pa
-            break
-        r = _prem(pa, pb, nvars)
-        if not r:
-            g_parts = pb
-            break
-        rc = _content_of_parts(r)
-        r = {d: p.divexact(rc) for d, p in r.items()}
-        pa, pb = pb, r
-    g = Poly.from_var_dict(nvars, v, g_parts)
-    gc = _content_of_parts(g_parts)
-    g = g.divexact(gc) * contg
-    c, p = g.primitive()
-    return p * abs(c)
 
 
 def poly_str(p, names):

@@ -6,7 +6,7 @@ series carries an exclusive truncation bound; arithmetic propagates it
 pessimistically and coefficient access beyond it is an error rather than
 a silent zero.
 
-Coefficients may be int, Fraction, or EqScalar; builders produce ints and
+Coefficients may be int, Fraction, or FactoredScalar; builders produce ints and
 scaling promotes as needed.
 """
 
@@ -119,7 +119,7 @@ class HalfQSeries:
         return HalfQSeries(t, self.min_units + other.min_units, trunc)
 
     def scale(self, c):
-        """Multiply every coefficient by a scalar (int, Fraction, EqScalar)."""
+        """Multiply every coefficient by a scalar (int, Fraction, FactoredScalar)."""
         return HalfQSeries({u: _norm_coeff(c * v) for u, v in self.units.items()},
                            self.min_units, self.trunc_units)
 

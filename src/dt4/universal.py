@@ -115,23 +115,24 @@ def _monomial_value(exps, vec):
     return v
 
 
+def exact_str(q):
+    """A Fraction printed as dt4 prints every exact value: n or (n)/(d)."""
+    return str(REG.const(q))
+
+
 class UniversalPolynomial:
-    """Polynomial in the eleven invariants with exact scalar
-    coefficients."""
+    """Polynomial in the eleven invariants with Fraction coefficients."""
 
     __slots__ = ("terms", "degree_bound")
 
     def __init__(self, terms, degree_bound):
-        self.terms = {tuple(e): c for e, c in terms.items() if not c.is_zero()}
+        self.terms = {tuple(e): Fraction(c) for e, c in terms.items() if c}
         self.degree_bound = degree_bound
 
     def evaluate(self, at):
         vec = at.as_vector()
-        total = REG.zero()
-        for exps, coeff in sorted(self.terms.items(),
-                                  key=lambda t: (sum(t[0]), t[0])):
-            total = total + coeff * _monomial_value(exps, vec)
-        return total
+        return sum((c * _monomial_value(e, vec) for e, c in self.terms.items()),
+                   Fraction(0))
 
     def to_json(self):
         entries = []
@@ -139,7 +140,7 @@ class UniversalPolynomial:
                                   key=lambda t: (sum(t[0]), t[0])):
             entries.append({"exponents": list(exps),
                             "monomial": _monomial_name(exps),
-                            "coefficient": str(coeff)})
+                            "coefficient": exact_str(coeff)})
         return {"degree_bound": self.degree_bound, "terms": entries}
 
 
@@ -159,48 +160,32 @@ def fit_universal(samples, degree_bound, fields):
     """Solve for the unique polynomial of the given degree matching the
     samples exactly.
 
-    ``samples`` is a list of (ChernNumbers, scalar value).  ``fields``
+    ``samples`` is a list of (ChernNumbers, Fraction value).  ``fields``
     restricts the monomial basis to a subset of FIELDS.
     Underdetermined or inconsistent systems raise, naming the monomials
-    without a pivot; coefficients must come out free of the toric chart
-    parameters, anything else is reported as an error.
+    without a pivot.
     """
     monos = fit_basis(len(samples), degree_bound, fields)
-    rows = []
-    rhs = []
-    for cn, val in samples:
-        vec = cn.as_vector()
-        rows.append([Fraction(_monomial_value(e, vec)) for e in monos])
-        rhs.append(val)
+    rows = [[Fraction(_monomial_value(e, cn.as_vector())) for e in monos]
+            for cn, _ in samples]
+    rhs = [Fraction(val) for _, val in samples]
     ncols = len(monos)
-    nrows = len(rows)
     piv_of_col = _eliminate(rows, rhs, ncols)
     missing = [c for c in range(ncols) if c not in piv_of_col]
     if missing:
         names = ", ".join(_monomial_name(monos[c]) for c in missing)
         raise ValueError(f"fit underdetermined: no independent data for "
                          f"monomials: {names}")
-    for i in range(len(piv_of_col), nrows):
-        if not rhs[i].is_zero():
-            raise ValueError("fit inconsistent: samples are not matched by "
-                             "any polynomial of this degree")
-    terms = {}
-    for c, row_i in piv_of_col.items():
-        coeff = rhs[row_i]
-        bad = coeff.num.support_vars() | coeff.den.support_vars()
-        if 2 in bad or 3 in bad:
-            raise ValueError(
-                f"coefficient of {_monomial_name(monos[c])} depends on the "
-                "chart parameters; universality violated or samples not "
-                "taken at the classical limit")
-        if not coeff.is_zero():
-            terms[monos[c]] = coeff
-    return UniversalPolynomial(terms, degree_bound)
+    if any(rhs[len(piv_of_col):]):
+        raise ValueError("fit inconsistent: samples are not matched by "
+                         "any polynomial of this degree")
+    return UniversalPolynomial({monos[c]: rhs[r]
+                                for c, r in piv_of_col.items()}, degree_bound)
 
 
 def _eliminate(rows, rhs, ncols):
-    """Exact Gauss-Jordan elimination in place; the row scalars ``rhs``
-    follow every row operation.  Returns {pivot column: row index}."""
+    """Exact Gauss-Jordan elimination in place; the right-hand sides
+    ``rhs`` follow every row operation.  Returns {pivot column: row index}."""
     piv_of_col = {}
     r = 0
     for c in range(ncols):
@@ -275,7 +260,7 @@ def typeII_samples(configs, n1, n2, jobs=1):
 
 def _typeII_sample(model, L, n1, n2):
     return (chern_invariants(model, {}, {}, L),
-            REG.const(classical_limit(model, L, n1, n2)))
+            classical_limit(model, L, n1, n2))
 
 
 # -- the classical limit as a Laurent series on the parameter line ----------

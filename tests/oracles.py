@@ -2,14 +2,15 @@
 
 Everything here is derived by a different route than the library code it
 checks: plain integer recurrences, dictionary Laurent algebra over box
-diagrams, Riemann-Roch arithmetic, and Fraction-valued series expansion.
+diagrams, Riemann-Roch arithmetic, Fraction-valued series expansion, and
+a polynomial gcd, which the library does not have.
 """
 
 import math
 from fractions import Fraction
 
 from dt4.eqalg import DEFAULT_REGISTRY
-from dt4.poly import _gcd_prim
+from dt4.poly import Poly
 
 
 # -- counting --------------------------------------------------------------
@@ -160,13 +161,15 @@ def _poly_in_var(p, v):
 
 
 def residue_series_oracle(x, var):
-    """Coefficient of var^-1 of an EqScalar, by Fraction series expansion.
+    """Coefficient of var^-1 of a scalar, by Fraction series expansion.
 
-    The num/den must already be free of the other variables (specialize
-    first); expansion inverts the denominator as a geometric series.
+    The scalar's value is ``scalar.numerator * num / den``; both must
+    already be free of the other variables (specialize first).  The
+    expansion inverts the denominator as a geometric series.
     """
     v = DEFAULT_REGISTRY.index(var)
-    num = _poly_in_var(x.num, v)
+    num = {k: c * x.scalar.numerator
+           for k, c in _poly_in_var(x.num, v).items()}
     den = _poly_in_var(x.den, v)
     if not num:
         return Fraction(0)
@@ -192,11 +195,66 @@ def residue_series_oracle(x, var):
     return total
 
 
-# -- reference path for the gcd fast paths ---------------------------------
+# -- reference gcd ----------------------------------------------------------
 
-def generic_gcd(a, b):
-    """Polynomial gcd through the content/primitive-part recursion alone,
-    bypassing the single-term shortcut of ``dt4.poly.gcd`` at the top."""
-    ca, pa = a.primitive()
-    cb, pb = b.primitive()
-    return _gcd_prim(pa, pb) * math.gcd(ca, cb)
+def _primitive(p):
+    """(signed content, primitive part with positive leading coefficient)."""
+    c = p.content()
+    if p.lead()[1] < 0:
+        c = -c
+    return c, p.divexact(c)
+
+
+def _prem(a, b):
+    """Pseudo-remainder of univariate-in-v polynomials as degree maps."""
+    db = max(b)
+    lb = b[db]
+    r = dict(a)
+    while r and max(r) >= db:
+        dr = max(r)
+        lr = r[dr]
+        nr = {d: p * lb for d, p in r.items()}
+        for d, p in b.items():
+            q = nr.get(d + dr - db, Poly.zero(p.nvars)) - p * lr
+            nr[d + dr - db] = q
+        r = {d: p for d, p in nr.items() if not p.is_zero()}
+    return r
+
+
+def _content_of(parts):
+    g = Poly.zero(next(iter(parts.values())).nvars)
+    for p in parts.values():
+        g = poly_gcd(g, p)
+    return g
+
+
+def poly_gcd(a, b):
+    """Polynomial gcd over the integers with positive leading coefficient:
+    integer contents, then a primitive pseudo-remainder sequence in the
+    top occurring variable, recursing on the coefficients.  It can take
+    minutes on dense four-variable inputs, so tests keep it to small
+    homogeneous ones in s, e1, e2."""
+    if a.is_zero() or b.is_zero():
+        p = b if a.is_zero() else a
+        return p if p.is_zero() else _primitive(p)[1] * p.content()
+    (ca, pa), (cb, pb) = _primitive(a), _primitive(b)
+    used = [i for e in (*pa.terms, *pb.terms) for i, k in enumerate(e) if k]
+    g = Poly.const(a.nvars, math.gcd(ca, cb))
+    if not used:
+        return g
+    v = max(used)
+    pa, pb = pa.by_var(v), pb.by_var(v)
+    conta, contb = _content_of(pa), _content_of(pb)
+    pa = {d: p.divexact(conta) for d, p in pa.items()}
+    pb = {d: p.divexact(contb) for d, p in pb.items()}
+    if max(pa) < max(pb):
+        pa, pb = pb, pa
+    while pb:
+        r = _prem(pa, pb)
+        if r:
+            rc = _content_of(r)
+            r = {d: p.divexact(rc) for d, p in r.items()}
+        pa, pb = pb, r
+    lift = Poly(a.nvars, {e[:v] + (e[v] + d,) + e[v + 1:]: c
+                          for d, p in pa.items() for e, c in p.terms.items()})
+    return _primitive(lift)[1] * poly_gcd(conta, contb) * g

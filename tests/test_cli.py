@@ -311,13 +311,13 @@ def test_fit_degree_bound_validation(capsys):
     assert parser.parse_args(["fit", "--degree-bound", "0"]).degree_bound == 0
 
 
-def run_process(args):
+def run_process(args, timeout=120):
     """Run a fresh Python interpreter, with this dt4 importable."""
     src = os.path.dirname(os.path.dirname(dt4.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable] + args, env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_exact_value_longer_than_the_int_str_limit():
@@ -328,6 +328,34 @@ def test_exact_value_longer_than_the_int_str_limit():
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(json.loads(proc.stdout)["results"]["value"]) > 4300
+
+
+@pytest.mark.parametrize("argv", [
+    ["--divisor", "H=99999999999999999999"],
+    ["--chi-numbers", "100001,0,0,0,0"],
+    ["--surface", "quadric", "--chi-numbers=-100001,1,1,0,0"]],
+    ids=["divisor", "chi-numbers", "negative"])
+def test_prefactor_size_is_a_domain_error(argv):
+    # 2^chi(2L) is held exactly, so |chi(2L)| > 100,000 is refused before
+    # any power is taken; a 20-digit divisor makes chi(2L) about 2e40
+    proc = run_process(["-m", "dt4.cli", "localize", "--n1", "0"] + argv,
+                       timeout=10)
+    assert proc.returncode == 1, proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith("prefactor too large: |chi(2L)| = ")
+
+
+def test_prefactor_at_the_size_bound_prints(capsys):
+    code, report, _ = run_json(capsys, ["localize", "--chi-numbers",
+                                        "100000,0,0,0,0"])
+    assert code == 0
+    # (1)/(2^100000 s^100000), 2^100000 having 30,103 digits
+    value = report["results"]["value"]
+    assert value.startswith("(1)/(") and value.endswith("*s^100000)")
+    digits = value[5:-len("*s^100000)")]
+    assert len(digits) == 30103 and digits.isdigit()
+    assert digits[-9:] == str(pow(2, 100000, 10 ** 9))
 
 
 # sets the start method before dt4 runs, as a user's own script would

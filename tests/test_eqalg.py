@@ -1,23 +1,24 @@
-"""Rational-function scalars, factored residues, weight characters."""
+"""The one scalar type, factored residues, weight characters."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dt4.eqalg import (DEFAULT_REGISTRY as REG, EqScalar, FactoredScalar,
+from dt4.eqalg import (DEFAULT_REGISTRY as REG, FactoredScalar,
                        NonGenericWeightError, WeightCharacter,
-                       chern_part, euler_of_character, factored_sum,
+                       chern_part, euler_of_character, factored_sum, gcd,
                        residue)
 from dt4.poly import Poly
 
-from oracles import generic_gcd
+from oracles import poly_gcd
 
 S = REG.var("s")
 SP = REG.var("sp")
 E1 = REG.var("e1")
 E2 = REG.var("e2")
 SP_W = (0, 1, 0, 0)
+SP_FORM = SP_W + (0,)
 
 
 def rationals():
@@ -59,12 +60,31 @@ def test_canonical_strings():
     assert str(S / S) == "1"
 
 
+def test_gcd_with_forms():
+    """Each form divides out as often as it divides the numerator, at most
+    its multiplicity, which drops by as much."""
+    s, e1 = (1, 0, 0, 0, 0), (0, 0, 1, 0, 0)
+    forms = {s: 3, e1: 1}
+    assert gcd((S * S * (S + E1)).num, forms) == (S * S).num
+    assert forms == {s: 1, e1: 1}
+    assert gcd(S.num, {e1: 2}).is_one()
+
+
 def test_canonical_form_is_unique():
     a = (S * S - E1 * E1) / (S - E1)
     assert a == S + E1
     b = (REG.const(2) * S) / REG.const(4)
     assert b == S / REG.const(2)
-    assert EqScalar(b.num, b.den) == b
+    # one value, three representations, one canonical form
+    s_plus_e1 = (1, 0, 1, 0, 0)
+    for x in (FactoredScalar(2 * S.num, {}, Fraction(1, 4)),
+              FactoredScalar(S.num * (S + E1).num, {s_plus_e1: 1},
+                             Fraction(1, 2)),
+              FactoredScalar(-S.num, {}, Fraction(-1, 2))):
+        c = x.canonical()
+        assert (c.num, c.forms, c.scalar) == (S.num, {}, Fraction(1, 2))
+        assert x == b and hash(x) == hash(b) and str(x) == "(s)/(2)"
+        assert c.canonical() is c
 
 
 def test_field_operations():
@@ -89,6 +109,9 @@ def test_pow():
 def test_inverse_of_zero():
     with pytest.raises(ZeroDivisionError):
         REG.zero().inverse()
+    # a numerator that is no product of forms cannot become a denominator
+    with pytest.raises(ValueError, match="not a product of forms"):
+        REG.one() / (S * S + E1 * E1)
 
 
 def test_specialize():
@@ -97,6 +120,12 @@ def test_specialize():
     assert v == REG.const(2)
     partial = x.specialize({"e1": Fraction(0)})
     assert partial == REG.one()
+    # forms become affine; one that becomes constant joins the scalar
+    y = REG.one() / (S + E1) / (E1 - E2) / SP
+    half = y.specialize({"e1": Fraction(1, 2), "e2": Fraction(-1, 3)})
+    assert str(half) == "(12)/(10*s*sp + 5*sp)"
+    with pytest.raises(ZeroDivisionError):
+        y.specialize({"e1": Fraction(1), "e2": Fraction(1)})
 
 
 def test_as_fraction():
@@ -139,7 +168,7 @@ def test_residue_expands_mixed_forms():
     # through
     assert res(factored(REG.one(), {SP_W: -1, (0, 2, 1, 0): -2,
                                     (1, 1, 0, 0): 1, (0, 0, 1, 1): -1})) == \
-        S / (E1 * E1 * (E1 + E2))
+        S / E1 ** 2 / (E1 + E2)
 
 
 def test_weight_character_algebra():
@@ -209,7 +238,7 @@ def test_field_axioms(a, b, c):
 def test_residue_linearity(terms):
     # sum of c * sp^k has residue = sum of c at k = -1
     x = factored_sum([FactoredScalar((SP ** max(k, 0)).num * c.numerator,
-                                     {SP_W: -k} if k < 0 else {},
+                                     {SP_FORM: -k} if k < 0 else {},
                                      Fraction(1, c.denominator))
                       for k, c in terms])
     expected = REG.zero()
@@ -219,56 +248,102 @@ def test_residue_linearity(terms):
     assert res(x) == expected
 
 
-# -- canonical fast paths ---------------------------------------------------
+# -- the one type's arithmetic against exact evaluation ----------------------
 
-# Inputs are homogeneous in (s, e1, e2), like the localization sums: the
-# generic gcd that the reference side of these checks relies on can take
-# minutes on dense inhomogeneous or four-variable inputs.
+# Every nonzero form with coefficients in [-2, 2] is nonzero at POINT: the
+# denominators 3, 19, 2 and 13 are distinct primes, and modulo each of
+# them only one coordinate survives.
+POINT = {"s": Fraction(7, 3), "sp": Fraction(3, 19), "e1": Fraction(-5, 2),
+         "e2": Fraction(11, 13)}
+AT = [POINT[n] for n in REG.names] + [Fraction(1)]
 
-def products():
-    """Products of up to three linear forms over up to two, with factors
-    that recur."""
+
+def value_at(x):
+    """x at POINT from its raw fields, bypassing ``canonical``."""
+    den = Fraction(1)
+    for p, m in x.forms.items():
+        den *= sum(c * v for c, v in zip(p, AT)) ** m
+    return x.scalar * x.num.evaluate(
+        {i: POINT[n] for i, n in enumerate(REG.names)}) / den
+
+
+def forms(names=REG.names):
+    """Nonzero forms over the named variables, coefficients in [-2, 2]."""
     c = st.integers(-2, 2)
-    forms = st.builds(lambda a, b, d: a * S + b * E1 + d * E2, c, c, c).filter(
-        lambda f: not f.is_zero())
-    return st.tuples(st.lists(forms, min_size=1, max_size=3),
-                     st.lists(forms, max_size=2)).map(
-        lambda nd: _product(nd[0]) / _product(nd[1]))
+    return st.lists(c, min_size=len(names), max_size=len(names)).map(
+        lambda cs: sum((k * REG.var(n) for k, n in zip(cs, names)),
+                       REG.zero())).filter(lambda f: not f.is_zero())
 
 
-def _product(xs):
+def products(names=REG.names):
+    """Up to three forms over up to two, times a small rational."""
+    return st.tuples(st.lists(forms(names), min_size=1, max_size=3),
+                     st.lists(forms(names), max_size=2), rationals()).map(
+        lambda t: _quotient(t[0], t[1]) * t[2])
+
+
+def _quotient(nums, dens):
     out = REG.one()
-    for x in xs:
+    for x in nums:
         out = out * x
+    for x in dens:
+        out = out / x
     return out
 
 
 def assert_canonical(x):
-    if x.num.is_zero():
-        assert x.den.is_one()
+    c = x.canonical()
+    if c.num.is_zero():
+        assert (c.forms, c.scalar) == ({}, 1)
         return
-    assert generic_gcd(x.num, x.den).is_one()
-    assert x.den.lead()[1] > 0
-
-
-POINT = {"s": Fraction(7, 3), "e1": Fraction(-5, 2), "e2": Fraction(11, 13)}
-
-
-def at_point(x):
-    return x.specialize(POINT).as_fraction()
+    assert c.scalar.numerator == 1
+    assert poly_gcd(c.num, c.den).is_one()
+    assert c.den.lead()[1] > 0
 
 
 @settings(max_examples=60, deadline=None)
-@given(products(), products())
-def test_arithmetic_results_are_canonical(a, b):
-    for x in (a + b, a - b, a * b, a / b):
+@given(products(), products(), forms(), st.integers(-3, 3))
+def test_arithmetic_results_are_canonical(a, b, f, k):
+    """``+ - *`` of any two scalars and ``/`` by a form or an s-monomial,
+    over forms in all four variables, against exact evaluation."""
+    va, vb, vf = value_at(a), value_at(b), value_at(f)
+    assert value_at(a + b) == va + vb
+    assert value_at(a - b) == va - vb
+    assert value_at(b - 1) == vb - 1
+    assert value_at(a * b) == va * vb
+    assert value_at(a / f) == va / vf
+    assert value_at(a / S ** k) == va / POINT["s"] ** k
+    assert value_at(2 / f) == 2 / vf
+    for x in (a + b, a * b, a / f):
+        c = x.canonical()
+        assert value_at(c) == value_at(x)
+        assert str(c) == str(x)
+    assert a + b == b + a and a * b == b * a
+    assert (a - b) + b == a
+    assert (a / f) * f == a
+
+
+@settings(max_examples=40, deadline=None)
+@given(products(("s", "e1", "e2")), products(("s", "e1", "e2")),
+       forms(("s", "e1", "e2")))
+def test_homogeneous_results_are_coprime(a, b, f):
+    """On the homogeneous (s, e1, e2) subset, where the reference gcd is
+    fast, the canonical numerator and denominator are coprime."""
+    for x in (a + b, a - b, a * b, a / f):
         assert_canonical(x)
-    # the fast paths compute the right values (POINT is off every form
-    # with coefficients in [-2, 2])
-    va, vb = at_point(a), at_point(b)
-    assert at_point(a + b) == va + vb
-    assert at_point(a * b) == va * vb
-    assert at_point(a / b) == va / vb
+
+
+@settings(max_examples=40, deadline=None)
+@given(products(), products())
+def test_specialisation_matches_evaluation(a, b):
+    """Specialising the chart parameters, then s and sp, keeps the value."""
+    x = a + b
+    eps = {"e1": POINT["e1"], "e2": POINT["e2"]}
+    on_point = x.specialize(eps)
+    assert all(p[2:4] == (0, 0) for p in on_point.forms)
+    assert value_at(on_point) == value_at(x)
+    assert on_point == a.specialize(eps) + b.specialize(eps)
+    assert on_point.specialize(POINT).as_fraction() == value_at(x)
 
 
 WEIGHTS = st.tuples(st.integers(-1, 1), st.just(0), st.integers(-1, 1),
@@ -280,16 +355,16 @@ def factored_terms():
     char = st.lists(st.tuples(WEIGHTS, st.integers(-2, 2)), max_size=3).map(
         lambda ws: WeightCharacter(ws))
     num = st.tuples(st.integers(-3, 3), st.lists(WEIGHTS, max_size=2)).map(
-        lambda cv: _product([REG.const(cv[0])]
-                            + [EqScalar(Poly.linear_form(w))
-                               for w in cv[1]]).num)
+        lambda cv: _quotient([REG.const(cv[0])]
+                             + [FactoredScalar(Poly.linear_form(w))
+                                for w in cv[1]], []).num)
     return st.tuples(num, char)
 
 
 def euler_by_products(char):
     out = REG.one()
     for w, m in char.items():
-        out = out * EqScalar(Poly.linear_form(w)) ** m
+        out = out * FactoredScalar(Poly.linear_form(w)) ** m
     return out
 
 
@@ -300,8 +375,9 @@ def test_factored_sum_matches_plain_sum(terms):
     for num, char in terms:
         e = euler_of_character(char).canonical()
         assert e == euler_by_products(char)
-        plain = plain + EqScalar(num) * e
+        plain = plain + FactoredScalar(num) * e
     got = factored_sum([euler_of_character(char, num)
-                        for num, char in terms]).canonical()
+                        for num, char in terms])
     assert got == plain
+    assert value_at(got) == value_at(plain)
     assert_canonical(got)

@@ -1,5 +1,6 @@
 """Vertex characters, Euler-class sums, and the component integrals."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -343,3 +344,29 @@ def test_routes_agree_under_specialisation(name, n1, n2):
     u = Fraction(2, 5)
     assert integral(eps_line=LINE).specialize({"e1": u}) == \
         symbolic.specialize({"e1": LINE[0] * u, "e2": LINE[1] * u})
+
+
+# -- the rational-point route: WeightMap.finish ------------------------------
+
+EPS_POINTS = (ROUTE_POINT, (Fraction(10), Fraction(-7)))
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_DIVISORS))
+def test_eps_route_is_the_symbolic_value_specialised(name):
+    """``eps`` (the line value finished at u = 1/D) against the symbolic
+    value specialised exactly, for localize and mochizuki at n <= 2.  The
+    finished value is already reduced: canonicalising it divides out no
+    form."""
+    model, div = from_preset(name), ROUTE_DIVISORS[name]
+    values = ([functools.partial(typeII_component_integral, model, div,
+                                 n1=n1, n2=n - n1, prefactor=UNIT_PREFACTOR)
+               for n in range(3) for n1 in range(n + 1)]
+              + [functools.partial(mochizuki_coefficient, model, {}, {}, div,
+                                   n, 0) for n in range(3)])
+    for value in values:
+        symbolic = value()
+        for e1, e2 in EPS_POINTS:
+            got = value(eps=(e1, e2))
+            want = symbolic.specialize({"e1": e1, "e2": e2})
+            assert got == want and str(got) == str(want)
+            assert got.canonical().forms == got.forms

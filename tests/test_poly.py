@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dt4.poly import Poly, gcd, grlex_key, poly_str
+from dt4.poly import Poly, grlex_key, poly_str
 
-from oracles import generic_gcd
+from oracles import poly_gcd
 
 X = Poly.variable(3, 0)
 Y = Poly.variable(3, 1)
@@ -38,12 +38,7 @@ def test_linear_form():
     assert p == 2 * X - Y + 3 * Z
     assert p.terms == {(1, 0, 0): 2, (0, 1, 0): -1, (0, 0, 1): 3}
     assert Poly.linear_form((0, 0, 0)).is_zero()
-
-
-def test_support_vars():
-    p = X * X + Z
-    assert p.support_vars() == {0, 2}
-    assert Poly.const(3, 5).support_vars() == set()
+    assert Poly.linear_form((1, 0, 0), -2) == X - Poly.const(3, 2)
 
 
 def test_grlex_lead():
@@ -72,9 +67,10 @@ def test_pow_validation():
 def test_content_primitive():
     p = 6 * X + 9 * Y
     assert p.content() == 3
-    assert p.primitive() == (3, 2 * X + 3 * Y)
-    # signed content follows the leading coefficient
-    assert (-2 * X).primitive() == (-2, X)
+    assert p.divexact(p.content()) == 2 * X + 3 * Y
+    # the content is nonnegative whatever the signs
+    assert (-2 * X).content() == 2
+    assert Poly.zero(3).content() == 0
 
 
 def test_divexact():
@@ -89,13 +85,17 @@ def test_divides():
     assert not (X + Y).divides(X * Z)
 
 
+# the reference gcd of tests/oracles.py, which the coprimality checks of
+# test_eqalg rely on
+
 def test_gcd_known():
     a = (X + Y) * (X - Y)
     b = (X + Y) * (X + Y)
-    g = gcd(a, b)
-    assert g == X + Y or g == -(X + Y)
-    assert gcd(Poly.zero(3), a) == a
-    assert gcd(Poly.const(3, 4), Poly.const(3, 6)).const_value() in (2, -2)
+    assert poly_gcd(a, b) == X + Y
+    assert poly_gcd(Poly.zero(3), a) == a
+    assert poly_gcd(Poly.const(3, 4), Poly.const(3, 6)) == Poly.const(3, 2)
+    assert poly_gcd(6 * X * Y, 4 * X * Z) == 2 * X
+    assert poly_gcd((Y - X) * (Z + 1), (X - Y) * Z) == X - Y
 
 
 def test_substitute_scaled():
@@ -142,18 +142,10 @@ def test_divexact_inverts_product(a, b):
 
 
 @settings(max_examples=30, deadline=None)
-@given(small_polys(), small_polys())
-def test_gcd_divides_both(a, b):
-    if a.is_zero() and b.is_zero():
+@given(small_polys(), small_polys(), small_polys(max_terms=2))
+def test_gcd_divides_both(a, b, c):
+    if c.is_zero() or (a.is_zero() and b.is_zero()):
         return
-    g = gcd(a, b)
-    assert g.divides(a) and g.divides(b)
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_polys(max_terms=1), small_polys())
-def test_monomial_gcd_matches_recursion(m, b):
-    if m.is_zero() or b.is_zero():
-        return
-    assert gcd(m, b) == generic_gcd(m, b)
-    assert gcd(b, m) == generic_gcd(b, m)
+    g = poly_gcd(a * c, b * c)
+    assert g.divides(a * c) and g.divides(b * c)
+    assert c.divides(g)
