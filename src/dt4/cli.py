@@ -1,10 +1,12 @@
 """Command-line surface for the localization pipelines.
 
 Every subcommand prints one JSON report on stdout; tables for humans go
-to stderr under --pretty.  Runs are fully deterministic, so identical
-invocations produce byte-identical reports.  Exit status is 0 exactly
-when every check listed in the report passed, 1 on a domain error, 2 on
-a usage error.
+to stderr under --pretty.  The report's ``parameters`` echo every parsed
+argument except the run controls --jobs, --audit and --pretty.  Runs are
+fully deterministic, so identical invocations produce byte-identical
+reports.  Exit status is 0 exactly when every check listed in the report
+passed, 1 on a domain error (any ``ValueError``, reported as the JSON
+error object), 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -51,9 +53,6 @@ def __getattr__(name):
     return globals()[name]
 
 
-FIT_FIELDS = ("D_sq", "D_c1", "c1_sq", "c2")
-
-
 # -- argument parsing helpers ----------------------------------------------
 
 def _fraction(text):
@@ -96,8 +95,8 @@ def _jobs(text):
     return min(_int_at_least(text, 1), os.cpu_count() or 1)
 
 
-def _degree_bound(text):
-    """Total degree of the fitted polynomial: a nonnegative integer."""
+def _nonnegative(text):
+    """A degree bound or a geometric genus: a nonnegative integer."""
     return _int_at_least(text, 0)
 
 
@@ -112,121 +111,72 @@ def _chi_numbers(text):
         raise argparse.ArgumentTypeError("chi numbers must be integers")
 
 
-def _series_line(series):
+def _series_line(entries):
     terms = []
-    for entry in series.to_json_entries():
+    for entry in entries:
         num, den = entry["exponent_num"], entry["exponent_den"]
         e = f"{num}" if den == 1 else f"{num}/{den}"
         terms.append(f"[{entry['coefficient']}] q^{e}")
     return " + ".join(terms) if terms else "0"
 
 
-def _series_is_zero(series):
-    return not series.to_json_entries()
-
-
-# -- report plumbing -------------------------------------------------------
-
-def _write_report(args, params, **body):
-    """Print the JSON report of a run.  ``deterministic`` is a statement of
-    contract, not a switch: no randomness enters any pipeline, so reruns
-    are byte-identical."""
-    report = {"tool": "dt4", "command": args.command, "parameters": params,
-              "deterministic": True, **body}
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-
-
-def _emit(args, params, results, checks, pretty_lines):
-    _write_report(args, params, results=results,
-                  checks=[{"id": cid, "pass": ok} for cid, ok in checks])
-    if args.pretty:
-        for line in pretty_lines:
-            print(line, file=sys.stderr)
-        for cid, ok in checks:
-            print(f"  check {cid}: {'pass' if ok else 'FAIL'}",
-                  file=sys.stderr)
-    return 0 if all(ok for _, ok in checks) else 1
-
-
-def _emit_error(args, params, exc):
-    _write_report(args, params, error={"type": type(exc).__name__,
-                                       "message": str(exc)})
-    if args.pretty:
-        print(f"  error ({type(exc).__name__}): {exc}", file=sys.stderr)
-    return 1
-
-
 # -- subcommands -----------------------------------------------------------
+# Each returns (results, checks, pretty lines); ``main`` writes the report.
+
+_SERIES_LABELS = {"typeI_series": "non-nested series",
+                  "typeI_closed_form": "closed-form route",
+                  "difference": "difference",
+                  "typeII_conjecture_series": "nested conjecture"}
+
 
 def cmd_zseries(args):
     _bind("z_typeI_series", "z_typeI_closed_form",
           "z_typeII_conjecture_series")
-    params = {"order": args.order}
-    try:
-        lhs = z_typeI_series(args.order)
-        rhs = z_typeI_closed_form(args.order)
-        diff = lhs - rhs
-        conj = z_typeII_conjecture_series(args.order)
-    except ValueError as exc:
-        return _emit_error(args, params, exc)
-    odd_ok = all(e["exponent_den"] == 1 for e in conj.to_json_entries())
-    checks = [("typeI-series-identity", _series_is_zero(diff)),
-              ("typeII-conjecture-odd-vanishing", odd_ok)]
-    results = {
-        "typeI_series": lhs.to_json_entries(),
-        "typeI_closed_form": rhs.to_json_entries(),
-        "difference": diff.to_json_entries(),
-        "typeII_conjecture_series": conj.to_json_entries(),
-        "truncation_order": str(lhs.truncation_order),
-    }
-    pretty = [f"  non-nested series   {_series_line(lhs)}",
-              f"  closed-form route   {_series_line(rhs)}",
-              f"  difference          {_series_line(diff)}",
-              f"  nested conjecture   {_series_line(conj)}"]
-    return _emit(args, params, results, checks, pretty)
+    lhs = z_typeI_series(args.order)
+    rhs = z_typeI_closed_form(args.order)
+    conj = z_typeII_conjecture_series(args.order)
+    series = {"typeI_series": lhs, "typeI_closed_form": rhs,
+              "difference": lhs - rhs, "typeII_conjecture_series": conj}
+    # each series is serialised once; checks and tables read the entries
+    results = {key: s.to_json_entries() for key, s in series.items()}
+    checks = [("typeI-series-identity", not results["difference"]),
+              ("typeII-conjecture-odd-vanishing",
+               all(e["exponent_den"] == 1
+                   for e in results["typeII_conjecture_series"]))]
+    pretty = [f"  {label:<20}{_series_line(results[key])}"
+              for key, label in _SERIES_LABELS.items()]
+    results["truncation_order"] = str(lhs.truncation_order)
+    return results, checks, pretty
 
 
 def cmd_chamber(args):
     _bind("EllipticSurface", "Polarization", "in_stable_chamber", "is_ample",
           "wall_threshold")
-    params = {"k": args.k, "r": args.r, "delta": str(args.delta),
-              "t": str(args.t), "u": str(args.u)}
-    try:
-        surface = EllipticSurface(args.k)
-        threshold = wall_threshold(surface, args.r, args.delta)
-        ample = (args.t > 0 and args.u > 0
-                 and is_ample(Polarization(args.t, args.u), surface))
-        in_chamber = None
-        note = None
-        if ample:
-            h = Polarization(args.t, args.u)
-            in_chamber = in_stable_chamber(h, surface, args.r, args.delta)
-        else:
-            note = "polarization is outside the ample cone"
-    except ValueError as exc:
-        return _emit_error(args, params, exc)
+    surface = EllipticSurface(args.k)
+    threshold = wall_threshold(surface, args.r, args.delta)
+    ample = (args.t > 0 and args.u > 0
+             and is_ample(Polarization(args.t, args.u), surface))
     results = {"ample": ample, "threshold": str(threshold),
-               "in_chamber": in_chamber}
-    if note:
-        results["note"] = note
+               "in_chamber": None}
+    if ample:
+        results["in_chamber"] = in_stable_chamber(
+            Polarization(args.t, args.u), surface, args.r, args.delta)
+    else:
+        results["note"] = "polarization is outside the ample cone"
     pretty = [f"  ample        {ample}",
               f"  threshold    {threshold}",
-              f"  in chamber   {in_chamber}"]
-    return _emit(args, params, results, checks=[], pretty_lines=pretty)
+              f"  in chamber   {results['in_chamber']}"]
+    return results, [], pretty
 
 
 def cmd_fixedloci(args):
     _bind("enumerate_typeII_K3")
-    params = {"m": args.m, "n": args.n}
-    try:
-        comps = enumerate_typeII_K3(args.m, args.n)
-    except ValueError as exc:
-        return _emit_error(args, params, exc)
+    comps = [c.to_json() for c in enumerate_typeII_K3(args.m, args.n)]
     points = 2 * args.n - 3
     results = {
-        "typeII_components": [c.to_json() for c in comps],
+        "typeII_components": comps,
         "component_count": len(comps),
-        "all_vanish": all(c.vanishes for c in comps),
+        "all_vanish": all(c["vanishes"] for c in comps),
         "typeI_locus": {
             "kind": "hilbert_scheme_of_points",
             "num_points": points,
@@ -237,42 +187,30 @@ def cmd_fixedloci(args):
     }
     pretty = [f"  {len(comps)} nested component(s) at twist m={args.m}, "
               f"charge n={args.n}"]
-    for c in comps:
-        j = c.to_json()
+    for j in comps:
         pretty.append(f"    b={j['b']} (n1,n2)=({j['n1']},{j['n2']}) "
                       f"alpha=({j['alpha']['a']},{j['alpha']['b']}) "
                       f"vanishes={j['vanishes']}")
     pretty.append(f"  non-nested locus: {points}-point Hilbert scheme"
                   if points >= 0 else "  non-nested locus: empty")
-    return _emit(args, params, results, checks=[], pretty_lines=pretty)
+    return results, [], pretty
 
 
 def cmd_localize(args):
     _bind("DEFAULT_REGISTRY", "PrefactorData", "from_preset",
           "pure_s_monomial", "typeII_component_integral")
-    params = {"surface": args.surface, "divisor": dict(sorted(args.divisor.items())),
-              "n1": args.n1, "n2": args.n2,
-              "prefactor_variant": args.prefactor_variant,
-              "alpha_pair": args.alpha_pair}
-    if args.chi_numbers is not None:
-        params["chi_numbers"] = list(args.chi_numbers)
     audit_rows = [] if args.audit else None
-    try:
-        model = from_preset(args.surface)
-        if args.chi_numbers is not None:
-            pre = PrefactorData.from_numbers(*args.chi_numbers,
-                                             variant=args.prefactor_variant,
-                                             alpha_pair=args.alpha_pair)
-        else:
-            pre = PrefactorData.from_model(model, args.divisor,
-                                           variant=args.prefactor_variant,
-                                           alpha_pair=args.alpha_pair)
-        value = typeII_component_integral(
-            model, args.divisor, n1=args.n1, n2=args.n2, prefactor=pre,
-            jobs=args.jobs,
-            audit=audit_rows.append if audit_rows is not None else None)
-    except ValueError as exc:
-        return _emit_error(args, params, exc)
+    model = from_preset(args.surface)
+    variant = {"variant": args.prefactor_variant,
+               "alpha_pair": args.alpha_pair}
+    if args.chi_numbers is not None:
+        pre = PrefactorData.from_numbers(*args.chi_numbers, **variant)
+    else:
+        pre = PrefactorData.from_model(model, args.divisor, **variant)
+    value = typeII_component_integral(
+        model, args.divisor, n1=args.n1, n2=args.n2, prefactor=pre,
+        jobs=args.jobs,
+        audit=audit_rows.append if audit_rows is not None else None)
     # ratio against the leading nested-conjecture coefficient (1/4) 1/s
     ratio = value * DEFAULT_REGISTRY.const(4) * DEFAULT_REGISTRY.var("s")
     mono = pure_s_monomial(ratio)
@@ -289,79 +227,65 @@ def cmd_localize(args):
               f"  prefactor  {results['prefactor']}",
               f"  ratio to (1/4)/s: {ratio_block['value']} "
               f"(pure s-monomial: {mono is not None})"]
-    return _emit(args, params, results, checks=[], pretty_lines=pretty)
+    return results, [], pretty
 
 
 def cmd_mochizuki(args):
     _bind("from_preset", "mochizuki_coefficient")
-    params = {"surface": args.surface,
-              "divisor": dict(sorted(args.divisor.items())),
-              "split1": dict(sorted(args.split1.items())),
-              "split2": dict(sorted(args.split2.items())),
-              "n": args.n, "pg": args.pg}
     audit_rows = [] if args.audit else None
-    try:
-        model = from_preset(args.surface)
-        budget = args.n - model.pair(model.check_divisor(args.split1),
-                                     model.check_divisor(args.split2))
-        value = mochizuki_coefficient(
-            model, args.split1, args.split2, args.divisor, args.n, args.pg,
-            jobs=args.jobs,
-            audit=audit_rows.append if audit_rows is not None else None)
-    except ValueError as exc:
-        return _emit_error(args, params, exc)
+    model = from_preset(args.surface)
+    budget = args.n - model.pair(model.check_divisor(args.split1),
+                                 model.check_divisor(args.split2))
+    value = mochizuki_coefficient(
+        model, args.split1, args.split2, args.divisor, args.n, args.pg,
+        jobs=args.jobs,
+        audit=audit_rows.append if audit_rows is not None else None)
     results = {"value": str(value), "split_budget": budget,
                "empty_split_range": budget < 0}
     if audit_rows is not None:
         results["audit"] = audit_rows
     pretty = [f"  coefficient  {results['value']}",
               f"  length budget after pairing: {budget}"]
-    return _emit(args, params, results, checks=[], pretty_lines=pretty)
+    return results, [], pretty
 
 
 def cmd_fit(args):
     _bind("universal")
-    params = {"n1": args.n1, "n2": args.n2, "degree_bound": args.degree_bound}
-    try:
-        configs = universal.battery_configs()
-        # fail before any integral when the monomials outnumber the samples
-        universal.fit_basis(len(configs) - 1, args.degree_bound, FIT_FIELDS)
-        samples = universal.typeII_samples(configs, args.n1, args.n2,
-                                           jobs=args.jobs)
-        train, held = samples[:-1], samples[-1]
-        poly = universal.fit_universal(train, args.degree_bound, FIT_FIELDS)
-    except ValueError as exc:
-        return _emit_error(args, params, exc)
+    configs = universal.battery_configs()
+    # fail before any integral when the monomials outnumber the samples
+    universal.fit_basis(len(configs) - 1, args.degree_bound)
+    samples = universal.typeII_samples(configs, args.n1, args.n2,
+                                       jobs=args.jobs)
+    train, held = samples[:-1], samples[-1]
+    poly = universal.fit_universal(train, args.degree_bound)
     exact_str = universal.exact_str
     predicted = poly.evaluate(held[0])
     held_ok = predicted == held[1]
     k3_values = [poly.evaluate(universal.ChernNumbers.k3_point(m))
                  for m in (0, 1, 3)]
-    k3_ok = all(v == k3_values[0] for v in k3_values)
     held_model, held_div = configs[-1]
     results = {
         "polynomial": poly.to_json(),
         "sample_count": len(train),
-        "held_out": {"surface": held_model.name,
-                     "divisor": dict(sorted(held_div.items())),
+        "held_out": {"surface": held_model.name, "divisor": held_div,
                      "value": exact_str(held[1]),
                      "predicted": exact_str(predicted)},
         "k3_point_value": exact_str(k3_values[0]),
     }
     if args.audit:
         results["audit"] = [
-            {"surface": model.name, "divisor": dict(sorted(div.items())),
-             "value": exact_str(val)}
+            {"surface": model.name, "divisor": div, "value": exact_str(val)}
             for (model, div), (_, val) in zip(configs, samples)]
     checks = [("fit-held-out-exact", held_ok),
-              ("fit-k3-m-independent", k3_ok)]
+              ("fit-k3-m-independent",
+               all(v == k3_values[0] for v in k3_values))]
     pretty = [f"  fitted {len(poly.terms)} term(s) from {len(train)} samples"]
     for exps, coeff in sorted(poly.terms.items()):
         pretty.append(f"    {universal._monomial_name(exps):<16} "
                       f"{exact_str(coeff)}")
-    pretty.append(f"  held-out ({held_model.name}, {dict(sorted(held_div.items()))}): "
+    pretty.append(f"  held-out ({held_model.name}, {held_div}): "
                   f"{'reproduced' if held_ok else 'MISMATCH'}")
-    return _emit(args, params, results, checks, pretty)
+    return results, checks, pretty
 
 
 # -- parser ----------------------------------------------------------------
@@ -434,7 +358,7 @@ def build_parser():
     p.add_argument("--split2", type=_divisor, default={},
                    help="second splitting divisor")
     p.add_argument("--n", type=int, required=True, help="total charge")
-    p.add_argument("--pg", type=int, default=0,
+    p.add_argument("--pg", type=_nonnegative, default=0,
                    help="geometric genus entering the residue weight")
     p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--audit", action="store_true",
@@ -446,7 +370,7 @@ def build_parser():
                                    "over the toric battery")
     p.add_argument("--n1", type=int, default=1)
     p.add_argument("--n2", type=int, default=0)
-    p.add_argument("--degree-bound", type=_degree_bound, default=1)
+    p.add_argument("--degree-bound", type=_nonnegative, default=1)
     p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--audit", action="store_true",
                    help="record every battery sample in the report")
@@ -455,13 +379,40 @@ def build_parser():
     return parser
 
 
+# argparse destinations that steer a run without changing its answer
+_RUN_CONTROLS = ("command", "func", "jobs", "audit", "pretty")
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     # exact values outgrow Python's int/str digit limit; argv integers
     # above were still parsed under it
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    return args.func(args)
+    parameters = {name: str(v) if isinstance(v, Fraction) else v
+                  for name, v in vars(args).items()
+                  if name not in _RUN_CONTROLS and v is not None}
+    # "deterministic" states a contract, not a switch: no randomness
+    # enters any pipeline, so reruns are byte-identical
+    report = {"tool": "dt4", "command": args.command, "parameters": parameters,
+              "deterministic": True}
+    try:
+        results, checks, pretty = args.func(args)
+    except ValueError as exc:
+        name = type(exc).__name__
+        report["error"] = {"type": name, "message": str(exc)}
+        pretty, code = [f"  error ({name}): {exc}"], 1
+    else:
+        report["results"] = results
+        report["checks"] = [{"id": cid, "pass": ok} for cid, ok in checks]
+        pretty += [f"  check {cid}: {'pass' if ok else 'FAIL'}"
+                   for cid, ok in checks]
+        code = 0 if all(ok for _, ok in checks) else 1
+    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    if args.pretty:
+        for line in pretty:
+            print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

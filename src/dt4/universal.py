@@ -33,6 +33,8 @@ from .surfaces import from_preset
 
 FIELDS = ("b1_sq", "b2_sq", "b1_c1", "b2_c1", "b1_D", "b2_D", "b1_b2",
           "D_sq", "D_c1", "c1_sq", "c2")
+# the fit basis: beta classes are zero on every sampled route
+FIT_FIELDS = ("D_sq", "D_c1", "c1_sq", "c2")
 
 # generic direction for the exact parameter line; any pair works as long
 # as no chart weight degenerates on it
@@ -144,11 +146,11 @@ class UniversalPolynomial:
         return {"degree_bound": self.degree_bound, "terms": entries}
 
 
-def fit_basis(sample_count, degree_bound, fields):
-    """Monomials of a fit over ``fields`` (a subset of FIELDS) up to the
-    degree bound; raises when they outnumber ``sample_count``, which
-    callers can check before computing any sample."""
-    monos = _monomials(degree_bound, [FIELDS.index(f) for f in fields])
+def fit_basis(sample_count, degree_bound):
+    """Monomials of a fit over FIT_FIELDS up to the degree bound; raises
+    when they outnumber ``sample_count``, which callers can check before
+    computing any sample."""
+    monos = _monomials(degree_bound, [FIELDS.index(f) for f in FIT_FIELDS])
     if sample_count < len(monos):
         raise ValueError(
             f"fit underdetermined: {sample_count} samples for {len(monos)} "
@@ -156,16 +158,15 @@ def fit_basis(sample_count, degree_bound, fields):
     return monos
 
 
-def fit_universal(samples, degree_bound, fields):
-    """Solve for the unique polynomial of the given degree matching the
-    samples exactly.
+def fit_universal(samples, degree_bound):
+    """Solve for the unique polynomial in FIT_FIELDS of the given degree
+    matching the samples exactly.
 
-    ``samples`` is a list of (ChernNumbers, Fraction value).  ``fields``
-    restricts the monomial basis to a subset of FIELDS.
+    ``samples`` is a list of (ChernNumbers, Fraction value).
     Underdetermined or inconsistent systems raise, naming the monomials
     without a pivot.
     """
-    monos = fit_basis(len(samples), degree_bound, fields)
+    monos = fit_basis(len(samples), degree_bound)
     rows = [[Fraction(_monomial_value(e, cn.as_vector())) for e in monos]
             for cn, _ in samples]
     rhs = [Fraction(val) for _, val in samples]

@@ -60,15 +60,76 @@ def test_byte_identical_reruns(capsys):
     assert f1 == f2
 
 
+# one quick run of each subcommand, every flag that enters the report set,
+# and the parameters block each report must echo
+EVERY_COMMAND = [
+    (["zseries", "--order", "3"], {"order": 3}),
+    (["chamber", "--k", "0", "--r", "2", "--delta", "3/2", "--t", "1/10",
+      "--u", "2"],
+     {"k": 0, "r": 2, "delta": "3/2", "t": "1/10", "u": "2"}),
+    (["fixedloci", "--m", "1", "--n", "2"], {"m": 1, "n": 2}),
+    (["localize", "--surface", "quadric", "--divisor", "B=1,A=1", "--n1",
+      "1", "--n2", "0", "--prefactor-variant", "typeIIB", "--alpha-pair",
+      "1", "--jobs", "1", "--audit"],
+     {"surface": "quadric", "divisor": {"A": 1, "B": 1}, "n1": 1, "n2": 0,
+      "prefactor_variant": "typeIIB", "alpha_pair": 1}),
+    (["localize", "--chi-numbers", "2,2,2,0,0", "--n2", "0"],
+     {"surface": "plane", "divisor": {}, "n1": 0, "n2": 0,
+      "prefactor_variant": "product", "alpha_pair": 0,
+      "chi_numbers": [2, 2, 2, 0, 0]}),
+    (["mochizuki", "--surface", "quadric", "--divisor", "B=1,A=1",
+      "--split1", "B=1", "--split2", "A=1", "--n", "1", "--pg", "1",
+      "--jobs", "1", "--audit"],
+     {"surface": "quadric", "divisor": {"A": 1, "B": 1}, "split1": {"B": 1},
+      "split2": {"A": 1}, "n": 1, "pg": 1}),
+    (["fit", "--n1", "0", "--n2", "0", "--degree-bound", "0", "--jobs", "1",
+      "--audit"],
+     {"n1": 0, "n2": 0, "degree_bound": 0}),
+]
+
+
 def test_pretty_streams(capsys):
-    code, out, err = run(capsys, ["zseries", "--order", "3", "--pretty"])
-    assert code == 0
-    json.loads(out)  # stdout stays pure JSON
+    for argv, _ in EVERY_COMMAND:
+        code, out, quiet = run(capsys, argv)
+        assert code == 0, argv
+        # without the flag stderr is silent
+        assert quiet == "", argv
+        pretty_code, pretty_out, err = run(capsys, argv + ["--pretty"])
+        # stdout stays the same JSON report, tables go to stderr
+        assert (pretty_code, pretty_out) == (code, out), argv
+        assert err, argv
+    _, _, err = run(capsys, ["zseries", "--order", "3", "--pretty"])
     assert "non-nested series" in err
     assert "check typeI-series-identity: pass" in err
-    # without the flag stderr is silent
-    _, _, quiet = run(capsys, ["zseries", "--order", "3"])
-    assert quiet == ""
+
+
+@pytest.mark.parametrize("argv,parameters", EVERY_COMMAND,
+                         ids=[" ".join(argv[:2]) for argv, _ in EVERY_COMMAND])
+def test_parameters_echo_the_parsed_arguments(argv, parameters, capsys):
+    code, out, _ = run(capsys, argv + ["--pretty"])
+    assert code == 0
+    report = json.loads(out)
+    # --jobs, --audit and --pretty steer the run and are not echoed
+    assert report["parameters"] == parameters
+    for name, value in parameters.items():
+        if isinstance(value, dict):
+            assert list(report["parameters"][name]) == sorted(value)
+
+
+def test_late_value_error_is_the_error_object(capsys, monkeypatch):
+    # raised after the integral, outside the preset and sum code paths
+    def refuse(ratio):
+        raise ValueError("no monomial today")
+    monkeypatch.setattr(cli, "pure_s_monomial", refuse)
+    code, out, err = run(capsys, ["localize", "--divisor", "H=1",
+                                  "--pretty"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"] == {"type": "ValueError",
+                               "message": "no monomial today"}
+    assert "results" not in report and "checks" not in report
+    assert report["parameters"]["divisor"] == {"H": 1}
+    assert err == "  error (ValueError): no monomial today\n"
 
 
 def test_chamber_reports(capsys):
@@ -309,6 +370,19 @@ def test_fit_degree_bound_validation(capsys):
         assert "--degree-bound" in capsys.readouterr().err
     parser = cli.build_parser()
     assert parser.parse_args(["fit", "--degree-bound", "0"]).degree_bound == 0
+
+
+def test_pg_validation(capsys):
+    # a geometric genus: a negative one is a usage error, not a value
+    for bad in ("-1", "-3", "one"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["mochizuki", "--n", "1", "--pg", bad])
+        assert exc.value.code == 2
+        assert "--pg" in capsys.readouterr().err
+    parser = cli.build_parser()
+    for good in (0, 1):
+        assert parser.parse_args(["mochizuki", "--n", "1",
+                                  "--pg", str(good)]).pg == good
 
 
 def run_process(args, timeout=120):

@@ -8,14 +8,13 @@ from dt4 import universal
 from dt4.eqalg import (DEFAULT_REGISTRY as REG, NonGenericWeightError,
                        WeightCharacter)
 from dt4.surfaces import from_preset, validate_model
-from dt4.universal import (EPS_LINE, FIELDS, ChernNumbers, UniversalPolynomial,
-                           battery_configs, chern_invariants, classical_limit,
-                           fit_universal, typeII_samples, _add_laurent_term,
-                           _constant_term, _monomial_name, _monomials)
+from dt4.universal import (EPS_LINE, FIELDS, FIT_FIELDS, ChernNumbers,
+                           UniversalPolynomial, battery_configs,
+                           chern_invariants, classical_limit, fit_universal,
+                           typeII_samples, _add_laurent_term, _constant_term,
+                           _monomial_name, _monomials)
 
 from test_localize import ROUTE_DIVISORS, classical_integral
-
-F4 = ("D_sq", "D_c1", "c1_sq", "c2")
 
 
 def test_fields_layout():
@@ -54,7 +53,7 @@ def test_monomials_graded_lex():
     assert degs == sorted(degs)
     assert mons[0] == (0,) * 11
     assert len(mons) == 6  # 1, two linear, three quadratic
-    assert len(_monomials(2, tuple(FIELDS.index(f) for f in F4))) == 15
+    assert len(_monomials(2, tuple(FIELDS.index(f) for f in FIT_FIELDS))) == 15
 
 
 def test_monomial_names():
@@ -133,14 +132,14 @@ def test_fit_recovers_synthetic_polynomial():
     target = {(0,) * 11: Fraction(1, 2), tuple(e_c2): Fraction(-3),
               tuple(e_mixed): Fraction(7, 5)}
     poly, samples = _synthetic_samples(target, 2)
-    fitted = fit_universal(samples, 2, F4)
+    fitted = fit_universal(samples, 2)
     assert fitted.terms == poly.terms
 
 
 def test_fit_underdetermined():
     _, samples = _synthetic_samples({(0,) * 11: 1}, 1)
     with pytest.raises(ValueError, match="underdetermined"):
-        fit_universal(samples[:3], 1, F4)
+        fit_universal(samples[:3], 1)
 
 
 def test_fit_inconsistent():
@@ -148,7 +147,7 @@ def test_fit_inconsistent():
     bad = samples[:-1] + [(samples[-1][0], samples[-1][1] + 1)]
     # the battery contains repeated invariant vectors with distinct values
     with pytest.raises(ValueError, match="inconsistent"):
-        fit_universal(bad + samples, 1, F4)
+        fit_universal(bad + samples, 1)
 
 
 def test_typeII_samples_length_zero():
