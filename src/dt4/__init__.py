@@ -12,21 +12,24 @@ import importlib
 
 __version__ = "0.1.0"
 
-# public name -> submodule that defines it
+# public name -> submodule that defines it (a submodule maps to itself);
+# dt4.cli resolves the names its commands call through this table too
 _HOME = {
     "DEFAULT_REGISTRY": "eqalg", "FactoredScalar": "eqalg",
+    "exact_str": "eqalg",
     "HalfQSeries": "qseries", "delta_inverse": "qseries",
-    "goettsche_series": "qseries",
+    "goettsche_series": "qseries", "z_typeI_closed_form": "qseries",
+    "z_typeI_series": "qseries", "z_typeII_conjecture_series": "qseries",
     "PRESET_NAMES": "surfaces", "ToricSurfaceModel": "surfaces",
     "from_preset": "surfaces",
     "PrefactorData": "localize", "assemble_sum": "localize",
-    "mochizuki_coefficient": "localize",
+    "mochizuki_coefficient": "localize", "pure_s_monomial": "localize",
     "typeII_component_integral": "localize",
-    "EllipticSurface": "moduli", "enumerate_typeII_K3": "moduli",
-    "wall_threshold": "moduli", "z_typeI_series": "moduli",
-    "z_typeII_conjecture_series": "moduli",
+    "EllipticSurface": "moduli", "Polarization": "moduli",
+    "enumerate_typeII_K3": "moduli", "in_stable_chamber": "moduli",
+    "is_ample": "moduli", "wall_threshold": "moduli",
     "ChernNumbers": "universal", "UniversalPolynomial": "universal",
-    "fit_universal": "universal",
+    "fit_universal": "universal", "universal": "universal",
 }
 
 __all__ = [*_HOME, "__version__"]
@@ -35,4 +38,6 @@ __all__ = [*_HOME, "__version__"]
 def __getattr__(name):
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    home = _HOME[name]
+    module = importlib.import_module(f".{home}", __name__)
+    return module if name == home else getattr(module, name)

@@ -9,44 +9,28 @@ passed, 1 on a domain error (any ``ValueError``, reported as the JSON
 error object), 2 on a usage error.
 """
 
-from __future__ import annotations
-
 import argparse
-import importlib
 import json
 import os
 import sys
 from fractions import Fraction
 
-# Name a command calls -> dt4 module that defines it (a module maps to
-# itself).  A command binds its names as globals of this module when it
-# runs, so it imports only the modules it needs.  A name that is already
-# bound, for instance by a tracer that wrapped it, is kept.
-_HOME = {
-    "DEFAULT_REGISTRY": "eqalg",
-    "PrefactorData": "localize", "mochizuki_coefficient": "localize",
-    "pure_s_monomial": "localize", "typeII_component_integral": "localize",
-    "EllipticSurface": "moduli", "Polarization": "moduli",
-    "enumerate_typeII_K3": "moduli", "in_stable_chamber": "moduli",
-    "is_ample": "moduli", "wall_threshold": "moduli",
-    "z_typeI_closed_form": "moduli", "z_typeI_series": "moduli",
-    "z_typeII_conjecture_series": "moduli",
-    "from_preset": "surfaces",
-    "universal": "universal",
-}
+from . import _HOME, __getattr__ as _public
 
 
 def _bind(*names):
+    """Bind public dt4 names (``dt4._HOME``) as globals of this module
+    when a command runs, so it imports only the modules it needs.  A name
+    that is already bound, for instance by a tracer that wrapped it, is
+    kept."""
     scope = globals()
     for name in names:
         if name not in scope:
-            home = _HOME[name]
-            module = importlib.import_module(f".{home}", __package__)
-            scope[name] = module if name == home else getattr(module, name)
+            scope[name] = _public(name)
 
 
 def __getattr__(name):
-    """``cli.NAME`` for a name no command has bound yet (PEP 562)."""
+    """``cli.NAME`` for a public name no command has bound yet (PEP 562)."""
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _bind(name)
@@ -250,7 +234,7 @@ def cmd_mochizuki(args):
 
 
 def cmd_fit(args):
-    _bind("universal")
+    _bind("universal", "exact_str")
     configs = universal.battery_configs()
     # fail before any integral when the monomials outnumber the samples
     universal.fit_basis(len(configs) - 1, args.degree_bound)
@@ -258,7 +242,6 @@ def cmd_fit(args):
                                        jobs=args.jobs)
     train, held = samples[:-1], samples[-1]
     poly = universal.fit_universal(train, args.degree_bound)
-    exact_str = universal.exact_str
     predicted = poly.evaluate(held[0])
     held_ok = predicted == held[1]
     k3_values = [poly.evaluate(universal.ChernNumbers.k3_point(m))

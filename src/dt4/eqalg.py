@@ -19,8 +19,6 @@ these variables; it models the character of a virtual torus
 representation.  Euler classes and Chern class parts are read off from it.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 
@@ -312,6 +310,17 @@ class FactoredScalar:
 # perfbench's tracer counts the arithmetic of the one scalar type under
 # this name
 EqScalar = FactoredScalar
+
+
+def exact_str(x):
+    """An exact value as dt4 prints it: an int or a Fraction as ``n`` or
+    ``(n)/(d)``, which is how a constant FactoredScalar prints, and a
+    FactoredScalar as itself."""
+    if isinstance(x, Fraction):
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"({x.numerator})/({x.denominator})"
+    return str(x)
 
 
 # -- weight characters -----------------------------------------------------

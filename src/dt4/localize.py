@@ -20,8 +20,6 @@ formulas against direct deformation-space and sheaf-cohomology
 computations.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math

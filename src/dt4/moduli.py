@@ -4,14 +4,10 @@ A surface here is determined by the single integer k with canonical
 class k times the fiber class; divisor classes live in the rank-two
 lattice spanned by the section and the fiber.  On top of the
 intersection form the module provides the no-wall chamber test for the
-adiabatic polarizations, enumeration of the nested fixed-locus
-components, and the two partition-function series the fiberwise count
-produces.  Only those series functions need the exact arithmetic and
-the q-series, so they import them when called: the chamber and
-fixed-locus commands never load either.
+adiabatic polarizations and the enumeration of the nested fixed-locus
+components.  The partition-function series of the fiberwise count are
+q-series and live in ``qseries``.
 """
-
-from __future__ import annotations
 
 from fractions import Fraction
 from typing import NamedTuple
@@ -194,68 +190,6 @@ def enumerate_typeII_general(beta, m, k, n, h, search_box):
 
 # -- partition function assembly -------------------------------------------
 
-def typeI_DT_K3(n):
-    """Fiberwise rank-two count of the non-nested locus on K3.
-
-    Zero for n <= 1 (empty moduli); otherwise 1/s times the Euler number
-    of the Hilbert scheme of 2n-3 points of a K3 surface.
-    """
-    from .eqalg import DEFAULT_REGISTRY as REG
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n <= 1:
-        return REG.zero()
-    return z_typeI_series(n - 2).coefficient(n - 2)
-
-
-def z_typeI_series(order):
-    """Series of non-nested counts typeI_DT_K3(n) at exponent n-2, known
-    through q^order inclusive; every Euler number is read off one
-    expansion of the Hilbert-scheme generating series."""
-    from .eqalg import DEFAULT_REGISTRY as REG
-    from .qseries import HalfQSeries, goettsche_series
-    if 2 * Fraction(order) <= -4:
-        raise ValueError("order must exceed -2")
-    trunc = int(2 * Fraction(order)) + 2
-    # every n with 2(n - 2) < trunc, in half-units
-    nmax = (trunc - 1) // 2 + 2
-    chi = goettsche_series(24, max(2 * nmax - 2, 1))
-    s = REG.var("s")
-    units = {2 * (n - 2): REG.const(chi.coefficient(2 * n - 3)) / s
-             for n in range(2, nmax + 1)}
-    return HalfQSeries(units, -4, trunc)
-
-
-def z_typeI_closed_form(order):
-    """Independent route to z_typeI_series: average the two square-root
-    substitutions into the inverse discriminant form, scale by 1/s.
-
-    Same truncation window as z_typeI_series(order).
-    """
-    from .eqalg import DEFAULT_REGISTRY as REG
-    from .qseries import delta_inverse, substitute_sqrt
-    if 2 * Fraction(order) <= -4:
-        raise ValueError("order must exceed -2")
-    inner = delta_inverse(max(int(2 * Fraction(order)) + 1, 0))
-    plus = substitute_sqrt(inner, 1)
-    minus = substitute_sqrt(inner, -1)
-    avg = (plus + minus).scale(Fraction(1, 2))
-    return avg.scale(REG.one() / REG.var("s"))
-
-
-def z_typeII_conjecture_series(order):
-    """Conjectured nested series: 1/(4s) times the inverse discriminant
-    form evaluated at q^2; known at least through q^order inclusive."""
-    from .eqalg import DEFAULT_REGISTRY as REG
-    from .qseries import delta_inverse, substitute_power
-    if 2 * Fraction(order) <= -4:
-        raise ValueError("order must exceed -2")
-    inner_order = -((-Fraction(order)) // 2)
-    inner = delta_inverse(max(inner_order, 0))
-    expanded = substitute_power(inner, 2)
-    return expanded.scale(REG.const(Fraction(1, 4)) / REG.var("s"))
-
-
 def assemble_typeII_K3_series(m, order):
     """Sum of nested-component contributions at fiber twist m.
 
@@ -264,12 +198,13 @@ def assemble_typeII_K3_series(m, order):
     an odd-twist series raises; for even m the result is the zero
     series on the nose.
     """
-    from .qseries import HalfQSeries
-    if 2 * Fraction(order) <= -4:
-        raise ValueError("order must exceed -2")
+    # imported here so that the chamber and fixed-locus commands never
+    # load the exact arithmetic or the q-series
+    from .qseries import HalfQSeries, _k3_order
+    order = _k3_order(order)
     units = {}
     n = 0
-    while n - 2 <= Fraction(order):
+    while n - 2 <= order:
         for comp in enumerate_typeII_K3(m, n):
             if not comp.vanishes:
                 raise ValueError(
@@ -277,4 +212,4 @@ def assemble_typeII_K3_series(m, order):
                     f"(m={m}, n={n}); only the conjecture series gives "
                     "its value")
         n += 1
-    return HalfQSeries(units, -4, int(2 * Fraction(order)) + 2)
+    return HalfQSeries(units, -4, int(2 * order) + 2)

@@ -4,8 +4,6 @@ Box convention, used everywhere downstream: box (i, j) sits in row i
 (0-based, top row first) and column j; a partition lists row lengths.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 

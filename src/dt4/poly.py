@@ -11,12 +11,10 @@ form (``divides``) and the integer ``content`` are all that reducing a
 fraction needs (see ``eqalg.FactoredScalar.canonical``).
 """
 
-from __future__ import annotations
-
 import heapq
 import math
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 
 
 def grlex_key(exps):
@@ -29,6 +27,23 @@ def binom(m, j):
     if m >= 0:
         return math.comb(m, j) if j <= m else 0
     return (-1) ** j * math.comb(-m + j - 1, j)
+
+
+def newton_recurrence(p):
+    """The integers e_0 .. e_k with e_0 = 1 and
+
+        j e_j = p_1 e_(j-1) + p_2 e_(j-2) + ... + p_j e_0
+
+    for integers p_1 .. p_k (``p[0]`` is unused): the coefficients of
+    exp(sum_i p_i x^i / i), Newton's identities with the signs in p.
+    Every caller expands a product of integer powers of integer
+    polynomials, whose coefficients are integers, so each division by j
+    is exact.  k coefficients cost O(k^2) multiplications.
+    """
+    e = [1] + [0] * (len(p) - 1)
+    for j in range(1, len(p)):
+        e[j] = sum(map(mul, p[1:j + 1], e[j - 1::-1])) // j
+    return e
 
 
 def _desc(exps):

@@ -1,4 +1,5 @@
-"""Truncated Laurent series in q^(1/2) with exact coefficients.
+"""Truncated Laurent series in q^(1/2) with exact coefficients, and the
+fiberwise rank-two K3 series built from them.
 
 Exponents are stored as integer counts of half-units (q^(1/2) is exponent
 1, q is exponent 2), so products and substitutions stay integral.  Every
@@ -7,13 +8,17 @@ pessimistically and coefficient access beyond it is an error rather than
 a silent zero.
 
 Coefficients may be int, Fraction, or FactoredScalar; builders produce ints and
-scaling promotes as needed.
+scaling promotes as needed.  The K3 series (the non-nested count, its
+closed form, and the conjectured nested series behind the paper's
+modularity prediction) are products and substitutions of these series
+scaled by exact scalars in s.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
-from operator import index, mul
+from operator import index
+
+from .eqalg import DEFAULT_REGISTRY as REG, exact_str
+from .poly import newton_recurrence
 
 
 def _units(e):
@@ -136,7 +141,7 @@ class HalfQSeries:
         for u, c in sorted(self.units.items()):
             e = Fraction(u, 2)
             out.append({"exponent_num": e.numerator, "exponent_den": e.denominator,
-                        "coefficient": coeff_str(c)})
+                        "coefficient": exact_str(c)})
         return out
 
 
@@ -144,17 +149,6 @@ def _is_zero(c):
     if isinstance(c, (int, Fraction)):
         return c == 0
     return c.is_zero()
-
-
-def coeff_str(c):
-    """Canonical string for a series coefficient."""
-    if isinstance(c, int):
-        return str(c)
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return str(c.numerator)
-        return f"({c.numerator})/({c.denominator})"
-    return str(c)
 
 
 # -- builders --------------------------------------------------------------
@@ -165,13 +159,12 @@ def product_power(exponent, order):
     ``order`` is the exclusive truncation bound (a half-integer).  The
     q^n coefficients f_n follow from log prod (1 - q^m)^a
     = -a sum_n sigma(n) q^n / n, sigma(n) the sum of the divisors of n,
-    whose derivative gives the recurrence
+    whose derivative gives the Newton recurrence (``poly.newton_recurrence``)
 
         n f_n = -a (sigma(1) f_{n-1} + sigma(2) f_{n-2} + ... + sigma(n) f_0).
 
-    For integer a every f_n is an integer, so the division by n is exact
-    and the arithmetic stays in integers.  N coefficients cost O(N^2)
-    multiplications.
+    For integer a every f_n is an integer, so the arithmetic stays in
+    integers.  N coefficients cost O(N^2) multiplications.
 
     >>> product_power(-1, 5).coefficient(4)
     5
@@ -181,13 +174,11 @@ def product_power(exponent, order):
     if trunc <= 0:
         raise ValueError("order must be positive")
     emax = (trunc - 1) // 2
-    sigma = [0] * (emax + 1)
+    p = [0] * (emax + 1)               # p_k = -a sigma(k)
     for d in range(1, emax + 1):
         for k in range(d, emax + 1, d):
-            sigma[k] += d
-    f = [1] + [0] * emax
-    for n in range(1, emax + 1):
-        f[n] = -a * sum(map(mul, sigma[1:n + 1], f[n - 1::-1])) // n
+            p[k] -= a * d
+    f = newton_recurrence(p)
     return HalfQSeries({2 * e: c for e, c in enumerate(f)}, 0, trunc)
 
 
@@ -237,3 +228,61 @@ def substitute_power(series, k):
     return HalfQSeries({u * k: c for u, c in series.units.items()},
                        series.min_units * k, series.trunc_units * k)
 
+
+# -- K3 partition-function series ------------------------------------------
+
+def _k3_order(order):
+    """``order`` as a Fraction.  Every K3 series starts at q^-2, so a
+    window known through q^order must reach past it."""
+    order = Fraction(order)
+    if order <= -2:
+        raise ValueError("order must exceed -2")
+    return order
+
+
+def typeI_DT_K3(n):
+    """Fiberwise rank-two count of the non-nested locus on K3.
+
+    Zero for n <= 1 (empty moduli); otherwise 1/s times the Euler number
+    of the Hilbert scheme of 2n-3 points of a K3 surface.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n <= 1:
+        return REG.zero()
+    return z_typeI_series(n - 2).coefficient(n - 2)
+
+
+def z_typeI_series(order):
+    """Series of non-nested counts typeI_DT_K3(n) at exponent n-2, known
+    through q^order inclusive; every Euler number is read off one
+    expansion of the Hilbert-scheme generating series."""
+    trunc = int(2 * _k3_order(order)) + 2
+    # every n with 2(n - 2) < trunc, in half-units
+    nmax = (trunc - 1) // 2 + 2
+    chi = goettsche_series(24, max(2 * nmax - 2, 1))
+    s = REG.var("s")
+    units = {2 * (n - 2): REG.const(chi.coefficient(2 * n - 3)) / s
+             for n in range(2, nmax + 1)}
+    return HalfQSeries(units, -4, trunc)
+
+
+def z_typeI_closed_form(order):
+    """Independent route to z_typeI_series: average the two square-root
+    substitutions into the inverse discriminant form, scale by 1/s.
+
+    Same truncation window as z_typeI_series(order).
+    """
+    inner = delta_inverse(max(int(2 * _k3_order(order)) + 1, 0))
+    plus = substitute_sqrt(inner, 1)
+    minus = substitute_sqrt(inner, -1)
+    avg = (plus + minus).scale(Fraction(1, 2))
+    return avg.scale(REG.one() / REG.var("s"))
+
+
+def z_typeII_conjecture_series(order):
+    """Conjectured nested series: 1/(4s) times the inverse discriminant
+    form evaluated at q^2; known at least through q^order inclusive."""
+    inner = delta_inverse(max(-(-_k3_order(order) // 2), 0))
+    expanded = substitute_power(inner, 2)
+    return expanded.scale(REG.const(Fraction(1, 4)) / REG.var("s"))

@@ -16,8 +16,6 @@ for every component; that specialization keeps all localization
 denominators nonzero because no character ever mixes components.
 """
 
-from __future__ import annotations
-
 import itertools
 import json
 import os

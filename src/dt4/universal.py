@@ -15,20 +15,19 @@ coefficients of that sum must cancel exactly; when they do not, the
 sample is an error, never a value.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .eqalg import DEFAULT_REGISTRY as REG, NonGenericWeightError
+from .eqalg import NonGenericWeightError, exact_str
 from .localize import (WeightMap, _typeII_charts, _typeII_difference,
                        _typeII_tangent, parallel_starmap)
 # perfbench's tracer wraps this module global; fit itself never calls it
 from .localize import typeII_component_integral  # noqa: F401
 from .partitions import hilb_fixed_points
+from .poly import newton_recurrence
 from .surfaces import from_preset
 
 FIELDS = ("b1_sq", "b2_sq", "b1_c1", "b2_c1", "b1_D", "b2_D", "b1_b2",
@@ -115,11 +114,6 @@ def _monomial_value(exps, vec):
         if e:
             v *= x ** e
     return v
-
-
-def exact_str(q):
-    """A Fraction printed as dt4 prints every exact value: n or (n)/(d)."""
-    return str(REG.const(q))
 
 
 class UniversalPolynomial:
@@ -333,18 +327,14 @@ def _add_laurent_term(acc, e_cls, char, n, scale):
 
 def _power_product(forms, k):
     """Coefficients of x^0 .. x^k of prod (1 + r x)^m over integer pairs
-    (r, m), all integers: Newton's identity j e_j = sum q_i e_(j-i) with
-    q_i = -sum m (-r)^i."""
-    q = [0] * (k + 1)
+    (r, m), all integers: the Newton recurrence with p_i = -sum m (-r)^i."""
+    p = [0] * (k + 1)
     for r, m in forms:
         x = -m
         for i in range(1, k + 1):
             x *= -r
-            q[i] += x
-    e = [1] + [0] * k
-    for j in range(1, k + 1):
-        e[j] = sum(q[i] * e[j - i] for i in range(1, j + 1)) // j
-    return e
+            p[i] += x
+    return newton_recurrence(p)
 
 
 def _constant_term(acc):

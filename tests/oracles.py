@@ -62,6 +62,19 @@ def binomial_product(a, n):
     return acc
 
 
+def linear_power_product(pairs, k):
+    """Coefficients of x^0 .. x^k of prod (1 + r x)^m over integer pairs
+    (r, m): |m| truncated multiplications by 1 + r x, or by the geometric
+    series of 1/(1 + r x) when m < 0."""
+    acc = [1] + [0] * k
+    for r, m in pairs:
+        step = [1, r] if m >= 0 else [(-r) ** j for j in range(k + 1)]
+        for _ in range(abs(m)):
+            acc = [sum(c * acc[e - i] for i, c in enumerate(step[:e + 1]))
+                   for e in range(k + 1)]
+    return acc
+
+
 def k3_component_count(m, n):
     """Closed-form count of the nested components at fiber twist m,
     charge n: the twist splits into (b, m+1-b) with b from 1 to the

@@ -21,11 +21,10 @@ from dt4.localize import (PrefactorData, tangent_character,
                           tautological_character, assemble_sum,
                           chi_character, typeII_component_integral)
 from dt4.moduli import (EllipticSurface, assemble_typeII_K3_series,
-                        enumerate_typeII_K3, wall_threshold,
-                        z_typeI_closed_form, z_typeI_series,
-                        z_typeII_conjecture_series)
+                        enumerate_typeII_K3, wall_threshold)
 from dt4.partitions import hilb_fixed_points
-from dt4.qseries import goettsche_series
+from dt4.qseries import (goettsche_series, z_typeI_closed_form,
+                         z_typeI_series, z_typeII_conjecture_series)
 from dt4.surfaces import PRESET_NAMES, from_preset
 from dt4.universal import (FIELDS, FIT_FIELDS, ChernNumbers, battery_configs,
                            fit_universal, typeII_samples)

@@ -3,12 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dt4.eqalg import (DEFAULT_REGISTRY as REG, FactoredScalar,
                        NonGenericWeightError, WeightCharacter,
-                       chern_part, euler_of_character, factored_sum, gcd,
-                       residue)
+                       chern_part, euler_of_character, exact_str,
+                       factored_sum, gcd, residue)
 from dt4.poly import Poly
 
 from oracles import poly_gcd
@@ -58,6 +58,16 @@ def test_canonical_strings():
     v = REG.one() / (REG.const(4) * S * S)
     assert str(v) == "(1)/(4*s^2)"
     assert str(S / S) == "1"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.integers(-10 ** 30, 10 ** 30),
+                 st.fractions(max_denominator=10 ** 12)))
+@example(0)
+@example(Fraction(-6, 3))
+@example(Fraction(-3, 4))
+def test_exact_str_prints_as_the_scalar(x):
+    assert exact_str(x) == str(REG.const(x))
 
 
 def test_gcd_with_forms():

@@ -1,11 +1,12 @@
-"""What ``import dt4.cli`` and each command load, and the names
-perfbench's tracer rebinds.
+"""What ``import dt4.cli`` and each command load, how public names
+resolve, and the names perfbench's tracer rebinds.
 
 Every test runs in fresh interpreters: the footprint tests to see a clean
 ``sys.modules``, the tracer test so that its patches never reach other
 tests.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -67,7 +68,7 @@ COMMAND_MODULES = [
       "--u", "1"], ["dt4.cli", "dt4.moduli"]),
     (["fixedloci", "--m", "1", "--n", "6"], ["dt4.cli", "dt4.moduli"]),
     (["zseries", "--order", "10"],
-     ["dt4.cli", "dt4.eqalg", "dt4.moduli", "dt4.poly", "dt4.qseries"]),
+     ["dt4.cli", "dt4.eqalg", "dt4.poly", "dt4.qseries"]),
     (["localize", "--chi-numbers", "2,2,2,0,0"], LOCALIZE_MODULES),
     (["mochizuki", "--n", "1"], LOCALIZE_MODULES),
     (["fit", "--n1", "1", "--n2", "0"],
@@ -79,6 +80,37 @@ COMMAND_MODULES = [
                          ids=[argv[0] for argv, _ in COMMAND_MODULES])
 def test_each_command_loads_only_its_modules(argv, modules):
     assert run_python(COMMAND_SCRIPT, *argv) == [0, modules]
+
+
+# Resolves every name of the package table through dt4 and through
+# cli.__getattr__, each before its module is imported by name; prints the
+# names whose object is not the one the defining module holds.
+TABLE_SCRIPT = """
+import importlib, json
+import dt4
+from dt4 import cli
+wrong = []
+for name, home in dt4._HOME.items():
+    via_cli, via_dt4 = cli.__getattr__(name), dt4.__getattr__(name)
+    module = importlib.import_module("dt4." + home)
+    want = module if name == home else getattr(module, name)
+    if via_cli is not want or via_dt4 is not want:
+        wrong.append(name)
+print(json.dumps(wrong))
+"""
+
+
+def test_package_table_resolves_every_name():
+    # every name a command binds comes from the package table
+    with open(os.path.join(os.path.dirname(dt4.__file__), "cli.py")) as f:
+        tree = ast.parse(f.read())
+    bound = {arg.value for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_bind"
+             for arg in node.args if isinstance(arg, ast.Constant)}
+    assert "z_typeI_closed_form" in bound       # the scan sees the calls
+    assert bound <= set(dt4._HOME)
+    assert run_python(TABLE_SCRIPT) == []
 
 
 # Runs COMMANDS through cli.main, with the tracer installed when argv[2]

@@ -10,9 +10,9 @@ from dt4.moduli import (FIBER, SECTION, ZERO_DIVISOR, DivisorClass,
                         EllipticSurface, Polarization,
                         assemble_typeII_K3_series, enumerate_typeII_K3,
                         enumerate_typeII_general, in_stable_chamber, is_ample,
-                        is_effective, pair, pair_h, typeI_DT_K3,
-                        wall_threshold, z_typeI_closed_form, z_typeI_series,
-                        z_typeII_conjecture_series)
+                        is_effective, pair, pair_h, wall_threshold)
+from dt4.qseries import (typeI_DT_K3, z_typeI_closed_form, z_typeI_series,
+                         z_typeII_conjecture_series)
 
 from oracles import colored_counts, k3_component_count
 

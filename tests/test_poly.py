@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dt4.poly import Poly, grlex_key, poly_str
+from dt4.poly import Poly, grlex_key, newton_recurrence, poly_str
 
-from oracles import poly_gcd
+from oracles import binomial_product, linear_power_product, poly_gcd
 
 X = Poly.variable(3, 0)
 Y = Poly.variable(3, 1)
@@ -122,6 +122,25 @@ def test_poly_str():
     assert poly_str(X + Y, names) == "x + y"
     assert poly_str(Poly.const(3, -4), names) == "-4"
     assert poly_str(2 * X * X - Z, names) in ("2*x^2 - z", "-z + 2*x^2")
+
+
+@pytest.mark.parametrize("a", [-24, -3, -1, 0, 1, 2, 5])
+def test_newton_recurrence_divisor_sums(a):
+    """p_i = -a sigma(i) expands prod (1 - q^m)^a, the q-series route."""
+    n = 30
+    p = [-a * sum(d for d in range(1, i + 1) if i % d == 0)
+         for i in range(n + 1)]
+    assert newton_recurrence(p) == binomial_product(a, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-5, 5), st.integers(-4, 4)),
+                max_size=4), st.integers(0, 8))
+def test_newton_recurrence_linear_factors(pairs, k):
+    """p_i = -sum m (-r)^i expands prod (1 + r x)^m, the classical-limit
+    route."""
+    p = [0] + [-sum(m * (-r) ** i for r, m in pairs) for i in range(1, k + 1)]
+    assert newton_recurrence(p) == linear_power_product(pairs, k)
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dt4.eqalg import DEFAULT_REGISTRY as REG
-from dt4.qseries import (HalfQSeries, coeff_str, delta_inverse,
+from dt4.eqalg import DEFAULT_REGISTRY as REG, exact_str
+from dt4.qseries import (HalfQSeries, delta_inverse,
                          goettsche_series, product_power, substitute_power,
                          substitute_sqrt)
 
@@ -204,11 +204,11 @@ def test_substitute_power():
         substitute_power(f, 0)
 
 
-def test_coeff_str():
-    assert coeff_str(3) == "3"
-    assert coeff_str(Fraction(1, 2)) == "(1)/(2)"
-    assert coeff_str(Fraction(4, 2)) == "2"
-    assert coeff_str(REG.one() / REG.var("s")) == "(1)/(s)"
+def test_exact_str_coefficients():
+    assert exact_str(3) == "3"
+    assert exact_str(Fraction(1, 2)) == "(1)/(2)"
+    assert exact_str(Fraction(4, 2)) == "2"
+    assert exact_str(REG.one() / REG.var("s")) == "(1)/(s)"
 
 
 def test_to_json_entries_sorted():
