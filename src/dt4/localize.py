@@ -24,6 +24,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from time import perf_counter
 from typing import NamedTuple
 
 from .eqalg import (DEFAULT_REGISTRY as REG, FactoredScalar, WeightCharacter,
@@ -206,22 +207,39 @@ def tautological_character(fp, bundle, model):
 
 # -- generic localization sum ----------------------------------------------
 
+# Wall time the caller spends on tasks before it starts a pool: about what
+# importing ``multiprocessing.pool``, starting two workers and closing them
+# costs (README, "Parallel runs").
+POOL_BUDGET_S = 0.05
+
+
 def Pool(processes):
-    """A ``multiprocessing`` pool; serial runs never import the module."""
+    """A ``multiprocessing`` pool; runs that never start one never import
+    the module."""
     import multiprocessing
     return multiprocessing.Pool(processes)
 
 
 def parallel_starmap(fn, args, jobs=1):
-    """``[fn(*a) for a in args]`` in order; ``jobs`` > 1 spreads the calls
-    over that many pool workers.  ``fn`` and the arguments are pickled, so
-    ``fn`` must be a top-level function or a ``functools.partial`` of one;
-    then every start method works."""
+    """``[fn(*a) for a in args]``, in order.
+
+    With ``jobs`` > 1 the caller runs the calls itself, in order, until they
+    have taken ``POOL_BUDGET_S`` of wall time, and only then hands those
+    left to a pool of at most ``jobs`` workers, never more workers than
+    calls left and no pool for a last single call.  A run shorter than the
+    budget never imports ``multiprocessing``; a longer one gives up at most
+    the budget plus one call of parallelism.  ``fn`` and the arguments are
+    pickled, so ``fn`` must be a top-level function or a
+    ``functools.partial`` of one; then every start method works."""
     args = list(args)
-    if jobs < 2:
-        return [fn(*a) for a in args]
-    with Pool(jobs) as pool:
-        return pool.starmap(fn, args, chunksize=max(1, len(args) // jobs))
+    out, start = [], perf_counter()
+    for a in args:
+        left = len(args) - len(out)
+        if jobs > 1 and left > 1 and perf_counter() - start >= POOL_BUDGET_S:
+            with Pool(min(jobs, left)) as pool:
+                return out + pool.starmap(fn, args[len(out):])
+        out.append(fn(*a))
+    return out
 
 
 def assemble_sum(model, n1, n2, term_fn, jobs=1, audit=None, wmap=SYMBOLIC):

@@ -247,7 +247,8 @@ def typeII_samples(configs, n1, n2, jobs=1):
 
     Each value is ``classical_limit``; beta classes are zero on this
     route, so only the bundle and surface invariants vary.  ``jobs`` > 1
-    spreads the configurations over one process pool.
+    spreads the configurations left after ``localize.POOL_BUDGET_S`` of
+    serial work over one process pool (see ``parallel_starmap``).
     """
     return parallel_starmap(functools.partial(_typeII_sample, n1=n1, n2=n2),
                             configs, jobs)

@@ -13,7 +13,7 @@ import random
 import time
 from fractions import Fraction
 
-from dt4 import cli
+from dt4 import cli, localize
 from dt4.eqalg import (DEFAULT_REGISTRY as REG, FactoredScalar,
                        NonGenericWeightError, WeightCharacter,
                        euler_of_character, residue)
@@ -184,7 +184,8 @@ def test_criterion_6_trivial_length_and_k3_numbers(capsys):
     _passed(6, "length-zero case and fiberwise numbers")
 
 
-def test_criterion_7_universal_fits():
+def test_criterion_7_universal_fits(monkeypatch):
+    monkeypatch.setattr(localize, "POOL_BUDGET_S", 0)    # real workers
     configs = battery_configs()
     for n1, n2, bound in ((1, 0, 1), (1, 1, 2), (0, 2, 2)):
         samples = typeII_samples(configs, n1, n2, jobs=2)

@@ -270,25 +270,61 @@ def test_mochizuki_value_and_audit(capsys):
     assert report["results"]["audit"]
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of each pool started, on a two-CPU machine and with
+    a pool budget of 0, so that the real pool starts before the first
+    task."""
+    started = []
+    pool = localize.Pool
+
+    def counted_pool(processes):
+        started.append(processes)
+        return pool(processes)
+    monkeypatch.setattr(localize, "Pool", counted_pool)
+    monkeypatch.setattr(localize, "POOL_BUDGET_S", 0)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    return started
+
+
 @pytest.mark.parametrize("audit", [[], ["--audit"]])
-def test_mochizuki_jobs_start_one_pool(audit, capsys, monkeypatch):
+def test_mochizuki_jobs_start_one_pool(audit, capsys, pools):
     argv = ["mochizuki", "--surface", "plane", "--divisor", "H=0",
             "--n", "2"] + audit
     code, serial, _ = run(capsys, argv + ["--jobs", "1"])
     assert code == 0
-    pools = []
-    pool = localize.Pool
-
-    def counted_pool(processes):
-        pools.append(processes)
-        return pool(processes)
-    monkeypatch.setattr(localize, "Pool", counted_pool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     code, parallel, _ = run(capsys, argv + ["--jobs", "2"])
     assert code == 0
     # all three splittings (2,0), (1,1), (0,2) share one pool
     assert pools == [2]
     assert parallel == serial
+
+
+def test_one_pair_starts_no_pool(capsys, pools):
+    argv = ["localize", "--surface", "plane", "--divisor", "H=1", "--n1",
+            "0", "--n2", "0"]
+    code, serial, _ = run(capsys, argv + ["--jobs", "1"])
+    assert code == 0
+    assert run(capsys, argv + ["--jobs", "2"]) == (0, serial, "")
+    assert pools == []
+
+
+def refuse_sample(model, L, n1, n2):
+    raise ValueError("no sample today")
+
+
+@pytest.mark.parametrize("budget, started", [(float("inf"), []), (0, [2])])
+def test_value_error_in_either_phase_is_the_error_object(
+        budget, started, capsys, monkeypatch, pools):
+    # raised by the caller's own tasks, or by the pool's workers
+    monkeypatch.setattr(localize, "POOL_BUDGET_S", budget)
+    monkeypatch.setattr(universal, "_typeII_sample", refuse_sample)
+    code, out, _ = run(capsys, ["fit", "--n1", "1", "--n2", "0",
+                                "--degree-bound", "1", "--jobs", "2"])
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "ValueError",
+                                        "message": "no sample today"}
+    assert pools == started
 
 
 def test_fit_command(capsys):
@@ -432,9 +468,12 @@ def test_prefactor_at_the_size_bound_prints(capsys):
     assert digits[-9:] == str(pow(2, 100000, 10 ** 9))
 
 
-# sets the start method before dt4 runs, as a user's own script would
+# sets the start method before dt4 runs, as a user's own script would, and
+# a zero pool budget, so that workers start however short the run
 START_METHOD_SCRIPT = ("import multiprocessing, sys\n"
                        "multiprocessing.set_start_method(sys.argv[1])\n"
+                       "from dt4 import localize\n"
+                       "localize.POOL_BUDGET_S = 0\n"
                        "from dt4.cli import main\n"
                        "sys.exit(main(sys.argv[2:]))\n")
 

@@ -82,6 +82,24 @@ def test_each_command_loads_only_its_modules(argv, modules):
     assert run_python(COMMAND_SCRIPT, *argv) == [0, modules]
 
 
+# Runs one command through cli.main with a pool budget no run reaches;
+# prints its exit code and whether multiprocessing was ever imported.
+NO_POOL_SCRIPT = """
+import contextlib, io, json, os, sys
+os.cpu_count = lambda: 2
+from dt4 import cli, localize
+localize.POOL_BUDGET_S = float("inf")
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, "multiprocessing" in sys.modules]))
+"""
+
+
+def test_run_within_the_pool_budget_never_imports_multiprocessing():
+    assert run_python(NO_POOL_SCRIPT, "fit", "--n1", "1", "--n2", "0",
+                      "--degree-bound", "1", "--jobs", "2") == [0, False]
+
+
 # Resolves every name of the package table through dt4 and through
 # cli.__getattr__, each before its module is imported by name; prints the
 # names whose object is not the one the defining module holds.
@@ -122,6 +140,8 @@ spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
 tracer = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracer)
 os.cpu_count = lambda: 2        # --jobs 2 makes a pool on any machine
+from dt4 import localize
+localize.POOL_BUDGET_S = 0      # however short the run
 tr = tracer.Tracer("t")
 if sys.argv[2] == "1":
     tracer.install(tr)

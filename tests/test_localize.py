@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from dt4 import localize
 from dt4.eqalg import (DEFAULT_REGISTRY as REG, NonGenericWeightError,
                        WeightCharacter, chern_part, euler_of_character)
 from dt4.localize import (SYMBOLIC, PrefactorData, TwistedBundleSpec,
@@ -236,7 +237,8 @@ def test_twisted_divisor_argument_rejected():
         typeII_component_integral(PLANE, spec, n1=0, n2=0)
 
 
-def test_jobs_and_audit():
+def test_jobs_and_audit(monkeypatch):
+    monkeypatch.setattr(localize, "POOL_BUDGET_S", 0)
     rows = []
     serial = typeII_component_integral(PLANE, {"H": 1}, n1=1, n2=1,
                                        prefactor=UNIT_PREFACTOR, eps_line=LINE,
@@ -247,6 +249,74 @@ def test_jobs_and_audit():
     assert serial == parallel
     assert len(rows) == 9
     assert all(set(r) == {"fixed_point", "term"} for r in rows)
+
+
+@pytest.fixture
+def tick(monkeypatch):
+    """``pow`` that takes one tick of localize's clock, which only it moves."""
+    now = [0]
+    monkeypatch.setattr(localize, "perf_counter", lambda: now[0])
+
+    def ticking_pow(x, y):
+        now[0] += 1
+        return x ** y
+    return ticking_pow
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Stands in for localize.Pool: records each pool's worker count and
+    tasks, and runs the tasks in this process."""
+    made = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            self.processes = processes
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, args):
+            made.append((self.processes, list(args)))
+            return [fn(*a) for a in args]
+    monkeypatch.setattr(localize, "Pool", RecordingPool)
+    return made
+
+
+ARGS = [(x, 3) for x in range(10)]
+
+
+@pytest.mark.parametrize("budget", [len(ARGS), float("inf")])
+def test_parallel_starmap_within_the_budget_starts_no_pool(
+        budget, tick, pools, monkeypatch):
+    monkeypatch.setattr(localize, "POOL_BUDGET_S", budget)
+    assert localize.parallel_starmap(tick, ARGS, jobs=2) == \
+        [x ** y for x, y in ARGS]
+    assert pools == []
+
+
+@pytest.mark.parametrize("k", [0, 1, 4, 7])
+def test_parallel_starmap_pools_the_tasks_left_at_the_budget(
+        k, tick, pools, monkeypatch):
+    # a budget of k ticks is spent after k tasks
+    monkeypatch.setattr(localize, "POOL_BUDGET_S", k)
+    assert localize.parallel_starmap(tick, ARGS, jobs=3) == \
+        localize.parallel_starmap(pow, ARGS)
+    assert pools == [(3, ARGS[k:])]
+
+
+@pytest.mark.parametrize("tasks, workers", [(0, []), (1, []), (2, [2]),
+                                            (3, [3]), (5, [4])])
+def test_parallel_starmap_starts_no_more_workers_than_tasks(
+        tasks, workers, pools, monkeypatch):
+    monkeypatch.setattr(localize, "POOL_BUDGET_S", 0)
+    args = ARGS[:tasks]
+    assert localize.parallel_starmap(pow, args, jobs=4) == \
+        [x ** y for x, y in args]
+    assert [n for n, _ in pools] == workers
 
 
 def test_assemble_sum_batching():
