@@ -27,9 +27,12 @@ from fractions import Fraction
 from time import perf_counter
 from typing import NamedTuple
 
-from .eqalg import (DEFAULT_REGISTRY as REG, FactoredScalar, WeightCharacter,
-                    chern_part, euler_of_character, factored_sum, residue)
-from .partitions import arm_leg, hilb_fixed_points
+from .eqalg import (DEFAULT_REGISTRY as REG, FactoredScalar,
+                    NonGenericWeightError, WeightCharacter, euler_of_character,
+                    factored_sum, residue)
+# perfbench's tracer wraps this module global; no route calls it
+from .eqalg import chern_part  # noqa: F401
+from .partitions import arm_leg, hilb_fixed_points, is_nested
 
 
 class TwistedBundleSpec(NamedTuple):
@@ -173,6 +176,7 @@ def tangent_character(fp, model):
     return _chart_sum(_tangent_chart, *SYMBOLIC.charts(model, None), fp)[0]
 
 
+# no route calls this; tests and perfbench's tracer do
 def twisted_tangent_character(fp, bundle, model):
     """Tangent character shifted at each chart by the twisted bundle."""
     return _chart_sum(_tangent_chart, *SYMBOLIC.charts(model, bundle), fp)[0]
@@ -192,6 +196,7 @@ def chi_character(fp1, fp2, bundle, model):
                               fp1, fp2)[0]
 
 
+# no route calls this; tests and perfbench's tracer do
 def difference_character(fp1, fp2, bundle, model):
     """Character of (cohomology of bundle) minus (pair characteristic);
     rank n1 + n2 identically."""
@@ -323,24 +328,27 @@ def typeII_component_integral(model, L, n1=0, n2=0, prefactor=None,
     """Contribution of one nested component, reduced to the product of
     two Hilbert schemes of points.
 
-    The integrand at a fixed-point pair is the top Chern part of the pair
-    difference class times the Euler class of the one virtual character
+    The integrand is the top Chern part of the untwisted pair difference
+    class diff(0) times an Euler class, and it is 0 unless the pair is
+    nested chart by chart (``partitions.is_nested``).  There diff(0) is an
+    honest character of rank n1 + n2, so the integrand is the Euler class
+    of the one virtual character
 
-        tangent_1 x L t + tangent_2 x L t + diff(K - 2L) t^-2
+        diff(0) + tangent_1 x L t + tangent_2 x L t + diff(K - 2L) t^-2
         - diff(K - L) t^-1 - diff(-L) t^-1 - tangent_1 - tangent_2,
 
     kept factored over its denominator forms; the pair sum times the
-    prefactor is canonicalised once.  ``eps`` pins (e1, e2) to exact
-    rationals and ``eps_line`` restricts them to a line (see WeightMap);
-    the result is invariant under that choice whenever no weight
-    degenerates.
+    prefactor is canonicalised once.  A zero weight outside diff(0) raises
+    NonGenericWeightError; a zero weight of diff(0) makes the integrand 0.
+    ``eps`` pins (e1, e2) to exact rationals and ``eps_line`` restricts
+    them to a line (see WeightMap); the result is invariant under that
+    choice whenever no weight degenerates.
     """
     if prefactor is None:
         prefactor = PrefactorData.from_model(model, _as_spec(L).divisor_map())
     pre = prefactor.value()
     wmap = WeightMap.make(eps, eps_line)
-    term = functools.partial(_typeII_term, *_typeII_charts(model, L, wmap),
-                             n1 + n2)
+    term = functools.partial(_typeII_term, *_typeII_charts(model, L, wmap))
     return wmap.finish((pre * assemble_sum(model, n1, n2, term, jobs=jobs,
                                            audit=audit,
                                            wmap=wmap)).canonical())
@@ -365,19 +373,40 @@ def _typeII_tangent(charts, shifts, fp):
     return twisted - tangent
 
 
-def _typeII_difference(charts, shifts, fp1, fp2):
-    """diff(0) and diff(K - 2L) t^-2 - diff(K - L) t^-1 - diff(-L) t^-1."""
+def _typeII_character(charts, shifts, fp1, fp2, tangents):
+    """The one character whose Euler class is the integrand at a nested
+    pair: diff(0) + diff(K - 2L) t^-2 - diff(K - L) t^-1 - diff(-L) t^-1
+    plus ``tangents``, or None when the integrand is 0 there.
+
+    diff(0) must be honest of rank n1 + n2, so that its Euler class is its
+    top Chern part; otherwise ValueError.  A zero weight of the rest raises
+    NonGenericWeightError, and then a zero weight of diff(0) makes the
+    integrand 0 (its top Chern part vanishes)."""
     e_cls, k2l, kl, negl = _chart_sum(_pair_correction, charts,
                                       shifts[:1] + shifts[2:], fp1, fp2)
-    return e_cls, k2l - kl - negl
+    if (e_cls.rank() != fp1.total + fp2.total
+            or any(m < 0 for _, m in e_cls.items())):
+        raise ValueError(f"typeII term: diff(0) at the nested pair {fp1}, "
+                         f"{fp2} is not an honest character of rank "
+                         f"{fp1.total + fp2.total}")
+    rest = k2l - kl - negl + tangents
+    if any(not any(w) for w, _ in rest.items()):
+        raise NonGenericWeightError(
+            "zero torus weight: Euler class is not invertible")
+    if any(not any(w) for w, _ in e_cls.items()):
+        return None
+    return e_cls + rest
 
 
-def _typeII_term(charts, shifts, n, fp1, fp2):
-    """Integrand of typeII_component_integral at one fixed-point pair."""
-    e_cls, char = _typeII_difference(charts, shifts, fp1, fp2)
-    return euler_of_character(char + _typeII_tangent(charts, shifts, fp1)
-                              + _typeII_tangent(charts, shifts, fp2),
-                              chern_part(e_cls, n))
+def _typeII_term(charts, shifts, fp1, fp2):
+    """Integrand of typeII_component_integral at one fixed-point pair: 0
+    unless the pair is nested."""
+    if not is_nested(fp1, fp2):
+        return FactoredScalar.zero()
+    char = _typeII_character(charts, shifts, fp1, fp2,
+                             _typeII_tangent(charts, shifts, fp1)
+                             + _typeII_tangent(charts, shifts, fp2))
+    return FactoredScalar.zero() if char is None else euler_of_character(char)
 
 
 # -- Mochizuki-style residue coefficients ----------------------------------

@@ -2,11 +2,11 @@
 
 A surface here is determined by the single integer k with canonical
 class k times the fiber class; divisor classes live in the rank-two
-lattice spanned by the section and the fiber.  On top of the
-intersection form the module provides the no-wall chamber test for the
-adiabatic polarizations and the enumeration of the nested fixed-locus
-components.  The partition-function series of the fiberwise count are
-q-series and live in ``qseries``.
+lattice spanned by the section and the fiber.  The module provides the
+no-wall chamber test for the adiabatic polarizations and the enumeration
+of the nested fixed-locus components of the K3 fiberwise count.  The
+partition-function series of that count are q-series and live in
+``qseries``.
 """
 
 from fractions import Fraction
@@ -18,28 +18,11 @@ class DivisorClass(NamedTuple):
     a: int
     b: int
 
-    def __add__(self, other):
-        return DivisorClass(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other):
-        return DivisorClass(self.a - other.a, self.b - other.b)
-
-    def __neg__(self):
-        return DivisorClass(-self.a, -self.b)
-
-    def scale(self, m):
-        return DivisorClass(m * self.a, m * self.b)
-
     def is_zero(self):
         return self.a == 0 and self.b == 0
 
     def to_json(self):
         return {"a": self.a, "b": self.b}
-
-
-SECTION = DivisorClass(1, 0)
-FIBER = DivisorClass(0, 1)
-ZERO_DIVISOR = DivisorClass(0, 0)
 
 
 class EllipticSurface(NamedTuple("EllipticSurface", [("k", int)])):
@@ -76,38 +59,6 @@ class TypeIIComponent(NamedTuple):
     def to_json(self):
         return {"b": self.b, "n1": self.n1, "n2": self.n2,
                 "alpha": self.alpha.to_json(), "vanishes": self.vanishes}
-
-
-class TypeIIGeneralComponent(NamedTuple):
-    """Decomposition datum of the general nested enumeration."""
-    beta1: DivisorClass
-    beta2: DivisorClass
-    n1: int
-    n2: int
-    alpha: DivisorClass
-
-    def to_json(self):
-        return {"beta1": self.beta1.to_json(), "beta2": self.beta2.to_json(),
-                "n1": self.n1, "n2": self.n2, "alpha": self.alpha.to_json()}
-
-
-def _pair_q(a1, b1, a2, b2, k):
-    return -(k + 2) * a1 * a2 + a1 * b2 + a2 * b1
-
-
-def pair(d1, d2, S):
-    """Intersection number on the section/fiber lattice."""
-    return _pair_q(d1.a, d1.b, d2.a, d2.b, S.k)
-
-
-def pair_h(h, d, S):
-    """Intersection of a rational polarization with a divisor class."""
-    return Fraction(_pair_q(h.t, h.u, Fraction(d.a), Fraction(d.b), S.k))
-
-
-def is_effective(d):
-    """Membership in the effective cone spanned by section and fiber."""
-    return d.a >= 0 and d.b >= 0
 
 
 def is_ample(h, S):
@@ -151,40 +102,6 @@ def enumerate_typeII_K3(m, n):
         for n1 in range(n, lo - 1, -1):
             out.append(TypeIIComponent(b, n1, n - n1, alpha,
                                        not alpha.is_zero()))
-    return out
-
-
-def enumerate_typeII_general(beta, m, k, n, h, search_box):
-    """Nested decompositions on a general fibration inside a lattice box.
-
-    ``search_box`` bounds the divisor-class search: either an integer B
-    (both coefficients of the first class range over [-B, B]) or a pair
-    of (lo, hi) ranges.  Finiteness outside the stable chamber is not
-    guaranteed, hence the explicit box.
-    """
-    S = EllipticSurface(k)
-    D = DivisorClass(0, m)
-    if isinstance(search_box, int):
-        (alo, ahi), (blo, bhi) = (-search_box, search_box), (-search_box, search_box)
-    else:
-        (alo, ahi), (blo, bhi) = search_box
-    out = []
-    for a1 in range(alo, ahi + 1):
-        for b1 in range(blo, bhi + 1):
-            beta1 = DivisorClass(a1, b1)
-            beta2 = beta - beta1
-            alpha = beta2 + D - beta1
-            if not is_effective(alpha):
-                continue
-            if not pair_h(h, beta2, S) < pair_h(h, beta1, S):
-                continue
-            budget = n - pair(beta1, beta2, S)
-            if budget < 0:
-                continue
-            lo = (budget + 1) // 2 if alpha.is_zero() else 0
-            for n1 in range(budget, lo - 1, -1):
-                out.append(TypeIIGeneralComponent(beta1, beta2, n1,
-                                                  budget - n1, alpha))
     return out
 
 

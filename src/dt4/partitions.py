@@ -109,6 +109,19 @@ class HilbFixedPoint:
         return f"HilbFixedPoint{tuple(p.parts for p in self.assignment)!r}"
 
 
+def is_nested(fp1, fp2):
+    """Whether the pair is nested chart by chart: the partition of ``fp2``
+    fits inside that of ``fp1`` at every chart.
+
+    >>> is_nested(HilbFixedPoint([Partition((2, 1))]),
+    ...           HilbFixedPoint([Partition((1, 1))]))
+    True
+    """
+    return all(len(lam2) <= len(lam1)
+               and all(q <= p for p, q in zip(lam1.parts, lam2.parts))
+               for lam1, lam2 in zip(fp1.assignment, fp2.assignment))
+
+
 def hilb_fixed_points(model, n):
     """All monomial fixed points of the Hilbert scheme of n points on a
     toric surface model.  Order is deterministic: lexicographic over

@@ -8,11 +8,12 @@ are errors, never least-squares compromises.  The localized integrals
 depend on the toric parameters only through the choice of equivariant
 lift; the classical value used for fitting is the value at the origin of
 the parameter line (e1, e2) = EPS_LINE * u.  ``classical_limit`` computes
-it without any multivariate polynomial: at s = 1 every term is a Laurent
-series in u with integer coefficients over one integer denominator, and
-the u^0 coefficient of their sum is the value.  The negative-order
-coefficients of that sum must cancel exactly; when they do not, the
-sample is an error, never a value.
+it without any multivariate polynomial: only pairs nested chart by chart
+contribute, at s = 1 each of their terms is the Euler class of one
+character and a Laurent series in u with integer coefficients over one
+integer denominator, and the u^0 coefficient of their sum is the value.
+The negative-order coefficients of that sum must cancel exactly; when
+they do not, the sample is an error, never a value.
 """
 
 import functools
@@ -21,12 +22,12 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .eqalg import NonGenericWeightError, exact_str
-from .localize import (WeightMap, _typeII_charts, _typeII_difference,
+from .eqalg import exact_str
+from .localize import (WeightMap, _typeII_character, _typeII_charts,
                        _typeII_tangent, parallel_starmap)
 # perfbench's tracer wraps this module global; fit itself never calls it
 from .localize import typeII_component_integral  # noqa: F401
-from .partitions import hilb_fixed_points
+from .partitions import hilb_fixed_points, is_nested
 from .poly import newton_recurrence
 from .surfaces import from_preset
 
@@ -266,14 +267,14 @@ def classical_limit(model, L, n1, n2):
     parameter line (e1, e2) = EPS_LINE * u and evaluated at u = 0: a
     Fraction.
 
-    Every term is homogeneous of s-degree n + rank = 0 (n = n1 + n2), so
-    s = 1 loses nothing and every weight becomes a + c u.  A term is
-    T u^n, the top Chern part of its pure-u difference character, times
-    the Euler class of its virtual character: the pure-u weights (a = 0)
-    give a power u^-k, and every mixed form is expanded through u^k.  The
+    Every term is homogeneous of s-degree 0, so s = 1 loses nothing and
+    every weight becomes a + c u.  Only pairs nested chart by chart
+    contribute, each the Euler class of one character (see
+    ``localize._typeII_character``): its pure-u weights (a = 0) give a
+    power u^-k, and every mixed form is expanded through u^k.  The
     u^-K .. u^-1 coefficients of the sum must cancel exactly and the u^0
     coefficient is the value; a term of nonzero s-degree or a pole that
-    does not cancel raises ValueError, a zero weight
+    does not cancel raises ValueError, a zero weight outside diff(0)
     NonGenericWeightError.  This equals
     ``typeII_component_integral(..., eps_line=EPS_LINE)`` with a unit
     prefactor, specialised at e1 = 0.
@@ -289,23 +290,22 @@ def classical_limit(model, L, n1, n2):
     acc = {}
     for (fp1, tan1), (fp2, tan2) in itertools.product(with_tangents(n1),
                                                       with_tangents(n2)):
-        e_cls, char = _typeII_difference(charts, shifts, fp1, fp2)
-        _add_laurent_term(acc, e_cls, char + tan1 + tan2, n1 + n2, scale)
+        if is_nested(fp1, fp2):
+            char = _typeII_character(charts, shifts, fp1, fp2, tan1 + tan2)
+            if char is not None:
+                _add_laurent_term(acc, char, scale)
     return _constant_term(acc)
 
 
-def _add_laurent_term(acc, e_cls, char, n, scale):
-    """Add the u^-k .. u^0 coefficients of the top Chern part of degree n
-    of ``e_cls`` (pure-u weights) times the Euler class of ``char`` into
-    ``acc`` (order -> Fraction), over one integer denominator."""
-    if n + char.rank():
+def _add_laurent_term(acc, char, scale):
+    """Add the u^-k .. u^0 coefficients of the Euler class of ``char``, a
+    character of rank 0 without zero weights, into ``acc`` (order ->
+    Fraction), over one integer denominator."""
+    if char.rank():
         raise ValueError(f"classical limit: a term of s-degree "
-                         f"{n + char.rank()}, not 0")
-    order, num, den, mixed = n, 1, 1, []
+                         f"{char.rank()}, not 0")
+    order, num, den, mixed = 0, 1, 1, []
     for (a, _, c, _), m in char.items():
-        if not (a or c):
-            raise NonGenericWeightError(
-                "zero torus weight: Euler class is not invertible")
         if not a:
             order += m                              # (c u)^m
         elif c:
@@ -317,13 +317,10 @@ def _add_laurent_term(acc, e_cls, char, n, scale):
     k = -order
     if k < 0:
         return
-    top = _power_product([(c, m) for (_, _, c, _), m in e_cls.items() if c],
-                         n)[n] * num
-    if top:
-        den *= scale ** k
-        for j, e in enumerate(_power_product(mixed, k)):
-            acc[j - k] = acc.get(j - k, 0) + Fraction(
-                top * e * scale ** (k - j), den)
+    den *= scale ** k
+    for j, e in enumerate(_power_product(mixed, k)):
+        acc[j - k] = acc.get(j - k, 0) + Fraction(num * e * scale ** (k - j),
+                                                  den)
 
 
 def _power_product(forms, k):

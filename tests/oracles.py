@@ -2,14 +2,21 @@
 
 Everything here is derived by a different route than the library code it
 checks: plain integer recurrences, dictionary Laurent algebra over box
-diagrams, Riemann-Roch arithmetic, Fraction-valued series expansion, and
-a polynomial gcd, which the library does not have.
+diagrams, Riemann-Roch arithmetic, Fraction-valued series expansion, a
+polynomial gcd, which the library does not have, a lattice search over
+divisor classes on an elliptic surface, and the total Chern class of the
+pair difference character.
 """
 
+import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
-from dt4.eqalg import DEFAULT_REGISTRY
+from dt4 import moduli
+from dt4.eqalg import DEFAULT_REGISTRY, chern_part
+from dt4.localize import difference_character
+from dt4.partitions import hilb_fixed_points
 from dt4.poly import Poly
 
 
@@ -83,6 +90,124 @@ def k3_component_count(m, n):
     if m % 2:
         return (half - 1) * (n + 1) + n // 2 + 1
     return half * (n + 1)
+
+
+# -- nested components on an elliptic surface, by lattice search -----------
+
+class DivisorClass(moduli.DivisorClass):
+    """moduli.DivisorClass with the lattice operations."""
+    __slots__ = ()
+
+    def __add__(self, other):
+        return DivisorClass(self.a + other.a, self.b + other.b)
+
+    def __sub__(self, other):
+        return DivisorClass(self.a - other.a, self.b - other.b)
+
+    def __neg__(self):
+        return DivisorClass(-self.a, -self.b)
+
+    def scale(self, m):
+        return DivisorClass(m * self.a, m * self.b)
+
+
+SECTION = DivisorClass(1, 0)
+FIBER = DivisorClass(0, 1)
+ZERO_DIVISOR = DivisorClass(0, 0)
+
+
+class TypeIIGeneralComponent(NamedTuple):
+    """Decomposition datum of the general nested enumeration."""
+    beta1: DivisorClass
+    beta2: DivisorClass
+    n1: int
+    n2: int
+    alpha: DivisorClass
+
+
+def _pair_q(a1, b1, a2, b2, k):
+    return -(k + 2) * a1 * a2 + a1 * b2 + a2 * b1
+
+
+def pair(d1, d2, S):
+    """Intersection number on the section/fiber lattice."""
+    return _pair_q(d1.a, d1.b, d2.a, d2.b, S.k)
+
+
+def pair_h(h, d, S):
+    """Intersection of a rational polarization with a divisor class."""
+    return Fraction(_pair_q(h.t, h.u, Fraction(d.a), Fraction(d.b), S.k))
+
+
+def is_effective(d):
+    """Membership in the effective cone spanned by section and fiber."""
+    return d.a >= 0 and d.b >= 0
+
+
+def enumerate_typeII_general(beta, m, k, n, h, search_box):
+    """Nested decompositions on a general fibration inside a lattice box,
+    against ``moduli.enumerate_typeII_K3``'s closed form on K3.
+
+    ``search_box`` bounds the divisor-class search: either an integer B
+    (both coefficients of the first class range over [-B, B]) or a pair
+    of (lo, hi) ranges.  Finiteness outside the stable chamber is not
+    guaranteed, hence the explicit box.
+    """
+    S = moduli.EllipticSurface(k)
+    D = DivisorClass(0, m)
+    if isinstance(search_box, int):
+        search_box = ((-search_box, search_box),) * 2
+    (alo, ahi), (blo, bhi) = search_box
+    out = []
+    for a1 in range(alo, ahi + 1):
+        for b1 in range(blo, bhi + 1):
+            beta1 = DivisorClass(a1, b1)
+            beta2 = beta - beta1
+            alpha = beta2 + D - beta1
+            if not is_effective(alpha):
+                continue
+            if not pair_h(h, beta2, S) < pair_h(h, beta1, S):
+                continue
+            budget = n - pair(beta1, beta2, S)
+            if budget < 0:
+                continue
+            lo = (budget + 1) // 2 if alpha.is_zero() else 0
+            for n1 in range(budget, lo - 1, -1):
+                out.append(TypeIIGeneralComponent(beta1, beta2, n1,
+                                                  budget - n1, alpha))
+    return out
+
+
+# -- the support of the typeII integrand ------------------------------------
+
+def nested_support(model, n):
+    """Every fixed-point pair of every cell n1 + n2 <= n, and those whose
+    untwisted difference character diff(0) has a nonzero top Chern part
+    c_{n1+n2}.
+
+    Asserts that those are exactly the pairs nested chart by chart (the
+    boxes of the second partition inside those of the first at every
+    chart), and that diff(0) is honest of rank n1 + n2 on each of them:
+    every multiplicity positive.
+    """
+    pairs, support = [], []
+    for size in range(n + 1):
+        for n1 in range(size + 1):
+            for fp1, fp2 in itertools.product(hilb_fixed_points(model, n1),
+                                              hilb_fixed_points(model,
+                                                                size - n1)):
+                diff = difference_character(fp1, fp2, None, model)
+                nested = all(set(lam2.boxes()) <= set(lam1.boxes())
+                             for lam1, lam2 in zip(fp1.assignment,
+                                                   fp2.assignment))
+                top = not chern_part(diff, size).is_zero()
+                assert top == nested, (fp1, fp2, top)
+                if nested:
+                    assert diff.rank() == size and all(
+                        m > 0 for _, m in diff.items()), (fp1, fp2, diff)
+                    support.append((fp1, fp2))
+                pairs.append((fp1, fp2))
+    return pairs, support
 
 
 # -- dictionary Laurent algebra over one chart -----------------------------

@@ -374,6 +374,18 @@ def test_degree_two_fit_reports_are_golden(n1, n2, capsys):
         assert out == fh.read()
 
 
+def test_localize_audit_report_is_golden(capsys):
+    # one row per fixed-point pair; the rows of non-nested pairs print "0"
+    code, out, _ = run(capsys, ["localize", "--surface", "plane", "--divisor",
+                                "H=1", "--n1", "1", "--n2", "1", "--audit"])
+    assert code == 0
+    path = os.path.join(DATA, "localize_plane_H1_n1_1_n2_1_audit.json")
+    with open(path, encoding="utf-8") as fh:
+        assert out == fh.read()
+    rows = json.loads(out)["results"]["audit"]
+    assert len(rows) == 9 and sum(row["term"] == "0" for row in rows) == 6
+
+
 def test_fit_audit(capsys):
     code, report, _ = run_json(capsys, ["fit", "--n1", "0", "--n2", "0",
                                         "--degree-bound", "1", "--audit"])

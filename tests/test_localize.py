@@ -15,10 +15,11 @@ from dt4.localize import (SYMBOLIC, PrefactorData, TwistedBundleSpec,
                           pure_s_monomial, tangent_character,
                           tautological_character, twisted_tangent_character,
                           typeII_component_integral)
-from dt4.partitions import HilbFixedPoint, hilb_fixed_points
-from dt4.surfaces import from_preset
+from dt4.partitions import HilbFixedPoint, hilb_fixed_points, is_nested
+from dt4.surfaces import PRESET_NAMES, from_preset
+from dt4.universal import classical_limit
 
-from oracles import tangent_weights_oracle
+from oracles import nested_support, tangent_weights_oracle
 
 S = REG.var("s")
 PLANE = from_preset("plane")
@@ -440,3 +441,61 @@ def test_eps_route_is_the_symbolic_value_specialised(name):
             want = symbolic.specialize({"e1": e1, "e2": e2})
             assert got == want and str(got) == str(want)
             assert got.canonical().forms == got.forms
+
+
+# -- the typeII integrand lives on nested pairs -------------------------------
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_top_chern_part_of_diff0_is_supported_on_nested_pairs(name):
+    # the oracle asserts c_n(diff(0)) != 0 exactly on boxwise nested pairs,
+    # and that diff(0) is honest of rank n there, at every cell n <= 4
+    pairs, support = nested_support(from_preset(name), 4)
+    assert [p for p in pairs if is_nested(*p)] == support
+
+
+@pytest.mark.parametrize("extra", [
+    WeightCharacter([((1, 2), 1), ((2, 1), -1)]),    # a negative multiplicity
+    WeightCharacter([((1, 2), 1)])])                 # rank n + 1
+def test_a_dishonest_diff0_raises_on_both_routes(extra, monkeypatch):
+    correction = localize._pair_correction
+    monkeypatch.setattr(localize, "_pair_correction",
+                        lambda *a: correction(*a) + extra)
+    with pytest.raises(ValueError, match="not an honest character"):
+        typeII_component_integral(PLANE, {"H": 1}, n1=1, n2=1)
+    with pytest.raises(ValueError, match="not an honest character"):
+        classical_limit(PLANE, {"H": 1}, 1, 0)
+
+
+def _degenerate(model, eps):
+    """Whether some chart tangent form vanishes at the point ``eps``."""
+    return any(eps[0] * w[0] + eps[1] * w[1] == 0
+               for chart in model.fixed_points for w in (chart.w1, chart.w2))
+
+
+# every kind of degenerate integer point of the five presets (the axes,
+# both diagonals, and the lines b = -2a, b = -3a), and points such as
+# (1, -1) on plane where diff(0) of a nested pair has a zero weight while
+# the rest has none, so that its term is 0
+DEGENERATE_GRID = [(a, b) for a in range(-1, 4) for b in range(-3, 4)]
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_DIVISORS))
+def test_integer_eps_grid_outcomes(name):
+    """At a point where a chart tangent form vanishes, a cell with n1 >= n2
+    raises; elsewhere it is the symbolic value specialised.  A cell with
+    n2 > n1 has no nested pair and is 0 at every point."""
+    model, div = from_preset(name), ROUTE_DIVISORS[name]
+    for n1, n2 in ((1, 0), (0, 1), (1, 1)):
+        def integral(**kw):
+            return typeII_component_integral(model, div, n1=n1, n2=n2,
+                                             prefactor=UNIT_PREFACTOR, **kw)
+        symbolic = integral()
+        for e1, e2 in DEGENERATE_GRID:
+            if n2 > n1:
+                assert integral(eps=(e1, e2)) == REG.zero()
+            elif _degenerate(model, (e1, e2)):
+                with pytest.raises(NonGenericWeightError):
+                    integral(eps=(e1, e2))
+            else:
+                assert integral(eps=(e1, e2)) == symbolic.specialize(
+                    {"e1": Fraction(e1), "e2": Fraction(e2)}), (n1, n2, e1, e2)

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dt4.eqalg import DEFAULT_REGISTRY as REG
-from dt4.moduli import (FIBER, SECTION, ZERO_DIVISOR, DivisorClass,
-                        EllipticSurface, Polarization,
+from dt4.moduli import (EllipticSurface, Polarization,
                         assemble_typeII_K3_series, enumerate_typeII_K3,
-                        enumerate_typeII_general, in_stable_chamber, is_ample,
-                        is_effective, pair, pair_h, wall_threshold)
+                        in_stable_chamber, is_ample, wall_threshold)
 from dt4.qseries import (typeI_DT_K3, z_typeI_closed_form, z_typeI_series,
                          z_typeII_conjecture_series)
 
-from oracles import colored_counts, k3_component_count
+from oracles import (FIBER, SECTION, ZERO_DIVISOR, DivisorClass,
+                     colored_counts, enumerate_typeII_general, is_effective,
+                     k3_component_count, pair, pair_h)
 
 S_K3 = EllipticSurface(0)
 S = REG.var("s")

@@ -187,7 +187,7 @@ def test_classical_limit_equals_the_line_route_at_its_origin(name, div,
 def _laurent_sum(*chars):
     acc = {}
     for char in chars:
-        _add_laurent_term(acc, WeightCharacter(), WeightCharacter(char), 0, 1)
+        _add_laurent_term(acc, WeightCharacter(char), 1)
     return _constant_term(acc)
 
 
