@@ -32,7 +32,7 @@ from .eqalg import (DEFAULT_REGISTRY as REG, FactoredScalar,
                     factored_sum, residue)
 # perfbench's tracer wraps this module global; no route calls it
 from .eqalg import chern_part  # noqa: F401
-from .partitions import arm_leg, hilb_fixed_points, is_nested
+from .partitions import arm_leg, boxes, hilb_fixed_points, is_nested
 
 
 class TwistedBundleSpec(NamedTuple):
@@ -122,9 +122,8 @@ def _chart_sum(local, charts, shifts, *fps):
     the sum over the charts of nonempty partitions of ``local(partitions,
     w1, w2)`` over (e1, e2), computed once per chart, shifted by the entry."""
     out = [[] for _ in shifts]
-    for i, ((w1, w2), *lams) in enumerate(
-            zip(charts, *(fp.assignment for fp in fps))):
-        if any(lam.parts for lam in lams):
+    for i, ((w1, w2), *lams) in enumerate(zip(charts, *fps)):
+        if any(lams):
             items = local(*lams, w1, w2).items()
             for pairs, shift in zip(out, shifts):
                 t, tp, x, y = shift[i]
@@ -136,7 +135,7 @@ def _tangent_chart(lam, w1, w2):
     """Weight -> multiplicity: each box contributes the arm/leg pair
     (l+1)*w1 - a*w2 and -l*w1 + (a+1)*w2."""
     out = {}
-    for box in lam.boxes():
+    for box in boxes(lam):
         a, l = arm_leg(lam, box)
         for (c1, c2) in (((l + 1), -a), (-l, (a + 1))):
             w = (c1 * w1[0] + c2 * w2[0], c1 * w1[1] + c2 * w2[1])
@@ -147,7 +146,7 @@ def _tangent_chart(lam, w1, w2):
 def _box_character(lam, w1, w2):
     return WeightCharacter([((-(i * w1[0] + j * w2[0]),
                               -(i * w1[1] + j * w2[1])), 1)
-                            for (i, j) in lam.boxes()])
+                            for (i, j) in boxes(lam)])
 
 
 def _pair_correction(lam1, lam2, w1, w2):
@@ -263,8 +262,7 @@ def _pair_sum(model, splittings, term_fn, jobs, audit, wmap):
     terms = parallel_starmap(term_fn, pairs, jobs)
     if audit is not None:
         for (fp1, fp2), t in zip(pairs, terms):
-            audit({"fixed_point": [[list(p.parts) for p in fp1.assignment],
-                                   [list(p.parts) for p in fp2.assignment]],
+            audit({"fixed_point": [list(map(list, fp1)), list(map(list, fp2))],
                    "term": str(wmap.finish(t.canonical()))})
     return factored_sum(terms)
 
@@ -384,11 +382,10 @@ def _typeII_character(charts, shifts, fp1, fp2, tangents):
     integrand 0 (its top Chern part vanishes)."""
     e_cls, k2l, kl, negl = _chart_sum(_pair_correction, charts,
                                       shifts[:1] + shifts[2:], fp1, fp2)
-    if (e_cls.rank() != fp1.total + fp2.total
-            or any(m < 0 for _, m in e_cls.items())):
+    n = sum(map(sum, fp1 + fp2))
+    if e_cls.rank() != n or any(m < 0 for _, m in e_cls.items()):
         raise ValueError(f"typeII term: diff(0) at the nested pair {fp1}, "
-                         f"{fp2} is not an honest character of rank "
-                         f"{fp1.total + fp2.total}")
+                         f"{fp2} is not an honest character of rank {n}")
     rest = k2l - kl - negl + tangents
     if any(not any(w) for w, _ in rest.items()):
         raise NonGenericWeightError(
@@ -430,7 +427,8 @@ def _mochizuki_character(fp1, fp2, Lb1, Lb2, L, p_g, model):
                                       t, cb - ca)
         char = char - chi_character(fa, fb, spec, model)
     # (2 sp)^(n1+n2-p_g) in the denominator is the weight 2 sp
-    return char + WeightCharacter({(0, 2, 0, 0): p_g - fp1.total - fp2.total})
+    n = sum(map(sum, fp1 + fp2))
+    return char + WeightCharacter({(0, 2, 0, 0): p_g - n})
 
 
 def _mochizuki_term(model, Lb1, Lb2, L, p_g, wmap, fp1, fp2):

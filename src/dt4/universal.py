@@ -269,9 +269,10 @@ def classical_limit(model, L, n1, n2):
 
     Every term is homogeneous of s-degree 0, so s = 1 loses nothing and
     every weight becomes a + c u.  Only pairs nested chart by chart
-    contribute, each the Euler class of one character (see
-    ``localize._typeII_character``): its pure-u weights (a = 0) give a
-    power u^-k, and every mixed form is expanded through u^k.  The
+    contribute (none does when n2 > n1, so such a cell is 0), each the
+    Euler class of one character (see ``localize._typeII_character``): its
+    pure-u weights (a = 0) give a power u^-k, and every mixed form is
+    expanded through u^k.  The
     u^-K .. u^-1 coefficients of the sum must cancel exactly and the u^0
     coefficient is the value; a term of nonzero s-degree or a pole that
     does not cancel raises ValueError, a zero weight outside diff(0)
@@ -280,6 +281,8 @@ def classical_limit(model, L, n1, n2):
     prefactor, specialised at e1 = 0.
     """
     charts, shifts = _typeII_charts(model, L, WeightMap(EPS_LINE))
+    if n2 > n1 >= 0:
+        return Fraction(0)
     # a mixed weight is a + c u with a one of the bundle twists; with
     # u = scale v it is a (1 + r v) for an integer r
     scale = math.lcm(*filter(None, (shift[0][0] for shift in shifts)))

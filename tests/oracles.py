@@ -16,7 +16,7 @@ from typing import NamedTuple
 from dt4 import moduli
 from dt4.eqalg import DEFAULT_REGISTRY, chern_part
 from dt4.localize import difference_character
-from dt4.partitions import hilb_fixed_points
+from dt4.partitions import boxes, hilb_fixed_points
 from dt4.poly import Poly
 
 
@@ -41,6 +41,12 @@ def partition_numbers(n):
             k += 1
         p[m] = total
     return p
+
+
+def conjugate(lam):
+    """The transposed partition: the column lengths of ``lam``."""
+    width = lam[0] if lam else 0
+    return tuple(sum(1 for p in lam if p > j) for j in range(width))
 
 
 def colored_counts(colors, n):
@@ -197,9 +203,8 @@ def nested_support(model, n):
                                               hilb_fixed_points(model,
                                                                 size - n1)):
                 diff = difference_character(fp1, fp2, None, model)
-                nested = all(set(lam2.boxes()) <= set(lam1.boxes())
-                             for lam1, lam2 in zip(fp1.assignment,
-                                                   fp2.assignment))
+                nested = all(set(boxes(lam2)) <= set(boxes(lam1))
+                             for lam1, lam2 in zip(fp1, fp2))
                 top = not chern_part(diff, size).is_zero()
                 assert top == nested, (fp1, fp2, top)
                 if nested:
@@ -244,7 +249,7 @@ def chart_tangent_oracle(lam):
     the multiset of (p, q) exponents meaning p*w1 + q*w2.
     """
     V = {}
-    for (i, j) in lam.boxes():
+    for (i, j) in boxes(lam):
         e = (-i, -j)
         V[e] = V.get(e, 0) + 1
     Vbar = {(-e0, -e1): c for (e0, e1), c in V.items()}
@@ -259,7 +264,7 @@ def chart_tangent_oracle(lam):
 def tangent_weights_oracle(fp, model):
     """Aggregate chart tangent weights into 4-component weight vectors."""
     acc = {}
-    for idx, lam in enumerate(fp.assignment):
+    for idx, lam in enumerate(fp):
         chart = model.fixed_points[idx]
         w1, w2 = chart.w1, chart.w2
         for (p, q), c in chart_tangent_oracle(lam).items():

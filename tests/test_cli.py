@@ -386,12 +386,35 @@ def test_localize_audit_report_is_golden(capsys):
     assert len(rows) == 9 and sum(row["term"] == "0" for row in rows) == 6
 
 
+def test_localize_audit_report_on_larger_fixed_points_is_golden(capsys):
+    # fixed points of two boxes: the partitions (2) and (1, 1) on one chart,
+    # and one box on each of two charts
+    code, out, _ = run(capsys, ["localize", "--surface", "plane", "--divisor",
+                                "H=1", "--n1", "2", "--n2", "0", "--audit"])
+    assert code == 0
+    path = os.path.join(DATA, "localize_plane_H1_n1_2_n2_0_audit.json")
+    with open(path, encoding="utf-8") as fh:
+        assert out == fh.read()
+    rows = json.loads(out)["results"]["audit"]
+    points = [row["fixed_point"][0] for row in rows]
+    assert [[2], [], []] in points and [[1, 1], [], []] in points
+    assert [[1], [1], []] in points
+
+
 def test_fit_audit(capsys):
     code, report, _ = run_json(capsys, ["fit", "--n1", "0", "--n2", "0",
                                         "--degree-bound", "1", "--audit"])
     assert code == 0
     assert len(report["results"]["audit"]) == 29
     assert all(row["value"] == "1" for row in report["results"]["audit"])
+
+
+@pytest.mark.parametrize("n1,n2", [("-1", "0"), ("-1", "1"), ("1", "-1")])
+def test_fit_negative_point_count_is_a_domain_error(n1, n2, capsys):
+    code, report, _ = run_json(capsys, ["fit", "--n1", n1, "--n2", n2])
+    assert code == 1
+    assert report["error"] == {"message": "n must be nonnegative",
+                               "type": "ValueError"}
 
 
 @pytest.mark.parametrize("command", [["localize"], ["mochizuki", "--n", "1"],

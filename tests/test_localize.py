@@ -15,7 +15,7 @@ from dt4.localize import (SYMBOLIC, PrefactorData, TwistedBundleSpec,
                           pure_s_monomial, tangent_character,
                           tautological_character, twisted_tangent_character,
                           typeII_component_integral)
-from dt4.partitions import HilbFixedPoint, hilb_fixed_points, is_nested
+from dt4.partitions import hilb_fixed_points, is_nested
 from dt4.surfaces import PRESET_NAMES, from_preset
 from dt4.universal import classical_limit
 
@@ -127,18 +127,15 @@ def test_characters_add_over_disjoint_unions(left, right):
               for fa in [p for n in range(3) for p in hilb_fixed_points(a, n)]
               for fb in [p for n in range(2) for p in hilb_fixed_points(b, n)]]
 
-    def joined(fa, fb):
-        return HilbFixedPoint(fa.assignment + fb.assignment)
-
     for fa, fb in points:
-        fu = joined(fa, fb)
+        fu = fa + fb
         assert (tangent_character(fu, union)
                 == tangent_character(fa, a) + tangent_character(fb, b))
         for char in (twisted_tangent_character, tautological_character):
             assert char(fu, su, union) == char(fa, sa, a) + char(fb, sb, b)
     for (fa1, fb1), (fa2, fb2) in zip(points + points,
                                       points + points[::-1]):
-        f1, f2 = joined(fa1, fb1), joined(fa2, fb2)
+        f1, f2 = fa1 + fb1, fa2 + fb2
         for char in (chi_character, difference_character):
             assert (char(f1, f2, su, union)
                     == char(fa1, fa2, sa, a) + char(fb1, fb2, sb, b))

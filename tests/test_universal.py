@@ -7,6 +7,7 @@ import pytest
 from dt4 import universal
 from dt4.eqalg import (DEFAULT_REGISTRY as REG, NonGenericWeightError,
                        WeightCharacter)
+from dt4.localize import TwistedBundleSpec
 from dt4.surfaces import from_preset, validate_model
 from dt4.universal import (EPS_LINE, FIELDS, FIT_FIELDS, ChernNumbers,
                            UniversalPolynomial, battery_configs,
@@ -211,3 +212,27 @@ def test_degenerate_line_raises(monkeypatch):
     monkeypatch.setattr(universal, "EPS_LINE", (1, 1))
     with pytest.raises(NonGenericWeightError):
         classical_limit(from_preset("plane"), {"H": 1}, 2, 0)
+
+
+def test_a_cell_with_n2_above_n1_builds_no_tangent(monkeypatch):
+    # no pair of such a cell is nested, so its value is 0 before any
+    # character is built
+    calls = []
+    tangent = universal._typeII_tangent
+    monkeypatch.setattr(universal, "_typeII_tangent",
+                        lambda *args: calls.append(args) or tangent(*args))
+    plane = from_preset("plane")
+    for n1, n2 in ((0, 1), (1, 2)):
+        assert classical_limit(plane, {"H": 1}, n1, n2) == 0
+    assert calls == []
+    classical_limit(plane, {"H": 1}, 1, 0)
+    assert len(calls) == 3 + 1          # the fixed points of both factors
+
+
+def test_a_cell_with_n2_above_n1_checks_its_inputs_first():
+    plane = from_preset("plane")
+    with pytest.raises(ValueError, match="untwisted"):
+        classical_limit(plane, TwistedBundleSpec.make({"H": 1}, 1), 0, 1)
+    for n1, n2 in ((-1, 0), (-1, 1), (0, -1)):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            classical_limit(plane, {"H": 1}, n1, n2)
