@@ -24,6 +24,7 @@ _HOME = {
     "from_preset": "surfaces",
     "PrefactorData": "localize", "assemble_sum": "localize",
     "mochizuki_coefficient": "localize", "pure_s_monomial": "localize",
+    "split_budget": "localize",
     "typeII_component_integral": "localize",
     "EllipticSurface": "moduli", "Polarization": "moduli",
     "enumerate_typeII_K3": "moduli", "in_stable_chamber": "moduli",

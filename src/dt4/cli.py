@@ -215,11 +215,10 @@ def cmd_localize(args):
 
 
 def cmd_mochizuki(args):
-    _bind("from_preset", "mochizuki_coefficient")
+    _bind("from_preset", "mochizuki_coefficient", "split_budget")
     audit_rows = [] if args.audit else None
     model = from_preset(args.surface)
-    budget = args.n - model.pair(model.check_divisor(args.split1),
-                                 model.check_divisor(args.split2))
+    budget = split_budget(model, args.split1, args.split2, args.n)
     value = mochizuki_coefficient(
         model, args.split1, args.split2, args.divisor, args.n, args.pg,
         jobs=args.jobs,

@@ -36,23 +36,17 @@ from .partitions import arm_leg, boxes, hilb_fixed_points, is_nested
 
 
 class TwistedBundleSpec(NamedTuple):
-    """Line bundle data: a divisor class plus integer t and t' twists."""
-    divisor: tuple
+    """Line bundle data: a divisor map plus integer t and t' twists."""
+    divisor: dict
     t_weight: int = 0
     tprime_weight: int = 0
 
-    @classmethod
-    def make(cls, divisor, t_weight=0, tprime_weight=0):
-        return cls(tuple(sorted((divisor or {}).items())), t_weight,
-                   tprime_weight)
-
-    def divisor_map(self):
-        return dict(self.divisor)
-
 
 def _as_spec(bundle):
+    """A TwistedBundleSpec as it is; a divisor map, or None for the trivial
+    class, untwisted."""
     return (bundle if isinstance(bundle, TwistedBundleSpec)
-            else TwistedBundleSpec.make(bundle))
+            else TwistedBundleSpec(dict(bundle or {})))
 
 
 def _combine(*terms):
@@ -97,11 +91,11 @@ class WeightMap(NamedTuple):
     def charts(self, model, *bundles):
         """Mapped chart data: the tangent forms (w1, w2) of every chart, and
         per bundle its weight shift (t, t', fiber form) at every chart."""
-        charts = [(self.form(c.w1), self.form(c.w2))
-                  for c in model.fixed_points]
+        charts = [(self.form(w1), self.form(w2))
+                  for w1, w2 in model.fixed_points]
         return charts, [
             [(b.t_weight, b.tprime_weight) + self.form(mu)
-             for mu in model.bundle_weights(b.divisor_map())]
+             for mu in model.bundle_weights(b.divisor)]
             for b in map(_as_spec, bundles)]
 
     def finish(self, x):
@@ -188,7 +182,7 @@ def chi_character(fp1, fp2, bundle, model):
     chi(bundle) - n1 - n2.
     """
     spec = _as_spec(bundle)
-    coh = model.cohomology_character(spec.divisor_map())
+    coh = model.cohomology_character(spec.divisor)
     sheaf = WeightCharacter([((spec.t_weight, spec.tprime_weight) + w, m)
                              for w, m in coh.items()])
     return sheaf - _chart_sum(_pair_correction, *SYMBOLIC.charts(model, spec),
@@ -343,7 +337,7 @@ def typeII_component_integral(model, L, n1=0, n2=0, prefactor=None,
     choice whenever no weight degenerates.
     """
     if prefactor is None:
-        prefactor = PrefactorData.from_model(model, _as_spec(L).divisor_map())
+        prefactor = PrefactorData.from_model(model, _as_spec(L).divisor)
     pre = prefactor.value()
     wmap = WeightMap.make(eps, eps_line)
     term = functools.partial(_typeII_term, *_typeII_charts(model, L, wmap))
@@ -359,9 +353,9 @@ def _typeII_charts(model, L, wmap):
     if L.t_weight or L.tprime_weight:
         raise ValueError("the bundle class must be untwisted here; twists "
                          "are fixed by the integrand")
-    Ld, kd = L.divisor_map(), model.canonical_divisor()
+    kd = model.canonical_divisor()
     return wmap.charts(model, None, L._replace(t_weight=1), *(  # kK - lL t^-l
-        TwistedBundleSpec.make(_combine((k, kd), (-l, Ld)), -l)
+        TwistedBundleSpec(_combine((k, kd), (-l, L.divisor)), -l)
         for k, l in ((1, 2), (1, 1), (0, 1))))
 
 
@@ -412,19 +406,18 @@ def _mochizuki_character(fp1, fp2, Lb1, Lb2, L, p_g, model):
     """Virtual character whose Euler class is the residue integrand before
     division by the tangent Euler classes; None when a genuinely zero
     weight in the numerator kills the term."""
-    d1, d2, dl = (b.divisor_map() for b in (Lb1, Lb2, L))
     v1 = tautological_character(fp1, Lb1, model)
     if any(not any(w) for w in v1.weights):
         return None
     char = v1 + tautological_character(fp2, Lb2, model).shift((0, 2, 0, 0))
     # chi of (ideal A x divA x t'^cA, ideal B x divB x t'^cB), twisted by
     # L t on all four pairs (t = 1) and untwisted on the two cross pairs
-    one, two = (fp1, d1, -1), (fp2, d2, 1)
+    one, two = (fp1, Lb1.divisor, -1), (fp2, Lb2.divisor, 1)
     for (fa, da, ca), (fb, db, cb), t in (
             (one, one, 1), (one, two, 1), (two, one, 1), (two, two, 1),
             (one, two, 0), (two, one, 0)):
-        spec = TwistedBundleSpec.make(_combine((1, db), (-1, da), (t, dl)),
-                                      t, cb - ca)
+        spec = TwistedBundleSpec(
+            _combine((1, db), (-1, da), (t, L.divisor)), t, cb - ca)
         char = char - chi_character(fa, fb, spec, model)
     # (2 sp)^(n1+n2-p_g) in the denominator is the weight 2 sp
     n = sum(map(sum, fp1 + fp2))
@@ -450,13 +443,19 @@ def _mochizuki_term(model, Lb1, Lb2, L, p_g, wmap, fp1, fp2):
         [(w[:2] + wmap.form(w[2:]), m) for w, m in char.items()])), "sp")
 
 
+def split_budget(model, Lb1, Lb2, n):
+    """n - Lb1.Lb2, the point count n1 + n2 of every splitting that
+    ``mochizuki_coefficient`` sums over; there is none when it is negative."""
+    return n - model.pair(_as_spec(Lb1).divisor, _as_spec(Lb2).divisor)
+
+
 def mochizuki_coefficient(model, Lb1, Lb2, L, n, p_g, eps=None, jobs=1,
                           audit=None):
     """Sum of residues in sp of the integrand over all point splittings
-    n1 + n2 = n - (twist pairing), localized over fixed-point pairs: the
+    n1 + n2 = ``split_budget``, localized over fixed-point pairs: the
     pairs of all splittings form one sum, canonicalised once."""
     Lb1, Lb2, L = map(_as_spec, (Lb1, Lb2, L))
-    budget = n - model.pair(Lb1.divisor_map(), Lb2.divisor_map())
+    budget = split_budget(model, Lb1, Lb2, n)
     wmap = WeightMap.make(eps)
     term = functools.partial(_mochizuki_term, model, Lb1, Lb2, L, p_g, wmap)
     total = _pair_sum(model, [(k, budget - k) for k in range(budget, -1, -1)],

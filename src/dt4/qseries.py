@@ -231,12 +231,19 @@ def substitute_power(series, k):
 
 # -- K3 partition-function series ------------------------------------------
 
+# ``zseries --order 1000`` takes about 1.3 s in a fresh process (README)
+MAX_K3_ORDER = 1000
+
+
 def _k3_order(order):
     """``order`` as a Fraction.  Every K3 series starts at q^-2, so a
-    window known through q^order must reach past it."""
+    window known through q^order must reach past it, and it may not pass
+    MAX_K3_ORDER."""
     order = Fraction(order)
     if order <= -2:
         raise ValueError("order must exceed -2")
+    if order > MAX_K3_ORDER:
+        raise ValueError(f"order {order} exceeds the maximum {MAX_K3_ORDER}")
     return order
 
 

@@ -1,9 +1,11 @@
 """Toric surface models: fixed-point weights, line bundle data, cohomology.
 
-A model is one or more complete smooth fan components.  Each torus fixed
-point is a two dimensional cone; its chart carries a pair of tangent weight
-forms (w1, w2) in the deformation parameters (e1, e2).  Weight convention,
-fixed once and validated by the oracles in ``validate_model``:
+A model is its fans: complete smooth fans with the basis divisors'
+coefficients on their rays.  Each torus fixed point is a cone, a pair of
+consecutive rays, and ``model.fixed_points`` holds its tangent weight forms
+(w1, w2) in the deformation parameters (e1, e2), cones in ray order and
+fans in order.  Weight convention, fixed once and validated by the oracles
+in ``validate_model``:
 
 - a character chi^m contributes the additive weight -(m0*e1 + m1*e2);
 - tangent weights at a cone are the dual basis forms of the cone;
@@ -11,9 +13,9 @@ fixed once and validated by the oracles in ``validate_model``:
   the local trivializing character of D on that cone.
 
 Divisor classes are maps from basis divisor names to integers.  Disjoint
-unions concatenate everything blockwise, reusing the same (e1, e2) pair
-for every component; that specialization keeps all localization
-denominators nonzero because no character ever mixes components.
+unions concatenate the fans and merge the rest blockwise, reusing the same
+(e1, e2) pair for every fan; that specialization keeps all localization
+denominators nonzero because no character ever mixes fans.
 """
 
 import itertools
@@ -30,53 +32,18 @@ class SurfaceChernData(NamedTuple):
     chi_O: int
 
 
-class FixedPointChart(NamedTuple):
-    """One torus fixed point: component and cone indices plus tangent
-    weight forms, each a coefficient pair over (e1, e2)."""
-    component: int
-    cone: int
-    w1: tuple
-    w2: tuple
-
-
-class _FanComponent:
-    """One connected complete smooth fan with its ray divisor data."""
-
-    __slots__ = ("rays", "cones", "ray_coeffs")
-
-    def __init__(self, rays, cones, ray_coeffs):
-        self.rays = [tuple(r) for r in rays]
-        self.cones = [tuple(c) for c in cones]
-        # basis divisor name -> per-ray integer coefficients
-        self.ray_coeffs = {k: tuple(v) for k, v in ray_coeffs.items()}
+class _FanComponent(NamedTuple):
+    """One connected complete smooth fan: its rays, counterclockwise, and
+    per basis divisor name its integer coefficient on every ray.  Cone i
+    is the ray pair (i, i + 1 mod the ray count)."""
+    rays: tuple
+    ray_coeffs: dict
 
     def divisor_coeffs(self, d):
         """Per-ray coefficients of the divisor map ``d`` on this fan."""
-        coeffs = [0] * len(self.rays)
-        for k, c in d.items():
-            rc = self.ray_coeffs.get(k)
-            if rc is not None:
-                for r in range(len(coeffs)):
-                    coeffs[r] += c * rc[r]
-        return coeffs
-
-    def cone_weight(self, cone, a, b):
-        """The integral m with <m, v_i> = a and <m, v_j> = b, cone (i, j)."""
-        i, j = self.cones[cone]
-        return _as_int_pair(*_solve2(self.rays[i], self.rays[j], a, b))
-
-    def dual_basis(self, cone):
-        """Tangent weight forms at a cone: its dual basis (m1, m2)."""
-        return self.cone_weight(cone, 1, 0), self.cone_weight(cone, 0, 1)
-
-    def basis_weight(self, k, cone):
-        """Fiber weight form -m_p(D_k) of O(D_k) at a cone."""
-        a = self.ray_coeffs.get(k)
-        if a is None:
-            return (0, 0)
-        i, j = self.cones[cone]
-        m = self.cone_weight(cone, -a[i], -a[j])
-        return (-m[0], -m[1])
+        terms = [(c, self.ray_coeffs[k]) for k, c in d.items()
+                 if k in self.ray_coeffs]
+        return [sum(c * a[r] for c, a in terms) for r in range(len(self.rays))]
 
 
 def _solve2(v1, v2, b1, b2):
@@ -95,40 +62,50 @@ def _as_int_pair(x, y):
     return (int(x), int(y))
 
 
-class ToricSurfaceModel:
-    """Localization target data for one or more toric surface components."""
+def _prefixed(prefix, mapping):
+    return {prefix + k: v for k, v in mapping.items()}
 
-    def __init__(self, name, components, fixed_points, basis, pairing,
-                 canonical, chern):
+
+class ToricSurfaceModel:
+    """Localization target data, derived from its fans: at the cone (i, j)
+    the tangent forms (w1, w2) are the cone's dual basis, and a basis
+    divisor D = sum a_r D_r has the fiber weight a_i w1 + a_j w2."""
+
+    def __init__(self, name, fans, pairing, canonical, chern):
         self.name = name
-        self.components = components
-        self.fixed_points = fixed_points
-        self.basis = tuple(basis)
+        self.fans = tuple(fans)
+        self.basis = tuple(sorted(k for fan in self.fans
+                                  for k in fan.ray_coeffs))
         self.pairing = {k: dict(v) for k, v in pairing.items()}
         self.canonical = dict(canonical)
         self.chern = chern
+        self.fixed_points = []
         # basis divisor name -> its fiber weight form at every fixed point
-        self._basis_weights = {
-            k: [components[fp.component].basis_weight(k, fp.cone)
-                for fp in fixed_points]
-            for k in self.basis}
+        self._basis_weights = {k: [] for k in self.basis}
+        for fan in self.fans:
+            n = len(fan.rays)
+            for i in range(n):
+                j = (i + 1) % n
+                w1 = _as_int_pair(*_solve2(fan.rays[i], fan.rays[j], 1, 0))
+                w2 = _as_int_pair(*_solve2(fan.rays[i], fan.rays[j], 0, 1))
+                self.fixed_points.append((w1, w2))
+                for k, weights in self._basis_weights.items():
+                    a = fan.ray_coeffs.get(k, (0,) * n)
+                    weights.append((a[i] * w1[0] + a[j] * w2[0],
+                                    a[i] * w1[1] + a[j] * w2[1]))
         self._coh_cache = {}
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def from_fan(cls, name, rays, ray_coeffs, pairing, canonical, chern):
-        """Build a one-component model; cones are consecutive ray pairs,
-        rays listed counterclockwise."""
-        n = len(rays)
-        if n < 3:
-            raise ValueError(f"fan of {name} has {n} rays, fewer than three")
-        cones = [(i, (i + 1) % n) for i in range(n)]
-        comp = _FanComponent(rays, cones, ray_coeffs)
-        fps = [FixedPointChart(0, ci, *comp.dual_basis(ci))
-               for ci in range(n)]
-        return cls(name, [comp], fps, sorted(ray_coeffs), pairing, canonical,
-                   chern)
+        """A one-fan model; rays listed counterclockwise."""
+        if len(rays) < 3:
+            raise ValueError(f"fan of {name} has {len(rays)} rays, fewer "
+                             "than three")
+        fan = _FanComponent(tuple(map(tuple, rays)),
+                            {k: tuple(v) for k, v in ray_coeffs.items()})
+        return cls(name, [fan], pairing, canonical, chern)
 
     @property
     def euler_char(self):
@@ -185,9 +162,9 @@ class ToricSurfaceModel:
         if cached is not None:
             return dict(cached)
         out = {}
-        for comp in self.components:
-            coeffs = comp.divisor_coeffs(d)
-            for (m, mult) in _lattice_cohomology(comp.rays, coeffs):
+        for fan in self.fans:
+            coeffs = fan.divisor_coeffs(d)
+            for (m, mult) in _lattice_cohomology(fan.rays, coeffs):
                 w = (-m[0], -m[1])
                 n = out.get(w, 0) + mult
                 if n:
@@ -200,50 +177,42 @@ class ToricSurfaceModel:
     # -- composition -------------------------------------------------------
 
     def disjoint_union(self, other):
-        """Blockwise union; basis names get the prefixes "a." and "b."."""
+        """Blockwise union: the fans of both in order, basis names prefixed
+        "a." and "b."."""
 
-        def relabel(model, prefix, comp_offset):
-            comps = [_FanComponent(c.rays, c.cones,
-                                   {prefix + k: v for k, v in c.ray_coeffs.items()})
-                     for c in model.components]
-            fps = [FixedPointChart(fp.component + comp_offset, fp.cone,
-                                   fp.w1, fp.w2)
-                   for fp in model.fixed_points]
-            basis = [prefix + k for k in model.basis]
-            pairing = {prefix + k1: {prefix + k2: v for k2, v in row.items()}
-                       for k1, row in model.pairing.items()}
-            canonical = {prefix + k: v for k, v in model.canonical.items()}
-            return comps, fps, basis, pairing, canonical
+        def relabel(model, prefix):
+            fans = [fan._replace(ray_coeffs=_prefixed(prefix, fan.ray_coeffs))
+                    for fan in model.fans]
+            pairing = {prefix + k: _prefixed(prefix, row)
+                       for k, row in model.pairing.items()}
+            return fans, pairing, _prefixed(prefix, model.canonical)
 
-        ca, fa, ba, paira, kana = relabel(self, "a.", 0)
-        cb, fb, bb, pairb, kanb = relabel(other, "b.", len(self.components))
-        chern = SurfaceChernData(self.chern.c1_sq + other.chern.c1_sq,
-                                 self.chern.c2 + other.chern.c2,
-                                 self.chern.chi_O + other.chern.chi_O)
-        pairing = {**paira, **pairb}
-        return ToricSurfaceModel(f"{self.name}+{other.name}", ca + cb, fa + fb,
-                                 ba + bb, pairing, {**kana, **kanb}, chern)
+        fa, pa, ka = relabel(self, "a.")
+        fb, pb, kb = relabel(other, "b.")
+        chern = SurfaceChernData(*map(sum, zip(self.chern, other.chern)))
+        return ToricSurfaceModel(f"{self.name}+{other.name}", fa + fb,
+                                 {**pa, **pb}, {**ka, **kb}, chern)
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self):
-        if len(self.components) != 1:
+        if len(self.fans) != 1:
             raise ValueError("only one-component models serialize to presets")
-        comp = self.components[0]
+        fan, = self.fans
+        n = len(fan.rays)
         return {
             "name": self.name,
-            "fixed_points": [{"w1": list(fp.w1), "w2": list(fp.w2)}
-                             for fp in self.fixed_points],
+            "fixed_points": [{"w1": list(w1), "w2": list(w2)}
+                             for w1, w2 in self.fixed_points],
             "bundles": {k: {"weights": [list(w) for w in ws]}
                         for k, ws in self._basis_weights.items()},
-            "chern": {"c1_sq": self.chern.c1_sq, "c2": self.chern.c2,
-                      "chi_O": self.chern.chi_O},
+            "chern": self.chern._asdict(),
             "pairing": {k1: dict(row) for k1, row in self.pairing.items()},
             "canonical": dict(self.canonical),
-            "fan": {"rays": [list(r) for r in comp.rays],
-                    "cones": [list(c) for c in comp.cones],
+            "fan": {"rays": [list(r) for r in fan.rays],
+                    "cones": [[i, (i + 1) % n] for i in range(n)],
                     "ray_coeffs": {k: list(v) for k, v in
-                                   comp.ray_coeffs.items()}},
+                                   fan.ray_coeffs.items()}},
         }
 
     @classmethod
@@ -263,6 +232,8 @@ class ToricSurfaceModel:
         _check_ints(data["chern"], "chern")
         _check_ints(data["canonical"], "canonical", basis)
         _check_ints(data["pairing"], "pairing", basis, depth=2)
+        for key in ("rays", "ray_coeffs"):
+            _check_ints(fan[key], f"fan[{key!r}]", depth=2)
         model = cls.from_fan(data["name"], fan["rays"], fan["ray_coeffs"],
                              data["pairing"], data["canonical"],
                              SurfaceChernData(**data["chern"]))
@@ -273,10 +244,12 @@ class ToricSurfaceModel:
         return model
 
 
-def _check_ints(mapping, what, basis=None, depth=1):
+def _check_ints(entries, what, basis=None, depth=1):
     """Preset entries at nesting ``depth`` are plain ints (no bools,
-    strings or floats), keyed by basis divisor names given a ``basis``."""
-    for k, v in mapping.items():
+    strings or floats), keyed by basis divisor names given a ``basis``;
+    list entries are keyed by position."""
+    for k, v in (entries.items() if isinstance(entries, dict)
+                 else enumerate(entries)):
         if basis is not None and k not in basis:
             raise ValueError(f"malformed preset: {what} names {k!r}, "
                              "which is not a basis divisor")
@@ -373,7 +346,7 @@ def validate_model(model):
         f"{model.name}: K.K {model.pair(kd, kd)} != c1_sq {ch.c1_sq}"
 
     triv = model.cohomology_character({})
-    assert triv == {(0, 0): len(model.components)}, \
+    assert triv == {(0, 0): len(model.fans)}, \
         f"{model.name}: cohomology of O is {triv}"
 
     div_iter = _divisor_samples(model)
@@ -385,13 +358,13 @@ def validate_model(model):
             f"{model.name}: rank {rank} != chi {model.chi(d)} for {d}"
         # character-level Serre duality per component, with the canonical
         # linearization a_r = -1 on every ray
-        for comp in model.components:
-            coeffs = comp.divisor_coeffs(d)
+        for fan in model.fans:
+            coeffs = fan.divisor_coeffs(d)
             here = {}
-            for m, mult in _lattice_cohomology(comp.rays, coeffs):
+            for m, mult in _lattice_cohomology(fan.rays, coeffs):
                 here[m] = here.get(m, 0) + mult
             dual = {}
-            for m, mult in _lattice_cohomology(comp.rays,
+            for m, mult in _lattice_cohomology(fan.rays,
                                                [-1 - c for c in coeffs]):
                 dual[m] = dual.get(m, 0) + mult
             conj = {(-m[0], -m[1]): v for m, v in here.items() if v}
@@ -401,10 +374,9 @@ def validate_model(model):
     for k1 in model.basis:
         for k2 in model.basis:
             total = Fraction(0)
-            for fp, b1, b2 in zip(model.fixed_points,
-                                  model.bundle_weights({k1: 1}),
-                                  model.bundle_weights({k2: 1})):
-                w1, w2 = fp.w1, fp.w2
+            for (w1, w2), b1, b2 in zip(model.fixed_points,
+                                        model.bundle_weights({k1: 1}),
+                                        model.bundle_weights({k2: 1})):
                 den = ((w1[0] * eps[0] + w1[1] * eps[1])
                        * (w2[0] * eps[0] + w2[1] * eps[1]))
                 num = ((b1[0] * eps[0] + b1[1] * eps[1])

@@ -264,9 +264,7 @@ def chart_tangent_oracle(lam):
 def tangent_weights_oracle(fp, model):
     """Aggregate chart tangent weights into 4-component weight vectors."""
     acc = {}
-    for idx, lam in enumerate(fp):
-        chart = model.fixed_points[idx]
-        w1, w2 = chart.w1, chart.w2
+    for lam, (w1, w2) in zip(fp, model.fixed_points):
         for (p, q), c in chart_tangent_oracle(lam).items():
             w = (0, 0, p * w1[0] + q * w2[0], p * w1[1] + q * w2[1])
             n = acc.get(w, 0) + c

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import dt4
 from dt4 import cli, localize, universal
+from dt4.qseries import MAX_K3_ORDER, _k3_order
 
 from test_surfaces import inconsistent_presets, packaged_preset
 
@@ -489,6 +491,22 @@ def test_prefactor_size_is_a_domain_error(argv):
     error = json.loads(proc.stdout)["error"]
     assert error["type"] == "ValueError"
     assert error["message"].startswith("prefactor too large: |chi(2L)| = ")
+
+
+@pytest.mark.parametrize("order", [100_000_000_000, MAX_K3_ORDER + 1],
+                         ids=["huge", "maximum-plus-one"])
+def test_zseries_order_above_the_maximum_is_a_domain_error(order):
+    # the q-series would need order^2 work and memory; refused up front
+    start = time.perf_counter()
+    proc = run_process(["-m", "dt4.cli", "zseries", "--order", str(order)],
+                       timeout=10)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["error"] == {
+        "type": "ValueError",
+        "message": f"order {order} exceeds the maximum {MAX_K3_ORDER}"}
+    assert _k3_order(MAX_K3_ORDER) == MAX_K3_ORDER
 
 
 def test_prefactor_at_the_size_bound_prints(capsys):

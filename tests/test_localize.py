@@ -1,6 +1,7 @@
 """Vertex characters, Euler-class sums, and the component integrals."""
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,9 +11,10 @@ from dt4 import localize
 from dt4.eqalg import (DEFAULT_REGISTRY as REG, NonGenericWeightError,
                        WeightCharacter, chern_part, euler_of_character)
 from dt4.localize import (SYMBOLIC, PrefactorData, TwistedBundleSpec,
-                          _mochizuki_term, assemble_sum, chi_character,
-                          difference_character, mochizuki_coefficient,
-                          pure_s_monomial, tangent_character,
+                          _as_spec, _mochizuki_term, assemble_sum,
+                          chi_character, difference_character,
+                          mochizuki_coefficient, pure_s_monomial,
+                          split_budget, tangent_character,
                           tautological_character, twisted_tangent_character,
                           typeII_component_integral)
 from dt4.partitions import hilb_fixed_points, is_nested
@@ -41,10 +43,14 @@ def classical_integral(model, L, n1, n2, **kw):
 # -- bundle specs ----------------------------------------------------------
 
 def test_twisted_bundle_spec():
-    spec = TwistedBundleSpec.make({"H": 2, "A": -1}, t_weight=1)
-    assert spec.divisor == (("A", -1), ("H", 2))
-    assert spec.divisor_map() == {"A": -1, "H": 2}
-    assert TwistedBundleSpec.make(None).divisor == ()
+    # a spec passes through; a divisor map or None becomes an untwisted one
+    spec = TwistedBundleSpec({"H": 2, "A": -1}, t_weight=1)
+    assert _as_spec(spec) is spec
+    divisor = {"H": 2, "A": -1}
+    coerced = _as_spec(divisor)
+    assert coerced == TwistedBundleSpec({"A": -1, "H": 2}, 0, 0)
+    assert coerced.divisor is not divisor
+    assert _as_spec(None) == _as_spec({}) == TwistedBundleSpec({}, 0, 0)
 
 
 # -- characters ------------------------------------------------------------
@@ -60,7 +66,7 @@ def test_tangent_matches_deformation_oracle():
 
 def test_twisted_tangent_shifts_charts():
     fp = hilb_fixed_points(PLANE, 2)[0]
-    spec = TwistedBundleSpec.make({"H": 1}, t_weight=1)
+    spec = TwistedBundleSpec({"H": 1}, t_weight=1)
     plain = tangent_character(fp, PLANE)
     twisted = twisted_tangent_character(fp, spec, PLANE)
     assert twisted.rank() == plain.rank()
@@ -122,7 +128,7 @@ def test_characters_add_over_disjoint_unions(left, right):
     db = {k: 1 - 2 * i for i, k in enumerate(b.basis)}
     du = {**{"a." + k: v for k, v in da.items()},
           **{"b." + k: v for k, v in db.items()}}
-    sa, sb, su = (TwistedBundleSpec.make(d, 1, -2) for d in (da, db, du))
+    sa, sb, su = (TwistedBundleSpec(d, 1, -2) for d in (da, db, du))
     points = [(fa, fb)
               for fa in [p for n in range(3) for p in hilb_fixed_points(a, n)]
               for fb in [p for n in range(2) for p in hilb_fixed_points(b, n)]]
@@ -230,7 +236,7 @@ def test_degenerate_eps_raises():
 
 
 def test_twisted_divisor_argument_rejected():
-    spec = TwistedBundleSpec.make({"H": 1}, t_weight=2)
+    spec = TwistedBundleSpec({"H": 1}, t_weight=2)
     with pytest.raises(ValueError):
         typeII_component_integral(PLANE, spec, n1=0, n2=0)
 
@@ -338,19 +344,37 @@ def test_mochizuki_frozen_value():
     assert val == want
 
 
+# two nonzero splittings (split1, split2) per preset
+TWISTED_SPLITS = {
+    "plane": [({"H": 1}, {"H": 1}), ({"H": 1}, {"H": -1})],
+    "quadric": [({"A": 1}, {"B": 1}), ({"B": -1}, {"A": 1})],
+    **{f"hirzebruch{k}": [({"C0": 1}, {"F": 1}),
+                          ({"F": 1}, {"C0": -1, "F": 1})] for k in (1, 2, 3)},
+}
+
+
 def test_mochizuki_eps_consistency():
     eps = (Fraction(10), Fraction(-7))
-    cases = ([(PLANE, {}, n) for n in (1, 2, 3)]
-             + [(from_preset(name), div, 2)
+    cases = ([(PLANE, {}, {}, {}, n, 0) for n in (1, 2, 3)]
+             + [(from_preset(name), {}, {}, div, 2, 0)
                 for name, div in ROUTE_DIVISORS.items()])
-    for model, div, n in cases:
-        sym = mochizuki_coefficient(model, {}, {}, div, n, 0)
-        num = mochizuki_coefficient(model, {}, {}, div, n, 0, eps=eps)
+    # twisted splittings, each with a point budget of 1 after pairing
+    for name, splits in TWISTED_SPLITS.items():
+        model = from_preset(name)
+        for (s1, s2), p_g in itertools.product(splits, (0, 1)):
+            n = 1 + model.pair(s1, s2)
+            assert split_budget(model, s1, s2, n) == 1
+            cases.append((model, s1, s2, ROUTE_DIVISORS[name], n, p_g))
+    assert len(cases) == 28
+    for model, s1, s2, div, n, p_g in cases:
+        sym = mochizuki_coefficient(model, s1, s2, div, n, p_g)
+        num = mochizuki_coefficient(model, s1, s2, div, n, p_g, eps=eps)
         assert num == sym.specialize({"e1": eps[0], "e2": eps[1]})
 
 
 def test_mochizuki_negative_budget_is_zero():
     # split pairing exceeds the charge: empty range of splittings
+    assert split_budget(PLANE, {"H": 1}, {"H": 1}, 0) == -1
     assert mochizuki_coefficient(PLANE, {"H": 1}, {"H": 1}, {}, 0,
                                  0) == REG.zero()
 
@@ -359,7 +383,7 @@ def test_mochizuki_integrand_zero_weight_term():
     # trivial twist data puts an honest zero weight in the numerator
     empty = hilb_fixed_points(PLANE, 0)[0]
     one_pt = hilb_fixed_points(PLANE, 1)[0]
-    trivial = TwistedBundleSpec.make({})
+    trivial = TwistedBundleSpec({})
     val = _mochizuki_term(PLANE, trivial, trivial, trivial, 0, SYMBOLIC,
                           one_pt, empty)
     assert val.canonical() == REG.zero()
@@ -466,7 +490,7 @@ def test_a_dishonest_diff0_raises_on_both_routes(extra, monkeypatch):
 def _degenerate(model, eps):
     """Whether some chart tangent form vanishes at the point ``eps``."""
     return any(eps[0] * w[0] + eps[1] * w[1] == 0
-               for chart in model.fixed_points for w in (chart.w1, chart.w2))
+               for chart in model.fixed_points for w in chart)
 
 
 # every kind of degenerate integer point of the five presets (the axes,

@@ -8,8 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from dt4.surfaces import (PRESET_NAMES, ToricSurfaceModel, from_preset,
                           validate_model)
+from dt4.universal import battery_configs
 
 from oracles import chi_riemann_roch
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def test_preset_names():
@@ -153,8 +156,7 @@ def test_tangent_weights_are_dual_bases():
     # each chart's weights span the lattice with determinant +-1
     for name in PRESET_NAMES:
         model = from_preset(name)
-        for fp in model.fixed_points:
-            w1, w2 = fp.w1, fp.w2
+        for w1, w2 in model.fixed_points:
             det = w1[0] * w2[1] - w1[1] * w2[0]
             assert det in (1, -1)
 
@@ -184,6 +186,33 @@ def test_disjoint_union():
     assert u.chi({"a.H": 1, "b.A": 1, "b.B": 1}) == 3 + 4
 
 
+def battery_model_charts():
+    """Name, charts, basis, basis bundle weights, pairing, canonical class
+    and Chern numbers of every distinct model the fit battery samples, in
+    order of first use, as JSON values."""
+    models = []
+    for model, _ in battery_configs():
+        if all(model is not m for m in models):
+            models.append(model)
+    return [{"name": m.name,
+             "fixed_points": [[list(w1), list(w2)]
+                              for w1, w2 in m.fixed_points],
+             "basis": list(m.basis),
+             "bundle_weights": {k: [list(w) for w in m.bundle_weights({k: 1})]
+                                for k in m.basis},
+             "pairing": m.pairing, "canonical": m.canonical,
+             "chern": m.chern._asdict()} for m in models]
+
+
+def test_battery_model_charts_are_golden():
+    # five presets and five unions; the chart order inside a union fixes
+    # the order of --audit rows and of the pairs handed to a pool
+    with open(os.path.join(DATA, "battery_model_charts.json")) as fh:
+        golden = json.load(fh)
+    assert len(golden) == 10
+    assert battery_model_charts() == golden
+
+
 def test_to_json_roundtrip():
     plane = from_preset("plane")
     blob = plane.to_json()
@@ -209,10 +238,14 @@ def test_pair_bilinear_symmetric(a, b, c, d):
 def test_malformed_preset_raises_value_error(tmp_path, monkeypatch):
     blob = packaged_preset("plane")
     monkeypatch.setenv("DT4_PRESET_DIR", str(tmp_path))
+    # fan entries that are not integers, though the stored weights agree
+    floats = {**blob, "fan": {**blob["fan"], "ray_coeffs": {"H": [1.5, 0, 0]}},
+              "bundles": {"H": {"weights": [[1.5, 0], [0, 0], [1.5, -1.5]]}}}
+    bools = {**blob, "fan": {**blob["fan"], "ray_coeffs": {"H": [True, 0, 0]}}}
     cases = [("plane", broken) for broken in (
         {"name": "plane"}, {**blob, "chern": {"c2": 3}},
         {**blob, "fixed_points": blob["fixed_points"] * 2},
-        {**blob, "fan": {"rays": [[1, 0]]}})]
+        {**blob, "fan": {"rays": [[1, 0]]}}, floats, bools)]
     cases += inconsistent_presets()
     for name, broken in cases:
         (tmp_path / f"{name}.json").write_text(json.dumps(broken))

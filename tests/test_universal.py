@@ -232,7 +232,7 @@ def test_a_cell_with_n2_above_n1_builds_no_tangent(monkeypatch):
 def test_a_cell_with_n2_above_n1_checks_its_inputs_first():
     plane = from_preset("plane")
     with pytest.raises(ValueError, match="untwisted"):
-        classical_limit(plane, TwistedBundleSpec.make({"H": 1}, 1), 0, 1)
+        classical_limit(plane, TwistedBundleSpec({"H": 1}, 1), 0, 1)
     for n1, n2 in ((-1, 0), (-1, 1), (0, -1)):
         with pytest.raises(ValueError, match="n must be nonnegative"):
             classical_limit(plane, {"H": 1}, n1, n2)
