@@ -15,8 +15,7 @@ __version__ = "0.1.0"
 # public name -> submodule that defines it (a submodule maps to itself);
 # dt4.cli resolves the names its commands call through this table too
 _HOME = {
-    "DEFAULT_REGISTRY": "eqalg", "FactoredScalar": "eqalg",
-    "exact_str": "eqalg",
+    "FactoredScalar": "eqalg", "exact_str": "eqalg",
     "HalfQSeries": "qseries", "delta_inverse": "qseries",
     "goettsche_series": "qseries", "z_typeI_closed_form": "qseries",
     "z_typeI_series": "qseries", "z_typeII_conjecture_series": "qseries",

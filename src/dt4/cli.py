@@ -181,7 +181,7 @@ def cmd_fixedloci(args):
 
 
 def cmd_localize(args):
-    _bind("DEFAULT_REGISTRY", "PrefactorData", "from_preset",
+    _bind("FactoredScalar", "PrefactorData", "from_preset",
           "pure_s_monomial", "typeII_component_integral")
     audit_rows = [] if args.audit else None
     model = from_preset(args.surface)
@@ -196,7 +196,7 @@ def cmd_localize(args):
         jobs=args.jobs,
         audit=audit_rows.append if audit_rows is not None else None)
     # ratio against the leading nested-conjecture coefficient (1/4) 1/s
-    ratio = value * DEFAULT_REGISTRY.const(4) * DEFAULT_REGISTRY.var("s")
+    ratio = value * FactoredScalar.const(4) * FactoredScalar.var("s")
     mono = pure_s_monomial(ratio)
     ratio_block = {"value": str(ratio), "pure_s_monomial": mono is not None}
     if mono is not None:

@@ -1,10 +1,9 @@
 """Exact scalars and torus weight characters.
 
 All equivariant quantities live in the fraction field of one integer
-polynomial ring.  Its variables are fixed: the fiber-scaling parameter
-``s``, the secondary parameter ``sp`` of residue integrals, and the two
-toric chart parameters ``e1``, ``e2``, in that order.
-:data:`DEFAULT_REGISTRY` is the ring's one object.
+polynomial ring, whose variables ``s``, ``sp``, ``e1``, ``e2`` are fixed
+in ``poly`` (``poly.NAMES``).  ``FactoredScalar.var(name)`` and
+``FactoredScalar.const(c)`` name its scalars.
 
 Every Atiyah-Bott denominator is a product of torus weights, which are
 linear forms, so every scalar is a :class:`FactoredScalar`: a numerator
@@ -22,51 +21,13 @@ representation.  Euler classes and Chern class parts are read off from it.
 import math
 from fractions import Fraction
 
-from .poly import Poly, binom, poly_str
+from .poly import CONSTANT, NAMES, UNITS, Poly, binom, poly_str
 
-NAMES = ("s", "sp", "e1", "e2")
-NVARS = len(NAMES)
 ONE = Fraction(1)
-_UNITS = tuple(tuple(int(i == j) for j in range(NVARS)) for i in range(NVARS))
-_CONSTANT = (0,) * NVARS
 
 
 class NonGenericWeightError(ValueError):
     """A zero torus weight occurred where an invertible Euler class is needed."""
-
-
-class Registry:
-    """The ring's variables, in the fixed order of :data:`NAMES`."""
-
-    __slots__ = ("names", "_index")
-
-    def __init__(self):
-        self.names = NAMES
-        self._index = {n: i for i, n in enumerate(NAMES)}
-
-    @property
-    def nvars(self):
-        return NVARS
-
-    def index(self, name):
-        return self._index[name]
-
-    def var(self, name):
-        return FactoredScalar(Poly.variable(NVARS, self._index[name]))
-
-    def const(self, c):
-        c = Fraction(c)
-        return FactoredScalar(Poly.const(NVARS, c.numerator), {},
-                              Fraction(1, c.denominator))
-
-    def zero(self):
-        return self.const(0)
-
-    def one(self):
-        return self.const(1)
-
-
-DEFAULT_REGISTRY = Registry()
 
 
 # -- forms -----------------------------------------------------------------
@@ -78,7 +39,7 @@ def _form_gcd(num, forms):
     forms are coprime irreducibles, so it is each form to the number of
     times it divides ``num``, at most ``mult``, found by trial division;
     ``forms`` is lowered in place to the multiplicities left over."""
-    g = Poly.const(NVARS, 1)
+    g = Poly.const(1)
     for p, m in forms.items():
         f = Poly.linear_form(p[:-1], p[-1])
         while m and (quo := f.divides(num)) is not None:
@@ -111,10 +72,10 @@ def _as_forms(num):
     one; any other numerator has no known factorisation into forms."""
     if len(num.terms) == 1:
         (e, k), = num.terms.items()
-        return {u + (0,): m for u, m in zip(_UNITS, e) if m}, k
+        return {u + (0,): m for u, m in zip(UNITS, e) if m}, k
     if max(map(sum, num.terms)) == 1:
-        k, p = _primitive_form(tuple(num.terms.get(u, 0) for u in _UNITS)
-                               + (num.terms.get(_CONSTANT, 0),))
+        k, p = _primitive_form(tuple(num.terms.get(u, 0) for u in UNITS)
+                               + (num.terms.get(CONSTANT, 0),))
         return {p: 1}, k
     raise ValueError("division by a numerator that is not a product of "
                      "forms")
@@ -124,7 +85,7 @@ def _coerce(x):
     if isinstance(x, FactoredScalar):
         return x
     if isinstance(x, (int, Fraction)):
-        return DEFAULT_REGISTRY.const(x)
+        return FactoredScalar.const(x)
     return None
 
 
@@ -147,9 +108,16 @@ class FactoredScalar:
         self.scalar = scalar
         self._canon = None
 
-    @staticmethod
-    def zero():
-        return DEFAULT_REGISTRY.zero()
+    @classmethod
+    def var(cls, name):
+        """The variable ``name`` of :data:`NAMES`."""
+        return cls(Poly.variable(NAMES.index(name)))
+
+    @classmethod
+    def const(cls, c):
+        """The constant ``c``, an int or a Fraction."""
+        c = Fraction(c)
+        return cls(Poly.const(c.numerator), {}, Fraction(1, c.denominator))
 
     # -- canonical form ----------------------------------------------------
 
@@ -178,7 +146,7 @@ class FactoredScalar:
     def den(self):
         """The denominator polynomial: the scalar's denominator times the
         forms.  The value is ``scalar.numerator * num / den``."""
-        den = Poly.const(NVARS, self.scalar.denominator)
+        den = Poly.const(self.scalar.denominator)
         for p, m in self.forms.items():
             den = den * Poly.linear_form(p[:-1], p[-1]) ** m
         return den
@@ -201,10 +169,10 @@ class FactoredScalar:
 
     def __str__(self):
         x = self.canonical()
-        ns = poly_str(x.num, NAMES)
+        ns = poly_str(x.num)
         if not x.forms and x.scalar == 1:
             return ns
-        return f"({ns})/({poly_str(x.den, NAMES)})"
+        return f"({ns})/({poly_str(x.den)})"
 
     def __repr__(self):
         return f"FactoredScalar({self})"
@@ -279,13 +247,12 @@ class FactoredScalar:
         """Substitute Fractions for named variables, staying exact.  Each
         form becomes an affine one, or a constant that joins the scalar."""
         x = self.canonical()
-        idx = {DEFAULT_REGISTRY.index(n): Fraction(v)
-               for n, v in assign.items()}
+        idx = {NAMES.index(n): Fraction(v) for n, v in assign.items()}
         num, d = x.num.substitute_scaled(idx)
         scalar, forms = x.scalar / d, {}
         for p, m in x.forms.items():
-            const = p[NVARS] + sum(p[i] * v for i, v in idx.items())
-            lin = [0 if i in idx else c for i, c in enumerate(p[:NVARS])]
+            const = p[-1] + sum(p[i] * v for i, v in idx.items())
+            lin = [0 if i in idx else c for i, c in enumerate(p[:-1])]
             if not any(lin):
                 if not const:
                     raise ZeroDivisionError(
@@ -420,9 +387,9 @@ class WeightCharacter:
         return out
 
 
-def euler_of_character(char, num=None):
-    """``num`` (default 1) times the equivariant Euler class of the
-    character: product of weight forms to their multiplicities, factored.
+def euler_of_character(char):
+    """The equivariant Euler class of the character: product of weight
+    forms to their multiplicities, factored.
 
     Multiplicities cancel per primitive form before any product.  A zero
     weight with nonzero multiplicity has no invertible Euler class and
@@ -434,8 +401,7 @@ def euler_of_character(char, num=None):
         k, p = _primitive_form(w + (0,))
         scalar *= Fraction(k) ** m
         mult[p] = mult.get(p, 0) + m
-    if num is None:
-        num = Poly.const(NVARS, 1)
+    num = Poly.const(1)
     for p, m in mult.items():
         if m > 0:
             num = num * Poly.linear_form(p[:-1], p[-1]) ** m
@@ -462,7 +428,7 @@ def factored_sum(terms):
                 x = x * lin[p] ** k
         for e, c in x.terms.items():
             acc[e] = acc.get(e, 0) + c
-    return FactoredScalar(Poly(NVARS, acc), forms, Fraction(1, lcd))
+    return FactoredScalar(Poly(acc), forms, Fraction(1, lcd))
 
 
 def residue(x, var):
@@ -475,14 +441,14 @@ def residue(x, var):
     forms free of ``var`` pass through.  The result is a FactoredScalar
     and no gcd runs.
     """
-    v = DEFAULT_REGISTRY.index(var)
-    pole = _UNITS[v] + (0,)
+    v = NAMES.index(var)
+    pole = UNITS[v] + (0,)
     order = x.forms.get(pole, 0) - 1
     if order < 0:
-        return FactoredScalar.zero()
+        return FactoredScalar.const(0)
     # coefficients of var^0 .. var^order, each free of var
     parts = x.num.by_var(v)
-    series = [parts.get(d, Poly.zero(NVARS)) for d in range(order + 1)]
+    series = [parts.get(d, Poly()) for d in range(order + 1)]
     forms, scalar = {}, x.scalar
     for w, m in x.forms.items():
         if not w[v]:
@@ -502,9 +468,8 @@ def residue(x, var):
 def _truncated_product(a, b):
     """Product of two power series, given as coefficient lists of one
     length, truncated to that length."""
-    zero = Poly.zero(a[0].nvars)
     return [sum((a[i - j] * b[j] for j in range(i + 1)
-                 if not a[i - j].is_zero() and not b[j].is_zero()), zero)
+                 if not a[i - j].is_zero() and not b[j].is_zero()), Poly())
             for i in range(len(a))]
 
 
@@ -515,7 +480,7 @@ def chern_part(char, k):
     negative multiplicities expanded as formal power series.  Zero weights
     are legal and contribute nothing.
     """
-    coeffs = [Poly.const(NVARS, 1)] + [Poly.zero(NVARS)] * k
+    coeffs = [Poly.const(1)] + [Poly()] * k
     for w, m in char.weights.items():
         if any(w):
             lf = Poly.linear_form(w)

@@ -27,9 +27,8 @@ from fractions import Fraction
 from time import perf_counter
 from typing import NamedTuple
 
-from .eqalg import (DEFAULT_REGISTRY as REG, FactoredScalar,
-                    NonGenericWeightError, WeightCharacter, euler_of_character,
-                    factored_sum, residue)
+from .eqalg import (FactoredScalar, NonGenericWeightError, WeightCharacter,
+                    euler_of_character, factored_sum, residue)
 # perfbench's tracer wraps this module global; no route calls it
 from .eqalg import chern_part  # noqa: F401
 from .partitions import arm_leg, boxes, hilb_fixed_points, is_nested
@@ -311,8 +310,8 @@ class PrefactorData(NamedTuple):
                              f"{self.sign_exponent_doubled}/2 is not an integer")
         sign = -1 if (self.sign_exponent_doubled // 2) % 2 else 1
         s_exp = self.chi_L2 + self.chi_L - self.chi_Linv
-        return (REG.const(sign / Fraction(2) ** self.chi_L2)
-                / (-REG.var("s")) ** s_exp)
+        return (FactoredScalar.const(sign / Fraction(2) ** self.chi_L2)
+                / (-FactoredScalar.var("s")) ** s_exp)
 
 
 def typeII_component_integral(model, L, n1=0, n2=0, prefactor=None,
@@ -393,11 +392,11 @@ def _typeII_term(charts, shifts, fp1, fp2):
     """Integrand of typeII_component_integral at one fixed-point pair: 0
     unless the pair is nested."""
     if not is_nested(fp1, fp2):
-        return FactoredScalar.zero()
+        return FactoredScalar.const(0)
     char = _typeII_character(charts, shifts, fp1, fp2,
                              _typeII_tangent(charts, shifts, fp1)
                              + _typeII_tangent(charts, shifts, fp2))
-    return FactoredScalar.zero() if char is None else euler_of_character(char)
+    return FactoredScalar.const(0) if char is None else euler_of_character(char)
 
 
 # -- Mochizuki-style residue coefficients ----------------------------------
@@ -436,7 +435,7 @@ def _mochizuki_term(model, Lb1, Lb2, L, p_g, wmap, fp1, fp2):
     """
     char = _mochizuki_character(fp1, fp2, Lb1, Lb2, L, p_g, model)
     if char is None:
-        return FactoredScalar.zero()
+        return FactoredScalar.const(0)
     char = (char - tangent_character(fp1, model)
             - tangent_character(fp2, model))
     return residue(euler_of_character(WeightCharacter(

@@ -81,6 +81,11 @@ def in_stable_chamber(h, S, r, delta):
     return h.t / h.u < wall_threshold(S, r, delta)
 
 
+# ``fixedloci`` at this many components takes about 1.6 s in a fresh
+# process and prints a 16 MB report (README)
+MAX_K3_COMPONENTS = 100_000
+
+
 def enumerate_typeII_K3(m, n):
     """Nested components of the K3 fiberwise count at fiber twist m and
     point budget n.
@@ -88,12 +93,18 @@ def enumerate_typeII_K3(m, n):
     Components are indexed by 1 <= b <= (m+1)/2 and splittings
     n1 + n2 = n, with n1 >= n2 required exactly in the middle case
     2b = m+1; the leftover twist class is (m+1-2b) fibers and the
-    component contributes zero whenever that class is nonzero.
+    component contributes zero whenever that class is nonzero.  More
+    than MAX_K3_COMPONENTS components are refused before any is built.
     """
     if m < 1:
         raise ValueError("fiber twist m must be at least 1")
     if n < 0:
         raise ValueError("point budget must be nonnegative")
+    # n + 1 splittings per b, n // 2 + 1 in the middle case of an odd m
+    count = (m + 1) // 2 * (n + 1) - m % 2 * (n - n // 2)
+    if count > MAX_K3_COMPONENTS:
+        raise ValueError(f"{count} components exceed the maximum "
+                         f"{MAX_K3_COMPONENTS}")
     out = []
     for b in range(1, (m + 1) // 2 + 1):
         middle = (2 * b == m + 1)

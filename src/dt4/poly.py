@@ -1,9 +1,13 @@
-"""Exact multivariate polynomials over the integers.
+"""Exact polynomials over the integers in the ring's four variables.
 
-A polynomial is stored as a map from exponent tuples to nonzero integer
-coefficients.  Monomials are ordered graded-lex (total degree first, ties
-broken lexicographically on the exponent tuple); that order fixes leading
-terms, canonical signs and printing everywhere else in the package.
+The variables are fixed: the fiber-scaling parameter ``s``, the secondary
+parameter ``sp`` of residue integrals, and the two toric chart parameters
+``e1``, ``e2``, in that order (:data:`NAMES`).  This module is their one
+home.  A polynomial is stored as a map from exponent tuples to nonzero
+integer coefficients.  Monomials are ordered graded-lex (total degree
+first, ties broken lexicographically on the exponent tuple); that order
+fixes leading terms, canonical signs and printing everywhere else in the
+package.
 
 There is no polynomial gcd.  Every denominator dt4 builds is a product of
 linear (or, after specialisation, affine) forms, so exact division by one
@@ -15,6 +19,12 @@ import heapq
 import math
 from fractions import Fraction
 from operator import add, mul, sub
+
+NAMES = ("s", "sp", "e1", "e2")
+NVARS = len(NAMES)
+# the exponent tuple of each variable, and of the constant monomial
+UNITS = tuple(tuple(int(i == j) for j in range(NVARS)) for i in range(NVARS))
+CONSTANT = (0,) * NVARS
 
 
 def grlex_key(exps):
@@ -52,35 +62,27 @@ def _desc(exps):
 
 
 class Poly:
-    __slots__ = ("nvars", "terms")
+    """``Poly()`` is zero."""
 
-    def __init__(self, nvars, terms=None):
-        self.nvars = nvars
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
         self.terms = {e: c for e, c in terms.items() if c} if terms else {}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
+    def const(cls, c):
+        return cls({CONSTANT: int(c)})
 
     @classmethod
-    def const(cls, nvars, c):
-        c = int(c)
-        return cls(nvars, {(0,) * nvars: c} if c else None)
-
-    @classmethod
-    def variable(cls, nvars, idx):
-        e = [0] * nvars
-        e[idx] = 1
-        return cls(nvars, {tuple(e): 1})
+    def variable(cls, idx):
+        return cls({UNITS[idx]: 1})
 
     @classmethod
     def linear_form(cls, coeffs, const=0):
         """Polynomial sum(coeffs[i] * x_i) + const."""
-        n = len(coeffs)
-        units = (tuple(int(i == j) for j in range(n)) for i in range(n))
-        return cls(n, {**dict(zip(units, coeffs)), (0,) * n: const})
+        return cls({**dict(zip(UNITS, coeffs)), CONSTANT: const})
 
     # -- predicates and views ----------------------------------------------
 
@@ -88,15 +90,15 @@ class Poly:
         return not self.terms
 
     def is_const(self):
-        return not self.terms or (len(self.terms) == 1 and (0,) * self.nvars in self.terms)
+        return not self.terms or (len(self.terms) == 1 and CONSTANT in self.terms)
 
     def const_value(self):
         if not self.is_const():
             raise ValueError("polynomial is not constant")
-        return self.terms.get((0,) * self.nvars, 0)
+        return self.terms.get(CONSTANT, 0)
 
     def is_one(self):
-        return self.terms == {(0,) * self.nvars: 1}
+        return self.terms == {CONSTANT: 1}
 
     def lead(self):
         """Leading (exponent, coefficient) in graded-lex order."""
@@ -107,22 +109,22 @@ class Poly:
 
     def key(self):
         """Hashable canonical identity of the polynomial."""
-        return (self.nvars, tuple(sorted(self.terms.items())))
+        return tuple(sorted(self.terms.items()))
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms
+        return isinstance(other, Poly) and self.terms == other.terms
 
     def __hash__(self):
         return hash(self.key())
 
     def __repr__(self):
-        return f"Poly({self.nvars}, {self.terms!r})"
+        return f"Poly({self.terms!r})"
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, int):
-            other = Poly.const(self.nvars, other)
+            other = Poly.const(other)
         t = dict(self.terms)
         for e, c in other.terms.items():
             n = t.get(e, 0) + c
@@ -130,23 +132,23 @@ class Poly:
                 t[e] = n
             else:
                 t.pop(e, None)
-        return Poly(self.nvars, t)
+        return Poly(t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
-            other = Poly.const(self.nvars, other)
+            other = Poly.const(other)
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
             if not other:
-                return Poly(self.nvars)
-            return Poly(self.nvars, {e: c * other for e, c in self.terms.items()})
+                return Poly()
+            return Poly({e: c * other for e, c in self.terms.items()})
         t = {}
         right = list(other.terms.items())
         for e1, c1 in self.terms.items():
@@ -157,14 +159,14 @@ class Poly:
                     t[e] = n
                 else:
                     t.pop(e, None)
-        return Poly(self.nvars, t)
+        return Poly(t)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.const(self.nvars, 1)
+        result = Poly.const(1)
         base = self
         while k:
             if k & 1:
@@ -187,7 +189,7 @@ class Poly:
     def divexact(self, other):
         """Exact division; raises ValueError when not divisible."""
         if isinstance(other, int):
-            other = Poly.const(self.nvars, other)
+            other = Poly.const(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if other.is_const():
@@ -197,7 +199,7 @@ class Poly:
                 if c % d:
                     raise ValueError("inexact polynomial division")
                 q[e] = c // d
-            return Poly(self.nvars, q)
+            return Poly(q)
         oe, oc = other.lead()
         rest = [(e, c) for e, c in other.terms.items() if e != oe]
         r = dict(self.terms)
@@ -225,7 +227,7 @@ class Poly:
                     r[ne] = nc
                 else:
                     r.pop(ne, None)
-        return Poly(self.nvars, q)
+        return Poly(q)
 
     def divides(self, other):
         """Return other/self when the division is exact, else None."""
@@ -244,7 +246,7 @@ class Poly:
             e0 = e[:v] + (0,) + e[v + 1:]
             sub = out.setdefault(d, {})
             sub[e0] = sub.get(e0, 0) + c
-        return {d: Poly(self.nvars, t) for d, t in out.items() if any(t.values())}
+        return {d: Poly(t) for d, t in out.items() if any(t.values())}
 
     # -- evaluation --------------------------------------------------------
 
@@ -269,16 +271,12 @@ class Poly:
         for v in acc.values():
             den = den * v.denominator // math.gcd(den, v.denominator)
         terms = {e: int(v * den) for e, v in acc.items()}
-        return Poly(self.nvars, terms), den
-
-    def evaluate(self, assign):
-        """Full evaluation to a Fraction (every support variable assigned)."""
-        p, d = self.substitute_scaled(assign)
-        return Fraction(p.const_value(), d)
+        return Poly(terms), den
 
 
-def poly_str(p, names):
-    """Render in graded-lex descending order with explicit * and ^."""
+def poly_str(p):
+    """Render in the variables :data:`NAMES`, in graded-lex descending
+    order with explicit * and ^."""
     if p.is_zero():
         return "0"
     parts = []
@@ -286,7 +284,7 @@ def poly_str(p, names):
         mono = []
         for i, k in enumerate(e):
             if k:
-                mono.append(names[i] if k == 1 else f"{names[i]}^{k}")
+                mono.append(NAMES[i] if k == 1 else f"{NAMES[i]}^{k}")
         ac = abs(c)
         if not mono:
             body = str(ac)

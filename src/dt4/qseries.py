@@ -17,7 +17,7 @@ scaled by exact scalars in s.
 from fractions import Fraction
 from operator import index
 
-from .eqalg import DEFAULT_REGISTRY as REG, exact_str
+from .eqalg import FactoredScalar, exact_str
 from .poly import newton_recurrence
 
 
@@ -256,7 +256,7 @@ def typeI_DT_K3(n):
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n <= 1:
-        return REG.zero()
+        return FactoredScalar.const(0)
     return z_typeI_series(n - 2).coefficient(n - 2)
 
 
@@ -268,8 +268,8 @@ def z_typeI_series(order):
     # every n with 2(n - 2) < trunc, in half-units
     nmax = (trunc - 1) // 2 + 2
     chi = goettsche_series(24, max(2 * nmax - 2, 1))
-    s = REG.var("s")
-    units = {2 * (n - 2): REG.const(chi.coefficient(2 * n - 3)) / s
+    s = FactoredScalar.var("s")
+    units = {2 * (n - 2): FactoredScalar.const(chi.coefficient(2 * n - 3)) / s
              for n in range(2, nmax + 1)}
     return HalfQSeries(units, -4, trunc)
 
@@ -284,7 +284,7 @@ def z_typeI_closed_form(order):
     plus = substitute_sqrt(inner, 1)
     minus = substitute_sqrt(inner, -1)
     avg = (plus + minus).scale(Fraction(1, 2))
-    return avg.scale(REG.one() / REG.var("s"))
+    return avg.scale(FactoredScalar.const(1) / FactoredScalar.var("s"))
 
 
 def z_typeII_conjecture_series(order):
@@ -292,4 +292,5 @@ def z_typeII_conjecture_series(order):
     form evaluated at q^2; known at least through q^order inclusive."""
     inner = delta_inverse(max(-(-_k3_order(order) // 2), 0))
     expanded = substitute_power(inner, 2)
-    return expanded.scale(REG.const(Fraction(1, 4)) / REG.var("s"))
+    return expanded.scale(FactoredScalar.const(Fraction(1, 4))
+                           / FactoredScalar.var("s"))

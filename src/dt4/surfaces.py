@@ -234,6 +234,10 @@ class ToricSurfaceModel:
         _check_ints(data["pairing"], "pairing", basis, depth=2)
         for key in ("rays", "ray_coeffs"):
             _check_ints(fan[key], f"fan[{key!r}]", depth=2)
+        rays = len(fan["rays"])
+        if any(len(a) != rays for a in fan["ray_coeffs"].values()):
+            raise ValueError(f"malformed preset: {data['name']} stores "
+                             "ray_coeffs without one entry per ray")
         model = cls.from_fan(data["name"], fan["rays"], fan["ray_coeffs"],
                              data["pairing"], data["canonical"],
                              SurfaceChernData(**data["chern"]))

@@ -14,10 +14,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from dt4 import moduli
-from dt4.eqalg import DEFAULT_REGISTRY, chern_part
+from dt4.eqalg import chern_part
 from dt4.localize import difference_character
 from dt4.partitions import boxes, hilb_fixed_points
-from dt4.poly import Poly
+from dt4.poly import NAMES, Poly
 
 
 # -- counting --------------------------------------------------------------
@@ -308,7 +308,7 @@ def residue_series_oracle(x, var):
     already be free of the other variables (specialize first).  The
     expansion inverts the denominator as a geometric series.
     """
-    v = DEFAULT_REGISTRY.index(var)
+    v = NAMES.index(var)
     num = {k: c * x.scalar.numerator
            for k, c in _poly_in_var(x.num, v).items()}
     den = _poly_in_var(x.den, v)
@@ -356,14 +356,14 @@ def _prem(a, b):
         lr = r[dr]
         nr = {d: p * lb for d, p in r.items()}
         for d, p in b.items():
-            q = nr.get(d + dr - db, Poly.zero(p.nvars)) - p * lr
+            q = nr.get(d + dr - db, Poly()) - p * lr
             nr[d + dr - db] = q
         r = {d: p for d, p in nr.items() if not p.is_zero()}
     return r
 
 
 def _content_of(parts):
-    g = Poly.zero(next(iter(parts.values())).nvars)
+    g = Poly()
     for p in parts.values():
         g = poly_gcd(g, p)
     return g
@@ -380,7 +380,7 @@ def poly_gcd(a, b):
         return p if p.is_zero() else _primitive(p)[1] * p.content()
     (ca, pa), (cb, pb) = _primitive(a), _primitive(b)
     used = [i for e in (*pa.terms, *pb.terms) for i, k in enumerate(e) if k]
-    g = Poly.const(a.nvars, math.gcd(ca, cb))
+    g = Poly.const(math.gcd(ca, cb))
     if not used:
         return g
     v = max(used)
@@ -396,6 +396,6 @@ def poly_gcd(a, b):
             rc = _content_of(r)
             r = {d: p.divexact(rc) for d, p in r.items()}
         pa, pb = pb, r
-    lift = Poly(a.nvars, {e[:v] + (e[v] + d,) + e[v + 1:]: c
-                          for d, p in pa.items() for e, c in p.terms.items()})
+    lift = Poly({e[:v] + (e[v] + d,) + e[v + 1:]: c
+                 for d, p in pa.items() for e, c in p.terms.items()})
     return _primitive(lift)[1] * poly_gcd(conta, contb) * g

@@ -14,8 +14,7 @@ import time
 from fractions import Fraction
 
 from dt4 import cli, localize
-from dt4.eqalg import (DEFAULT_REGISTRY as REG, FactoredScalar,
-                       NonGenericWeightError, WeightCharacter,
+from dt4.eqalg import (FactoredScalar, NonGenericWeightError, WeightCharacter,
                        euler_of_character, residue)
 from dt4.localize import (PrefactorData, tangent_character,
                           tautological_character, assemble_sum,
@@ -32,8 +31,8 @@ from dt4.universal import (FIELDS, FIT_FIELDS, ChernNumbers, battery_configs,
 from oracles import (chi_riemann_roch, colored_counts, k3_component_count,
                      residue_series_oracle, tangent_weights_oracle)
 
-S = REG.var("s")
-SP = REG.var("sp")
+S = FactoredScalar.var("s")
+SP = FactoredScalar.var("sp")
 
 
 def _passed(num, slug):
@@ -50,7 +49,8 @@ def test_criterion_1_nonnested_series_identity():
     counts = colored_counts(24, 5)
     assert counts[1] == 24 and counts[3] == 3200 and counts[5] == 176256
     for exp, idx in ((0, 1), (1, 3), (2, 5)):
-        assert via_product.coefficient(exp) == REG.const(counts[idx]) / S
+        want = FactoredScalar.const(counts[idx]) / S
+        assert via_product.coefficient(exp) == want
     assert elapsed < 5.0
     _passed(1, "non-nested series identity")
 
@@ -59,11 +59,11 @@ def test_criterion_2_conjecture_series_spots():
     counts = colored_counts(24, 2)
     ser = z_typeII_conjecture_series(2)
     for exp, idx in ((-2, 0), (0, 1), (2, 2)):
-        want = REG.const(Fraction(counts[idx], 4)) / S
+        want = FactoredScalar.const(Fraction(counts[idx], 4)) / S
         assert ser.coefficient(exp) == want
-    assert ser.coefficient(-2) == REG.const(Fraction(1, 4)) / S
-    assert ser.coefficient(0) == REG.const(6) / S
-    assert ser.coefficient(2) == REG.const(81) / S
+    assert ser.coefficient(-2) == FactoredScalar.const(Fraction(1, 4)) / S
+    assert ser.coefficient(0) == FactoredScalar.const(6) / S
+    assert ser.coefficient(2) == FactoredScalar.const(81) / S
     # only exponents divisible by 2 survive, never odd or half-integral
     big = z_typeII_conjecture_series(12)
     assert all(u % 4 == 0 for u in big.units)
@@ -108,7 +108,7 @@ def _top_chern_term(model, bundle):
         try:
             return euler_of_character(char)
         except NonGenericWeightError:
-            return FactoredScalar.zero()
+            return FactoredScalar.const(0)
     return term
 
 
@@ -172,7 +172,7 @@ def test_criterion_6_trivial_length_and_k3_numbers(capsys):
     assert val == pre.value()
 
     k3 = PrefactorData.from_numbers(2, 2, 2, 0, 0)
-    assert k3.value() == REG.const(Fraction(1, 4)) / (S * S)
+    assert k3.value() == FactoredScalar.const(Fraction(1, 4)) / (S * S)
 
     code = cli.main(["localize", "--n1", "0", "--n2", "0",
                      "--chi-numbers", "2,2,2,0,0"])
@@ -239,12 +239,13 @@ def _random_factored_term(rng):
     for _ in range(rng.randint(0, 2)):
         s, e1, e2 = free()
         weights.append(((s, 0, e1, e2), rng.choice((-2, -1, 1))))
-    num = REG.zero()
+    num = FactoredScalar.const(0)
     for e in range(5):
         if rng.random() < 0.6:
-            lin = REG.const(rng.randint(-9, 9)) + rng.randint(-3, 3) * S
+            lin = (FactoredScalar.const(rng.randint(-9, 9))
+                   + rng.randint(-3, 3) * S)
             num = num + lin * SP ** e
-    return euler_of_character(WeightCharacter(weights), num.num)
+    return num * euler_of_character(WeightCharacter(weights))
 
 
 def _awkward_mixed_form(w):

@@ -10,6 +10,7 @@ import pytest
 
 import dt4
 from dt4 import cli, localize, universal
+from dt4.moduli import MAX_K3_COMPONENTS, enumerate_typeII_K3
 from dt4.qseries import MAX_K3_ORDER, _k3_order
 
 from test_surfaces import inconsistent_presets, packaged_preset
@@ -190,6 +191,10 @@ def test_fixedloci(capsys):
 
     code, report, _ = run_json(capsys, ["fixedloci", "--m", "0", "--n", "0"])
     assert code == 1 and report["error"]["type"] == "ValueError"
+
+    # one component per b at n = 0, and m = 2 MAX - 1 has MAX values of b
+    assert len(enumerate_typeII_K3(2 * MAX_K3_COMPONENTS - 1, 0)) == \
+        MAX_K3_COMPONENTS
 
 
 def test_localize_trivial_is_prefactor(capsys):
@@ -403,6 +408,21 @@ def test_localize_audit_report_on_larger_fixed_points_is_golden(capsys):
     assert [[1], [1], []] in points
 
 
+def test_mochizuki_audit_report_is_golden(capsys):
+    # the residue route's per-term printing: one sp-residue per fixed-point
+    # pair of the three point splittings of a split budget of 2
+    code, out, _ = run(capsys, ["mochizuki", "--surface", "hirzebruch1",
+                                "--divisor", "C0=1", "--split1", "F=1",
+                                "--split2", "C0=-1,F=1", "--n", "1",
+                                "--pg", "1", "--audit"])
+    assert code == 0
+    path = os.path.join(DATA, "mochizuki_hirzebruch1_C0_1_n_1_pg_1_audit.json")
+    with open(path, encoding="utf-8") as fh:
+        assert out == fh.read()
+    results = json.loads(out)["results"]
+    assert results["split_budget"] == 2 and len(results["audit"]) == 44
+
+
 def test_fit_audit(capsys):
     code, report, _ = run_json(capsys, ["fit", "--n1", "0", "--n2", "0",
                                         "--degree-bound", "1", "--audit"])
@@ -507,6 +527,24 @@ def test_zseries_order_above_the_maximum_is_a_domain_error(order):
         "type": "ValueError",
         "message": f"order {order} exceeds the maximum {MAX_K3_ORDER}"}
     assert _k3_order(MAX_K3_ORDER) == MAX_K3_ORDER
+
+
+@pytest.mark.parametrize("m,n,count", [
+    (2 * MAX_K3_COMPONENTS + 1, 0, MAX_K3_COMPONENTS + 1),
+    (100_000_000, 3, 200_000_000)], ids=["maximum-plus-one", "huge"])
+def test_fixedloci_above_the_maximum_is_a_domain_error(m, n, count):
+    # the component count is known in closed form; refused before any
+    # component is built
+    start = time.perf_counter()
+    proc = run_process(["-m", "dt4.cli", "fixedloci", "--m", str(m),
+                        "--n", str(n)], timeout=10)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["error"] == {
+        "type": "ValueError",
+        "message": f"{count} components exceed the maximum "
+                   f"{MAX_K3_COMPONENTS}"}
 
 
 def test_prefactor_at_the_size_bound_prints(capsys):

@@ -5,18 +5,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dt4.eqalg import (DEFAULT_REGISTRY as REG, FactoredScalar,
-                       NonGenericWeightError, WeightCharacter,
-                       chern_part, euler_of_character, exact_str,
-                       factored_sum, gcd, residue)
-from dt4.poly import Poly
+from dt4.eqalg import (FactoredScalar, NonGenericWeightError,
+                       WeightCharacter, chern_part, euler_of_character,
+                       exact_str, factored_sum, gcd, residue)
+from dt4.poly import NAMES, Poly
 
 from oracles import poly_gcd
 
-S = REG.var("s")
-SP = REG.var("sp")
-E1 = REG.var("e1")
-E2 = REG.var("e2")
+S = FactoredScalar.var("s")
+SP = FactoredScalar.var("sp")
+E1 = FactoredScalar.var("e1")
+E2 = FactoredScalar.var("e2")
+ZERO = FactoredScalar.const(0)
+ONE = FactoredScalar.const(1)
 SP_W = (0, 1, 0, 0)
 SP_FORM = SP_W + (0,)
 
@@ -30,32 +31,32 @@ def linear_scalars():
     c = st.integers(-4, 4)
 
     def build(a, b, cc, d, e):
-        num = REG.const(a) + REG.const(b) * S + REG.const(cc) * E1
-        den = REG.const(d) + REG.const(e) * SP
+        const = FactoredScalar.const
+        num = const(a) + const(b) * S + const(cc) * E1
+        den = const(d) + const(e) * SP
         return num, den
     return st.builds(build, c, c, c, c, c).filter(
         lambda nd: not nd[1].is_zero()).map(lambda nd: nd[0] / nd[1])
 
 
-def test_registry():
-    assert REG.nvars == 4
-    assert REG.names == ("s", "sp", "e1", "e2")
-    assert REG.index("e2") == 3
-    with pytest.raises(KeyError):
-        REG.index("nope")
-    assert REG.var("e1").num == Poly.variable(4, 2)
+def test_ring_variables():
+    assert NAMES == ("s", "sp", "e1", "e2")
+    with pytest.raises(ValueError):
+        FactoredScalar.var("nope")
+    assert FactoredScalar.var("e1").num == Poly.variable(2)
+    assert FactoredScalar.var("e2").num.terms == {(0, 0, 0, 1): 1}
 
 
 def test_const_accepts_fractions():
-    half = REG.const(Fraction(1, 2))
-    assert half + half == REG.one()
+    half = FactoredScalar.const(Fraction(1, 2))
+    assert half + half == ONE
     assert str(half) == "(1)/(2)"
 
 
 def test_canonical_strings():
-    assert str(REG.one()) == "1"
-    assert str(REG.const(-3)) == "-3"
-    v = REG.one() / (REG.const(4) * S * S)
+    assert str(ONE) == "1"
+    assert str(FactoredScalar.const(-3)) == "-3"
+    v = ONE / (FactoredScalar.const(4) * S * S)
     assert str(v) == "(1)/(4*s^2)"
     assert str(S / S) == "1"
 
@@ -67,7 +68,7 @@ def test_canonical_strings():
 @example(Fraction(-6, 3))
 @example(Fraction(-3, 4))
 def test_exact_str_prints_as_the_scalar(x):
-    assert exact_str(x) == str(REG.const(x))
+    assert exact_str(x) == str(FactoredScalar.const(x))
 
 
 def test_gcd_with_forms():
@@ -83,8 +84,8 @@ def test_gcd_with_forms():
 def test_canonical_form_is_unique():
     a = (S * S - E1 * E1) / (S - E1)
     assert a == S + E1
-    b = (REG.const(2) * S) / REG.const(4)
-    assert b == S / REG.const(2)
+    b = (FactoredScalar.const(2) * S) / FactoredScalar.const(4)
+    assert b == S / FactoredScalar.const(2)
     # one value, three representations, one canonical form
     s_plus_e1 = (1, 0, 1, 0, 0)
     for x in (FactoredScalar(2 * S.num, {}, Fraction(1, 4)),
@@ -100,38 +101,38 @@ def test_canonical_form_is_unique():
 def test_field_operations():
     x = S / (S + E1)
     y = E1 / (S + E1)
-    assert x + y == REG.one()
-    assert x - x == REG.zero()
-    assert (x * x.inverse()) == REG.one()
+    assert x + y == ONE
+    assert x - x == ZERO
+    assert (x * x.inverse()) == ONE
     assert x / y == S / E1
-    assert (REG.one() / x) * x == REG.one()
+    assert (ONE / x) * x == ONE
     assert 1 + S == S + 1
     assert 2 * x == x + x
     assert 1 - x == y
 
 
 def test_pow():
-    assert S ** 0 == REG.one()
+    assert S ** 0 == ONE
     assert S ** 3 == S * S * S
-    assert S ** -2 == REG.one() / (S * S)
+    assert S ** -2 == ONE / (S * S)
 
 
 def test_inverse_of_zero():
     with pytest.raises(ZeroDivisionError):
-        REG.zero().inverse()
+        ZERO.inverse()
     # a numerator that is no product of forms cannot become a denominator
     with pytest.raises(ValueError, match="not a product of forms"):
-        REG.one() / (S * S + E1 * E1)
+        ONE / (S * S + E1 * E1)
 
 
 def test_specialize():
     x = (S + E1) / (S - E1)
     v = x.specialize({"s": Fraction(3), "e1": Fraction(1)})
-    assert v == REG.const(2)
+    assert v == FactoredScalar.const(2)
     partial = x.specialize({"e1": Fraction(0)})
-    assert partial == REG.one()
+    assert partial == ONE
     # forms become affine; one that becomes constant joins the scalar
-    y = REG.one() / (S + E1) / (E1 - E2) / SP
+    y = ONE / (S + E1) / (E1 - E2) / SP
     half = y.specialize({"e1": Fraction(1, 2), "e2": Fraction(-1, 3)})
     assert str(half) == "(12)/(10*s*sp + 5*sp)"
     with pytest.raises(ZeroDivisionError):
@@ -139,15 +140,16 @@ def test_specialize():
 
 
 def test_as_fraction():
-    assert (REG.const(3) / REG.const(4)).as_fraction() == Fraction(3, 4)
+    three_quarters = FactoredScalar.const(3) / FactoredScalar.const(4)
+    assert three_quarters.as_fraction() == Fraction(3, 4)
     with pytest.raises(ValueError):
         S.as_fraction()
 
 
 def factored(num, weights=None):
-    """``num`` (a polynomial EqScalar) times the Euler class of the
+    """``num`` (a polynomial FactoredScalar) times the Euler class of the
     weights, as a FactoredScalar."""
-    return euler_of_character(WeightCharacter(weights), num.num)
+    return num * euler_of_character(WeightCharacter(weights))
 
 
 def res(x):
@@ -155,28 +157,28 @@ def res(x):
 
 
 def test_residue_basics():
-    assert res(factored(REG.one(), {SP_W: -1})) == REG.one()
+    assert res(factored(ONE, {SP_W: -1})) == ONE
     # s/sp + 5/sp^2
     assert res(factored(S * SP + 5, {SP_W: -2})) == S
-    assert res(factored(S + SP * E1)) == REG.zero()
-    assert res(FactoredScalar.zero()) == REG.zero()
+    assert res(factored(S + SP * E1)) == ZERO
+    assert res(ZERO) == ZERO
 
 
 def test_residue_of_shifted_pole_is_zero_at_origin():
     # pole at sp = -s only; expansion around 0 is regular
-    assert res(factored(REG.one(), {(1, 1, 0, 0): -1})) == REG.zero()
+    assert res(factored(ONE, {(1, 1, 0, 0): -1})) == ZERO
 
 
 def test_residue_expands_mixed_forms():
     # 1/(sp^2 (sp + s)): the sp coefficient of 1/(s (1 + sp/s))
-    assert res(factored(REG.one(), {SP_W: -2, (1, 1, 0, 0): -1})) == \
-        REG.const(-1) / (S * S)
+    assert res(factored(ONE, {SP_W: -2, (1, 1, 0, 0): -1})) == \
+        FactoredScalar.const(-1) / (S * S)
     # r = -2 e1 is neither primitive nor positive: 1/(sp^2 (sp - 2 e1))
-    assert res(factored(REG.one(), {SP_W: -2, (0, 1, -2, 0): -1})) == \
-        REG.const(-1) / (REG.const(4) * E1 * E1)
+    assert res(factored(ONE, {SP_W: -2, (0, 1, -2, 0): -1})) == \
+        FactoredScalar.const(-1) / (FactoredScalar.const(4) * E1 * E1)
     # (s + sp)/(sp (2 sp + e1)^2) at sp = 0, with an sp-free form passing
     # through
-    assert res(factored(REG.one(), {SP_W: -1, (0, 2, 1, 0): -2,
+    assert res(factored(ONE, {SP_W: -1, (0, 2, 1, 0): -2,
                                     (1, 1, 0, 0): 1, (0, 0, 1, 1): -1})) == \
         S / E1 ** 2 / (E1 + E2)
 
@@ -206,12 +208,12 @@ def test_euler_of_character():
 
 def test_euler_of_zero_multiplicity_weight():
     c = WeightCharacter({(1, 0, 0, 0): 1})
-    assert euler_of_character(c + (-c)).canonical() == REG.one()
+    assert euler_of_character(c + (-c)).canonical() == ONE
 
 
 def test_chern_part():
     c = WeightCharacter({(1, 0, 0, 0): 1, (0, 0, 1, 0): 1})
-    assert chern_part(c, 0) == REG.one().num
+    assert chern_part(c, 0) == ONE.num
     assert chern_part(c, 1) == (S + E1).num
     assert chern_part(c, 2) == (S * E1).num
     # zero weights are legal in Chern classes and contribute nothing
@@ -239,7 +241,7 @@ def test_field_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert (a + b) + c == a + (b + c)
     if not a.is_zero():
-        assert a * a.inverse() == REG.one()
+        assert a * a.inverse() == ONE
 
 
 @settings(max_examples=30, deadline=None)
@@ -251,10 +253,10 @@ def test_residue_linearity(terms):
                                      {SP_FORM: -k} if k < 0 else {},
                                      Fraction(1, c.denominator))
                       for k, c in terms])
-    expected = REG.zero()
+    expected = ZERO
     for k, c in terms:
         if k == -1:
-            expected = expected + REG.const(c)
+            expected = expected + FactoredScalar.const(c)
     assert res(x) == expected
 
 
@@ -265,7 +267,7 @@ def test_residue_linearity(terms):
 # them only one coordinate survives.
 POINT = {"s": Fraction(7, 3), "sp": Fraction(3, 19), "e1": Fraction(-5, 2),
          "e2": Fraction(11, 13)}
-AT = [POINT[n] for n in REG.names] + [Fraction(1)]
+AT = [POINT[n] for n in NAMES] + [Fraction(1)]
 
 
 def value_at(x):
@@ -273,19 +275,20 @@ def value_at(x):
     den = Fraction(1)
     for p, m in x.forms.items():
         den *= sum(c * v for c, v in zip(p, AT)) ** m
-    return x.scalar * x.num.evaluate(
-        {i: POINT[n] for i, n in enumerate(REG.names)}) / den
+    num, scale = x.num.substitute_scaled(
+        {i: POINT[n] for i, n in enumerate(NAMES)})
+    return x.scalar * Fraction(num.const_value(), scale) / den
 
 
-def forms(names=REG.names):
+def forms(names=NAMES):
     """Nonzero forms over the named variables, coefficients in [-2, 2]."""
     c = st.integers(-2, 2)
     return st.lists(c, min_size=len(names), max_size=len(names)).map(
-        lambda cs: sum((k * REG.var(n) for k, n in zip(cs, names)),
-                       REG.zero())).filter(lambda f: not f.is_zero())
+        lambda cs: sum((k * FactoredScalar.var(n) for k, n in zip(cs, names)),
+                       ZERO)).filter(lambda f: not f.is_zero())
 
 
-def products(names=REG.names):
+def products(names=NAMES):
     """Up to three forms over up to two, times a small rational."""
     return st.tuples(st.lists(forms(names), min_size=1, max_size=3),
                      st.lists(forms(names), max_size=2), rationals()).map(
@@ -293,7 +296,7 @@ def products(names=REG.names):
 
 
 def _quotient(nums, dens):
-    out = REG.one()
+    out = ONE
     for x in nums:
         out = out * x
     for x in dens:
@@ -365,14 +368,14 @@ def factored_terms():
     char = st.lists(st.tuples(WEIGHTS, st.integers(-2, 2)), max_size=3).map(
         lambda ws: WeightCharacter(ws))
     num = st.tuples(st.integers(-3, 3), st.lists(WEIGHTS, max_size=2)).map(
-        lambda cv: _quotient([REG.const(cv[0])]
+        lambda cv: _quotient([FactoredScalar.const(cv[0])]
                              + [FactoredScalar(Poly.linear_form(w))
                                 for w in cv[1]], []).num)
     return st.tuples(num, char)
 
 
 def euler_by_products(char):
-    out = REG.one()
+    out = ONE
     for w, m in char.items():
         out = out * FactoredScalar(Poly.linear_form(w)) ** m
     return out
@@ -381,12 +384,12 @@ def euler_by_products(char):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(factored_terms(), min_size=1, max_size=3))
 def test_factored_sum_matches_plain_sum(terms):
-    plain = REG.zero()
+    plain = ZERO
     for num, char in terms:
         e = euler_of_character(char).canonical()
         assert e == euler_by_products(char)
         plain = plain + FactoredScalar(num) * e
-    got = factored_sum([euler_of_character(char, num)
+    got = factored_sum([FactoredScalar(num) * euler_of_character(char)
                         for num, char in terms])
     assert got == plain
     assert value_at(got) == value_at(plain)

@@ -17,8 +17,8 @@ import pytest
 import dt4
 
 SRC = os.path.dirname(os.path.dirname(dt4.__file__))
-TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
-    __file__))), "perfbench", "tracer.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
@@ -191,3 +191,22 @@ def test_tracer_rebinds_what_commands_call():
         assert spans <= set(names), (argv, names)
         if characters is not None:
             assert calls["localize.characters"] == characters, argv
+
+
+# README's library example prints the q^0 coefficient of the non-nested
+# series, then the one-point plane integral at (e1, e2) = (1, -2)
+README_EXAMPLE_OUTPUT = """\
+(24)/(s)
+(-21*s^5 - 342*s^4 - 2047*s^3 - 6258*s^2 - 11936*s - 10896)/\
+(32*s^14 + 576*s^13 + 3424*s^12 + 5696*s^11 - 12288*s^10 - 35840*s^9)
+"""
+
+
+def test_readme_library_example():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", code], env=ENV,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == README_EXAMPLE_OUTPUT

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from dt4 import localize
-from dt4.eqalg import (DEFAULT_REGISTRY as REG, NonGenericWeightError,
+from dt4.eqalg import (FactoredScalar, NonGenericWeightError,
                        WeightCharacter, chern_part, euler_of_character)
 from dt4.localize import (SYMBOLIC, PrefactorData, TwistedBundleSpec,
                           _as_spec, _mochizuki_term, assemble_sum,
@@ -23,7 +23,9 @@ from dt4.universal import classical_limit
 
 from oracles import nested_support, tangent_weights_oracle
 
-S = REG.var("s")
+S = FactoredScalar.var("s")
+ZERO = FactoredScalar.const(0)
+ONE = FactoredScalar.const(1)
 PLANE = from_preset("plane")
 QUADRIC = from_preset("quadric")
 UNIT_PREFACTOR = PrefactorData.from_numbers(0, 0, 0, 0, 0)
@@ -151,12 +153,12 @@ def test_characters_add_over_disjoint_unions(left, right):
 
 def test_prefactor_k3_numbers():
     pre = PrefactorData.from_numbers(2, 2, 2, 0, 0)
-    assert pre.value() == REG.one() / (REG.const(4) * S * S)
+    assert pre.value() == ONE / (FactoredScalar.const(4) * S * S)
 
 
 def test_prefactor_from_model():
     pre = PrefactorData.from_model(PLANE, {"H": 1})
-    assert pre.value() == REG.one() / (REG.const(64) * S ** 9)
+    assert pre.value() == ONE / (FactoredScalar.const(64) * S ** 9)
 
 
 def test_prefactor_parity_error():
@@ -184,23 +186,25 @@ def test_length_zero_returns_prefactor():
 
 
 def test_frozen_plane_integrals():
-    assert classical_integral(PLANE, {"H": 1}, 1, 0) == REG.const(-42)
-    assert classical_integral(PLANE, {"H": 1}, 0, 1) == REG.zero()
-    assert classical_integral(PLANE, {"H": 1}, 2, 0) == REG.const(765)
-    assert classical_integral(PLANE, {"H": 1}, 1, 1) == REG.const(145)
-    assert classical_integral(PLANE, {"H": 1}, 0, 2) == REG.zero()
+    const = FactoredScalar.const
+    assert classical_integral(PLANE, {"H": 1}, 1, 0) == const(-42)
+    assert classical_integral(PLANE, {"H": 1}, 0, 1) == ZERO
+    assert classical_integral(PLANE, {"H": 1}, 2, 0) == const(765)
+    assert classical_integral(PLANE, {"H": 1}, 1, 1) == const(145)
+    assert classical_integral(PLANE, {"H": 1}, 0, 2) == ZERO
 
 
 def test_frozen_quadric_integrals():
-    assert classical_integral(QUADRIC, {"A": 1, "B": 1}, 1, 1) == REG.const(148)
-    assert classical_integral(QUADRIC, {"A": 2, "B": 1}, 2, 0) == REG.const(854)
+    const = FactoredScalar.const
+    assert classical_integral(QUADRIC, {"A": 1, "B": 1}, 1, 1) == const(148)
+    assert classical_integral(QUADRIC, {"A": 2, "B": 1}, 2, 0) == const(854)
 
 
 def test_second_factor_of_trivial_twist_vanishes_symbolically():
     # symbolic, no parameter restriction at all
     val = typeII_component_integral(PLANE, {"H": 1}, n1=0, n2=1,
                                     prefactor=UNIT_PREFACTOR)
-    assert val == REG.zero()
+    assert val == ZERO
 
 
 def test_eps_specializations_agree():
@@ -326,20 +330,20 @@ def test_parallel_starmap_starts_no_more_workers_than_tasks(
 def test_assemble_sum_batching():
     term = lambda fp1, fp2: euler_of_character(WeightCharacter())
     small = assemble_sum(PLANE, 1, 1, term)
-    assert small.canonical() == REG.const(9)
-    assert assemble_sum(PLANE, 0, 0, term).canonical() == REG.one()
+    assert small.canonical() == FactoredScalar.const(9)
+    assert assemble_sum(PLANE, 0, 0, term).canonical() == ONE
 
 
 # -- pairwise residue machinery --------------------------------------------
 
 def test_mochizuki_zero_charge():
-    assert mochizuki_coefficient(PLANE, {}, {}, {}, 0, 0) == REG.zero()
+    assert mochizuki_coefficient(PLANE, {}, {}, {}, 0, 0) == ZERO
 
 
 def test_mochizuki_frozen_value():
     val = mochizuki_coefficient(PLANE, {}, {}, {}, 1, 0)
-    e1, e2 = REG.var("e1"), REG.var("e2")
-    want = (REG.const(-9) * S * S - 3 * e1 * e1 + 3 * e1 * e2
+    e1, e2 = FactoredScalar.var("e1"), FactoredScalar.var("e2")
+    want = (FactoredScalar.const(-9) * S * S - 3 * e1 * e1 + 3 * e1 * e2
             - 3 * e2 * e2) / S ** 3
     assert val == want
 
@@ -376,7 +380,7 @@ def test_mochizuki_negative_budget_is_zero():
     # split pairing exceeds the charge: empty range of splittings
     assert split_budget(PLANE, {"H": 1}, {"H": 1}, 0) == -1
     assert mochizuki_coefficient(PLANE, {"H": 1}, {"H": 1}, {}, 0,
-                                 0) == REG.zero()
+                                 0) == ZERO
 
 
 def test_mochizuki_integrand_zero_weight_term():
@@ -386,7 +390,7 @@ def test_mochizuki_integrand_zero_weight_term():
     trivial = TwistedBundleSpec({})
     val = _mochizuki_term(PLANE, trivial, trivial, trivial, 0, SYMBOLIC,
                           one_pt, empty)
-    assert val.canonical() == REG.zero()
+    assert val.canonical() == ZERO
 
 
 def test_mochizuki_audit():
@@ -398,12 +402,13 @@ def test_mochizuki_audit():
 # -- misc ------------------------------------------------------------------
 
 def test_pure_s_monomial():
-    assert pure_s_monomial(REG.one() / (REG.const(4) * S * S)) == \
+    assert pure_s_monomial(ONE / (FactoredScalar.const(4) * S * S)) == \
         (Fraction(1, 4), -2)
-    assert pure_s_monomial(REG.const(5)) == (Fraction(5), 0)
-    assert pure_s_monomial(S ** 3 * REG.const(-2)) == (Fraction(-2), 3)
-    assert pure_s_monomial(S + REG.one()) is None
-    assert pure_s_monomial(S * REG.var("e1")) is None
+    assert pure_s_monomial(FactoredScalar.const(5)) == (Fraction(5), 0)
+    assert pure_s_monomial(S ** 3 * FactoredScalar.const(-2)) == \
+        (Fraction(-2), 3)
+    assert pure_s_monomial(S + ONE) is None
+    assert pure_s_monomial(S * FactoredScalar.var("e1")) is None
 
 
 # -- route agreement: symbolic, rational point, parameter line --------------
@@ -513,7 +518,7 @@ def test_integer_eps_grid_outcomes(name):
         symbolic = integral()
         for e1, e2 in DEGENERATE_GRID:
             if n2 > n1:
-                assert integral(eps=(e1, e2)) == REG.zero()
+                assert integral(eps=(e1, e2)) == ZERO
             elif _degenerate(model, (e1, e2)):
                 with pytest.raises(NonGenericWeightError):
                     integral(eps=(e1, e2))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dt4.eqalg import DEFAULT_REGISTRY as REG
+from dt4.eqalg import FactoredScalar
 from dt4.moduli import (EllipticSurface, Polarization,
                         assemble_typeII_K3_series, enumerate_typeII_K3,
                         in_stable_chamber, is_ample, wall_threshold)
@@ -17,11 +17,11 @@ from oracles import (FIBER, SECTION, ZERO_DIVISOR, DivisorClass,
                      k3_component_count, pair, pair_h)
 
 S_K3 = EllipticSurface(0)
-S = REG.var("s")
+S = FactoredScalar.var("s")
 
 
 def sval(n):
-    return REG.const(n) / S
+    return FactoredScalar.const(n) / S
 
 
 # -- divisor arithmetic ----------------------------------------------------
@@ -164,8 +164,8 @@ def test_general_enumeration_box_forms():
 # -- series ----------------------------------------------------------------
 
 def test_typeI_values():
-    assert typeI_DT_K3(0) == REG.zero()
-    assert typeI_DT_K3(1) == REG.zero()
+    assert typeI_DT_K3(0) == FactoredScalar.const(0)
+    assert typeI_DT_K3(1) == FactoredScalar.const(0)
     assert typeI_DT_K3(2) == sval(24)
     assert typeI_DT_K3(3) == sval(3200)
     with pytest.raises(ValueError):
@@ -218,7 +218,7 @@ def test_z_typeI_closed_form_identity():
 
 def test_conjecture_series_spots():
     z = z_typeII_conjecture_series(6)
-    quarter = REG.const(Fraction(1, 4)) / S
+    quarter = FactoredScalar.const(Fraction(1, 4)) / S
     assert z.coefficient(-2) == quarter
     assert z.coefficient(0) == sval(6)
     assert z.coefficient(2) == sval(81)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dt4.eqalg import DEFAULT_REGISTRY as REG, exact_str
+from dt4.eqalg import FactoredScalar, exact_str
 from dt4.qseries import (HalfQSeries, delta_inverse,
                          goettsche_series, product_power, substitute_power,
                          substitute_sqrt)
@@ -69,9 +69,9 @@ def test_scale_and_shift():
     assert f.scale(Fraction(1, 2)).coefficient(0) == 1
     g = f.shift_exponent(Fraction(-1, 2))
     assert g.coefficient(Fraction(-1, 2)) == 2
-    s = REG.var("s")
-    h = f.scale(REG.one() / s)
-    assert h.coefficient(0) == REG.const(2) / s
+    s = FactoredScalar.var("s")
+    h = f.scale(FactoredScalar.const(1) / s)
+    assert h.coefficient(0) == FactoredScalar.const(2) / s
 
 
 def test_matches_window_semantics():
@@ -208,7 +208,8 @@ def test_exact_str_coefficients():
     assert exact_str(3) == "3"
     assert exact_str(Fraction(1, 2)) == "(1)/(2)"
     assert exact_str(Fraction(4, 2)) == "2"
-    assert exact_str(REG.one() / REG.var("s")) == "(1)/(s)"
+    one_over_s = FactoredScalar.const(1) / FactoredScalar.var("s")
+    assert exact_str(one_over_s) == "(1)/(s)"
 
 
 def test_to_json_entries_sorted():

@@ -242,10 +242,12 @@ def test_malformed_preset_raises_value_error(tmp_path, monkeypatch):
     floats = {**blob, "fan": {**blob["fan"], "ray_coeffs": {"H": [1.5, 0, 0]}},
               "bundles": {"H": {"weights": [[1.5, 0], [0, 0], [1.5, -1.5]]}}}
     bools = {**blob, "fan": {**blob["fan"], "ray_coeffs": {"H": [True, 0, 0]}}}
+    # one coefficient more than rays, which the fiber weights never read
+    extra = {**blob, "fan": {**blob["fan"], "ray_coeffs": {"H": [1, 0, 0, 7]}}}
     cases = [("plane", broken) for broken in (
         {"name": "plane"}, {**blob, "chern": {"c2": 3}},
         {**blob, "fixed_points": blob["fixed_points"] * 2},
-        {**blob, "fan": {"rays": [[1, 0]]}}, floats, bools)]
+        {**blob, "fan": {"rays": [[1, 0]]}}, floats, bools, extra)]
     cases += inconsistent_presets()
     for name, broken in cases:
         (tmp_path / f"{name}.json").write_text(json.dumps(broken))
