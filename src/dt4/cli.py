@@ -155,7 +155,7 @@ def cmd_chamber(args):
 
 def cmd_fixedloci(args):
     _bind("enumerate_typeII_K3")
-    comps = [c.to_json() for c in enumerate_typeII_K3(args.m, args.n)]
+    comps = enumerate_typeII_K3(args.m, args.n)
     points = 2 * args.n - 3
     results = {
         "typeII_components": comps,

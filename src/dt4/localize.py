@@ -76,8 +76,10 @@ class WeightMap(NamedTuple):
 
     @classmethod
     def make(cls, eps=None, eps_line=None):
-        if eps is None or eps_line is not None:
+        if eps is None:
             return cls(eps_line and tuple(eps_line))
+        if eps_line is not None:
+            raise ValueError("give eps or eps_line, not both")
         x, y = Fraction(eps[0]), Fraction(eps[1])
         d = math.lcm(x.denominator, y.denominator)
         return cls((int(x * d), int(y * d)), Fraction(1, d))
@@ -331,9 +333,9 @@ def typeII_component_integral(model, L, n1=0, n2=0, prefactor=None,
     kept factored over its denominator forms; the pair sum times the
     prefactor is canonicalised once.  A zero weight outside diff(0) raises
     NonGenericWeightError; a zero weight of diff(0) makes the integrand 0.
-    ``eps`` pins (e1, e2) to exact rationals and ``eps_line`` restricts
-    them to a line (see WeightMap); the result is invariant under that
-    choice whenever no weight degenerates.
+    ``eps`` pins (e1, e2) to exact rationals or ``eps_line`` restricts
+    them to a line (see WeightMap), never both; the result is invariant
+    under that choice whenever no weight degenerates.
     """
     if prefactor is None:
         prefactor = PrefactorData.from_model(model, _as_spec(L).divisor)

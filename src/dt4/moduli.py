@@ -3,26 +3,14 @@
 A surface here is determined by the single integer k with canonical
 class k times the fiber class; divisor classes live in the rank-two
 lattice spanned by the section and the fiber.  The module provides the
-no-wall chamber test for the adiabatic polarizations and the enumeration
-of the nested fixed-locus components of the K3 fiberwise count.  The
-partition-function series of that count are q-series and live in
-``qseries``.
+no-wall chamber test for the adiabatic polarizations and the nested
+fixed-locus components of the K3 fiberwise count, as the rows that
+``fixedloci`` prints.  The partition-function series of that count are
+q-series and live in ``qseries``.
 """
 
 from fractions import Fraction
 from typing import NamedTuple
-
-
-class DivisorClass(NamedTuple):
-    """a * section + b * fiber, integer coefficients."""
-    a: int
-    b: int
-
-    def is_zero(self):
-        return self.a == 0 and self.b == 0
-
-    def to_json(self):
-        return {"a": self.a, "b": self.b}
 
 
 class EllipticSurface(NamedTuple("EllipticSurface", [("k", int)])):
@@ -31,6 +19,8 @@ class EllipticSurface(NamedTuple("EllipticSurface", [("k", int)])):
     __slots__ = ()
 
     def __new__(cls, k):
+        if type(k) is not int:
+            raise ValueError("k must be an integer")
         if k < 0:
             raise ValueError("k must be nonnegative")
         return super().__new__(cls, k)
@@ -42,23 +32,12 @@ class Polarization(NamedTuple("Polarization",
     __slots__ = ()
 
     def __new__(cls, t, u):
+        if isinstance(t, float) or isinstance(u, float):
+            raise ValueError("polarization coefficients must not be floats")
         t, u = Fraction(t), Fraction(u)
         if t <= 0 or u <= 0:
             raise ValueError("polarization coefficients must be positive")
         return super().__new__(cls, t, u)
-
-
-class TypeIIComponent(NamedTuple):
-    """One nested component over the K3 fiberwise count."""
-    b: int
-    n1: int
-    n2: int
-    alpha: DivisorClass
-    vanishes: bool
-
-    def to_json(self):
-        return {"b": self.b, "n1": self.n1, "n2": self.n2,
-                "alpha": self.alpha.to_json(), "vanishes": self.vanishes}
 
 
 def is_ample(h, S):
@@ -88,13 +67,14 @@ MAX_K3_COMPONENTS = 100_000
 
 def enumerate_typeII_K3(m, n):
     """Nested components of the K3 fiberwise count at fiber twist m and
-    point budget n.
+    point budget n, as report rows.
 
     Components are indexed by 1 <= b <= (m+1)/2 and splittings
     n1 + n2 = n, with n1 >= n2 required exactly in the middle case
-    2b = m+1; the leftover twist class is (m+1-2b) fibers and the
-    component contributes zero whenever that class is nonzero.  More
-    than MAX_K3_COMPONENTS components are refused before any is built.
+    2b = m+1.  The leftover twist class alpha = (m+1-2b) fibers is the
+    row's {"a": 0, "b": m+1-2b}, and the component contributes zero
+    ("vanishes") whenever that class is nonzero.  More than
+    MAX_K3_COMPONENTS components are refused before any row is built.
     """
     if m < 1:
         raise ValueError("fiber twist m must be at least 1")
@@ -108,11 +88,10 @@ def enumerate_typeII_K3(m, n):
     out = []
     for b in range(1, (m + 1) // 2 + 1):
         middle = (2 * b == m + 1)
-        alpha = DivisorClass(0, m + 1 - 2 * b)
         lo = (n + 1) // 2 if middle else 0
-        for n1 in range(n, lo - 1, -1):
-            out.append(TypeIIComponent(b, n1, n - n1, alpha,
-                                       not alpha.is_zero()))
+        out += [{"b": b, "n1": n1, "n2": n - n1,
+                  "alpha": {"a": 0, "b": m + 1 - 2 * b},
+                  "vanishes": not middle} for n1 in range(n, lo - 1, -1)]
     return out
 
 
@@ -121,23 +100,19 @@ def enumerate_typeII_K3(m, n):
 def assemble_typeII_K3_series(m, order):
     """Sum of nested-component contributions at fiber twist m.
 
-    Components flagged as vanishing contribute exactly zero.  A
-    non-vanishing component has no closed-form value here, so assembling
-    an odd-twist series raises; for even m the result is the zero
+    Only the middle b = (m+1)/2 of an odd m has a zero leftover twist
+    class, and it does from point budget n = 0 on; every other component
+    contributes exactly zero.  That component has no closed-form value
+    here, so an odd twist raises; for even m the result is the zero
     series on the nose.
     """
     # imported here so that the chamber and fixed-locus commands never
     # load the exact arithmetic or the q-series
     from .qseries import HalfQSeries, _k3_order
     order = _k3_order(order)
-    units = {}
-    n = 0
-    while n - 2 <= order:
-        for comp in enumerate_typeII_K3(m, n):
-            if not comp.vanishes:
-                raise ValueError(
-                    "component with nonzero contribution at "
-                    f"(m={m}, n={n}); only the conjecture series gives "
-                    "its value")
-        n += 1
-    return HalfQSeries(units, -4, int(2 * order) + 2)
+    if m < 1:
+        raise ValueError("fiber twist m must be at least 1")
+    if m % 2:
+        raise ValueError(f"component with nonzero contribution at (m={m}, "
+                         "n=0); only the conjecture series gives its value")
+    return HalfQSeries({}, -4, int(2 * order) + 2)

@@ -100,9 +100,14 @@ def k3_component_count(m, n):
 
 # -- nested components on an elliptic surface, by lattice search -----------
 
-class DivisorClass(moduli.DivisorClass):
-    """moduli.DivisorClass with the lattice operations."""
-    __slots__ = ()
+class DivisorClass(NamedTuple):
+    """a * section + b * fiber, integer coefficients, with the lattice
+    operations."""
+    a: int
+    b: int
+
+    def is_zero(self):
+        return self.a == 0 and self.b == 0
 
     def __add__(self, other):
         return DivisorClass(self.a + other.a, self.b + other.b)

@@ -75,7 +75,7 @@ def test_criterion_3_even_twist_vanishing():
         for n in range(6):
             comps = enumerate_typeII_K3(m, n)
             assert comps
-            assert all(c.vanishes for c in comps)
+            assert all(c["vanishes"] for c in comps)
         assert not assemble_typeII_K3_series(m, 5).units
     _passed(3, "even twist vanishing")
 

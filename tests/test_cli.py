@@ -423,6 +423,17 @@ def test_mochizuki_audit_report_is_golden(capsys):
     assert results["split_budget"] == 2 and len(results["audit"]) == 44
 
 
+def test_fixedloci_pretty_report_is_golden(capsys):
+    # vanishing rows at b = 1, 2 and the middle b = 3, where n1 >= n2
+    code, out, err = run(capsys, ["fixedloci", "--m", "5", "--n", "3",
+                                  "--pretty"])
+    assert code == 0
+    for text, name in ((out, "json"), (err, "txt")):
+        path = os.path.join(DATA, f"fixedloci_m_5_n_3_pretty.{name}")
+        with open(path, encoding="utf-8") as fh:
+            assert text == fh.read()
+
+
 def test_fit_audit(capsys):
     code, report, _ = run_json(capsys, ["fit", "--n1", "0", "--n2", "0",
                                         "--degree-bound", "1", "--audit"])

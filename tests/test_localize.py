@@ -239,6 +239,12 @@ def test_degenerate_eps_raises():
                                   eps=(Fraction(1), Fraction(1)))
 
 
+def test_eps_and_eps_line_together_are_refused():
+    with pytest.raises(ValueError, match="not both"):
+        typeII_component_integral(PLANE, {"H": 1}, 1, 0, eps=(1, 2),
+                                  eps_line=(3, 4))
+
+
 def test_twisted_divisor_argument_rejected():
     spec = TwistedBundleSpec({"H": 1}, t_weight=2)
     with pytest.raises(ValueError):

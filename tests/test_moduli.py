@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dt4 import moduli
 from dt4.eqalg import FactoredScalar
 from dt4.moduli import (EllipticSurface, Polarization,
                         assemble_typeII_K3_series, enumerate_typeII_K3,
@@ -33,13 +34,14 @@ def test_divisor_class():
     assert (-d).a == -2
     assert d.scale(3) == DivisorClass(6, -3)
     assert ZERO_DIVISOR.is_zero()
-    assert d.to_json() == {"a": 2, "b": -1}
+    assert not d.is_zero()
     assert SECTION == DivisorClass(1, 0)
 
 
 def test_surface_validation():
-    with pytest.raises(ValueError):
-        EllipticSurface(-1)
+    for k in (-1, 0.5, 1.0, True):
+        with pytest.raises(ValueError):
+            EllipticSurface(k)
 
 
 def test_intersection_form():
@@ -70,6 +72,10 @@ def test_polarization_validation():
         Polarization(0, 1)
     with pytest.raises(ValueError):
         Polarization(1, 0)
+    # floats are inexact: 0.1 is not 1/10
+    for t, u in ((0.1, 1), (1, 2.0)):
+        with pytest.raises(ValueError, match="floats"):
+            Polarization(t, u)
     h = Polarization(Fraction(1, 2), 3)
     assert h.t == Fraction(1, 2)
 
@@ -97,19 +103,23 @@ def test_stable_chamber_membership():
 
 # -- component enumeration -------------------------------------------------
 
+def row(c):
+    """A report row of enumerate_typeII_K3 as (b, n1, n2, alpha, vanishes)."""
+    return (c["b"], c["n1"], c["n2"], DivisorClass(**c["alpha"]),
+            c["vanishes"])
+
+
 def test_enumerate_k3_examples():
-    got = [(c.b, c.n1, c.n2, c.alpha, c.vanishes)
-           for c in enumerate_typeII_K3(1, 2)]
+    got = [row(c) for c in enumerate_typeII_K3(1, 2)]
     assert got == [(1, 2, 0, ZERO_DIVISOR, False),
                    (1, 1, 1, ZERO_DIVISOR, False)]
 
     comps = enumerate_typeII_K3(2, 1)
     assert len(comps) == 2
-    assert all(c.vanishes for c in comps)
-    assert all(c.alpha == DivisorClass(0, 1) for c in comps)
+    assert all(c["vanishes"] for c in comps)
+    assert all(row(c)[3] == DivisorClass(0, 1) for c in comps)
 
-    got3 = [(c.b, c.n1, c.n2, c.alpha, c.vanishes)
-            for c in enumerate_typeII_K3(3, 1)]
+    got3 = [row(c) for c in enumerate_typeII_K3(3, 1)]
     assert (2, 1, 0, ZERO_DIVISOR, False) in got3
     assert (2, 0, 1, ZERO_DIVISOR, False) not in got3  # balanced: n1 >= n2
     assert (1, 1, 0, DivisorClass(0, 2), True) in got3
@@ -121,13 +131,13 @@ def test_enumerate_k3_structure():
         for n in range(8):
             comps = enumerate_typeII_K3(m, n)
             assert len(comps) == k3_component_count(m, n)
-            for c in comps:
-                assert 1 <= c.b <= (m + 1) // 2
-                assert c.n1 + c.n2 == n
-                assert c.alpha == DivisorClass(0, m + 1 - 2 * c.b)
-                assert c.vanishes == (not c.alpha.is_zero())
-                if 2 * c.b == m + 1:
-                    assert c.n1 >= c.n2
+            for b, n1, n2, alpha, vanishes in map(row, comps):
+                assert 1 <= b <= (m + 1) // 2
+                assert n1 + n2 == n
+                assert alpha == DivisorClass(0, m + 1 - 2 * b)
+                assert vanishes == (not alpha.is_zero())
+                if 2 * b == m + 1:
+                    assert n1 >= n2
     with pytest.raises(ValueError):
         enumerate_typeII_K3(0, 1)
     with pytest.raises(ValueError):
@@ -136,19 +146,21 @@ def test_enumerate_k3_structure():
 
 def test_enumerate_trivial():
     comps = enumerate_typeII_K3(1, 0)
-    assert [(c.n1, c.n2) for c in comps] == [(0, 0)]
+    assert [(c["n1"], c["n2"]) for c in comps] == [(0, 0)]
 
 
 def test_general_enumeration_matches_k3_slice():
     h = Polarization(1, 13)
-    for m in (1, 2, 3):
-        for n in (0, 1, 2):
+    for m in range(1, 12):
+        for n in range(9):
             gen = enumerate_typeII_general(FIBER, m, 0, n, h,
-                                           ((0, 0), (-6, 6)))
+                                           ((0, 0), (-8, 8)))
             k3 = enumerate_typeII_K3(m, n)
-            # the K3 label b is the fiber multiple of the first piece
-            got = sorted((c.beta1.b, c.n1, c.n2) for c in gen)
-            want = sorted((c.b, c.n1, c.n2) for c in k3)
+            # the K3 label b is the fiber multiple of the first piece, and
+            # a row vanishes exactly when its leftover class is nonzero
+            got = sorted((c.beta1.b, c.n1, c.n2, c.alpha,
+                          not c.alpha.is_zero()) for c in gen)
+            want = sorted(map(row, k3))
             assert got == want
 
 
@@ -244,6 +256,21 @@ def test_assembled_even_twist_series_vanishes():
 def test_assembled_odd_twist_refuses():
     with pytest.raises(ValueError, match="conjecture"):
         assemble_typeII_K3_series(3, 0)
+
+
+def test_assembly_reads_the_parity_of_m_without_enumerating(monkeypatch):
+    def refuse(m, n):
+        raise AssertionError("assembly enumerated the components")
+    monkeypatch.setattr(moduli, "enumerate_typeII_K3", refuse)
+    for m, order in ((2, 5), (400, 1000)):
+        z = assemble_typeII_K3_series(m, order)
+        assert not z.units and z.truncation_order == order + 1
+    with pytest.raises(ValueError, match="conjecture"):
+        assemble_typeII_K3_series(3, 0)
+    with pytest.raises(ValueError, match="at least 1"):
+        assemble_typeII_K3_series(0, 3)
+    with pytest.raises(ValueError, match="order must exceed -2"):
+        assemble_typeII_K3_series(5, -3)
 
 
 # -- properties ------------------------------------------------------------
