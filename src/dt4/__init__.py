@@ -2,7 +2,7 @@
 on local fourfold geometries over toric and elliptic surfaces.
 
 All arithmetic is exact: integer polynomials, rational-function scalars,
-and truncated Laurent series in half-integer powers of q.
+and truncated Laurent series in q.
 
 The public names below are imported on first use (PEP 562), so a
 command imports only the modules it runs.
@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 # dt4.cli resolves the names its commands call through this table too
 _HOME = {
     "FactoredScalar": "eqalg", "exact_str": "eqalg",
-    "HalfQSeries": "qseries", "delta_inverse": "qseries",
+    "QSeries": "qseries", "delta_inverse": "qseries",
     "goettsche_series": "qseries", "z_typeI_closed_form": "qseries",
     "z_typeI_series": "qseries", "z_typeII_conjecture_series": "qseries",
     "PRESET_NAMES": "surfaces", "ToricSurfaceModel": "surfaces",

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import _HOME, __getattr__ as _public
 
@@ -96,11 +97,7 @@ def _chi_numbers(text):
 
 
 def _series_line(entries):
-    terms = []
-    for entry in entries:
-        num, den = entry["exponent_num"], entry["exponent_den"]
-        e = f"{num}" if den == 1 else f"{num}/{den}"
-        terms.append(f"[{entry['coefficient']}] q^{e}")
+    terms = [f"[{e['coefficient']}] q^{e['exponent_num']}" for e in entries]
     return " + ".join(terms) if terms else "0"
 
 
@@ -125,7 +122,7 @@ def cmd_zseries(args):
     results = {key: s.to_json_entries() for key, s in series.items()}
     checks = [("typeI-series-identity", not results["difference"]),
               ("typeII-conjecture-odd-vanishing",
-               all(e["exponent_den"] == 1
+               all(e["exponent_num"] % 2 == 0 and e["exponent_den"] == 1
                    for e in results["typeII_conjecture_series"]))]
     pretty = [f"  {label:<20}{_series_line(results[key])}"
               for key, label in _SERIES_LABELS.items()]
@@ -390,7 +387,12 @@ def main(argv=None):
         pretty += [f"  check {cid}: {'pass' if ok else 'FAIL'}"
                    for cid, ok in checks]
         code = 0 if all(ok for _, ok in checks) else 1
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    # a report can run to 16 MB: write it in blocks of encoder chunks
+    # rather than build it as one string
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
+    while block := "".join(islice(chunks, 65536)):
+        sys.stdout.write(block)
+    sys.stdout.write("\n")
     if args.pretty:
         for line in pretty:
             print(line, file=sys.stderr)

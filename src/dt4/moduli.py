@@ -60,8 +60,8 @@ def in_stable_chamber(h, S, r, delta):
     return h.t / h.u < wall_threshold(S, r, delta)
 
 
-# ``fixedloci`` at this many components takes about 1.6 s in a fresh
-# process and prints a 16 MB report (README)
+# ``fixedloci`` at this many components takes about 1.5 s in a fresh
+# process, prints a 16 MB report and peaks at 70 MB resident (README)
 MAX_K3_COMPONENTS = 100_000
 
 
@@ -108,11 +108,11 @@ def assemble_typeII_K3_series(m, order):
     """
     # imported here so that the chamber and fixed-locus commands never
     # load the exact arithmetic or the q-series
-    from .qseries import HalfQSeries, _k3_order
+    from .qseries import QSeries, _k3_order
     order = _k3_order(order)
     if m < 1:
         raise ValueError("fiber twist m must be at least 1")
     if m % 2:
         raise ValueError(f"component with nonzero contribution at (m={m}, "
                          "n=0); only the conjecture series gives its value")
-    return HalfQSeries({}, -4, int(2 * order) + 2)
+    return QSeries({}, -2, order + 1)

@@ -1,11 +1,9 @@
-"""Truncated Laurent series in q^(1/2) with exact coefficients, and the
+"""Truncated Laurent series in q with exact coefficients, and the
 fiberwise rank-two K3 series built from them.
 
-Exponents are stored as integer counts of half-units (q^(1/2) is exponent
-1, q is exponent 2), so products and substitutions stay integral.  Every
-series carries an exclusive truncation bound; arithmetic propagates it
-pessimistically and coefficient access beyond it is an error rather than
-a silent zero.
+Exponents are ints.  Every series carries an exclusive truncation bound;
+arithmetic propagates it pessimistically and coefficient access beyond
+it is an error rather than a silent zero.
 
 Coefficients may be int, Fraction, or FactoredScalar; builders produce ints and
 scaling promotes as needed.  The K3 series (the non-nested count, its
@@ -21,60 +19,35 @@ from .eqalg import FactoredScalar, exact_str
 from .poly import newton_recurrence
 
 
-def _units(e):
-    """Exponent (int, Fraction, or half-integer float-free) to half-units."""
-    u = Fraction(e) * 2
-    if u.denominator != 1:
-        raise ValueError(f"exponent {e} is not a half-integer")
-    return int(u)
+class QSeries:
+    """Laurent series in q, truncated, with exact coefficients: ``units``
+    maps int exponents in [min_exponent, truncation_order) to nonzero
+    coefficients."""
 
+    __slots__ = ("units", "min_exponent", "truncation_order")
 
-def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
-class HalfQSeries:
-    """Laurent series in q^(1/2), truncated, with exact coefficients."""
-
-    __slots__ = ("units", "min_units", "trunc_units")
-
-    def __init__(self, units, min_units, trunc_units):
-        self.units = {u: c for u, c in units.items() if not _is_zero(c)}
-        self.min_units = min_units
-        self.trunc_units = trunc_units
-        for u in self.units:
-            if not (min_units <= u < trunc_units):
-                raise ValueError(f"exponent {Fraction(u, 2)} outside "
-                                 f"[{self.min_exponent}, {self.truncation_order})")
-
-    @property
-    def min_exponent(self):
-        return Fraction(self.min_units, 2)
-
-    @property
-    def truncation_order(self):
-        """Exclusive upper bound on known exponents."""
-        return Fraction(self.trunc_units, 2)
-
-    @property
-    def coefficients(self):
-        return {Fraction(u, 2): c for u, c in sorted(self.units.items())}
+    def __init__(self, units, min_exponent, truncation_order):
+        self.units = {e: c for e, c in units.items() if not _is_zero(c)}
+        self.min_exponent = min_exponent
+        self.truncation_order = truncation_order
+        for e in self.units:
+            if not (min_exponent <= e < truncation_order):
+                raise ValueError(f"exponent {e} outside "
+                                 f"[{min_exponent}, {truncation_order})")
 
     def coefficient(self, e):
         """Coefficient at exponent ``e``; known zeros are 0, beyond truncation errors."""
-        u = _units(e)
-        if u >= self.trunc_units:
+        e = index(e)
+        if e >= self.truncation_order:
             raise ValueError(f"coefficient at q^{e} is beyond the truncation "
                              f"order {self.truncation_order}")
-        return self.units.get(u, 0)
+        return self.units.get(e, 0)
 
     def __eq__(self, other):
-        return (isinstance(other, HalfQSeries)
+        return (isinstance(other, QSeries)
                 and self.units == other.units
-                and self.min_units == other.min_units
-                and self.trunc_units == other.trunc_units)
+                and self.min_exponent == other.min_exponent
+                and self.truncation_order == other.truncation_order)
 
     def matches(self, other, through=None):
         """Coefficient equality on the window both series know.
@@ -82,67 +55,65 @@ class HalfQSeries:
         ``through`` (an exponent) narrows the window; asking beyond the
         common truncation raises instead of passing silently.
         """
-        common = min(self.trunc_units, other.trunc_units)
+        common = min(self.truncation_order, other.truncation_order)
         if through is not None:
-            t = _units(through)
-            if t >= common:
+            through = index(through)
+            if through >= common:
                 raise ValueError(f"comparison through q^{through} exceeds the "
-                                 f"common truncation {Fraction(common, 2)}")
-            common = t + 1
-        for u in set(self.units) | set(other.units):
-            if u < common and self.units.get(u, 0) != other.units.get(u, 0):
+                                 f"common truncation {common}")
+            common = through + 1
+        for e in set(self.units) | set(other.units):
+            if e < common and self.units.get(e, 0) != other.units.get(e, 0):
                 return False
         return True
 
     def __repr__(self):
-        parts = [f"q^{Fraction(u, 2)}: {c}" for u, c in sorted(self.units.items())]
-        return (f"HalfQSeries({{{', '.join(parts)}}}, "
+        parts = [f"q^{e}: {c}" for e, c in sorted(self.units.items())]
+        return (f"QSeries({{{', '.join(parts)}}}, "
                 f"trunc={self.truncation_order})")
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        trunc = min(self.trunc_units, other.trunc_units)
-        t = {u: c for u, c in self.units.items() if u < trunc}
-        for u, c in other.units.items():
-            if u < trunc:
-                t[u] = t.get(u, 0) + c
-        return HalfQSeries(t, min(self.min_units, other.min_units), trunc)
+        trunc = min(self.truncation_order, other.truncation_order)
+        t = {e: c for e, c in self.units.items() if e < trunc}
+        for e, c in other.units.items():
+            if e < trunc:
+                t[e] = t.get(e, 0) + c
+        return QSeries(t, min(self.min_exponent, other.min_exponent), trunc)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def __mul__(self, other):
-        trunc = min(self.trunc_units + other.min_units,
-                    other.trunc_units + self.min_units)
+        trunc = min(self.truncation_order + other.min_exponent,
+                    other.truncation_order + self.min_exponent)
         t = {}
-        for u1, c1 in self.units.items():
-            for u2, c2 in other.units.items():
-                u = u1 + u2
-                if u < trunc:
-                    t[u] = t.get(u, 0) + c1 * c2
-        return HalfQSeries(t, self.min_units + other.min_units, trunc)
+        for e1, c1 in self.units.items():
+            for e2, c2 in other.units.items():
+                e = e1 + e2
+                if e < trunc:
+                    t[e] = t.get(e, 0) + c1 * c2
+        return QSeries(t, self.min_exponent + other.min_exponent, trunc)
 
     def scale(self, c):
         """Multiply every coefficient by a scalar (int, Fraction, FactoredScalar)."""
-        return HalfQSeries({u: _norm_coeff(c * v) for u, v in self.units.items()},
-                           self.min_units, self.trunc_units)
+        return QSeries({e: c * v for e, v in self.units.items()},
+                       self.min_exponent, self.truncation_order)
 
     def shift_exponent(self, delta):
-        """Multiply by q^delta (delta a half-integer)."""
-        d = _units(delta)
-        return HalfQSeries({u + d: c for u, c in self.units.items()},
-                           self.min_units + d, self.trunc_units + d)
+        """Multiply by q^delta."""
+        d = index(delta)
+        return QSeries({e + d: c for e, c in self.units.items()},
+                       self.min_exponent + d, self.truncation_order + d)
 
     # -- serialization -----------------------------------------------------
 
     def to_json_entries(self):
-        out = []
-        for u, c in sorted(self.units.items()):
-            e = Fraction(u, 2)
-            out.append({"exponent_num": e.numerator, "exponent_den": e.denominator,
-                        "coefficient": exact_str(c)})
-        return out
+        # the report format spells an exponent as a fraction num/den
+        return [{"exponent_num": e, "exponent_den": 1,
+                 "coefficient": exact_str(c)}
+                for e, c in sorted(self.units.items())]
 
 
 def _is_zero(c):
@@ -156,10 +127,10 @@ def _is_zero(c):
 def product_power(exponent, order):
     """Truncated expansion of prod_{m>=1} (1 - q^m)^a for an integer a.
 
-    ``order`` is the exclusive truncation bound (a half-integer).  The
-    q^n coefficients f_n follow from log prod (1 - q^m)^a
-    = -a sum_n sigma(n) q^n / n, sigma(n) the sum of the divisors of n,
-    whose derivative gives the Newton recurrence (``poly.newton_recurrence``)
+    ``order`` is the exclusive truncation bound.  The q^n coefficients
+    f_n follow from log prod (1 - q^m)^a = -a sum_n sigma(n) q^n / n,
+    sigma(n) the sum of the divisors of n, whose derivative gives the
+    Newton recurrence (``poly.newton_recurrence``)
 
         n f_n = -a (sigma(1) f_{n-1} + sigma(2) f_{n-2} + ... + sigma(n) f_0).
 
@@ -170,16 +141,14 @@ def product_power(exponent, order):
     5
     """
     a = index(exponent)
-    trunc = _units(order)
+    trunc = index(order)
     if trunc <= 0:
         raise ValueError("order must be positive")
-    emax = (trunc - 1) // 2
-    p = [0] * (emax + 1)               # p_k = -a sigma(k)
-    for d in range(1, emax + 1):
-        for k in range(d, emax + 1, d):
+    p = [0] * trunc                    # p_k = -a sigma(k)
+    for d in range(1, trunc):
+        for k in range(d, trunc, d):
             p[k] -= a * d
-    f = newton_recurrence(p)
-    return HalfQSeries({2 * e: c for e, c in enumerate(f)}, 0, trunc)
+    return QSeries(dict(enumerate(newton_recurrence(p))), 0, trunc)
 
 
 def goettsche_series(euler_char, order):
@@ -195,38 +164,32 @@ def delta_inverse(order):
     >>> delta_inverse(2).coefficient(1)
     324
     """
-    if 2 * Fraction(order) <= -2:
+    order = index(order)
+    if order <= -1:
         raise ValueError("order must exceed -1")
-    return product_power(-24, Fraction(order) + 2).shift_exponent(-1)
+    return product_power(-24, order + 2).shift_exponent(-1)
 
 
 # -- substitutions ---------------------------------------------------------
 
-def substitute_sqrt(series, sign):
-    """q -> sign * q^(1/2); requires integer exponents only.
+def sqrt_average(f):
+    """The average of the two square-root substitutions q -> +-q^(1/2):
 
-    A term c q^e maps to c * sign^e * q^(e/2).
+        (f(q^(1/2)) + f(-q^(1/2))) / 2 = sum_e f_(2e) q^e,
+
+    the odd powers of f cancelling.  Known on ceil(min/2) <= e <
+    ceil(trunc/2) for f known on min <= e < trunc.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    units = {}
-    for u, c in series.units.items():
-        if u % 2:
-            raise ValueError("series has a half-integer exponent; "
-                             "square-root substitution undefined")
-        e = u // 2
-        units[e] = c if (e % 2 == 0 or sign == 1) else -c
-    new_min = -((-series.min_units) // 2)
-    new_trunc = -((-series.trunc_units) // 2)
-    return HalfQSeries(units, new_min, new_trunc)
+    return QSeries({e // 2: c for e, c in f.units.items() if e % 2 == 0},
+                   -(-f.min_exponent // 2), -(-f.truncation_order // 2))
 
 
 def substitute_power(series, k):
     """q -> q^k for a positive integer k; exponents scale by k."""
-    if k < 1:
+    if index(k) < 1:
         raise ValueError("k must be a positive integer")
-    return HalfQSeries({u * k: c for u, c in series.units.items()},
-                       series.min_units * k, series.trunc_units * k)
+    return QSeries({e * k: c for e, c in series.units.items()},
+                   series.min_exponent * k, series.truncation_order * k)
 
 
 # -- K3 partition-function series ------------------------------------------
@@ -236,10 +199,10 @@ MAX_K3_ORDER = 1000
 
 
 def _k3_order(order):
-    """``order`` as a Fraction.  Every K3 series starts at q^-2, so a
-    window known through q^order must reach past it, and it may not pass
+    """``order`` as an int.  Every K3 series starts at q^-2, so a window
+    known through q^order must reach past it, and it may not pass
     MAX_K3_ORDER."""
-    order = Fraction(order)
+    order = index(order)
     if order <= -2:
         raise ValueError("order must exceed -2")
     if order > MAX_K3_ORDER:
@@ -264,27 +227,23 @@ def z_typeI_series(order):
     """Series of non-nested counts typeI_DT_K3(n) at exponent n-2, known
     through q^order inclusive; every Euler number is read off one
     expansion of the Hilbert-scheme generating series."""
-    trunc = int(2 * _k3_order(order)) + 2
-    # every n with 2(n - 2) < trunc, in half-units
-    nmax = (trunc - 1) // 2 + 2
-    chi = goettsche_series(24, max(2 * nmax - 2, 1))
+    order = _k3_order(order)
+    chi = goettsche_series(24, max(2 * order + 2, 1))
     s = FactoredScalar.var("s")
-    units = {2 * (n - 2): FactoredScalar.const(chi.coefficient(2 * n - 3)) / s
-             for n in range(2, nmax + 1)}
-    return HalfQSeries(units, -4, trunc)
+    units = {n - 2: FactoredScalar.const(chi.coefficient(2 * n - 3)) / s
+             for n in range(2, order + 3)}
+    return QSeries(units, -2, order + 1)
 
 
 def z_typeI_closed_form(order):
     """Independent route to z_typeI_series: average the two square-root
     substitutions into the inverse discriminant form, scale by 1/s.
 
-    Same truncation window as z_typeI_series(order).
+    Same truncation order as z_typeI_series(order) when order >= 0.
     """
-    inner = delta_inverse(max(int(2 * _k3_order(order)) + 1, 0))
-    plus = substitute_sqrt(inner, 1)
-    minus = substitute_sqrt(inner, -1)
-    avg = (plus + minus).scale(Fraction(1, 2))
-    return avg.scale(FactoredScalar.const(1) / FactoredScalar.var("s"))
+    inner = delta_inverse(max(2 * _k3_order(order) + 1, 0))
+    return sqrt_average(inner).scale(FactoredScalar.const(1)
+                                     / FactoredScalar.var("s"))
 
 
 def z_typeII_conjecture_series(order):

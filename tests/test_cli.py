@@ -1,5 +1,6 @@
 """JSON command-line surface: determinism, exit codes, audit plumbing."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -52,6 +53,20 @@ def test_zseries_minimal_and_invalid(capsys):
         cli.main(["zseries", "--order", "x"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_odd_power_in_the_conjecture_series_fails_its_check(capsys,
+                                                            monkeypatch):
+    # the conjecture series has only even powers of q; a q^1 term must
+    # fail the check even though its exponent is an integer
+    def odd(order):
+        return dt4.QSeries({-2: 1, 1: 5}, -2, order + 1)
+    monkeypatch.setattr(cli, "z_typeII_conjecture_series", odd)
+    code, report, _ = run_json(capsys, ["zseries", "--order", "3"])
+    assert code == 1
+    checks = {c["id"]: c["pass"] for c in report["checks"]}
+    assert checks == {"typeI-series-identity": True,
+                      "typeII-conjecture-odd-vanishing": False}
 
 
 def test_byte_identical_reruns(capsys):
@@ -432,6 +447,39 @@ def test_fixedloci_pretty_report_is_golden(capsys):
         path = os.path.join(DATA, f"fixedloci_m_5_n_3_pretty.{name}")
         with open(path, encoding="utf-8") as fh:
             assert text == fh.read()
+
+
+def test_zseries_pretty_report_is_golden(capsys):
+    # the three series, their difference and both checks, kept byte for
+    # byte on stdout and stderr
+    code, out, err = run(capsys, ["zseries", "--order", "7", "--pretty"])
+    assert code == 0
+    for text, name in ((out, "json"), (err, "txt")):
+        path = os.path.join(DATA, f"zseries_order_7_pretty.{name}")
+        with open(path, encoding="utf-8") as fh:
+            assert text == fh.read()
+
+
+@pytest.mark.parametrize("order,digest", [
+    (-1, "a54f0e39269bb7615e06cf6a8cf81bc6524a28db06fc3a4ef8ab921a48eeb928"),
+    (0, "bc8b88149b83db121f91e14a31b5727e1da8a7d448d6ab7cbae47118d5443a05"),
+    (1000, "230880f091419b1d95aa5e29b543e823facbae05df218be585c3dac81e63961f")],
+    ids=["minus-one", "zero", "maximum"])
+def test_zseries_reports_keep_their_digests(order, digest, capsys):
+    # the smallest windows and the largest one; the order-1000 report is
+    # 583,509 bytes
+    code, out, _ = run(capsys, ["zseries", "--order", str(order)])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_fixedloci_report_written_in_blocks_keeps_its_digest(capsys):
+    # 6,311 rows: over 200,000 encoder chunks, so several blocks
+    code, out, _ = run(capsys, ["fixedloci", "--m", "601", "--n", "20"])
+    assert code == 0
+    assert len(out) == 1_019_745
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "135d2da3fbbbf20b7f29623b510e6486b55ad5d62ee44650af6d7e32768b3702")
 
 
 def test_fit_audit(capsys):

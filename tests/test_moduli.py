@@ -63,7 +63,10 @@ def test_effective_and_ample():
     assert is_ample(Polarization(1, 10), S_K3)
     assert not is_ample(Polarization(1, 2), S_K3)
     # threshold is strict: (k+2) t < u
-    assert not is_ample(Polarization(1, 2), EllipticSurface(0)) or True
+    for k in (1, 2):
+        assert not is_ample(Polarization(1, k + 2), EllipticSurface(k))
+        assert is_ample(Polarization(1, k + 2 + Fraction(1, 100)),
+                        EllipticSurface(k))
     assert not is_ample(Polarization(2, 4), S_K3)
 
 
@@ -202,19 +205,16 @@ def test_z_typeI_spots():
         z_typeI_series(-2)
 
 
-@pytest.mark.parametrize("order, trunc", [
-    (Fraction(-3, 2), Fraction(-1, 2)), (-1, 0),
-    (Fraction(1, 2), Fraction(3, 2)), (25, 26)])
+@pytest.mark.parametrize("order, trunc", [(-1, 0), (0, 1), (1, 2), (25, 26)])
 def test_z_typeI_series_vs_convolution_oracle(order, trunc):
     # q^(n-2) carries the 24-colored count at 2n-3 points over s for
-    # n >= 2; every other half-integer exponent in the window is zero
+    # n >= 2
     z = z_typeI_series(order)
     assert z.truncation_order == trunc
-    c24 = colored_counts(24, max(int(2 * trunc), 0))
-    for u in range(-4, int(2 * trunc)):
-        e = Fraction(u, 2)
-        n = u // 2 + 2
-        want = sval(c24[2 * n - 3]) if u % 2 == 0 and n >= 2 else 0
+    c24 = colored_counts(24, max(2 * trunc, 0))
+    for e in range(-2, trunc):
+        n = e + 2
+        want = sval(c24[2 * n - 3]) if n >= 2 else 0
         assert z.coefficient(e) == want, e
     with pytest.raises(ValueError):
         z.coefficient(trunc)
@@ -236,15 +236,13 @@ def test_conjecture_series_spots():
     assert z.coefficient(2) == sval(81)
     assert z.coefficient(1) == 0
     assert z.coefficient(3) == 0
-    assert z.coefficient(Fraction(1, 2)) == 0
 
 
 def test_conjecture_series_odd_powers_vanish():
     z = z_typeII_conjecture_series(9)
-    for e, c in z.coefficients.items():
-        if e.numerator % 2 and e.denominator == 1:
+    for e in z.units:
+        if e % 2:
             raise AssertionError(f"odd power q^{e} present")
-        assert e.denominator == 1
 
 
 def test_assembled_even_twist_series_vanishes():

@@ -1,4 +1,4 @@
-"""Truncated Laurent series in half-integer powers of q."""
+"""Truncated Laurent series in q with int exponents."""
 
 from fractions import Fraction
 
@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dt4.eqalg import FactoredScalar, exact_str
-from dt4.qseries import (HalfQSeries, delta_inverse,
-                         goettsche_series, product_power, substitute_power,
-                         substitute_sqrt)
+from dt4.qseries import (QSeries, _k3_order, delta_inverse,
+                         goettsche_series, product_power, sqrt_average,
+                         substitute_power)
 
 from oracles import binomial_product, colored_counts, partition_numbers
 
@@ -18,69 +18,80 @@ def test_partition_number_oracle_sanity():
 
 
 def test_construction_and_window():
-    f = HalfQSeries({0: 1, 1: 2}, 0, 4)
+    f = QSeries({0: 1, 1: 2}, 0, 2)
     assert f.min_exponent == 0
     assert f.truncation_order == 2
-    assert f.coefficient(Fraction(1, 2)) == 2
-    assert f.coefficient(1) == 0
+    assert f.coefficient(1) == 2
+    assert f.coefficient(-1) == 0
     with pytest.raises(ValueError):
         f.coefficient(2)
+    with pytest.raises(ValueError, match="outside"):
+        QSeries({2: 1}, 0, 2)
 
 
 def test_coefficients_view():
-    f = HalfQSeries({-2: 5, 1: -1}, -2, 4)
-    assert f.coefficients == {Fraction(-1): 5, Fraction(1, 2): -1}
+    # ``units`` keeps the nonzero coefficients only
+    f = QSeries({-1: 5, 0: 0, 1: -1}, -1, 2)
+    assert f.units == {-1: 5, 1: -1}
+
+
+def test_fraction_orders_and_exponents_raise():
+    # exponents and orders are ints; q^(1/2) is no longer addressable
+    f = QSeries({0: 1}, 0, 4)
+    calls = (f.coefficient, f.shift_exponent,
+             lambda x: f.matches(f, through=x),
+             lambda x: product_power(1, x), delta_inverse, _k3_order,
+             lambda x: substitute_power(f, x))
+    for x in (Fraction(1, 2), Fraction(1), 0.5):
+        for call in calls:
+            with pytest.raises(TypeError):
+                call(x)
 
 
 def test_addition_respects_common_window():
-    f = HalfQSeries({0: 1, 4: 7}, 0, 6)
-    g = HalfQSeries({0: 2}, 0, 4)
+    f = QSeries({0: 1, 2: 7}, 0, 3)
+    g = QSeries({0: 2}, 0, 2)
     h = f + g
-    assert h.trunc_units == 4
+    assert h.truncation_order == 2
     assert h.coefficient(0) == 3
     with pytest.raises(ValueError):
         h.coefficient(2)
 
 
 def test_subtraction_and_zero():
-    f = HalfQSeries({0: 1, 2: 3}, 0, 6)
+    f = QSeries({0: 1, 1: 3}, 0, 3)
     assert not (f - f).to_json_entries()
 
 
 def test_multiplication():
     # (1 - q) * (1 + q + q^2 + ...) = 1
     N = 8
-    geo = HalfQSeries({2 * k: 1 for k in range(N)}, 0, 2 * N)
-    one_minus_q = HalfQSeries({0: 1, 2: -1}, 0, 2 * N)
+    geo = QSeries({k: 1 for k in range(N)}, 0, N)
+    one_minus_q = QSeries({0: 1, 1: -1}, 0, N)
     prod = geo * one_minus_q
     assert prod.coefficient(0) == 1
     assert all(prod.coefficient(k) == 0 for k in range(1, N - 1))
 
 
-def test_half_integer_multiplication():
-    root = HalfQSeries({1: 1}, 1, 10)
-    sq = root * root
-    assert sq.coefficient(1) == 1
-    assert sq.min_units == 2
-
-
 def test_scale_and_shift():
-    f = HalfQSeries({0: 2}, 0, 4)
+    f = QSeries({0: 2}, 0, 2)
     assert f.scale(Fraction(1, 2)).coefficient(0) == 1
-    g = f.shift_exponent(Fraction(-1, 2))
-    assert g.coefficient(Fraction(-1, 2)) == 2
+    g = f.shift_exponent(-1)
+    assert g.coefficient(-1) == 2
+    assert (g.min_exponent, g.truncation_order) == (-1, 1)
     s = FactoredScalar.var("s")
     h = f.scale(FactoredScalar.const(1) / s)
     assert h.coefficient(0) == FactoredScalar.const(2) / s
 
 
 def test_matches_window_semantics():
-    f = HalfQSeries({0: 1}, 0, 4)
-    g = HalfQSeries({0: 1, 4: 9}, 0, 6)
+    f = QSeries({0: 1}, 0, 2)
+    g = QSeries({0: 1, 2: 9}, 0, 3)
     assert f.matches(g)  # q^2 term of g is outside the common window
+    assert f.matches(g, through=1)
     with pytest.raises(ValueError):
         f.matches(g, through=2)
-    assert not f.matches(HalfQSeries({0: 2}, 0, 4))
+    assert not f.matches(QSeries({0: 2}, 0, 2))
 
 
 def test_product_power_known():
@@ -128,18 +139,7 @@ def test_product_power_inverse_discriminant_vs_convolution():
 
 
 def test_product_power_zero_exponent_is_one():
-    assert product_power(0, 50) == HalfQSeries({0: 1}, 0, 100)
-
-
-def test_product_power_half_integer_orders():
-    for a in (-24, -1, 1, 5):
-        for k in (0, 1, 7):
-            f = product_power(a, Fraction(2 * k + 1, 2))
-            g = product_power(a, k + 1)
-            assert f.units == g.units
-            assert f.truncation_order == Fraction(2 * k + 1, 2)
-            with pytest.raises(ValueError):
-                f.coefficient(Fraction(2 * k + 1, 2))
+    assert product_power(0, 50) == QSeries({0: 1}, 0, 50)
 
 
 def test_product_power_vs_binomial_factors():
@@ -149,9 +149,11 @@ def test_product_power_vs_binomial_factors():
 
 
 def test_product_power_rejects_bad_arguments():
-    for order in (0, Fraction(-1, 2)):
-        with pytest.raises(ValueError):
+    for order in (0, -1):
+        with pytest.raises(ValueError, match="order must be positive"):
             product_power(1, order)
+    with pytest.raises(ValueError, match="order must exceed -1"):
+        delta_inverse(-1)
     with pytest.raises(TypeError):
         product_power(Fraction(1, 2), 5)
 
@@ -176,30 +178,20 @@ def test_delta_inverse_spots():
 
 
 def test_substitute_sqrt():
-    d = HalfQSeries({-2: 1, 0: 24, 2: 324}, -2, 4)
-    plus = substitute_sqrt(d, 1)
-    minus = substitute_sqrt(d, -1)
-    assert plus.coefficient(Fraction(-1, 2)) == 1
-    assert minus.coefficient(Fraction(-1, 2)) == -1
-    assert plus.coefficient(0) == minus.coefficient(0) == 24
-    avg = (plus + minus).scale(Fraction(1, 2))
-    assert avg.coefficient(Fraction(-1, 2)) == 0
-    assert avg.coefficient(Fraction(1, 2)) == 0
-
-
-def test_substitute_sqrt_rejects_half_exponents():
-    f = HalfQSeries({1: 1}, 1, 4)
-    with pytest.raises(ValueError):
-        substitute_sqrt(f, 1)
-    with pytest.raises(ValueError):
-        substitute_sqrt(HalfQSeries({0: 1}, 0, 2), 2)
+    # the average of q -> q^(1/2) and q -> -q^(1/2) on q^-1 + 24 + 324 q
+    # keeps the even power 24 q^0; q^-1 and 324 q cancel
+    d = QSeries({-1: 1, 0: 24, 1: 324}, -1, 2)
+    avg = sqrt_average(d)
+    assert avg == QSeries({0: 24}, 0, 1)
+    # q^2 of a window known below q^3 is q^1, known below q^2
+    assert sqrt_average(QSeries({2: 7}, -3, 3)) == QSeries({1: 7}, -1, 2)
 
 
 def test_substitute_power():
-    f = HalfQSeries({2: 5}, 2, 6)
+    f = QSeries({1: 5}, 1, 3)
     g = substitute_power(f, 2)
     assert g.coefficient(2) == 5
-    assert g.trunc_units == 12
+    assert g.truncation_order == 6
     with pytest.raises(ValueError):
         substitute_power(f, 0)
 
@@ -213,7 +205,7 @@ def test_exact_str_coefficients():
 
 
 def test_to_json_entries_sorted():
-    f = HalfQSeries({2: 1, -2: 4}, -2, 4)
+    f = QSeries({1: 1, -1: 4}, -1, 2)
     entries = f.to_json_entries()
     assert entries[0] == {"exponent_num": -1, "exponent_den": 1,
                           "coefficient": "4"}
