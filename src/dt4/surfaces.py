@@ -12,14 +12,17 @@ in ``validate_model``:
 - the fiber weight of O(D) at a fixed point is -m_p(D), where m_p(D) is
   the local trivializing character of D on that cone.
 
-Divisor classes are maps from basis divisor names to integers.  Disjoint
-unions concatenate the fans and merge the rest blockwise, reusing the same
-(e1, e2) pair for every fan; that specialization keeps all localization
-denominators nonzero because no character ever mixes fans.
+Divisor classes are maps from basis divisor names to integers.  The fans
+also fix the pairing, the canonical class and the Chern numbers, so a
+model derives them and takes none as input.  Disjoint unions concatenate
+the fans, reusing the same (e1, e2) pair for every fan; that
+specialization keeps all localization denominators nonzero because no
+character ever mixes fans.
 """
 
 import itertools
 import json
+import math
 import os
 from fractions import Fraction
 from typing import NamedTuple
@@ -62,8 +65,63 @@ def _as_int_pair(x, y):
     return (int(x), int(y))
 
 
-def _prefixed(prefix, mapping):
-    return {prefix + k: v for k, v in mapping.items()}
+def _fan_intersections(name, charts, weights):
+    """The pairing and the canonical class of one fan's basis divisors,
+    by localization at (e1, e2) = (1, m), where no tangent form of the
+    ``charts`` vanishes: D.E sums D(p) E(p) / (w1(p) w2(p)) over the
+    charts, with the fiber forms of the basis divisors in ``weights`` and
+    -(w1 + w2) for K; the canonical class solves pairing(K, k) = K.k for
+    every basis name k."""
+    m = 1 + max(abs(w[0]) for chart in charts for w in chart)
+    values = {k: [w[0] + m * w[1] for w in ws] for k, ws in weights.items()}
+    tangents = [(w1[0] + m * w1[1], w2[0] + m * w2[1]) for w1, w2 in charts]
+    dens = [t1 * t2 for t1, t2 in tangents]
+    common = math.lcm(*dens)
+
+    def integral(f, g):
+        total, rest = divmod(sum(a * b * (common // d)
+                                 for a, b, d in zip(f, g, dens)), common)
+        if rest:
+            raise ValueError(f"{name}: a fan whose intersection numbers "
+                             "are not integers")
+        return total
+
+    names = sorted(values)
+    pairing = {k: {j: integral(values[k], values[j]) for j in names}
+               for k in names}
+    rows = [[Fraction(pairing[k][j]) for j in names] for k in names]
+    rhs = [Fraction(integral([-t1 - t2 for t1, t2 in tangents], values[k]))
+           for k in names]
+    if len(_eliminate(rows, rhs, len(names))) < len(names):
+        raise ValueError(f"the basis divisors of {name} are not independent")
+    if any(x.denominator != 1 for x in rhs):
+        raise ValueError(f"the canonical class of {name} is no integral "
+                         "combination of its basis divisors")
+    return pairing, {k: int(x) for k, x in zip(names, rhs)}
+
+
+def _eliminate(rows, rhs, ncols):
+    """Exact Gauss-Jordan elimination in place; the right-hand sides
+    ``rhs`` follow every row operation.  Returns {pivot column: row index}."""
+    piv_of_col = {}
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rhs[r], rhs[p] = rhs[p], rhs[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        rhs[r] = rhs[r] * inv
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rhs[i] = rhs[i] - rhs[r] * f
+        piv_of_col[c] = r
+        r += 1
+    return piv_of_col
 
 
 class ToricSurfaceModel:
@@ -71,19 +129,17 @@ class ToricSurfaceModel:
     the tangent forms (w1, w2) are the cone's dual basis, and a basis
     divisor D = sum a_r D_r has the fiber weight a_i w1 + a_j w2."""
 
-    def __init__(self, name, fans, pairing, canonical, chern):
+    def __init__(self, name, fans):
         self.name = name
         self.fans = tuple(fans)
         self.basis = tuple(sorted(k for fan in self.fans
                                   for k in fan.ray_coeffs))
-        self.pairing = {k: dict(v) for k, v in pairing.items()}
-        self.canonical = dict(canonical)
-        self.chern = chern
         self.fixed_points = []
         # basis divisor name -> its fiber weight form at every fixed point
         self._basis_weights = {k: [] for k in self.basis}
+        self.pairing, self.canonical = {}, {}
         for fan in self.fans:
-            n = len(fan.rays)
+            n, start = len(fan.rays), len(self.fixed_points)
             for i in range(n):
                 j = (i + 1) % n
                 w1 = _as_int_pair(*_solve2(fan.rays[i], fan.rays[j], 1, 0))
@@ -93,19 +149,28 @@ class ToricSurfaceModel:
                     a = fan.ray_coeffs.get(k, (0,) * n)
                     weights.append((a[i] * w1[0] + a[j] * w2[0],
                                     a[i] * w1[1] + a[j] * w2[1]))
+            pairing, canonical = _fan_intersections(
+                name, self.fixed_points[start:],
+                {k: self._basis_weights[k][start:] for k in fan.ray_coeffs})
+            self.pairing.update(pairing)
+            self.canonical.update(canonical)
+        # every smooth complete toric surface is rational: chi(O) = 1 per fan
+        c2 = len(self.fixed_points)
+        self.chern = SurfaceChernData(12 * len(self.fans) - c2, c2,
+                                      len(self.fans))
         self._coh_cache = {}
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_fan(cls, name, rays, ray_coeffs, pairing, canonical, chern):
+    def from_fan(cls, name, rays, ray_coeffs):
         """A one-fan model; rays listed counterclockwise."""
         if len(rays) < 3:
             raise ValueError(f"fan of {name} has {len(rays)} rays, fewer "
                              "than three")
         fan = _FanComponent(tuple(map(tuple, rays)),
                             {k: tuple(v) for k, v in ray_coeffs.items()})
-        return cls(name, [fan], pairing, canonical, chern)
+        return cls(name, [fan])
 
     @property
     def euler_char(self):
@@ -121,14 +186,10 @@ class ToricSurfaceModel:
         return {k: int(v) for k, v in d.items() if v}
 
     def pair(self, d1, d2):
-        d1 = self.check_divisor(d1)
         d2 = self.check_divisor(d2)
-        total = 0
-        for k1, c1 in d1.items():
-            row = self.pairing.get(k1, {})
-            for k2, c2 in d2.items():
-                total += c1 * c2 * row.get(k2, 0)
-        return total
+        return sum(c1 * c2 * self.pairing[k1].get(k2, 0)
+                   for k1, c1 in self.check_divisor(d1).items()
+                   for k2, c2 in d2.items())
 
     def canonical_divisor(self):
         return dict(self.canonical)
@@ -179,19 +240,11 @@ class ToricSurfaceModel:
     def disjoint_union(self, other):
         """Blockwise union: the fans of both in order, basis names prefixed
         "a." and "b."."""
-
-        def relabel(model, prefix):
-            fans = [fan._replace(ray_coeffs=_prefixed(prefix, fan.ray_coeffs))
-                    for fan in model.fans]
-            pairing = {prefix + k: _prefixed(prefix, row)
-                       for k, row in model.pairing.items()}
-            return fans, pairing, _prefixed(prefix, model.canonical)
-
-        fa, pa, ka = relabel(self, "a.")
-        fb, pb, kb = relabel(other, "b.")
-        chern = SurfaceChernData(*map(sum, zip(self.chern, other.chern)))
-        return ToricSurfaceModel(f"{self.name}+{other.name}", fa + fb,
-                                 {**pa, **pb}, {**ka, **kb}, chern)
+        fans = [fan._replace(ray_coeffs={prefix + k: a for k, a in
+                                         fan.ray_coeffs.items()})
+                for prefix, model in (("a.", self), ("b.", other))
+                for fan in model.fans]
+        return ToricSurfaceModel(f"{self.name}+{other.name}", fans)
 
     # -- serialization -----------------------------------------------------
 
@@ -229,7 +282,7 @@ class ToricSurfaceModel:
         """Model from its fan; stored entries must equal ``to_json``'s."""
         fan = data["fan"]
         basis = sorted(fan["ray_coeffs"])
-        _check_ints(data["chern"], "chern")
+        _check_ints(data["chern"], "chern", SurfaceChernData._fields)
         _check_ints(data["canonical"], "canonical", basis)
         _check_ints(data["pairing"], "pairing", basis, depth=2)
         for key in ("rays", "ray_coeffs"):
@@ -238,9 +291,10 @@ class ToricSurfaceModel:
         if any(len(a) != rays for a in fan["ray_coeffs"].values()):
             raise ValueError(f"malformed preset: {data['name']} stores "
                              "ray_coeffs without one entry per ray")
-        model = cls.from_fan(data["name"], fan["rays"], fan["ray_coeffs"],
-                             data["pairing"], data["canonical"],
-                             SurfaceChernData(**data["chern"]))
+        if any(len(v) != 2 for v in fan["rays"]):
+            raise ValueError(f"malformed preset: {data['name']} stores "
+                             "a ray without two coordinates")
+        model = cls.from_fan(data["name"], fan["rays"], fan["ray_coeffs"])
         for key, derived in model.to_json().items():
             if data[key] != derived:
                 raise ValueError(f"malformed preset: {data['name']} stores "
@@ -248,17 +302,17 @@ class ToricSurfaceModel:
         return model
 
 
-def _check_ints(entries, what, basis=None, depth=1):
+def _check_ints(entries, what, keys=None, depth=1):
     """Preset entries at nesting ``depth`` are plain ints (no bools,
-    strings or floats), keyed by basis divisor names given a ``basis``;
+    strings or floats), keyed by exactly the names ``keys`` if given;
     list entries are keyed by position."""
+    if keys is not None and sorted(entries) != sorted(keys):
+        raise ValueError(f"malformed preset: {what} is keyed by "
+                         f"{sorted(entries)}, not by {sorted(keys)}")
     for k, v in (entries.items() if isinstance(entries, dict)
                  else enumerate(entries)):
-        if basis is not None and k not in basis:
-            raise ValueError(f"malformed preset: {what} names {k!r}, "
-                             "which is not a basis divisor")
         if depth > 1:
-            _check_ints(v, f"{what}[{k!r}]", basis, depth - 1)
+            _check_ints(v, f"{what}[{k!r}]", keys, depth - 1)
         elif type(v) is not int:
             raise ValueError(f"malformed preset: {what}[{k!r}] is {v!r}, "
                              "not an integer")
@@ -317,9 +371,7 @@ def _lattice_cohomology(rays, coeffs):
         for my in range(y0, y1 + 1):
             fails = [mx * v[0] + my * v[1] < -a for v, a in zip(rays, coeffs)]
             nf = sum(fails)
-            if nf == 0:
-                out.append(((mx, my), 1))
-            elif nf == n:
+            if nf in (0, n):
                 out.append(((mx, my), 1))
             else:
                 arcs = sum(1 for r in range(n)
@@ -332,30 +384,21 @@ def _lattice_cohomology(rays, coeffs):
 # -- validation oracles ----------------------------------------------------
 
 def validate_model(model):
-    """Cross-check a model's declared data against independent routes.
+    """Cross-check a model's derived data against independent routes.
 
     Raises AssertionError with a diagnostic on any mismatch.  Checks:
-    Noether's formula, Euler characteristic vs fixed points, trivial
-    bundle cohomology, Riemann-Roch ranks vs lattice cohomology, Serre
-    duality at character level, and the declared pairing matrix against
-    equivariant localization with specialized weights.
+    K.K against c1 squared, trivial bundle cohomology, Riemann-Roch ranks
+    vs lattice cohomology, and Serre duality at character level.
     """
-    ch = model.chern
-    assert 12 * ch.chi_O == ch.c1_sq + ch.c2, \
-        f"{model.name}: Noether fails: 12*{ch.chi_O} != {ch.c1_sq}+{ch.c2}"
-    assert model.euler_char == ch.c2, \
-        f"{model.name}: fixed point count {model.euler_char} != c2 {ch.c2}"
     kd = model.canonical_divisor()
-    assert model.pair(kd, kd) == ch.c1_sq, \
-        f"{model.name}: K.K {model.pair(kd, kd)} != c1_sq {ch.c1_sq}"
+    assert model.pair(kd, kd) == model.chern.c1_sq, \
+        f"{model.name}: K.K {model.pair(kd, kd)} != c1_sq {model.chern.c1_sq}"
 
     triv = model.cohomology_character({})
     assert triv == {(0, 0): len(model.fans)}, \
         f"{model.name}: cohomology of O is {triv}"
 
-    div_iter = _divisor_samples(model)
-    eps = (Fraction(97, 89), Fraction(-61, 53))
-    for d in div_iter:
+    for d in _divisor_samples(model):
         coh = model.cohomology_character(d)
         rank = sum(coh.values())
         assert rank == model.chi(d), \
@@ -364,31 +407,10 @@ def validate_model(model):
         # linearization a_r = -1 on every ray
         for fan in model.fans:
             coeffs = fan.divisor_coeffs(d)
-            here = {}
-            for m, mult in _lattice_cohomology(fan.rays, coeffs):
-                here[m] = here.get(m, 0) + mult
-            dual = {}
-            for m, mult in _lattice_cohomology(fan.rays,
-                                               [-1 - c for c in coeffs]):
-                dual[m] = dual.get(m, 0) + mult
-            conj = {(-m[0], -m[1]): v for m, v in here.items() if v}
-            dual = {m: v for m, v in dual.items() if v}
-            assert dual == conj, f"{model.name}: Serre duality fails for {d}"
-
-    for k1 in model.basis:
-        for k2 in model.basis:
-            total = Fraction(0)
-            for (w1, w2), b1, b2 in zip(model.fixed_points,
-                                        model.bundle_weights({k1: 1}),
-                                        model.bundle_weights({k2: 1})):
-                den = ((w1[0] * eps[0] + w1[1] * eps[1])
-                       * (w2[0] * eps[0] + w2[1] * eps[1]))
-                num = ((b1[0] * eps[0] + b1[1] * eps[1])
-                       * (b2[0] * eps[0] + b2[1] * eps[1]))
-                total += num / den
-            expected = model.pair({k1: 1}, {k2: 1})
-            assert total == expected, \
-                f"{model.name}: localized {k1}.{k2} = {total} != {expected}"
+            here = _lattice_cohomology(fan.rays, coeffs)
+            dual = _lattice_cohomology(fan.rays, [-1 - c for c in coeffs])
+            assert dict(dual) == {(-m[0], -m[1]): v for m, v in here}, \
+                f"{model.name}: Serre duality fails for {d}"
 
 
 def _divisor_samples(model):

@@ -29,7 +29,7 @@ from .localize import (WeightMap, _typeII_character, _typeII_charts,
 from .localize import typeII_component_integral  # noqa: F401
 from .partitions import hilb_fixed_points, is_nested
 from .poly import newton_recurrence
-from .surfaces import from_preset
+from .surfaces import _eliminate, from_preset
 
 FIELDS = ("b1_sq", "b2_sq", "b1_c1", "b2_c1", "b1_D", "b2_D", "b1_b2",
           "D_sq", "D_c1", "c1_sq", "c2")
@@ -177,30 +177,6 @@ def fit_universal(samples, degree_bound):
                          "any polynomial of this degree")
     return UniversalPolynomial({monos[c]: rhs[r]
                                 for c, r in piv_of_col.items()}, degree_bound)
-
-
-def _eliminate(rows, rhs, ncols):
-    """Exact Gauss-Jordan elimination in place; the right-hand sides
-    ``rhs`` follow every row operation.  Returns {pivot column: row index}."""
-    piv_of_col = {}
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        rhs[r], rhs[p] = rhs[p], rhs[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        rhs[r] = rhs[r] * inv
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-                rhs[i] = rhs[i] - rhs[r] * f
-        piv_of_col[c] = r
-        r += 1
-    return piv_of_col
 
 
 # -- test-surface battery ---------------------------------------------------

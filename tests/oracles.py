@@ -4,8 +4,9 @@ Everything here is derived by a different route than the library code it
 checks: plain integer recurrences, dictionary Laurent algebra over box
 diagrams, Riemann-Roch arithmetic, Fraction-valued series expansion, a
 polynomial gcd, which the library does not have, a lattice search over
-divisor classes on an elliptic surface, and the total Chern class of the
-pair difference character.
+divisor classes on an elliptic surface, the total Chern class of the
+pair difference character, and the closed form of the Hilbert-scheme row
+of the nested integrals.
 """
 
 import itertools
@@ -291,6 +292,49 @@ def chi_riemann_roch(model, divisor):
     dk = model.pair(d, k)
     assert (dd - dk) % 2 == 0
     return chi_O + (dd - dk) // 2
+
+
+# -- the Hilbert-scheme row in closed form ---------------------------------
+
+def hilbert_row(L_c1, c1_sq, N):
+    """The (n, 0) cells n = 0..N of the classical nested integral on a
+    surface with line bundle L, as exact Fractions: [x^n] B^{L.c1}
+    C^{c1^2}, where B(0) = C(0) = 1 and
+
+        16x B^2 - (1 + 18x - 27x^2) B + 1 = 0,
+        16x^2 C^2 + (1 - x)^2 (1 - 9x)(1 + 3x) C - (1 - x)^3 (1 - 9x) = 0.
+
+    B and C come from fixed-point iteration on power series truncated at
+    x^N; each pass fixes one more coefficient."""
+    def mul(*factors):
+        out = [Fraction(1)] + [Fraction(0)] * N
+        for f in factors:
+            f = list(f) + [0] * (N + 1 - len(f))
+            out = [sum(out[i] * f[k - i] for i in range(k + 1))
+                   for k in range(N + 1)]
+        return out
+
+    def power(f, a):
+        # f^a for f(0) = 1 and any integer a, by Miller's recurrence
+        # k g_k = sum_{i=1}^{k} ((a + 1) i - k) f_i g_{k-i}
+        g = [Fraction(1)] + [Fraction(0)] * N
+        for k in range(1, N + 1):
+            g[k] = sum(((a + 1) * i - k) * f[i] * g[k - i]
+                       for i in range(1, k + 1)) / k
+        return g
+
+    P = mul((1, -1), (1, -1), (1, -9), (1, 3))
+    Q = mul((1, -1), (1, -1), (1, -1), (1, -9))
+    B = C = mul()
+    for _ in range(N):
+        # B = 1 + x (16 B^2 - 18 B) + 27 x^2 B
+        # C = Q - 16 x^2 C^2 - (P - 1) C
+        B2, C2, PC = mul(B, B), mul(C, C), mul(P, C)
+        B = [(k == 0) + (16 * B2[k - 1] - 18 * B[k - 1] if k else 0)
+             + (27 * B[k - 2] if k > 1 else 0) for k in range(N + 1)]
+        C = [Q[k] - PC[k] + C[k] - (16 * C2[k - 2] if k > 1 else 0)
+             for k in range(N + 1)]
+    return mul(power(B, L_c1), power(C, c1_sq))
 
 
 # -- univariate residue oracle ---------------------------------------------

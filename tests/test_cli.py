@@ -703,6 +703,96 @@ def test_preset_without_charts_is_a_domain_error(capsys, tmp_path,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key,entry", [
+    ("pairing", {"H": {"H": 2}}),
+    ("canonical", {"H": -2}),
+    ("chern", {"c1_sq": 9, "c2": 4, "chi_O": 1}),
+])
+def test_stored_intersection_data_must_agree_with_the_fan(key, entry, capsys,
+                                                          tmp_path,
+                                                          monkeypatch):
+    data = packaged_preset("plane")
+    data[key] = entry
+    (tmp_path / "plane.json").write_text(json.dumps(data))
+    monkeypatch.setenv("DT4_PRESET_DIR", str(tmp_path))
+    code, report, err = run_json(capsys, ["localize", "--surface", "plane",
+                                          "--divisor", "H=1", "--n1", "1"])
+    assert code == 1
+    assert report["error"] == {
+        "type": "ValueError",
+        "message": f"malformed preset: plane stores {key} that disagree "
+                   "with its fan"}
+    assert "Traceback" not in err
+
+
+def test_a_ray_has_exactly_two_coordinates(capsys, tmp_path, monkeypatch):
+    data = packaged_preset("quadric")
+    data["fan"]["rays"][0] = [1, 0, 0]
+    (tmp_path / "quadric.json").write_text(json.dumps(data))
+    monkeypatch.setenv("DT4_PRESET_DIR", str(tmp_path))
+    code, report, err = run_json(capsys, ["localize", "--surface", "quadric",
+                                          "--divisor", "A=1", "--n1", "0"])
+    assert code == 1
+    assert report["error"]["message"] == (
+        "malformed preset: quadric stores a ray without two coordinates")
+    assert "Traceback" not in err
+
+
+def preset_mutations(blob):
+    """(path, kind, copy of ``blob``) for single-entry mutations of every
+    entry of a preset: drop it, make it a float or a bool, nest it in a
+    list, lengthen or shorten a list, negate an int.  Copies that
+    serialize like ``blob`` are left out."""
+    def entries(node, path=()):
+        items = (node.items() if isinstance(node, dict)
+                 else enumerate(node) if isinstance(node, list) else ())
+        for k, v in items:
+            yield path + (k,), v
+            yield from entries(v, path + (k,))
+
+    def variants(v):
+        yield "drop", None
+        yield "float", float(v) if type(v) is int else 1.5
+        yield "bool", True
+        yield "nest", [v]
+        if isinstance(v, list):
+            yield "lengthen", v + (v[-1:] or [0])
+            yield "shorten", v[:-1]
+        if type(v) is int:
+            yield "negate", -v
+
+    for path, v in entries(blob):
+        for kind, new in variants(v):
+            data = json.loads(json.dumps(blob))
+            parent = data
+            for k in path[:-1]:
+                parent = parent[k]
+            if kind == "drop":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = new
+            if json.dumps(data) != json.dumps(blob):
+                yield path, kind, data
+
+
+def test_mutated_presets_end_in_the_error_object(capsys, tmp_path,
+                                                 monkeypatch):
+    monkeypatch.setenv("DT4_PRESET_DIR", str(tmp_path))
+    mutations = list(preset_mutations(packaged_preset("quadric")))
+    assert len(mutations) > 500
+    for path, kind, data in mutations:
+        (tmp_path / "quadric.json").write_text(json.dumps(data))
+        code, out, err = run(capsys, ["localize", "--surface", "quadric",
+                                      "--divisor", "A=1", "--n1", "0"])
+        assert code in (0, 1), (path, kind)
+        assert "Traceback" not in err
+        if code == 1:
+            assert json.loads(out)["error"]["type"] == "ValueError"
+        # the derived intersection data are checked against every copy
+        if path[0] in ("pairing", "canonical", "chern"):
+            assert code == 1, (path, kind)
+
+
 @pytest.mark.parametrize("section,entry", [
     ("pairing", {"H": {"H": "1"}}),
     ("pairing", {"H": {"H": 1.0}}),

@@ -213,6 +213,41 @@ def test_battery_model_charts_are_golden():
     assert battery_model_charts() == golden
 
 
+def two_point_blowup():
+    """The plane blown up in two torus-fixed points, a surface that no
+    preset covers: rays and ray coefficients alone."""
+    return ToricSurfaceModel.from_fan(
+        "blowup2", rays=[(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1)],
+        ray_coeffs={"H": (0, 0, 0, 1, 1), "E1": (0, 1, 0, 0, 0),
+                    "E2": (0, 0, 0, 1, 0)})
+
+
+def test_a_fan_fixes_the_intersection_data():
+    model = two_point_blowup()
+    # H^2 = 1, E1^2 = E2^2 = -1, K = -3H + E1 + E2, c1^2 = 9 - 2
+    assert model.pairing == {"H": {"H": 1, "E1": 0, "E2": 0},
+                             "E1": {"H": 0, "E1": -1, "E2": 0},
+                             "E2": {"H": 0, "E1": 0, "E2": -1}}
+    assert model.canonical_divisor() == {"H": -3, "E1": 1, "E2": 1}
+    assert model.chern._asdict() == {"c1_sq": 7, "c2": 5, "chi_O": 1}
+    validate_model(model)
+    again = ToricSurfaceModel.from_json(json.loads(json.dumps(
+        model.to_json())))
+    assert again.to_json() == model.to_json()
+    assert again.fixed_points == model.fixed_points
+
+
+def test_a_basis_that_fixes_no_canonical_class_raises():
+    rays = [(1, 0), (0, 1), (-1, -1)]
+    # two names for the same class
+    with pytest.raises(ValueError, match="not independent"):
+        ToricSurfaceModel.from_fan("plane", rays, {"H": (1, 0, 0),
+                                                   "G": (0, 1, 0)})
+    # K = -3/2 (2H)
+    with pytest.raises(ValueError, match="no integral combination"):
+        ToricSurfaceModel.from_fan("plane", rays, {"H2": (2, 0, 0)})
+
+
 def test_to_json_roundtrip():
     plane = from_preset("plane")
     blob = plane.to_json()

@@ -15,7 +15,9 @@ from dt4.universal import (EPS_LINE, FIELDS, FIT_FIELDS, ChernNumbers,
                            typeII_samples, _add_laurent_term, _constant_term,
                            _monomial_name, _monomials)
 
+from oracles import hilbert_row
 from test_localize import ROUTE_DIVISORS, classical_integral
+from test_surfaces import two_point_blowup
 
 
 def test_fields_layout():
@@ -236,3 +238,55 @@ def test_a_cell_with_n2_above_n1_checks_its_inputs_first():
     for n1, n2 in ((-1, 0), (-1, 1), (0, -1)):
         with pytest.raises(ValueError, match="n must be nonnegative"):
             classical_limit(plane, {"H": 1}, n1, n2)
+
+
+# -- the Hilbert-scheme row against its closed form --------------------------
+
+def test_hilbert_row_on_the_plane():
+    assert hilbert_row(3, 9, 6) == [1, -42, 765, -8120, 57294, -290196,
+                                    1106702]
+
+
+def test_the_one_point_cell_of_a_surface_no_preset_covers():
+    model = two_point_blowup()
+    for L, want in (({"H": 1}, -34), ({"H": 2, "E1": -1}, -38),
+                    ({"H": 1, "E1": -1}, -32)):
+        cn = chern_invariants(model, None, None, L)
+        assert -2 * cn.D_c1 - 4 * cn.c1_sq == want
+        assert classical_limit(model, L, 1, 0) == want
+
+
+# three divisors per preset, one of them negative
+HILBERT_ROW_CASES = [
+    ("plane", {"H": 1}, 5), ("plane", {"H": 2}, 5), ("plane", {"H": -2}, 5),
+    ("quadric", {"A": 1, "B": 1}, 5), ("quadric", {"A": 1, "B": 2}, 5),
+    ("quadric", {"A": -1, "B": 1}, 5),
+    ("hirzebruch1", {"C0": 1, "F": 2}, 5), ("hirzebruch1", {"C0": 2, "F": 3}, 5),
+    ("hirzebruch1", {"C0": -1}, 5),
+    ("hirzebruch2", {"C0": 1, "F": 2}, 5), ("hirzebruch2", {"F": 1}, 5),
+    ("hirzebruch2", {"C0": -1, "F": -1}, 5),
+    ("hirzebruch3", {"C0": 1, "F": 5}, 5), ("hirzebruch3", {"C0": 1, "F": 3}, 5),
+    ("hirzebruch3", {"C0": -1}, 5),
+    ("blowup2", {"H": 1}, 5), ("blowup2", {"H": 2, "E1": -1}, 5),
+    ("plane+quadric", {"a.H": 1, "b.A": 1, "b.B": 1}, 4),
+]
+
+
+def _hilbert_row_model(name):
+    if name == "blowup2":
+        return two_point_blowup()
+    if "+" in name:
+        a, b = name.split("+")
+        return from_preset(a).disjoint_union(from_preset(b))
+    return from_preset(name)
+
+
+@pytest.mark.parametrize("name,L,N", HILBERT_ROW_CASES,
+                         ids=[name + "-" + ",".join(f"{k}={v}" for k, v in
+                                                   L.items())
+                              for name, L, _ in HILBERT_ROW_CASES])
+def test_the_hilbert_row_has_its_closed_form(name, L, N):
+    model = _hilbert_row_model(name)
+    cn = chern_invariants(model, None, None, L)
+    row = [classical_limit(model, L, n, 0) for n in range(N + 1)]
+    assert row == hilbert_row(cn.D_c1, cn.c1_sq, N)

@@ -4,9 +4,9 @@ Run from the repository root:
 
     python tools/gen_presets.py
 
-Each preset is rebuilt from its fan declaration, cross-checked by the
-oracles in dt4.surfaces.validate_model, and written to
-src/dt4/presets/<name>.json.
+Each preset is declared by its fan alone; the model derives the rest, is
+cross-checked by the oracles in dt4.surfaces.validate_model, and is
+written to src/dt4/presets/<name>.json.
 """
 
 import json
@@ -15,7 +15,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from dt4.surfaces import SurfaceChernData, ToricSurfaceModel, validate_model
+from dt4.surfaces import ToricSurfaceModel, validate_model
 
 
 def plane():
@@ -23,9 +23,6 @@ def plane():
         "plane",
         rays=[(1, 0), (0, 1), (-1, -1)],
         ray_coeffs={"H": (1, 0, 0)},
-        pairing={"H": {"H": 1}},
-        canonical={"H": -3},
-        chern=SurfaceChernData(c1_sq=9, c2=3, chi_O=1),
     )
 
 
@@ -34,9 +31,6 @@ def quadric():
         "quadric",
         rays=[(1, 0), (0, 1), (-1, 0), (0, -1)],
         ray_coeffs={"A": (1, 0, 0, 0), "B": (0, 1, 0, 0)},
-        pairing={"A": {"A": 0, "B": 1}, "B": {"A": 1, "B": 0}},
-        canonical={"A": -2, "B": -2},
-        chern=SurfaceChernData(c1_sq=8, c2=4, chi_O=1),
     )
 
 
@@ -46,9 +40,6 @@ def hirzebruch(e):
         f"hirzebruch{e}",
         rays=[(1, 0), (0, 1), (-1, e), (0, -1)],
         ray_coeffs={"C0": (0, 1, 0, 0), "F": (1, 0, 0, 0)},
-        pairing={"C0": {"C0": -e, "F": 1}, "F": {"C0": 1, "F": 0}},
-        canonical={"C0": -2, "F": -(e + 2)},
-        chern=SurfaceChernData(c1_sq=8, c2=4, chi_O=1),
     )
 
 
