@@ -403,13 +403,20 @@ def _typeII_term(charts, shifts, fp1, fp2):
 
 # -- Mochizuki-style residue coefficients ----------------------------------
 
-def _mochizuki_character(fp1, fp2, Lb1, Lb2, L, p_g, model):
-    """Virtual character whose Euler class is the residue integrand before
-    division by the tangent Euler classes; None when a genuinely zero
-    weight in the numerator kills the term."""
+def _mochizuki_term(model, Lb1, Lb2, L, p_g, wmap, fp1, fp2):
+    """Residue in sp of the integrand at one fixed-point pair.
+
+    The integrand is e(V1) P e(V2 t'^2) / ((2 sp)^(n1+n2-p_g) Q) over the
+    two tangent Euler classes, where V_i are the tautological characters
+    of the twist bundles, P the Euler class of minus the full
+    self-interaction characteristic of (ideal 1 x t'^-1 + ideal 2 x t')
+    twisted by L t, and Q the Euler class of minus the two cross
+    characteristics without the L t twist.  A genuinely zero weight of V1
+    makes the term 0.  The residue is linear over the sp-free weights, so
+    only the weights that carry sp are expanded into its series."""
     v1 = tautological_character(fp1, Lb1, model)
     if any(not any(w) for w in v1.weights):
-        return None
+        return FactoredScalar.const(0)
     char = v1 + tautological_character(fp2, Lb2, model).shift((0, 2, 0, 0))
     # chi of (ideal A x divA x t'^cA, ideal B x divB x t'^cB), twisted by
     # L t on all four pairs (t = 1) and untwisted on the two cross pairs
@@ -422,26 +429,13 @@ def _mochizuki_character(fp1, fp2, Lb1, Lb2, L, p_g, model):
         char = char - chi_character(fa, fb, spec, model)
     # (2 sp)^(n1+n2-p_g) in the denominator is the weight 2 sp
     n = sum(map(sum, fp1 + fp2))
-    return char + WeightCharacter({(0, 2, 0, 0): p_g - n})
-
-
-def _mochizuki_term(model, Lb1, Lb2, L, p_g, wmap, fp1, fp2):
-    """Residue in sp of the integrand at one fixed-point pair.
-
-    The integrand is e(V1) P e(V2 t'^2) / ((2 sp)^(n1+n2-p_g) Q) over the
-    two tangent Euler classes, where V_i are the tautological characters
-    of the twist bundles, P the Euler class of minus the full
-    self-interaction characteristic of (ideal 1 x t'^-1 + ideal 2 x t')
-    twisted by L t, and Q the Euler class of minus the two cross
-    characteristics without the L t twist.
-    """
-    char = _mochizuki_character(fp1, fp2, Lb1, Lb2, L, p_g, model)
-    if char is None:
-        return FactoredScalar.const(0)
-    char = (char - tangent_character(fp1, model)
-            - tangent_character(fp2, model))
-    return residue(euler_of_character(WeightCharacter(
-        [(w[:2] + wmap.form(w[2:]), m) for w, m in char.items()])), "sp")
+    char = (char + WeightCharacter({(0, 2, 0, 0): p_g - n})
+            - tangent_character(fp1, model) - tangent_character(fp2, model))
+    free, rest = [], []
+    for w, m in char.items():
+        (rest if w[1] else free).append((w[:2] + wmap.form(w[2:]), m))
+    return (euler_of_character(WeightCharacter(free))
+            * residue(euler_of_character(WeightCharacter(rest)), "sp"))
 
 
 def split_budget(model, Lb1, Lb2, n):

@@ -279,7 +279,10 @@ class ToricSurfaceModel:
 
     @classmethod
     def _from_json(cls, data):
-        """Model from its fan; stored entries must equal ``to_json``'s."""
+        """Model from its fan; stored entries must equal ``to_json``'s in
+        type as well as value, so they are compared as canonical JSON."""
+        if type(data["name"]) is not str:
+            raise ValueError("malformed preset: its name is not a string")
         fan = data["fan"]
         basis = sorted(fan["ray_coeffs"])
         _check_ints(data["chern"], "chern", SurfaceChernData._fields)
@@ -296,7 +299,8 @@ class ToricSurfaceModel:
                              "a ray without two coordinates")
         model = cls.from_fan(data["name"], fan["rays"], fan["ray_coeffs"])
         for key, derived in model.to_json().items():
-            if data[key] != derived:
+            if (json.dumps(data[key], sort_keys=True)
+                    != json.dumps(derived, sort_keys=True)):
                 raise ValueError(f"malformed preset: {data['name']} stores "
                                  f"{key} that disagree with its fan")
         return model

@@ -738,6 +738,31 @@ def test_a_ray_has_exactly_two_coordinates(capsys, tmp_path, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("path,value", [
+    (("name",), ["quadric"]),
+    (("fixed_points", 0, "w1", 0), True),
+    (("fan", "cones", 0, 1), 1.0),
+], ids=["name-list", "fixed-point-bool", "cone-float"])
+def test_stored_entries_match_in_type_as_well_as_value(path, value, capsys,
+                                                       tmp_path,
+                                                       monkeypatch):
+    # a name that is not a string, and a bool or a float that equals the
+    # stored int under ``==``
+    data = packaged_preset("quadric")
+    parent = data
+    for k in path[:-1]:
+        parent = parent[k]
+    parent[path[-1]] = value
+    (tmp_path / "quadric.json").write_text(json.dumps(data))
+    monkeypatch.setenv("DT4_PRESET_DIR", str(tmp_path))
+    code, report, err = run_json(capsys, ["localize", "--surface", "quadric",
+                                          "--divisor", "A=1", "--n1", "1"])
+    assert code == 1
+    assert report["error"]["type"] == "ValueError"
+    assert report["error"]["message"].startswith("malformed preset")
+    assert "Traceback" not in err
+
+
 def preset_mutations(blob):
     """(path, kind, copy of ``blob``) for single-entry mutations of every
     entry of a preset: drop it, make it a float or a bool, nest it in a
@@ -784,13 +809,11 @@ def test_mutated_presets_end_in_the_error_object(capsys, tmp_path,
         (tmp_path / "quadric.json").write_text(json.dumps(data))
         code, out, err = run(capsys, ["localize", "--surface", "quadric",
                                       "--divisor", "A=1", "--n1", "0"])
-        assert code in (0, 1), (path, kind)
+        # every stored entry is checked against its fan in type as well
+        # as value, so no single-entry mutation loads
+        assert code == 1, (path, kind)
         assert "Traceback" not in err
-        if code == 1:
-            assert json.loads(out)["error"]["type"] == "ValueError"
-        # the derived intersection data are checked against every copy
-        if path[0] in ("pairing", "canonical", "chern"):
-            assert code == 1, (path, kind)
+        assert json.loads(out)["error"]["type"] == "ValueError"
 
 
 @pytest.mark.parametrize("section,entry", [

@@ -382,6 +382,15 @@ def test_mochizuki_eps_consistency():
         assert num == sym.specialize({"e1": eps[0], "e2": eps[1]})
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_mochizuki_symbolic_is_the_point_route_at_three_points(name):
+    eps = (Fraction(10), Fraction(-7))
+    model, div = from_preset(name), ROUTE_DIVISORS[name]
+    sym = mochizuki_coefficient(model, {}, {}, div, 3, 0)
+    num = mochizuki_coefficient(model, {}, {}, div, 3, 0, eps=eps)
+    assert num == sym.specialize({"e1": eps[0], "e2": eps[1]})
+
+
 def test_mochizuki_negative_budget_is_zero():
     # split pairing exceeds the charge: empty range of splittings
     assert split_budget(PLANE, {"H": 1}, {"H": 1}, 0) == -1

@@ -7,7 +7,8 @@ import pytest
 from dt4 import universal
 from dt4.eqalg import (FactoredScalar, NonGenericWeightError,
                        WeightCharacter)
-from dt4.localize import TwistedBundleSpec
+from dt4.localize import (PrefactorData, TwistedBundleSpec,
+                          typeII_component_integral)
 from dt4.surfaces import from_preset, validate_model
 from dt4.universal import (EPS_LINE, FIELDS, FIT_FIELDS, ChernNumbers,
                            UniversalPolynomial, battery_configs,
@@ -290,3 +291,23 @@ def test_the_hilbert_row_has_its_closed_form(name, L, N):
     cn = chern_invariants(model, None, None, L)
     row = [classical_limit(model, L, n, 0) for n in range(N + 1)]
     assert row == hilbert_row(cn.D_c1, cn.c1_sq, N)
+
+
+# one divisor per preset and two more, negative ones among them
+SYMBOLIC_ROW_CASES = [
+    ("plane", {"H": 1}), ("plane", {"H": -2}), ("quadric", {"A": 1, "B": 2}),
+    ("hirzebruch1", {"C0": 1, "F": 2}), ("hirzebruch2", {"F": 1}),
+    ("hirzebruch3", {"C0": -1}), ("hirzebruch3", {"C0": 1, "F": 5}),
+]
+
+
+def test_symbolic_one_and_two_point_integrals_are_the_hilbert_row():
+    # divided by the prefactor and taken at e1 = e2 = 0 and s = 1, the
+    # symbolic (n, 0) integral is the classical cell
+    for name, L in SYMBOLIC_ROW_CASES:
+        model = from_preset(name)
+        cn = chern_invariants(model, None, None, L)
+        pre = PrefactorData.from_model(model, L).value()
+        got = [(typeII_component_integral(model, L, n, 0) / pre).specialize(
+            {"s": 1, "e1": 0, "e2": 0}).as_fraction() for n in (1, 2)]
+        assert got == hilbert_row(cn.D_c1, cn.c1_sq, 2)[1:], (name, L)
