@@ -4,8 +4,8 @@ A model is its fans: complete smooth fans with the basis divisors'
 coefficients on their rays.  Each torus fixed point is a cone, a pair of
 consecutive rays, and ``model.fixed_points`` holds its tangent weight forms
 (w1, w2) in the deformation parameters (e1, e2), cones in ray order and
-fans in order.  Weight convention, fixed once and validated by the oracles
-in ``validate_model``:
+fans in order.  Weight convention, fixed once and validated by the test
+oracles:
 
 - a character chi^m contributes the additive weight -(m0*e1 + m1*e2);
 - tangent weights at a cone are the dual basis forms of the cone;
@@ -20,7 +20,6 @@ specialization keeps all localization denominators nonzero because no
 character ever mixes fans.
 """
 
-import itertools
 import json
 import math
 import os
@@ -49,20 +48,18 @@ class _FanComponent(NamedTuple):
         return [sum(c * a[r] for c, a in terms) for r in range(len(self.rays))]
 
 
+def _det(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
 def _solve2(v1, v2, b1, b2):
     """Solve m·v1 = b1, m·v2 = b2 for m, exactly."""
-    det = v1[0] * v2[1] - v1[1] * v2[0]
+    det = _det(v1, v2)
     if det == 0:
         raise ValueError("degenerate cone")
     x = Fraction(b1 * v2[1] - b2 * v1[1], det)
     y = Fraction(v1[0] * b2 - v2[0] * b1, det)
     return x, y
-
-
-def _as_int_pair(x, y):
-    if x.denominator != 1 or y.denominator != 1:
-        raise ValueError("non-integral weight; fan is not smooth")
-    return (int(x), int(y))
 
 
 def _fan_intersections(name, charts, weights):
@@ -79,12 +76,9 @@ def _fan_intersections(name, charts, weights):
     common = math.lcm(*dens)
 
     def integral(f, g):
-        total, rest = divmod(sum(a * b * (common // d)
-                                 for a, b, d in zip(f, g, dens)), common)
-        if rest:
-            raise ValueError(f"{name}: a fan whose intersection numbers "
-                             "are not integers")
-        return total
+        # exact: the fan is smooth and complete, so the sum is an integer
+        return sum(a * b * (common // d)
+                   for a, b, d in zip(f, g, dens)) // common
 
     names = sorted(values)
     pairing = {k: {j: integral(values[k], values[j]) for j in names}
@@ -97,7 +91,16 @@ def _fan_intersections(name, charts, weights):
     if any(x.denominator != 1 for x in rhs):
         raise ValueError(f"the canonical class of {name} is no integral "
                          "combination of its basis divisors")
-    return pairing, {k: int(x) for k, x in zip(names, rhs)}
+    canonical = {k: int(x) for k, x in zip(names, rhs)}
+    # K and its canonical linearization differ by one global character
+    shifts = {tuple(w1[x] + w2[x] + sum(c * weights[k][p][x]
+                                        for k, c in canonical.items())
+                    for x in (0, 1))
+              for p, (w1, w2) in enumerate(charts)}
+    if len(shifts) > 1:
+        raise ValueError(f"the basis divisors of {name} do not span its "
+                         "canonical class")
+    return pairing, canonical
 
 
 def _eliminate(rows, rhs, ncols):
@@ -127,7 +130,11 @@ def _eliminate(rows, rhs, ncols):
 class ToricSurfaceModel:
     """Localization target data, derived from its fans: at the cone (i, j)
     the tangent forms (w1, w2) are the cone's dual basis, and a basis
-    divisor D = sum a_r D_r has the fiber weight a_i w1 + a_j w2."""
+    divisor D = sum a_r D_r has the fiber weight a_i w1 + a_j w2.
+
+    Every cone must be unimodular, det(v_i, v_j) = 1, and the rays must
+    wind once around the origin: D_i^2 = -det(v_{i-1}, v_{i+1}), and these
+    sum to 12 - 3n on a smooth complete surface with n rays."""
 
     def __init__(self, name, fans):
         self.name = name
@@ -139,11 +146,16 @@ class ToricSurfaceModel:
         self._basis_weights = {k: [] for k in self.basis}
         self.pairing, self.canonical = {}, {}
         for fan in self.fans:
-            n, start = len(fan.rays), len(self.fixed_points)
+            n, start, v = len(fan.rays), len(self.fixed_points), fan.rays
+            if (any(_det(v[i - 1], v[i]) != 1 for i in range(n))
+                    or sum(_det(v[i - 1], v[(i + 1) % n])
+                           for i in range(n)) != 3 * n - 12):
+                raise ValueError(f"the rays of {name} are not a smooth "
+                                 "complete fan listed counterclockwise")
             for i in range(n):
                 j = (i + 1) % n
-                w1 = _as_int_pair(*_solve2(fan.rays[i], fan.rays[j], 1, 0))
-                w2 = _as_int_pair(*_solve2(fan.rays[i], fan.rays[j], 0, 1))
+                # the dual basis of the unimodular cone (v_i, v_j)
+                w1, w2 = (v[j][1], -v[j][0]), (-v[i][1], v[i][0])
                 self.fixed_points.append((w1, w2))
                 for k, weights in self._basis_weights.items():
                     a = fan.ray_coeffs.get(k, (0,) * n)
@@ -248,26 +260,6 @@ class ToricSurfaceModel:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json(self):
-        if len(self.fans) != 1:
-            raise ValueError("only one-component models serialize to presets")
-        fan, = self.fans
-        n = len(fan.rays)
-        return {
-            "name": self.name,
-            "fixed_points": [{"w1": list(w1), "w2": list(w2)}
-                             for w1, w2 in self.fixed_points],
-            "bundles": {k: {"weights": [list(w) for w in ws]}
-                        for k, ws in self._basis_weights.items()},
-            "chern": self.chern._asdict(),
-            "pairing": {k1: dict(row) for k1, row in self.pairing.items()},
-            "canonical": dict(self.canonical),
-            "fan": {"rays": [list(r) for r in fan.rays],
-                    "cones": [[i, (i + 1) % n] for i in range(n)],
-                    "ray_coeffs": {k: list(v) for k, v in
-                                   fan.ray_coeffs.items()}},
-        }
-
     @classmethod
     def from_json(cls, data):
         """Model from preset data; malformed data raises ValueError."""
@@ -279,47 +271,26 @@ class ToricSurfaceModel:
 
     @classmethod
     def _from_json(cls, data):
-        """Model from its fan; stored entries must equal ``to_json``'s in
-        type as well as value, so they are compared as canonical JSON."""
-        if type(data["name"]) is not str:
+        """Model from the keyword arguments of ``from_fan``: a name, the
+        rays and the ray coefficients of each basis divisor, all plain
+        ints (no bools, strings or floats).  Other keys are ignored."""
+        name, rays, ray_coeffs = data["name"], data["rays"], data["ray_coeffs"]
+        if type(name) is not str:
             raise ValueError("malformed preset: its name is not a string")
-        fan = data["fan"]
-        basis = sorted(fan["ray_coeffs"])
-        _check_ints(data["chern"], "chern", SurfaceChernData._fields)
-        _check_ints(data["canonical"], "canonical", basis)
-        _check_ints(data["pairing"], "pairing", basis, depth=2)
-        for key in ("rays", "ray_coeffs"):
-            _check_ints(fan[key], f"fan[{key!r}]", depth=2)
-        rays = len(fan["rays"])
-        if any(len(a) != rays for a in fan["ray_coeffs"].values()):
-            raise ValueError(f"malformed preset: {data['name']} stores "
+        for key, lists in (("rays", enumerate(rays)),
+                           ("ray_coeffs", ray_coeffs.items())):
+            for k, entries in lists:
+                for i, v in enumerate(entries):
+                    if type(v) is not int:
+                        raise ValueError(f"malformed preset: {key}[{k!r}]"
+                                         f"[{i}] is {v!r}, not an integer")
+        if any(len(a) != len(rays) for a in ray_coeffs.values()):
+            raise ValueError(f"malformed preset: {name} stores "
                              "ray_coeffs without one entry per ray")
-        if any(len(v) != 2 for v in fan["rays"]):
-            raise ValueError(f"malformed preset: {data['name']} stores "
+        if any(len(v) != 2 for v in rays):
+            raise ValueError(f"malformed preset: {name} stores "
                              "a ray without two coordinates")
-        model = cls.from_fan(data["name"], fan["rays"], fan["ray_coeffs"])
-        for key, derived in model.to_json().items():
-            if (json.dumps(data[key], sort_keys=True)
-                    != json.dumps(derived, sort_keys=True)):
-                raise ValueError(f"malformed preset: {data['name']} stores "
-                                 f"{key} that disagree with its fan")
-        return model
-
-
-def _check_ints(entries, what, keys=None, depth=1):
-    """Preset entries at nesting ``depth`` are plain ints (no bools,
-    strings or floats), keyed by exactly the names ``keys`` if given;
-    list entries are keyed by position."""
-    if keys is not None and sorted(entries) != sorted(keys):
-        raise ValueError(f"malformed preset: {what} is keyed by "
-                         f"{sorted(entries)}, not by {sorted(keys)}")
-    for k, v in (entries.items() if isinstance(entries, dict)
-                 else enumerate(entries)):
-        if depth > 1:
-            _check_ints(v, f"{what}[{k!r}]", keys, depth - 1)
-        elif type(v) is not int:
-            raise ValueError(f"malformed preset: {what}[{k!r}] is {v!r}, "
-                             "not an integer")
+        return cls.from_fan(name, rays, ray_coeffs)
 
 
 PRESET_NAMES = ("plane", "quadric", "hirzebruch1", "hirzebruch2", "hirzebruch3")
@@ -384,42 +355,3 @@ def _lattice_cohomology(rays, coeffs):
                     out.append(((mx, my), -(arcs - 1)))
     return out
 
-
-# -- validation oracles ----------------------------------------------------
-
-def validate_model(model):
-    """Cross-check a model's derived data against independent routes.
-
-    Raises AssertionError with a diagnostic on any mismatch.  Checks:
-    K.K against c1 squared, trivial bundle cohomology, Riemann-Roch ranks
-    vs lattice cohomology, and Serre duality at character level.
-    """
-    kd = model.canonical_divisor()
-    assert model.pair(kd, kd) == model.chern.c1_sq, \
-        f"{model.name}: K.K {model.pair(kd, kd)} != c1_sq {model.chern.c1_sq}"
-
-    triv = model.cohomology_character({})
-    assert triv == {(0, 0): len(model.fans)}, \
-        f"{model.name}: cohomology of O is {triv}"
-
-    for d in _divisor_samples(model):
-        coh = model.cohomology_character(d)
-        rank = sum(coh.values())
-        assert rank == model.chi(d), \
-            f"{model.name}: rank {rank} != chi {model.chi(d)} for {d}"
-        # character-level Serre duality per component, with the canonical
-        # linearization a_r = -1 on every ray
-        for fan in model.fans:
-            coeffs = fan.divisor_coeffs(d)
-            here = _lattice_cohomology(fan.rays, coeffs)
-            dual = _lattice_cohomology(fan.rays, [-1 - c for c in coeffs])
-            assert dict(dual) == {(-m[0], -m[1]): v for m, v in here}, \
-                f"{model.name}: Serre duality fails for {d}"
-
-
-def _divisor_samples(model):
-    """Every divisor with coefficients in [-2, 2] on the first two basis
-    divisors."""
-    names = model.basis[:2]
-    return [model.check_divisor(dict(zip(names, coeffs)))
-            for coeffs in itertools.product(range(-2, 3), repeat=len(names))]

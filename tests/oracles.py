@@ -5,8 +5,9 @@ checks: plain integer recurrences, dictionary Laurent algebra over box
 diagrams, Riemann-Roch arithmetic, Fraction-valued series expansion, a
 polynomial gcd, which the library does not have, a lattice search over
 divisor classes on an elliptic surface, the total Chern class of the
-pair difference character, and the closed form of the Hilbert-scheme row
-of the nested integrals.
+pair difference character, lattice-point cohomology against the
+intersection data of a toric surface model, and the closed form of the
+Hilbert-scheme row of the nested integrals.
 """
 
 import itertools
@@ -19,6 +20,7 @@ from dt4.eqalg import chern_part
 from dt4.localize import difference_character
 from dt4.partitions import boxes, hilb_fixed_points
 from dt4.poly import NAMES, Poly
+from dt4.surfaces import _lattice_cohomology
 
 
 # -- counting --------------------------------------------------------------
@@ -292,6 +294,46 @@ def chi_riemann_roch(model, divisor):
     dk = model.pair(d, k)
     assert (dd - dk) % 2 == 0
     return chi_O + (dd - dk) // 2
+
+
+# -- surface models, by lattice cohomology ---------------------------------
+
+def validate_model(model):
+    """Cross-check a model's derived data against independent routes.
+
+    Raises AssertionError with a diagnostic on any mismatch.  Checks:
+    K.K against c1 squared, trivial bundle cohomology, Riemann-Roch ranks
+    vs lattice cohomology, and Serre duality at character level.
+    """
+    kd = model.canonical_divisor()
+    assert model.pair(kd, kd) == model.chern.c1_sq, \
+        f"{model.name}: K.K {model.pair(kd, kd)} != c1_sq {model.chern.c1_sq}"
+
+    triv = model.cohomology_character({})
+    assert triv == {(0, 0): len(model.fans)}, \
+        f"{model.name}: cohomology of O is {triv}"
+
+    for d in _divisor_samples(model):
+        coh = model.cohomology_character(d)
+        rank = sum(coh.values())
+        assert rank == model.chi(d), \
+            f"{model.name}: rank {rank} != chi {model.chi(d)} for {d}"
+        # character-level Serre duality per component, with the canonical
+        # linearization a_r = -1 on every ray
+        for fan in model.fans:
+            coeffs = fan.divisor_coeffs(d)
+            here = _lattice_cohomology(fan.rays, coeffs)
+            dual = _lattice_cohomology(fan.rays, [-1 - c for c in coeffs])
+            assert dict(dual) == {(-m[0], -m[1]): v for m, v in here}, \
+                f"{model.name}: Serre duality fails for {d}"
+
+
+def _divisor_samples(model):
+    """Every divisor with coefficients in [-2, 2] on the first two basis
+    divisors."""
+    names = model.basis[:2]
+    return [model.check_divisor(dict(zip(names, coeffs)))
+            for coeffs in itertools.product(range(-2, 3), repeat=len(names))]
 
 
 # -- the Hilbert-scheme row in closed form ---------------------------------

@@ -14,7 +14,8 @@ from dt4 import cli, localize, universal
 from dt4.moduli import MAX_K3_COMPONENTS, enumerate_typeII_K3
 from dt4.qseries import MAX_K3_ORDER, _k3_order
 
-from test_surfaces import inconsistent_presets, packaged_preset
+from oracles import validate_model
+from test_surfaces import bad_fan_presets, packaged_preset
 
 
 def run(capsys, argv):
@@ -646,19 +647,18 @@ def test_jobs_under_every_start_method(command, method, capsys):
 
 def test_malformed_preset_is_a_domain_error(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("DT4_PRESET_DIR", str(tmp_path))
-    cases = [("plane", blob) for blob in (
+    cases = [
         '{"name": "plane"}', '[1, 2]',
+        # the layout that stored the fan under "fan" beside derived copies
         '{"name": "plane", "fixed_points": 3, "bundles": {},'
         ' "chern": {}, "pairing": {}, "canonical": {},'
-        ' "fan": {"rays": [], "cones": [], "ray_coeffs": {}}}')]
-    # a preset that disagrees with its fan must not load as another surface
-    cases += [(name, json.dumps(data))
-              for name, data in inconsistent_presets()]
-    divisors = {"plane": "H=1", "quadric": "A=1,B=1"}
-    for name, blob in cases:
-        (tmp_path / f"{name}.json").write_text(blob)
+        ' "fan": {"rays": [], "cones": [], "ray_coeffs": {}}}',
+        '{"name": "plane", "rays": [[1, 0], [0, 1], [-1, -1]],'
+        ' "ray_coeffs": {"H": [1, 0]}}']
+    for blob in cases:
+        (tmp_path / "plane.json").write_text(blob)
         code, report, err = run_json(capsys, [
-            "localize", "--surface", name, "--divisor", divisors[name],
+            "localize", "--surface", "plane", "--divisor", "H=1",
             "--n1", "1"])
         assert code == 1
         assert report["error"]["type"] == "ValueError"
@@ -687,11 +687,8 @@ def test_unreadable_preset_is_a_domain_error(kind, capsys, tmp_path,
 
 def test_preset_without_charts_is_a_domain_error(capsys, tmp_path,
                                                  monkeypatch):
-    # consistent with its empty fan, but no surface: nothing to localize on
-    empty = {"name": "plane", "fixed_points": [], "bundles": {},
-             "chern": {"c1_sq": 0, "c2": 0, "chi_O": 0}, "pairing": {},
-             "canonical": {},
-             "fan": {"rays": [], "cones": [], "ray_coeffs": {}}}
+    # well-typed, but no surface: nothing to localize on
+    empty = {"name": "plane", "rays": [], "ray_coeffs": {}}
     (tmp_path / "plane.json").write_text(json.dumps(empty))
     monkeypatch.setenv("DT4_PRESET_DIR", str(tmp_path))
     code, report, err = run_json(capsys, ["localize", "--surface", "plane",
@@ -703,31 +700,37 @@ def test_preset_without_charts_is_a_domain_error(capsys, tmp_path,
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("key,entry", [
-    ("pairing", {"H": {"H": 2}}),
-    ("canonical", {"H": -2}),
-    ("chern", {"c1_sq": 9, "c2": 4, "chi_O": 1}),
-])
-def test_stored_intersection_data_must_agree_with_the_fan(key, entry, capsys,
-                                                          tmp_path,
-                                                          monkeypatch):
-    data = packaged_preset("plane")
-    data[key] = entry
-    (tmp_path / "plane.json").write_text(json.dumps(data))
+def test_bad_fans_end_in_the_error_object(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("DT4_PRESET_DIR", str(tmp_path))
-    code, report, err = run_json(capsys, ["localize", "--surface", "plane",
-                                          "--divisor", "H=1", "--n1", "1"])
-    assert code == 1
-    assert report["error"] == {
-        "type": "ValueError",
-        "message": f"malformed preset: plane stores {key} that disagree "
-                   "with its fan"}
-    assert "Traceback" not in err
+    for data, message in bad_fan_presets():
+        name = data["name"]
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+        code, report, err = run_json(capsys, [
+            "localize", "--surface", name, "--n1", "1"])
+        assert code == 1
+        assert report["error"] == {"type": "ValueError", "message": message}
+        assert "Traceback" not in err
+
+
+def test_readme_example_preset_is_the_packaged_one(capsys, tmp_path,
+                                                    monkeypatch):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n**Preset files.**", 1)[1]
+    blob = section.split("```json\n", 1)[1].split("```", 1)[0]
+    name = json.loads(blob)["name"]
+    argv = ["localize", "--surface", name, "--divisor", "C0=1,F=2",
+            "--n1", "1", "--n2", "1"]
+    code, packaged, _ = run(capsys, argv)
+    assert code == 0
+    (tmp_path / f"{name}.json").write_text(blob)
+    monkeypatch.setenv("DT4_PRESET_DIR", str(tmp_path))
+    assert run(capsys, argv) == (0, packaged, "")
 
 
 def test_a_ray_has_exactly_two_coordinates(capsys, tmp_path, monkeypatch):
     data = packaged_preset("quadric")
-    data["fan"]["rays"][0] = [1, 0, 0]
+    data["rays"][0] = [1, 0, 0]
     (tmp_path / "quadric.json").write_text(json.dumps(data))
     monkeypatch.setenv("DT4_PRESET_DIR", str(tmp_path))
     code, report, err = run_json(capsys, ["localize", "--surface", "quadric",
@@ -740,14 +743,11 @@ def test_a_ray_has_exactly_two_coordinates(capsys, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("path,value", [
     (("name",), ["quadric"]),
-    (("fixed_points", 0, "w1", 0), True),
-    (("fan", "cones", 0, 1), 1.0),
-], ids=["name-list", "fixed-point-bool", "cone-float"])
+], ids=["name-list"])
 def test_stored_entries_match_in_type_as_well_as_value(path, value, capsys,
                                                        tmp_path,
                                                        monkeypatch):
-    # a name that is not a string, and a bool or a float that equals the
-    # stored int under ``==``
+    # a name that is not a string
     data = packaged_preset("quadric")
     parent = data
     for k in path[:-1]:
@@ -804,37 +804,40 @@ def test_mutated_presets_end_in_the_error_object(capsys, tmp_path,
                                                  monkeypatch):
     monkeypatch.setenv("DT4_PRESET_DIR", str(tmp_path))
     mutations = list(preset_mutations(packaged_preset("quadric")))
-    assert len(mutations) > 500
+    assert len(mutations) == 120
+    loaded = set()
     for path, kind, data in mutations:
         (tmp_path / "quadric.json").write_text(json.dumps(data))
         code, out, err = run(capsys, ["localize", "--surface", "quadric",
                                       "--divisor", "A=1", "--n1", "0"])
-        # every stored entry is checked against its fan in type as well
-        # as value, so no single-entry mutation loads
-        assert code == 1, (path, kind)
         assert "Traceback" not in err
-        assert json.loads(out)["error"]["type"] == "ValueError"
+        if code == 0:
+            # a mutation that loads is a surface the oracles accept
+            validate_model(dt4.from_preset("quadric"))
+            loaded.add((path, kind))
+        else:
+            assert code == 1, (path, kind)
+            assert json.loads(out)["error"]["type"] == "ValueError"
+    # only a basis divisor replaced by its negative loads
+    assert loaded == {(("ray_coeffs", "A", 0), "negate"),
+                      (("ray_coeffs", "B", 1), "negate")}
 
 
-@pytest.mark.parametrize("section,entry", [
-    ("pairing", {"H": {"H": "1"}}),
-    ("pairing", {"H": {"H": 1.0}}),
-    ("pairing", {"H": {"H": 1}, "X": {"H": 0}}),
-    ("pairing", {"H": {"H": 1, "X": 0}}),
-    ("chern", {"c1_sq": 9, "c2": 3, "chi_O": "1"}),
-    ("chern", {"c1_sq": 9, "c2": True, "chi_O": 1}),
-    ("canonical", {"H": 1.5}),
-    ("canonical", {"H": -3, "X": 1}),
-])
-def test_ill_typed_preset_values_are_domain_errors(section, entry, capsys,
-                                                   tmp_path, monkeypatch):
+@pytest.mark.parametrize("value", ["1", 1.0, True, [1]],
+                         ids=["str", "float", "bool", "list"])
+@pytest.mark.parametrize("section,key", [("rays", 0), ("ray_coeffs", "H")])
+def test_ill_typed_preset_values_are_domain_errors(section, key, value,
+                                                   capsys, tmp_path,
+                                                   monkeypatch):
     data = packaged_preset("plane")
-    data[section] = entry
+    data[section][key][0] = value
     (tmp_path / "plane.json").write_text(json.dumps(data))
     monkeypatch.setenv("DT4_PRESET_DIR", str(tmp_path))
     code, report, err = run_json(capsys, ["localize", "--surface", "plane",
                                           "--divisor", "H=1", "--n1", "1"])
     assert code == 1
-    assert report["error"]["type"] == "ValueError"
-    assert report["error"]["message"].startswith("malformed preset")
+    assert report["error"] == {
+        "type": "ValueError",
+        "message": f"malformed preset: {section}[{key!r}][0] is {value!r}, "
+                   "not an integer"}
     assert "Traceback" not in err

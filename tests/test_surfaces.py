@@ -6,11 +6,11 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dt4.surfaces import (PRESET_NAMES, ToricSurfaceModel, from_preset,
-                          validate_model)
+from dt4.surfaces import (PRESET_DIR, PRESET_NAMES, ToricSurfaceModel,
+                          from_preset)
 from dt4.universal import battery_configs
 
-from oracles import chi_riemann_roch
+from oracles import chi_riemann_roch, validate_model
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -36,26 +36,45 @@ def packaged_preset(name):
                        f"{name}.json").read_text())
 
 
-def inconsistent_presets():
-    """(preset name, data): copies of packaged presets whose stored charts
-    or bundle weights disagree with their fan: truncated, one weight per
-    bundle, reversed."""
-    plane, quadric = packaged_preset("plane"), packaged_preset("quadric")
+NOT_A_FAN = "the rays of {} are not a smooth complete fan listed " \
+    "counterclockwise"
+
+
+def bad_fan_presets():
+    """(preset data, the error it ends in): presets written as the
+    keyword arguments of ``from_fan`` whose fan is no smooth complete
+    surface listed counterclockwise, or whose basis misses the canonical
+    class."""
+    plane = [[1, 0], [0, 1], [-1, -1]]
     return [
-        ("plane",
-         {**plane, "fixed_points": plane["fixed_points"][:2],
-          "bundles": {"H": {"weights": plane["bundles"]["H"]["weights"][:2]}}}),
-        ("quadric",
-         {**quadric, "bundles": {k: {"weights": rec["weights"][:1]}
-                                 for k, rec in quadric["bundles"].items()}}),
-        ("plane", {**plane, "fixed_points": plane["fixed_points"][::-1]}),
+        # the quadric with its first ray negated: two copies of (-1, 0)
+        ({"name": "quadric", "rays": [[-1, 0], [0, 1], [-1, 0], [0, -1]],
+          "ray_coeffs": {"A": [1, 0, 0, 0], "B": [0, 1, 0, 0]}},
+         NOT_A_FAN.format("quadric")),
+        # the plane's rays twice: every cone unimodular, winding twice
+        ({"name": "plane", "rays": plane * 2,
+          "ray_coeffs": {"H": [1, 0, 0, 0, 0, 0]}},
+         NOT_A_FAN.format("plane")),
+        ({"name": "plane", "rays": plane[::-1], "ray_coeffs": {"H": [0, 0, 1]}},
+         NOT_A_FAN.format("plane")),
+        # without F, the solved canonical class is {"C0": 0}
+        ({"name": "hirzebruch2", "rays": [[1, 0], [0, 1], [-1, 2], [0, -1]],
+          "ray_coeffs": {"C0": [0, 1, 0, 0]}},
+         "the basis divisors of hirzebruch2 do not span its canonical class"),
     ]
+
+
+def test_bad_fans_are_refused():
+    for data, message in bad_fan_presets():
+        with pytest.raises(ValueError) as exc:
+            ToricSurfaceModel.from_fan(**data)
+        assert str(exc.value) == message
 
 
 def test_preset_dir_env(tmp_path, monkeypatch):
     blob = packaged_preset("plane")
     blob["name"] = "custom"
-    # entries that to_json does not write are ignored
+    # entries other than the arguments of from_fan are ignored
     blob["comment"] = "plane under another name"
     (tmp_path / "custom.json").write_text(json.dumps(blob))
     monkeypatch.setenv("DT4_PRESET_DIR", str(tmp_path))
@@ -213,13 +232,16 @@ def test_battery_model_charts_are_golden():
     assert battery_model_charts() == golden
 
 
+# the plane blown up in two torus-fixed points, a surface that no preset
+# covers: rays and ray coefficients alone
+BLOWUP2 = {"name": "blowup2",
+           "rays": [[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1]],
+           "ray_coeffs": {"H": [0, 0, 0, 1, 1], "E1": [0, 1, 0, 0, 0],
+                          "E2": [0, 0, 0, 1, 0]}}
+
+
 def two_point_blowup():
-    """The plane blown up in two torus-fixed points, a surface that no
-    preset covers: rays and ray coefficients alone."""
-    return ToricSurfaceModel.from_fan(
-        "blowup2", rays=[(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1)],
-        ray_coeffs={"H": (0, 0, 0, 1, 1), "E1": (0, 1, 0, 0, 0),
-                    "E2": (0, 0, 0, 1, 0)})
+    return ToricSurfaceModel.from_fan(**BLOWUP2)
 
 
 def test_a_fan_fixes_the_intersection_data():
@@ -231,10 +253,10 @@ def test_a_fan_fixes_the_intersection_data():
     assert model.canonical_divisor() == {"H": -3, "E1": 1, "E2": 1}
     assert model.chern._asdict() == {"c1_sq": 7, "c2": 5, "chi_O": 1}
     validate_model(model)
-    again = ToricSurfaceModel.from_json(json.loads(json.dumps(
-        model.to_json())))
-    assert again.to_json() == model.to_json()
+    again = ToricSurfaceModel.from_json(json.loads(json.dumps(BLOWUP2)))
     assert again.fixed_points == model.fixed_points
+    assert (again.pairing, again.canonical) == (model.pairing,
+                                                model.canonical)
 
 
 def test_a_basis_that_fixes_no_canonical_class_raises():
@@ -248,14 +270,57 @@ def test_a_basis_that_fixes_no_canonical_class_raises():
         ToricSurfaceModel.from_fan("plane", rays, {"H2": (2, 0, 0)})
 
 
-def test_to_json_roundtrip():
-    plane = from_preset("plane")
-    blob = plane.to_json()
-    again = ToricSurfaceModel.from_json(blob)
-    assert again.name == plane.name
-    assert again.basis == plane.basis
-    assert again.pair({"H": 1}, {"H": 1}) == 1
-    validate_model(again)
+def test_packaged_presets_are_from_fan_arguments():
+    # one file per preset name, holding exactly the arguments of from_fan
+    assert sorted(os.listdir(PRESET_DIR)) == sorted(
+        f"{name}.json" for name in PRESET_NAMES)
+    for name in PRESET_NAMES:
+        data = packaged_preset(name)
+        assert sorted(data) == ["name", "ray_coeffs", "rays"]
+        assert data["name"] == name
+
+
+@st.composite
+def blown_up_fans(draw):
+    """Rays of the plane or of F_e, e <= 3, after 0-4 toric blow-ups: each
+    inserts v_i + v_(i+1) between two consecutive rays."""
+    e = draw(st.sampled_from([None, 0, 1, 2, 3]))
+    rays = ([[1, 0], [0, 1], [-1, -1]] if e is None
+            else [[1, 0], [0, 1], [-1, e], [0, -1]])
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(rays) - 1))
+        u, v = rays[i], rays[(i + 1) % len(rays)]
+        rays.insert(i + 1, [u[0] + v[0], u[1] + v[1]])
+    return rays
+
+
+def fan_preset(rays):
+    """Preset data of a fan with the basis D_2 ... D_(n-1)."""
+    n = len(rays)
+    return {"name": "fan", "rays": rays,
+            "ray_coeffs": {f"D{r}": [int(q == r) for q in range(1, n + 1)]
+                           for r in range(2, n)}}
+
+
+@settings(max_examples=30, deadline=None)
+@given(blown_up_fans(), st.data())
+def test_generated_fans_load_and_their_perturbations_are_refused_or_valid(
+        rays, data):
+    model = ToricSurfaceModel.from_json(json.loads(json.dumps(
+        fan_preset(rays))))
+    validate_model(model)
+    assert model.chern.c1_sq == 12 - len(rays)
+    # negate one coordinate of one ray, or list the rays clockwise
+    r = data.draw(st.integers(0, len(rays) - 1))
+    x = data.draw(st.integers(0, 1))
+    negated = [list(v) for v in rays]
+    negated[r][x] = -negated[r][x]
+    for perturbed in (fan_preset(negated), fan_preset(rays[::-1])):
+        try:
+            model = ToricSurfaceModel.from_json(perturbed)
+        except ValueError:
+            continue
+        validate_model(model)
 
 
 @settings(max_examples=30, deadline=None)
@@ -273,21 +338,26 @@ def test_pair_bilinear_symmetric(a, b, c, d):
 def test_malformed_preset_raises_value_error(tmp_path, monkeypatch):
     blob = packaged_preset("plane")
     monkeypatch.setenv("DT4_PRESET_DIR", str(tmp_path))
-    # fan entries that are not integers, though the stored weights agree
-    floats = {**blob, "fan": {**blob["fan"], "ray_coeffs": {"H": [1.5, 0, 0]}},
-              "bundles": {"H": {"weights": [[1.5, 0], [0, 0], [1.5, -1.5]]}}}
-    bools = {**blob, "fan": {**blob["fan"], "ray_coeffs": {"H": [True, 0, 0]}}}
+    # fan entries that are not integers
+    floats = {**blob, "ray_coeffs": {"H": [1.5, 0, 0]}}
+    bools = {**blob, "ray_coeffs": {"H": [True, 0, 0]}}
+    float_ray = {**blob, "rays": [[1.0, 0], [0, 1], [-1, -1]]}
     # one coefficient more than rays, which the fiber weights never read
-    extra = {**blob, "fan": {**blob["fan"], "ray_coeffs": {"H": [1, 0, 0, 7]}}}
-    cases = [("plane", broken) for broken in (
-        {"name": "plane"}, {**blob, "chern": {"c2": 3}},
-        {**blob, "fixed_points": blob["fixed_points"] * 2},
-        {**blob, "fan": {"rays": [[1, 0]]}}, floats, bools, extra)]
-    cases += inconsistent_presets()
-    for name, broken in cases:
-        (tmp_path / f"{name}.json").write_text(json.dumps(broken))
+    extra = {**blob, "ray_coeffs": {"H": [1, 0, 0, 7]}}
+    # the layout that stored the fan under "fan" beside derived copies
+    old = {"name": "plane", "fan": {k: blob[k] for k in ("rays",
+                                                         "ray_coeffs")},
+           "chern": {"c1_sq": 9, "c2": 3, "chi_O": 1}}
+    for broken in ({"name": "plane"}, {**blob, "rays": [[1, 0]]}, floats,
+                   bools, float_ray, extra, old):
+        (tmp_path / "plane.json").write_text(json.dumps(broken))
         with pytest.raises(ValueError, match="malformed preset"):
-            from_preset(name)
+            from_preset("plane")
+    (tmp_path / "plane.json").write_text(json.dumps(old))
+    with pytest.raises(ValueError) as exc:
+        from_preset("plane")
+    assert str(exc.value) == ("malformed preset: missing or ill-typed entry "
+                              "(KeyError: 'rays')")
 
 
 def test_unreadable_preset_raises_value_error(tmp_path, monkeypatch):

@@ -9,14 +9,14 @@ from dt4.eqalg import (FactoredScalar, NonGenericWeightError,
                        WeightCharacter)
 from dt4.localize import (PrefactorData, TwistedBundleSpec,
                           typeII_component_integral)
-from dt4.surfaces import from_preset, validate_model
+from dt4.surfaces import from_preset
 from dt4.universal import (EPS_LINE, FIELDS, FIT_FIELDS, ChernNumbers,
                            UniversalPolynomial, battery_configs,
                            chern_invariants, classical_limit, fit_universal,
                            typeII_samples, _add_laurent_term, _constant_term,
                            _monomial_name, _monomials)
 
-from oracles import hilbert_row
+from oracles import hilbert_row, validate_model
 from test_localize import ROUTE_DIVISORS, classical_integral
 from test_surfaces import two_point_blowup
 
