@@ -1,4 +1,4 @@
-"""Exact scalars and torus weight characters.
+"""Exact scalars, and the Euler and Chern classes of torus characters.
 
 All equivariant quantities live in the fraction field of one integer
 polynomial ring, whose variables ``s``, ``sp``, ``e1``, ``e2`` are fixed
@@ -13,9 +13,10 @@ multiplicities, ``+`` lifts both numerators to the union of the forms,
 forms to affine ones.  None of them reduces: ``canonical()`` is the one
 place that does, and it finds its gcd by trial division by each form.
 
-A :class:`WeightCharacter` is a finite multiset of integer linear forms in
-these variables; it models the character of a virtual torus
-representation.  Euler classes and Chern class parts are read off from it.
+A character of a virtual torus representation is a Laurent ``Poly`` (see
+``poly``): its exponent tuples are its weights, integer linear forms in
+the variables s, sp, e1, e2, and its coefficients their multiplicities.
+Euler classes and Chern class parts are read off from its ``terms``.
 """
 
 import math
@@ -290,103 +291,6 @@ def exact_str(x):
     return str(x)
 
 
-# -- weight characters -----------------------------------------------------
-
-class WeightCharacter:
-    """Finite multiset of integer weight vectors with integer multiplicity.
-
-    Vectors are coefficient tuples over the ring's variables.  Addition
-    and subtraction are of virtual representations; ``mul`` is the tensor
-    product (weights add, multiplicities multiply).
-    """
-
-    __slots__ = ("weights",)
-
-    def __init__(self, weights=None):
-        self.weights = {}
-        if weights:
-            for w, m in (weights.items() if isinstance(weights, dict) else weights):
-                if m:
-                    w = tuple(w)
-                    n = self.weights.get(w, 0) + m
-                    if n:
-                        self.weights[w] = n
-                    else:
-                        del self.weights[w]
-
-    def items(self):
-        return self.weights.items()
-
-    def rank(self):
-        return sum(self.weights.values())
-
-    def is_zero(self):
-        return not self.weights
-
-    def __eq__(self, other):
-        return (isinstance(other, WeightCharacter)
-                and self.weights == other.weights)
-
-    def __repr__(self):
-        items = sorted(self.weights.items())
-        return f"WeightCharacter({items!r})"
-
-    def __add__(self, other):
-        t = dict(self.weights)
-        for w, m in other.weights.items():
-            n = t.get(w, 0) + m
-            if n:
-                t[w] = n
-            else:
-                del t[w]
-        out = WeightCharacter()
-        out.weights = t
-        return out
-
-    def __neg__(self):
-        out = WeightCharacter()
-        out.weights = {w: -m for w, m in self.weights.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            out = WeightCharacter()
-            if other:
-                out.weights = {w: m * other for w, m in self.weights.items()}
-            return out
-        t = {}
-        for w1, m1 in self.weights.items():
-            for w2, m2 in other.weights.items():
-                w = tuple(a + b for a, b in zip(w1, w2))
-                n = t.get(w, 0) + m1 * m2
-                if n:
-                    t[w] = n
-                else:
-                    del t[w]
-        out = WeightCharacter()
-        out.weights = t
-        return out
-
-    __rmul__ = __mul__
-
-    def shift(self, vec):
-        """Tensor with the one dimensional representation of weight ``vec``."""
-        vec = tuple(vec)
-        out = WeightCharacter()
-        out.weights = {tuple(a + b for a, b in zip(w, vec)): m
-                       for w, m in self.weights.items()}
-        return out
-
-    def conjugate(self):
-        """Dual representation: all weights negated."""
-        out = WeightCharacter()
-        out.weights = {tuple(-a for a in w): m for w, m in self.weights.items()}
-        return out
-
-
 def euler_of_character(char):
     """The equivariant Euler class of the character: product of weight
     forms to their multiplicities, factored.
@@ -397,7 +301,7 @@ def euler_of_character(char):
     """
     mult = {}
     scalar = Fraction(1)
-    for w, m in char.items():
+    for w, m in char.terms.items():
         k, p = _primitive_form(w + (0,))
         scalar *= Fraction(k) ** m
         mult[p] = mult.get(p, 0) + m
@@ -481,7 +385,7 @@ def chern_part(char, k):
     are legal and contribute nothing.
     """
     coeffs = [Poly.const(1)] + [Poly()] * k
-    for w, m in char.weights.items():
+    for w, m in char.terms.items():
         if any(w):
             lf = Poly.linear_form(w)
             coeffs = _truncated_product(

@@ -1,10 +1,10 @@
 """Equivariant localization integrands over Hilbert schemes of points.
 
-All characters are finite weight multisets over the ring's variables
-(s, sp, e1, e2): s is the fiber-scaling parameter, sp the auxiliary
-residue parameter, (e1, e2) the toric chart parameters.  A twisted line
-bundle contributes its per-chart fiber form plus t_weight * s plus
-tprime_weight * sp to every weight it touches.
+All characters are Laurent ``Poly``s whose exponents are weights over
+(s, sp, e1, e2), or (e1, e2) at one chart: s is the fiber-scaling
+parameter, sp the residue parameter, (e1, e2) the toric chart parameters.
+A twisted line bundle contributes its per-chart fiber form plus t_weight *
+s plus tprime_weight * sp to every weight it touches.
 
 Conventions inherited from the surface layer: boxes (i, j) of a chart
 partition carry weight -(i*w1 + j*w2); the correction character of an
@@ -27,11 +27,12 @@ from fractions import Fraction
 from time import perf_counter
 from typing import NamedTuple
 
-from .eqalg import (FactoredScalar, NonGenericWeightError, WeightCharacter,
-                    euler_of_character, factored_sum, residue)
+from .eqalg import (FactoredScalar, NonGenericWeightError, euler_of_character,
+                    factored_sum, residue)
 # perfbench's tracer wraps this module global; no route calls it
 from .eqalg import chern_part  # noqa: F401
 from .partitions import arm_leg, boxes, hilb_fixed_points, is_nested
+from .poly import CONSTANT as ZERO_WEIGHT, Poly
 
 
 class TwistedBundleSpec(NamedTuple):
@@ -113,35 +114,35 @@ SYMBOLIC = WeightMap()
 # -- chart-level character calculus ----------------------------------------
 
 def _chart_sum(local, charts, shifts, *fps):
-    """One WeightCharacter per entry of ``shifts`` (see WeightMap.charts):
+    """One character per entry of ``shifts`` (see WeightMap.charts):
     the sum over the charts of nonempty partitions of ``local(partitions,
     w1, w2)`` over (e1, e2), computed once per chart, shifted by the entry."""
     out = [[] for _ in shifts]
     for i, ((w1, w2), *lams) in enumerate(zip(charts, *fps)):
         if any(lams):
-            items = local(*lams, w1, w2).items()
+            items = local(*lams, w1, w2).terms.items()
             for pairs, shift in zip(out, shifts):
                 t, tp, x, y = shift[i]
                 pairs += [((t, tp, w[0] + x, w[1] + y), m) for w, m in items]
-    return [WeightCharacter(pairs) for pairs in out]
+    return [Poly.from_pairs(pairs) for pairs in out]
 
 
 def _tangent_chart(lam, w1, w2):
-    """Weight -> multiplicity: each box contributes the arm/leg pair
-    (l+1)*w1 - a*w2 and -l*w1 + (a+1)*w2."""
+    """Each box contributes the arm/leg pair (l+1)*w1 - a*w2 and
+    -l*w1 + (a+1)*w2."""
     out = {}
     for box in boxes(lam):
         a, l = arm_leg(lam, box)
         for (c1, c2) in (((l + 1), -a), (-l, (a + 1))):
             w = (c1 * w1[0] + c2 * w2[0], c1 * w1[1] + c2 * w2[1])
             out[w] = out.get(w, 0) + 1
-    return out
+    return Poly._of(out)
 
 
 def _box_character(lam, w1, w2):
-    return WeightCharacter([((-(i * w1[0] + j * w2[0]),
-                              -(i * w1[1] + j * w2[1])), 1)
-                            for (i, j) in boxes(lam)])
+    return Poly.from_pairs(((-(i * w1[0] + j * w2[0]),
+                             -(i * w1[1] + j * w2[1])), 1)
+                           for (i, j) in boxes(lam))
 
 
 def _pair_correction(lam1, lam2, w1, w2):
@@ -150,12 +151,12 @@ def _pair_correction(lam1, lam2, w1, w2):
     v2 = _box_character(lam2, w1, w2)
     if v1.is_zero():
         return v2
-    c1 = v1.conjugate()
+    c1 = v1.dual()
     t12 = (w1[0] + w2[0], w1[1] + w2[1])
     out = v2 + c1.shift(t12)
     if not v2.is_zero():
         # (1 - t1)(1 - t2) = 1 - t1 - t2 + t1 t2
-        out = out - c1 * v2 * WeightCharacter(
+        out = out - c1 * v2 * Poly.from_pairs(
             [((0, 0), 1), (w1, -1), (w2, -1), (t12, 1)])
     return out
 
@@ -184,8 +185,8 @@ def chi_character(fp1, fp2, bundle, model):
     """
     spec = _as_spec(bundle)
     coh = model.cohomology_character(spec.divisor)
-    sheaf = WeightCharacter([((spec.t_weight, spec.tprime_weight) + w, m)
-                             for w, m in coh.items()])
+    sheaf = Poly({(spec.t_weight, spec.tprime_weight) + w: m
+                  for w, m in coh.terms.items()})
     return sheaf - _chart_sum(_pair_correction, *SYMBOLIC.charts(model, spec),
                               fp1, fp2)[0]
 
@@ -378,14 +379,15 @@ def _typeII_character(charts, shifts, fp1, fp2, tangents):
     e_cls, k2l, kl, negl = _chart_sum(_pair_correction, charts,
                                       shifts[:1] + shifts[2:], fp1, fp2)
     n = sum(map(sum, fp1 + fp2))
-    if e_cls.rank() != n or any(m < 0 for _, m in e_cls.items()):
+    mults = e_cls.terms.values()
+    if sum(mults) != n or any(m < 0 for m in mults):
         raise ValueError(f"typeII term: diff(0) at the nested pair {fp1}, "
                          f"{fp2} is not an honest character of rank {n}")
     rest = k2l - kl - negl + tangents
-    if any(not any(w) for w, _ in rest.items()):
+    if ZERO_WEIGHT in rest.terms:
         raise NonGenericWeightError(
             "zero torus weight: Euler class is not invertible")
-    if any(not any(w) for w, _ in e_cls.items()):
+    if ZERO_WEIGHT in e_cls.terms:
         return None
     return e_cls + rest
 
@@ -415,7 +417,7 @@ def _mochizuki_term(model, Lb1, Lb2, L, p_g, wmap, fp1, fp2):
     makes the term 0.  The residue is linear over the sp-free weights, so
     only the weights that carry sp are expanded into its series."""
     v1 = tautological_character(fp1, Lb1, model)
-    if any(not any(w) for w in v1.weights):
+    if ZERO_WEIGHT in v1.terms:
         return FactoredScalar.const(0)
     char = v1 + tautological_character(fp2, Lb2, model).shift((0, 2, 0, 0))
     # chi of (ideal A x divA x t'^cA, ideal B x divB x t'^cB), twisted by
@@ -429,13 +431,13 @@ def _mochizuki_term(model, Lb1, Lb2, L, p_g, wmap, fp1, fp2):
         char = char - chi_character(fa, fb, spec, model)
     # (2 sp)^(n1+n2-p_g) in the denominator is the weight 2 sp
     n = sum(map(sum, fp1 + fp2))
-    char = (char + WeightCharacter({(0, 2, 0, 0): p_g - n})
+    char = (char + Poly({(0, 2, 0, 0): p_g - n})
             - tangent_character(fp1, model) - tangent_character(fp2, model))
     free, rest = [], []
-    for w, m in char.items():
+    for w, m in char.terms.items():
         (rest if w[1] else free).append((w[:2] + wmap.form(w[2:]), m))
-    return (euler_of_character(WeightCharacter(free))
-            * residue(euler_of_character(WeightCharacter(rest)), "sp"))
+    return (euler_of_character(Poly.from_pairs(free))
+            * residue(euler_of_character(Poly.from_pairs(rest)), "sp"))
 
 
 def split_budget(model, Lb1, Lb2, n):

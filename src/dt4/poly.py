@@ -9,6 +9,13 @@ first, ties broken lexicographically on the exponent tuple); that order
 fixes leading terms, canonical signs and printing everywhere else in the
 package.
 
+A torus character is a Laurent polynomial of the same kind: its exponent
+tuples are its weights, possibly negative, in the slots s, sp, e1, e2 (or
+e1, e2 at one chart), and its coefficients their multiplicities.  ``+``,
+``-``, ``*``, ``from_pairs``, ``dual``, ``shift`` and ``is_zero`` apply to
+it, and its rank is ``sum(x.terms.values())``; ordering, division and
+printing are for polynomials.
+
 There is no polynomial gcd.  Every denominator dt4 builds is a product of
 linear (or, after specialisation, affine) forms, so exact division by one
 form (``divides``) and the integer ``content`` are all that reducing a
@@ -72,6 +79,25 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _of(cls, terms):
+        """The Poly over ``terms``, which must hold no zero coefficient."""
+        p = object.__new__(cls)
+        p.terms = terms
+        return p
+
+    @classmethod
+    def from_pairs(cls, pairs):
+        """Sum of (exponent, coefficient) pairs; repeats add, zeros drop."""
+        t = {}
+        for e, c in pairs:
+            n = t.get(e, 0) + c
+            if n:
+                t[e] = n
+            else:
+                t.pop(e, None)
+        return cls._of(t)
+
+    @classmethod
     def const(cls, c):
         return cls({CONSTANT: int(c)})
 
@@ -132,22 +158,18 @@ class Poly:
                 t[e] = n
             else:
                 t.pop(e, None)
-        return Poly(t)
+        return Poly._of(t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({e: -c for e, c in self.terms.items()})
+        return Poly._of({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = Poly.const(other)
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if not other:
-                return Poly()
             return Poly({e: c * other for e, c in self.terms.items()})
         t = {}
         right = list(other.terms.items())
@@ -159,9 +181,17 @@ class Poly:
                     t[e] = n
                 else:
                     t.pop(e, None)
-        return Poly(t)
+        return Poly._of(t)
 
     __rmul__ = __mul__
+
+    def dual(self):
+        """The dual character: every exponent negated."""
+        return Poly._of({tuple(-x for x in e): c for e, c in self.terms.items()})
+
+    def shift(self, v):
+        """The product with the monomial of exponent ``v``."""
+        return Poly._of({tuple(map(add, e, v)): c for e, c in self.terms.items()})
 
     def __pow__(self, k):
         if k < 0:
@@ -199,7 +229,7 @@ class Poly:
                 if c % d:
                     raise ValueError("inexact polynomial division")
                 q[e] = c // d
-            return Poly(q)
+            return Poly._of(q)
         oe, oc = other.lead()
         rest = [(e, c) for e, c in other.terms.items() if e != oe]
         r = dict(self.terms)
@@ -227,7 +257,7 @@ class Poly:
                     r[ne] = nc
                 else:
                     r.pop(ne, None)
-        return Poly(q)
+        return Poly._of(q)
 
     def divides(self, other):
         """Return other/self when the division is exact, else None."""

@@ -48,6 +48,17 @@ class _FanComponent(NamedTuple):
         return [sum(c * a[r] for c, a in terms) for r in range(len(self.rays))]
 
 
+def _check_ints(where, rays, ray_coeffs):
+    """ValueError, prefixed ``where``, unless every entry is a plain int."""
+    for key, lists in (("rays", enumerate(rays)),
+                       ("ray_coeffs", ray_coeffs.items())):
+        for k, entries in lists:
+            for i, v in enumerate(entries):
+                if type(v) is not int:
+                    raise ValueError(f"{where}: {key}[{k!r}][{i}] is {v!r}, "
+                                     "not an integer")
+
+
 def _det(u, v):
     return u[0] * v[1] - u[1] * v[0]
 
@@ -180,6 +191,7 @@ class ToricSurfaceModel:
         if len(rays) < 3:
             raise ValueError(f"fan of {name} has {len(rays)} rays, fewer "
                              "than three")
+        _check_ints(f"fan of {name}", rays, ray_coeffs)
         fan = _FanComponent(tuple(map(tuple, rays)),
                             {k: tuple(v) for k, v in ray_coeffs.items()})
         return cls(name, [fan])
@@ -224,28 +236,20 @@ class ToricSurfaceModel:
     # -- sheaf cohomology --------------------------------------------------
 
     def cohomology_character(self, d):
-        """Weight form -> multiplicity for the full cohomology of O(d).
+        """The character of the cohomology of O(d): a Laurent Poly in (e1, e2).
 
         H^0 and H^2 lattice points count +1, an H^1 point with c failing
         arcs counts -(c-1); the alternating-sum rank equals chi(d).
         """
         d = self.check_divisor(d)
         key = tuple(sorted(d.items()))
-        cached = self._coh_cache.get(key)
-        if cached is not None:
-            return dict(cached)
-        out = {}
-        for fan in self.fans:
-            coeffs = fan.divisor_coeffs(d)
-            for (m, mult) in _lattice_cohomology(fan.rays, coeffs):
-                w = (-m[0], -m[1])
-                n = out.get(w, 0) + mult
-                if n:
-                    out[w] = n
-                else:
-                    del out[w]
-        self._coh_cache[key] = dict(out)
-        return out
+        if key not in self._coh_cache:
+            from .poly import Poly      # loading a preset never imports it
+            self._coh_cache[key] = Poly.from_pairs(
+                ((-m[0], -m[1]), mult) for fan in self.fans
+                for m, mult in _lattice_cohomology(
+                    fan.rays, fan.divisor_coeffs(d)))
+        return self._coh_cache[key]
 
     # -- composition -------------------------------------------------------
 
@@ -277,13 +281,7 @@ class ToricSurfaceModel:
         name, rays, ray_coeffs = data["name"], data["rays"], data["ray_coeffs"]
         if type(name) is not str:
             raise ValueError("malformed preset: its name is not a string")
-        for key, lists in (("rays", enumerate(rays)),
-                           ("ray_coeffs", ray_coeffs.items())):
-            for k, entries in lists:
-                for i, v in enumerate(entries):
-                    if type(v) is not int:
-                        raise ValueError(f"malformed preset: {key}[{k!r}]"
-                                         f"[{i}] is {v!r}, not an integer")
+        _check_ints("malformed preset", rays, ray_coeffs)
         if any(len(a) != len(rays) for a in ray_coeffs.values()):
             raise ValueError(f"malformed preset: {name} stores "
                              "ray_coeffs without one entry per ray")

@@ -20,7 +20,7 @@ from dt4.eqalg import chern_part
 from dt4.localize import difference_character
 from dt4.partitions import boxes, hilb_fixed_points
 from dt4.poly import NAMES, Poly
-from dt4.surfaces import _lattice_cohomology
+from dt4.surfaces import ToricSurfaceModel, _lattice_cohomology
 
 
 # -- counting --------------------------------------------------------------
@@ -216,8 +216,8 @@ def nested_support(model, n):
                 top = not chern_part(diff, size).is_zero()
                 assert top == nested, (fp1, fp2, top)
                 if nested:
-                    assert diff.rank() == size and all(
-                        m > 0 for _, m in diff.items()), (fp1, fp2, diff)
+                    assert sum(diff.terms.values()) == size and all(
+                        m > 0 for m in diff.terms.values()), (fp1, fp2, diff)
                     support.append((fp1, fp2))
                 pairs.append((fp1, fp2))
     return pairs, support
@@ -310,12 +310,12 @@ def validate_model(model):
         f"{model.name}: K.K {model.pair(kd, kd)} != c1_sq {model.chern.c1_sq}"
 
     triv = model.cohomology_character({})
-    assert triv == {(0, 0): len(model.fans)}, \
+    assert triv.terms == {(0, 0): len(model.fans)}, \
         f"{model.name}: cohomology of O is {triv}"
 
     for d in _divisor_samples(model):
         coh = model.cohomology_character(d)
-        rank = sum(coh.values())
+        rank = sum(coh.terms.values())
         assert rank == model.chi(d), \
             f"{model.name}: rank {rank} != chi {model.chi(d)} for {d}"
         # character-level Serre duality per component, with the canonical
@@ -334,6 +334,25 @@ def _divisor_samples(model):
     names = model.basis[:2]
     return [model.check_divisor(dict(zip(names, coeffs)))
             for coeffs in itertools.product(range(-2, 3), repeat=len(names))]
+
+
+# -- a 12-ray surface with c1^2 = 0 -----------------------------------------
+
+T12_RAYS = ((1, 0), (2, 1), (3, 2), (1, 1), (2, 3), (1, 2), (1, 3), (0, 1),
+            (-1, 0), (-2, -1), (-1, -1), (0, -1))
+
+
+def twelve_ray_surface():
+    """The plane blown up nine times at torus-fixed points: twelve rays,
+    so c1^2 = 12 - 12 = 0 and c2 = 12.  Its basis is D2 .. D11, where D_k
+    is the divisor of ray k, counting rays from 1.  At L = 0 universality
+    leaves D^c2 of the nested series, D = prod_j (1 - (q1 q2)^j)^-1, so
+    its (k, k) cell is ``colored_counts(12, k)[k]`` and every other cell
+    is 0."""
+    n = len(T12_RAYS)
+    return ToricSurfaceModel.from_fan("T12", T12_RAYS, {
+        f"D{k}": tuple(int(r == k - 1) for r in range(n))
+        for k in range(2, n)})
 
 
 # -- the Hilbert-scheme row in closed form ---------------------------------

@@ -1,4 +1,4 @@
-"""The one scalar type, factored residues, weight characters."""
+"""The one scalar type, factored residues, the classes of characters."""
 
 import math
 from fractions import Fraction
@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dt4.eqalg import (FactoredScalar, NonGenericWeightError,
-                       WeightCharacter, chern_part, euler_of_character,
-                       exact_str, factored_sum, gcd, residue)
+from dt4.eqalg import (FactoredScalar, NonGenericWeightError, chern_part,
+                       euler_of_character, exact_str, factored_sum, gcd,
+                       residue)
 from dt4.poly import NAMES, Poly
 
 from oracles import poly_gcd
@@ -150,7 +150,7 @@ def test_as_fraction():
 def factored(num, weights=None):
     """``num`` (a polynomial FactoredScalar) times the Euler class of the
     weights, as a FactoredScalar."""
-    return num * euler_of_character(WeightCharacter(weights))
+    return num * euler_of_character(Poly(weights))
 
 
 def res(x):
@@ -185,53 +185,57 @@ def test_residue_expands_mixed_forms():
 
 
 def test_weight_character_algebra():
-    c = WeightCharacter({(1, 0, 0, 0): 2, (0, 0, 1, 0): -1})
-    assert c.rank() == 1
-    assert (-c).weights == {(1, 0, 0, 0): -2, (0, 0, 1, 0): 1}
-    d = WeightCharacter({(1, 0, 0, 0): -2})
-    assert (c + d).weights == {(0, 0, 1, 0): -1}
-    assert c.conjugate().weights == {(-1, 0, 0, 0): 2, (0, 0, -1, 0): -1}
-    assert c.shift((0, 0, 0, 1)).weights == {(1, 0, 0, 1): 2, (0, 0, 1, 1): -1}
+    c = Poly({(1, 0, 0, 0): 2, (0, 0, 1, 0): -1})
+    assert sum(c.terms.values()) == 1
+    assert (-c).terms == {(1, 0, 0, 0): -2, (0, 0, 1, 0): 1}
+    d = Poly({(1, 0, 0, 0): -2})
+    assert (c + d).terms == {(0, 0, 1, 0): -1}
+    assert c.dual().terms == {(-1, 0, 0, 0): 2, (0, 0, -1, 0): -1}
+    assert c.shift((0, 0, 0, 1)).terms == {(1, 0, 0, 1): 2, (0, 0, 1, 1): -1}
+    assert Poly.from_pairs([((1, 0, 0, 0), 2), ((1, 0, 0, 0), -2),
+                            ((0, 0, 1, 0), 1), ((0, 0, 1, 0), 1)]).terms \
+        == {(0, 0, 1, 0): 2}
 
 
 def test_weight_character_product():
-    a = WeightCharacter({(1, 0, 0, 0): 1, (0, 1, 0, 0): 1})
-    b = WeightCharacter({(0, 0, 1, 0): 1})
-    assert (a * b).weights == {(1, 0, 1, 0): 1, (0, 1, 1, 0): 1}
+    a = Poly({(1, 0, 0, 0): 1, (0, 1, 0, 0): 1})
+    b = Poly({(0, 0, 1, 0): 1})
+    assert (a * b).terms == {(1, 0, 1, 0): 1, (0, 1, 1, 0): 1}
 
 
 def test_euler_of_character():
-    c = WeightCharacter({(1, 0, 0, 0): 2, (0, 0, 1, 1): -1})
+    c = Poly({(1, 0, 0, 0): 2, (0, 0, 1, 1): -1})
     assert euler_of_character(c).canonical() == S * S / (E1 + E2)
     with pytest.raises(NonGenericWeightError):
-        euler_of_character(WeightCharacter({(0, 0, 0, 0): 1}))
+        euler_of_character(Poly({(0, 0, 0, 0): 1}))
 
 
 def test_euler_of_zero_multiplicity_weight():
-    c = WeightCharacter({(1, 0, 0, 0): 1})
+    c = Poly({(1, 0, 0, 0): 1})
     assert euler_of_character(c + (-c)).canonical() == ONE
 
 
 def test_chern_part():
-    c = WeightCharacter({(1, 0, 0, 0): 1, (0, 0, 1, 0): 1})
+    c = Poly({(1, 0, 0, 0): 1, (0, 0, 1, 0): 1})
     assert chern_part(c, 0) == ONE.num
     assert chern_part(c, 1) == (S + E1).num
     assert chern_part(c, 2) == (S * E1).num
     # zero weights are legal in Chern classes and contribute nothing
-    z = WeightCharacter({(0, 0, 0, 0): 3, (1, 0, 0, 0): 1})
+    z = Poly({(0, 0, 0, 0): 3, (1, 0, 0, 0): 1})
     assert chern_part(z, 1) == S.num
 
 
 def test_chern_part_negative_multiplicity():
     # (1 + s)^-1 expands as 1 - s + s^2 - ...
-    c = WeightCharacter({(1, 0, 0, 0): -1})
+    c = Poly({(1, 0, 0, 0): -1})
     assert chern_part(c, 1) == (-S).num
     assert chern_part(c, 2) == (S * S).num
 
 
 def test_chern_top_equals_euler():
-    c = WeightCharacter({(1, 0, 0, 0): 1, (0, 0, 1, 0): 1, (0, 0, 0, 1): 1})
-    assert chern_part(c, c.rank()) == euler_of_character(c).canonical().num
+    c = Poly({(1, 0, 0, 0): 1, (0, 0, 1, 0): 1, (0, 0, 0, 1): 1})
+    assert chern_part(c, sum(c.terms.values())) == \
+        euler_of_character(c).canonical().num
 
 
 @settings(max_examples=40, deadline=None)
@@ -375,7 +379,7 @@ def _num(c, weights):
 def factored_terms():
     """(numerator Poly, character) pairs over a small pool of weights."""
     char = st.lists(st.tuples(WEIGHTS, st.integers(-2, 2)), max_size=3).map(
-        lambda ws: WeightCharacter(ws))
+        Poly.from_pairs)
     num = st.tuples(st.integers(-3, 3), st.lists(WEIGHTS, max_size=2)).map(
         lambda cv: _num(*cv))
     return st.tuples(num, char)
@@ -406,7 +410,7 @@ def assert_reduced_over_forms(x):
 
 def euler_by_products(char):
     out = ONE
-    for w, m in char.items():
+    for w, m in char.terms.items():
         out = out * FactoredScalar(Poly.linear_form(w)) ** m
     return out
 
@@ -415,11 +419,10 @@ def euler_by_products(char):
 @given(st.lists(factored_terms(), min_size=1, max_size=3))
 # a draw that once took half a minute when checked with a polynomial gcd
 @example([(_num(2, [(0, 0, 0, 1), (0, 0, 1, -1)]),
-           WeightCharacter({(-1, 0, 1, 0): 1, (-1, 0, 1, 1): -2})),
-          (_num(2, [(0, 0, 0, 1), (-1, 0, 1, 0)]), WeightCharacter()),
+           Poly({(-1, 0, 1, 0): 1, (-1, 0, 1, 1): -2})),
+          (_num(2, [(0, 0, 0, 1), (-1, 0, 1, 0)]), Poly()),
           (_num(-3, [(1, 0, 0, 0), (1, 0, 1, -1)]),
-           WeightCharacter({(0, 0, 0, 1): -2, (1, 0, 0, 1): -2,
-                            (1, 0, 1, -1): 2}))])
+           Poly({(0, 0, 0, 1): -2, (1, 0, 0, 1): -2, (1, 0, 1, -1): 2}))])
 def test_factored_sum_matches_plain_sum(terms):
     plain = ZERO
     for num, char in terms:

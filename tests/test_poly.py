@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from dt4.localize import WeightMap
 from dt4.poly import Poly, grlex_key, newton_recurrence, poly_str
 
 from oracles import binomial_product, linear_power_product, poly_gcd
@@ -22,6 +23,14 @@ def small_polys(max_terms=4, max_deg=3, max_coeff=6):
     term = st.tuples(exps, st.integers(-max_coeff, max_coeff))
     return st.lists(term, max_size=max_terms).map(
         lambda ts: Poly({e: c for e, c in ts if c}))
+
+
+WEIGHTS = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+WEIGHT_PAIRS = st.lists(st.tuples(WEIGHTS, st.integers(-3, 3)), max_size=5)
+
+
+def rank(x):
+    return sum(x.terms.values())
 
 
 def test_constructor_drops_zero_terms():
@@ -161,6 +170,40 @@ def test_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a + b) + c == a + (b + c)
     assert a * (b + c) == a * b + a * c
+
+
+@settings(max_examples=60, deadline=None)
+@given(WEIGHT_PAIRS.map(Poly.from_pairs), WEIGHT_PAIRS.map(Poly.from_pairs),
+       WEIGHT_PAIRS.map(Poly.from_pairs), WEIGHTS)
+def test_character_arithmetic(a, b, c, v):
+    # characters are Laurent polynomials in (e1, e2), weights negative too
+    assert rank(a + b) == rank(a) + rank(b)
+    assert rank(a - b) == rank(a) - rank(b)
+    assert rank(a * b) == rank(a) * rank(b)
+    assert a.dual().dual() == a
+    assert (a * b).dual() == a.dual() * b.dual()
+    assert a * (b + c) == a * b + a * c
+    assert a.shift(v) == a * Poly({v: 1})
+    for x in (a + b, a - b, a * b, -a, a * 2, a.dual(), a.shift(v)):
+        assert 0 not in x.terms.values()
+
+
+@settings(max_examples=60, deadline=None)
+@given(WEIGHT_PAIRS, st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+# (1 - t1)(1 - t2) at a chart with w1 = (1, 0), w2 = (0, 1): on the line
+# (1, 1), t1 and t2 both become (1, 0), and a dict literal would keep one
+@example([((0, 0), 1), ((1, 0), -1), ((0, 1), -1), ((1, 1), 1)], (1, 1))
+def test_from_pairs_sums_repeats_and_drops_zeros(pairs, line):
+    x = Poly.from_pairs(pairs)
+    assert x == sum((Poly({w: m}) for w, m in pairs), Poly())
+    assert rank(x) == sum(m for _, m in pairs)
+    assert x.terms == {w: t for w in {w for w, _ in pairs}
+                       if (t := sum(m for u, m in pairs if u == w))}
+    # weights that one WeightMap line sends to one form add up
+    form = WeightMap(line).form
+    mapped = Poly.from_pairs((form(w), m) for w, m in pairs)
+    assert rank(mapped) == rank(x)
+    assert mapped == sum((Poly({form(w): m}) for w, m in pairs), Poly())
 
 
 @settings(max_examples=40, deadline=None)

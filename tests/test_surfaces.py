@@ -71,6 +71,23 @@ def test_bad_fans_are_refused():
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("rays,ray_coeffs,message", [
+    ([(1.0, 0), (0, 1), (-1, -1)], {"H": (1, 0, 0)},
+     "fan of p: rays[0][0] is 1.0, not an integer"),
+    ([(1, 0), (0, 1), (-1, -1)], {"H": (1.0, 0, 0)},
+     "fan of p: ray_coeffs['H'][0] is 1.0, not an integer"),
+    ([(1, 0), (0, 1), (-1, -1)], {"H": (1, 0, True)},
+     "fan of p: ray_coeffs['H'][2] is True, not an integer")],
+    ids=["float-ray", "float-coefficient", "bool-coefficient"])
+def test_from_fan_refuses_entries_that_are_not_ints(rays, ray_coeffs,
+                                                    message):
+    # a float ray once ended in a TypeError from math.lcm, and a float
+    # coefficient loaded with the float pairing {'H': {'H': 1.0}}
+    with pytest.raises(ValueError) as exc:
+        ToricSurfaceModel.from_fan("p", rays, ray_coeffs)
+    assert str(exc.value) == message
+
+
 def test_preset_dir_env(tmp_path, monkeypatch):
     blob = packaged_preset("plane")
     blob["name"] = "custom"
@@ -159,16 +176,16 @@ def test_cohomology_character_rank():
         model = from_preset(name)
         for d in ({}, model.canonical_divisor()):
             coh = model.cohomology_character(d)
-            assert sum(coh.values()) == model.chi(d)
+            assert sum(coh.terms.values()) == model.chi(d)
     plane = from_preset("plane")
-    assert sum(plane.cohomology_character({"H": 2}).values()) == 6
+    assert sum(plane.cohomology_character({"H": 2}).terms.values()) == 6
 
 
 def test_cohomology_of_structure_sheaf():
     # rational surfaces: only the trivial weight, multiplicity one
     for name in PRESET_NAMES:
         model = from_preset(name)
-        assert model.cohomology_character({}) == {(0, 0): 1}
+        assert model.cohomology_character({}).terms == {(0, 0): 1}
 
 
 def test_tangent_weights_are_dual_bases():

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from dt4 import universal
-from dt4.eqalg import (FactoredScalar, NonGenericWeightError,
-                       WeightCharacter)
+from dt4.eqalg import FactoredScalar, NonGenericWeightError
 from dt4.localize import (PrefactorData, TwistedBundleSpec,
                           typeII_component_integral)
+from dt4.poly import Poly
 from dt4.surfaces import from_preset
 from dt4.universal import (EPS_LINE, FIELDS, FIT_FIELDS, ChernNumbers,
                            UniversalPolynomial, battery_configs,
@@ -16,7 +16,8 @@ from dt4.universal import (EPS_LINE, FIELDS, FIT_FIELDS, ChernNumbers,
                            typeII_samples, _add_laurent_term, _constant_term,
                            _monomial_name, _monomials)
 
-from oracles import hilbert_row, validate_model
+from oracles import (colored_counts, hilbert_row, twelve_ray_surface,
+                     validate_model)
 from test_localize import ROUTE_DIVISORS, classical_integral
 from test_surfaces import two_point_blowup
 
@@ -191,7 +192,7 @@ def test_classical_limit_equals_the_line_route_at_its_origin(name, div,
 def _laurent_sum(*chars):
     acc = {}
     for char in chars:
-        _add_laurent_term(acc, WeightCharacter(char), 1)
+        _add_laurent_term(acc, Poly(char), 1)
     return _constant_term(acc)
 
 
@@ -291,6 +292,17 @@ def test_the_hilbert_row_has_its_closed_form(name, L, N):
     cn = chern_invariants(model, None, None, L)
     row = [classical_limit(model, L, n, 0) for n in range(N + 1)]
     assert row == hilbert_row(cn.D_c1, cn.c1_sq, N)
+
+
+def test_the_L0_series_of_a_12_ray_surface_is_its_diagonal():
+    # every cell n1 + n2 <= 4: 1, 12, 90 on the diagonal, 0 off it
+    model = twelve_ray_surface()
+    assert (model.chern.c1_sq, model.chern.c2) == (0, 12)
+    want = colored_counts(12, 2)
+    for n1 in range(5):
+        for n2 in range(5 - n1):
+            got = classical_limit(model, {}, n1, n2)
+            assert got == (want[n1] if n1 == n2 else 0), (n1, n2)
 
 
 # one divisor per preset and two more, negative ones among them
