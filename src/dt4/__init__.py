@@ -28,8 +28,8 @@ _HOME = {
     "EllipticSurface": "moduli", "Polarization": "moduli",
     "enumerate_typeII_K3": "moduli", "in_stable_chamber": "moduli",
     "is_ample": "moduli", "wall_threshold": "moduli",
-    "ChernNumbers": "universal", "UniversalPolynomial": "universal",
-    "fit_universal": "universal", "universal": "universal",
+    "UniversalPolynomial": "universal", "fit_universal": "universal",
+    "universal": "universal",
 }
 
 __all__ = [*_HOME, "__version__"]

@@ -187,7 +187,14 @@ class ToricSurfaceModel:
 
     @classmethod
     def from_fan(cls, name, rays, ray_coeffs):
-        """A one-fan model; rays listed counterclockwise."""
+        """A one-fan model; rays listed counterclockwise, each with two
+        coordinates, and one coefficient per ray for each basis name."""
+        if any(len(a) != len(rays) for a in ray_coeffs.values()):
+            raise ValueError(f"malformed preset: {name} stores "
+                             "ray_coeffs without one entry per ray")
+        if any(len(v) != 2 for v in rays):
+            raise ValueError(f"malformed preset: {name} stores "
+                             "a ray without two coordinates")
         if len(rays) < 3:
             raise ValueError(f"fan of {name} has {len(rays)} rays, fewer "
                              "than three")
@@ -282,12 +289,6 @@ class ToricSurfaceModel:
         if type(name) is not str:
             raise ValueError("malformed preset: its name is not a string")
         _check_ints("malformed preset", rays, ray_coeffs)
-        if any(len(a) != len(rays) for a in ray_coeffs.values()):
-            raise ValueError(f"malformed preset: {name} stores "
-                             "ray_coeffs without one entry per ray")
-        if any(len(v) != 2 for v in rays):
-            raise ValueError(f"malformed preset: {name} stores "
-                             "a ray without two coordinates")
         return cls.from_fan(name, rays, ray_coeffs)
 
 

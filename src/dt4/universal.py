@@ -1,26 +1,27 @@
 """Universality fitting: localized nested integrals as exact polynomials
 in intersection numbers.
 
-The eleven invariants of a configuration (surface, beta1, beta2, D) are
-listed in FIELDS.  A fit solves an exact linear system over the chosen
-monomials; exactness is the point, so rank deficiency and inconsistency
-are errors, never least-squares compromises.  The localized integrals
-depend on the toric parameters only through the choice of equivariant
-lift; the classical value used for fitting is the value at the origin of
-the parameter line (e1, e2) = EPS_LINE * u.  ``classical_limit`` computes
-it without any multivariate polynomial: only pairs nested chart by chart
-contribute, at s = 1 each of their terms is the Euler class of one
-character and a Laurent series in u with integer coefficients over one
-integer denominator, and the u^0 coefficient of their sum is the value.
-The negative-order coefficients of that sum must cancel exactly; when
-they do not, the sample is an error, never a value.
+A configuration (surface, L) enters only through its four invariants
+(L^2, L.c1, c1^2, c2), in FIT_FIELDS order: by Ellingsrud-Goettsche-Lehn
+every classical nested integral depends on nothing else.  A fit solves an
+exact linear system over the chosen monomials; exactness is the point, so
+rank deficiency and inconsistency are errors, never least-squares
+compromises.  The localized integrals depend on the toric parameters only
+through the choice of equivariant lift; the classical value used for
+fitting is the value at the origin of the parameter line
+(e1, e2) = EPS_LINE * u.  ``classical_limit`` computes it without any
+multivariate polynomial: only pairs nested chart by chart contribute, at
+s = 1 each of their terms is the Euler class of one character and a
+Laurent series in u with integer coefficients over one integer
+denominator, and the u^0 coefficient of their sum is the value.  The
+negative-order coefficients of that sum must cancel exactly; when they do
+not, the sample is an error, never a value.
 """
 
 import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import NamedTuple
 
 from .eqalg import exact_str
 from .localize import (WeightMap, _typeII_character, _typeII_charts,
@@ -31,94 +32,43 @@ from .partitions import hilb_fixed_points, is_nested
 from .poly import newton_recurrence
 from .surfaces import _eliminate, from_preset
 
+# the report's exponent layout; the seven beta slots are always 0
 FIELDS = ("b1_sq", "b2_sq", "b1_c1", "b2_c1", "b1_D", "b2_D", "b1_b2",
           "D_sq", "D_c1", "c1_sq", "c2")
-# the fit basis: beta classes are zero on every sampled route
-FIT_FIELDS = ("D_sq", "D_c1", "c1_sq", "c2")
+FIT_FIELDS = FIELDS[7:]
+# fiber-multiple classes on a K3 target: every pairing vanishes, c2 = 24
+K3_POINT = (0, 0, 0, 24)
 
 # generic direction for the exact parameter line; any pair works as long
 # as no chart weight degenerates on it
 EPS_LINE = (89, -55)
 
 
-class ChernNumbers(NamedTuple):
-    b1_sq: int
-    b2_sq: int
-    b1_c1: int
-    b2_c1: int
-    b1_D: int
-    b2_D: int
-    b1_b2: int
-    D_sq: int
-    D_c1: int
-    c1_sq: int
-    c2: int
-
-    def as_vector(self):
-        return tuple(self)
-
-    @classmethod
-    def k3_point(cls, m=0):
-        """Fiber-multiple configurations on a K3 target: every pairing
-        vanishes regardless of m; only c2 = 24 survives."""
-        return cls(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 24)
-
-
-def chern_invariants(model, beta1, beta2, D):
-    """The eleven pairings of a configuration on a toric model.
-
-    ``None`` stands for the zero divisor class.
-    """
-    b1 = model.check_divisor(beta1 or {})
-    b2 = model.check_divisor(beta2 or {})
-    d = model.check_divisor(D or {})
-    kd = model.canonical_divisor()
-    c1 = {k: -v for k, v in kd.items()}
-    p = model.pair
-    return ChernNumbers(
-        b1_sq=p(b1, b1), b2_sq=p(b2, b2),
-        b1_c1=p(b1, c1), b2_c1=p(b2, c1),
-        b1_D=p(b1, d), b2_D=p(b2, d),
-        b1_b2=p(b1, b2),
-        D_sq=p(d, d), D_c1=p(d, c1),
-        c1_sq=p(c1, c1), c2=model.chern.c2)
+def invariants(model, L):
+    """The configuration's (L^2, L.c1, c1^2, c2), in FIT_FIELDS order."""
+    c1 = {k: -v for k, v in model.canonical_divisor().items()}
+    return (model.pair(L, L), model.pair(L, c1), model.chern.c1_sq,
+            model.chern.c2)
 
 
 def _monomial_name(exps):
-    parts = []
-    for f, e in zip(FIELDS, exps):
-        if e == 1:
-            parts.append(f)
-        elif e > 1:
-            parts.append(f"{f}^{e}")
-    return "*".join(parts) if parts else "1"
+    return "*".join(f if e == 1 else f"{f}^{e}"
+                    for f, e in zip(FIT_FIELDS, exps) if e) or "1"
 
 
-def _monomials(degree_bound, field_indices):
-    """Exponent vectors over the chosen fields, total degree <= bound,
-    in graded-lex order."""
-    out = []
-    for total in range(degree_bound + 1):
-        for combo in itertools.combinations_with_replacement(field_indices,
-                                                            total):
-            e = [0] * len(FIELDS)
-            for i in combo:
-                e[i] += 1
-            out.append(tuple(e))
-    seen = sorted(set(out), key=lambda e: (sum(e), e))
-    return seen
-
-
-def _monomial_value(exps, vec):
-    v = 1
-    for e, x in zip(exps, vec):
-        if e:
-            v *= x ** e
-    return v
+def _monomials(degree_bound):
+    """Exponent vectors over FIT_FIELDS of total degree <= bound, in
+    graded-lex order."""
+    fields = range(len(FIT_FIELDS))
+    return sorted((tuple(map(combo.count, fields))
+                   for total in range(degree_bound + 1)
+                   for combo in itertools.combinations_with_replacement(
+                       fields, total)),
+                  key=lambda e: (sum(e), e))
 
 
 class UniversalPolynomial:
-    """Polynomial in the eleven invariants with Fraction coefficients."""
+    """Polynomial in the four invariants with Fraction coefficients."""
 
     __slots__ = ("terms", "degree_bound")
 
@@ -127,15 +77,15 @@ class UniversalPolynomial:
         self.degree_bound = degree_bound
 
     def evaluate(self, at):
-        vec = at.as_vector()
-        return sum((c * _monomial_value(e, vec) for e, c in self.terms.items()),
-                   Fraction(0))
+        return sum((c * math.prod(map(pow, at, e))
+                    for e, c in self.terms.items()), Fraction(0))
 
     def to_json(self):
+        beta = [0] * (len(FIELDS) - len(FIT_FIELDS))
         entries = []
         for exps, coeff in sorted(self.terms.items(),
                                   key=lambda t: (sum(t[0]), t[0])):
-            entries.append({"exponents": list(exps),
+            entries.append({"exponents": beta + list(exps),
                             "monomial": _monomial_name(exps),
                             "coefficient": exact_str(coeff)})
         return {"degree_bound": self.degree_bound, "terms": entries}
@@ -145,7 +95,7 @@ def fit_basis(sample_count, degree_bound):
     """Monomials of a fit over FIT_FIELDS up to the degree bound; raises
     when they outnumber ``sample_count``, which callers can check before
     computing any sample."""
-    monos = _monomials(degree_bound, [FIELDS.index(f) for f in FIT_FIELDS])
+    monos = _monomials(degree_bound)
     if sample_count < len(monos):
         raise ValueError(
             f"fit underdetermined: {sample_count} samples for {len(monos)} "
@@ -157,13 +107,13 @@ def fit_universal(samples, degree_bound):
     """Solve for the unique polynomial in FIT_FIELDS of the given degree
     matching the samples exactly.
 
-    ``samples`` is a list of (ChernNumbers, Fraction value).
+    ``samples`` is a list of (invariants, Fraction value).
     Underdetermined or inconsistent systems raise, naming the monomials
     without a pivot.
     """
     monos = fit_basis(len(samples), degree_bound)
-    rows = [[Fraction(_monomial_value(e, cn.as_vector())) for e in monos]
-            for cn, _ in samples]
+    rows = [[Fraction(math.prod(map(pow, at, e))) for e in monos]
+            for at, _ in samples]
     rhs = [Fraction(val) for _, val in samples]
     ncols = len(monos)
     piv_of_col = _eliminate(rows, rhs, ncols)
@@ -222,18 +172,16 @@ def typeII_samples(configs, n1, n2, jobs=1):
     """Classical (chart-parameter-free) integral parts of the nested
     component integrals, paired with their invariants.
 
-    Each value is ``classical_limit``; beta classes are zero on this
-    route, so only the bundle and surface invariants vary.  ``jobs`` > 1
-    spreads the configurations left after ``localize.POOL_BUDGET_S`` of
-    serial work over one process pool (see ``parallel_starmap``).
+    Each value is ``classical_limit``.  ``jobs`` > 1 spreads the
+    configurations left after ``localize.POOL_BUDGET_S`` of serial work
+    over one process pool (see ``parallel_starmap``).
     """
     return parallel_starmap(functools.partial(_typeII_sample, n1=n1, n2=n2),
                             configs, jobs)
 
 
 def _typeII_sample(model, L, n1, n2):
-    return (chern_invariants(model, {}, {}, L),
-            classical_limit(model, L, n1, n2))
+    return invariants(model, L), classical_limit(model, L, n1, n2)
 
 
 # -- the classical limit as a Laurent series on the parameter line ----------

@@ -62,6 +62,16 @@ def colored_counts(colors, n):
     return acc
 
 
+def diagonal_log(k):
+    """The (q1 q2)^k coefficients of log A and log D, where
+    A = prod_j (1 - (q1 q2)^j)^-4 and D = prod_j (1 - (q1 q2)^j)^-1: the
+    L^2 and c2 columns of the log of the nested series at the diagonal
+    cell (k, k).  Since -log(1 - x) = sum_m x^m / m, they are
+    (4 sigma(k) / k, sigma(k) / k) with sigma the divisor sum."""
+    sigma = sum(d for d in range(1, k + 1) if k % d == 0)
+    return Fraction(4 * sigma, k), Fraction(sigma, k)
+
+
 def binomial_product(a, n):
     """Coefficients of prod_{m>=1} (1 - q^m)^a through q^n for an integer
     a, multiplying in one truncated binomial series per factor."""

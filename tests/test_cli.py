@@ -1,6 +1,8 @@
 """JSON command-line surface: determinism, exit codes, audit plumbing."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,13 +10,14 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dt4
 from dt4 import cli, localize, universal
 from dt4.moduli import MAX_K3_COMPONENTS, enumerate_typeII_K3
 from dt4.qseries import MAX_K3_ORDER, _k3_order
 
-from oracles import validate_model
+from oracles import colored_counts, diagonal_log, validate_model
 from test_surfaces import bad_fan_presets, packaged_preset
 
 
@@ -395,6 +398,16 @@ def test_degree_two_fit_reports_are_golden(n1, n2, capsys):
     path = os.path.join(DATA, f"fit_n1_{n1}_n2_{n2}_degree_2_audit.json")
     with open(path, encoding="utf-8") as fh:
         assert out == fh.read()
+    results = json.loads(out)["results"]
+    # at K3 the nested series is prod_j (1 - (q1 q2)^j)^-24
+    assert results["k3_point_value"] == str(
+        colored_counts(24, n1)[n1] if n1 == n2 else 0)
+    if (n1, n2) == (1, 1):
+        # the first diagonal cell is the first log coefficient
+        terms = {t["monomial"]: t["coefficient"]
+                 for t in results["polynomial"]["terms"]}
+        assert (terms["D_sq"], terms["c2"]) == tuple(
+            map(dt4.exact_str, diagonal_log(1)))
 
 
 def test_localize_audit_report_is_golden(capsys):
@@ -841,3 +854,135 @@ def test_ill_typed_preset_values_are_domain_errors(section, key, value,
         "message": f"malformed preset: {section}[{key!r}][0] is {value!r}, "
                    "not an integer"}
     assert "Traceback" not in err
+
+
+# -- generated command lines -------------------------------------------------
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+# strings no flag parses, or parses into a value no command accepts
+MALFORMED = st.sampled_from(["", " ", "x", "1.5", "1e3", "nan", "0x10",
+                             "1/0", "=1", "H=", "H=x", "H=1,,", "--", "é"])
+FRACTIONS = st.builds("{}/{}".format, st.integers(-3, 3), st.integers(1, 3))
+# the basis names of each surface; two names no preset has
+SURFACE_BASES = {"plane": ("H",), "quadric": ("A", "B"),
+                 "hirzebruch1": ("C0", "F"), "hirzebruch2": ("C0", "F"),
+                 "hirzebruch3": ("C0", "F"), "torus": ("H",),
+                 "../plane": ("H",)}
+
+
+def _on_a_surface(divisor_count):
+    """A surface name and that many divisors over its basis names and an
+    unknown one."""
+    def divisors(names):
+        return st.lists(st.tuples(st.sampled_from(names + ("Z",)),
+                                  st.integers(-2, 2)), max_size=2).map(
+            lambda terms: ",".join(f"{k}={v}" for k, v in terms))
+    return st.sampled_from(sorted(SURFACE_BASES)).flatmap(
+        lambda name: st.tuples(st.just(name), *[divisors(SURFACE_BASES[name])]
+                               * divisor_count))
+
+
+def _split_budget_at_most_n(drawn):
+    """Whether split1.split2 >= 0, so that mochizuki's point budget
+    n - split1.split2 stays at most n."""
+    name, _, split1, split2 = drawn
+    try:
+        return dt4.from_preset(name).pair(cli._divisor(split1),
+                                          cli._divisor(split2)) >= 0
+    except ValueError:      # no preset, or a name outside its basis
+        return True
+
+
+# n1 + n2 <= 1, so no case integrates more than one point
+POINTS = st.sampled_from([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)
+                          if a + b <= 1]).map(lambda ab: tuple(map(str, ab)))
+JOBS = _ints(1, 2)
+
+# per subcommand: its valued flags, each drawn from a small hand-set range,
+# and its switches; a key of several flags draws their values together
+CLI_FLAGS = {
+    "zseries": ({"--order": _ints(-2, 12)}, ["--pretty"]),
+    "chamber": ({"--k": _ints(-1, 3), "--r": _ints(-1, 3),
+                 "--delta": FRACTIONS, "--t": FRACTIONS, "--u": FRACTIONS},
+                ["--pretty"]),
+    "fixedloci": ({"--m": _ints(-1, 12), "--n": _ints(-1, 1)}, ["--pretty"]),
+    "localize": ({"--surface --divisor": _on_a_surface(1),
+                  "--n1 --n2": POINTS,
+                  "--prefactor-variant": st.sampled_from(["product",
+                                                          "typeIIB"]),
+                  "--alpha-pair": _ints(-2, 2),
+                  "--chi-numbers": st.lists(st.integers(-3, 3), min_size=5,
+                                            max_size=5).map(
+                      lambda xs: ",".join(map(str, xs))),
+                  "--jobs": JOBS}, ["--audit", "--pretty"]),
+    "mochizuki": ({"--surface --divisor --split1 --split2":
+                   _on_a_surface(3).filter(_split_budget_at_most_n),
+                   "--n": _ints(-1, 1), "--pg": _ints(-1, 2),
+                   "--jobs": JOBS}, ["--audit", "--pretty"]),
+    "fit": ({"--n1 --n2": POINTS, "--degree-bound": _ints(-1, 1),
+             "--jobs": JOBS}, ["--audit", "--pretty"]),
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand with most of its flags (a required one may be left
+    out), and at most one value replaced by a malformed string."""
+    command = draw(st.sampled_from(sorted(CLI_FLAGS)))
+    flags, switches = CLI_FLAGS[command]
+    pairs = []
+    for flag, values in flags.items():
+        if draw(st.integers(0, 7)):         # each flag given 7 times in 8
+            names, drawn = flag.split(), draw(values)
+            pairs += zip(names, drawn if len(names) > 1 else [drawn])
+    if pairs and not draw(st.integers(0, 3)):   # one malformed value in 4
+        i = draw(st.integers(0, len(pairs) - 1))
+        pairs[i] = (pairs[i][0], draw(MALFORMED))
+    argv = [command]
+    for name, value in pairs:
+        # "--delta=-1/2" reaches the flag's parser, "--delta -1/2" does not
+        argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+    return argv + [s for s in switches if draw(st.booleans())]
+
+
+def assert_a_report_or_a_usage_error(argv):
+    """Run ``argv`` in process: exit 0 or 1 with a report (an error object
+    at exit 1), or exit 2 with a usage message, and never a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and "usage:" in err.getvalue()
+        return
+    report = json.loads(out.getvalue())
+    assert [] not in report["parameters"].values(), argv
+    if code == 1:
+        assert set(report["error"]) == {"type", "message"}, argv
+    else:
+        assert "error" not in report and all(c["pass"]
+                                             for c in report["checks"])
+
+
+@settings(max_examples=150, derandomize=True, deadline=2000)
+@given(command_lines())
+def test_generated_command_lines_end_in_a_report_or_a_usage_error(argv):
+    assert_a_report_or_a_usage_error(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fixedloci", "--m=4", "--n=--"], ["fit", "--jobs=--"],
+    ["localize", "--surface=--"], ["localize", "--prefactor-variant=--"],
+    ["localize", "--divisor=--"]],
+    ids=["int", "jobs", "surface", "choice", "divisor"])
+def test_a_double_dash_value_is_no_list(argv):
+    # argparse of Python 3.11 parses "--flag=--" into [], which ended in a
+    # TypeError, or for --prefactor-variant in a report echoing []
+    assert_a_report_or_a_usage_error(argv)

@@ -88,6 +88,23 @@ def test_from_fan_refuses_entries_that_are_not_ints(rays, ray_coeffs,
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("rays,ray_coeffs,message", [
+    ([(1, 0), (0, 1), (-1, -1)], {"H": (1, 0)},
+     "malformed preset: p stores ray_coeffs without one entry per ray"),
+    ([(1, 0), (0, 1), (-1, -1)], {"H": (1, 0, 0, 0)},
+     "malformed preset: p stores ray_coeffs without one entry per ray"),
+    ([(1, 0, 0), (0, 1), (-1, -1)], {"H": (1, 0, 0)},
+     "malformed preset: p stores a ray without two coordinates")],
+    ids=["short-coefficients", "long-coefficients", "three-coordinate-ray"])
+def test_from_fan_refuses_lists_of_the_wrong_length(rays, ray_coeffs,
+                                                    message):
+    # a short list once ended in an IndexError, and the other two loaded
+    # as the plane, their extra entries never read
+    with pytest.raises(ValueError) as exc:
+        ToricSurfaceModel.from_fan("p", rays, ray_coeffs)
+    assert str(exc.value) == message
+
+
 def test_preset_dir_env(tmp_path, monkeypatch):
     blob = packaged_preset("plane")
     blob["name"] = "custom"

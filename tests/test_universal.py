@@ -10,9 +10,9 @@ from dt4.localize import (PrefactorData, TwistedBundleSpec,
                           typeII_component_integral)
 from dt4.poly import Poly
 from dt4.surfaces import from_preset
-from dt4.universal import (EPS_LINE, FIELDS, FIT_FIELDS, ChernNumbers,
+from dt4.universal import (EPS_LINE, FIELDS, FIT_FIELDS, K3_POINT,
                            UniversalPolynomial, battery_configs,
-                           chern_invariants, classical_limit, fit_universal,
+                           classical_limit, fit_universal, invariants,
                            typeII_samples, _add_laurent_term, _constant_term,
                            _monomial_name, _monomials)
 
@@ -25,78 +25,67 @@ from test_surfaces import two_point_blowup
 def test_fields_layout():
     assert FIELDS == ("b1_sq", "b2_sq", "b1_c1", "b2_c1", "b1_D", "b2_D",
                       "b1_b2", "D_sq", "D_c1", "c1_sq", "c2")
-    assert len(ChernNumbers.k3_point().as_vector()) == len(FIELDS)
+    assert FIT_FIELDS == ("D_sq", "D_c1", "c1_sq", "c2") == FIELDS[7:]
+    assert len(K3_POINT) == len(FIT_FIELDS)
 
 
-def test_chern_numbers_vector_roundtrip():
-    cn = ChernNumbers.k3_point()
-    assert cn.c2 == 24
-    assert sum(abs(x) for x in cn.as_vector()) == 24
-    assert ChernNumbers.k3_point(0) == ChernNumbers.k3_point(5)
+def test_k3_point():
+    # fiber-multiple classes on K3: every pairing vanishes, c2 = 24
+    assert K3_POINT == (0, 0, 0, 24)
 
 
-def test_chern_invariants_plane():
+def test_invariants_plane():
     plane = from_preset("plane")
-    cn = chern_invariants(plane, None, None, {"H": 1})
-    assert (cn.D_sq, cn.D_c1, cn.c1_sq, cn.c2) == (1, 3, 9, 3)
-    assert (cn.b1_sq, cn.b2_sq, cn.b1_b2) == (0, 0, 0)
-    cn2 = chern_invariants(plane, {"H": 1}, {"H": 2}, {"H": 1})
-    assert (cn2.b1_sq, cn2.b2_sq, cn2.b1_b2) == (1, 4, 2)
-    assert (cn2.b1_c1, cn2.b2_c1) == (3, 6)
-    assert (cn2.b1_D, cn2.b2_D) == (1, 2)
+    assert invariants(plane, {"H": 1}) == (1, 3, 9, 3)
+    assert invariants(plane, {}) == (0, 0, 9, 3)
 
 
-def test_chern_invariants_quadric():
+def test_invariants_quadric():
     quadric = from_preset("quadric")
-    cn = chern_invariants(quadric, None, None, {"A": 2, "B": 1})
-    assert (cn.D_sq, cn.D_c1, cn.c1_sq, cn.c2) == (4, 6, 8, 4)
+    assert invariants(quadric, {"A": 2, "B": 1}) == (4, 6, 8, 4)
 
 
 def test_monomials_graded_lex():
-    mons = _monomials(2, (7, 10))
+    mons = _monomials(2)
     degs = [sum(m) for m in mons]
     assert degs == sorted(degs)
-    assert mons[0] == (0,) * 11
-    assert len(mons) == 6  # 1, two linear, three quadratic
-    assert len(_monomials(2, tuple(FIELDS.index(f) for f in FIT_FIELDS))) == 15
+    assert mons[0] == (0,) * 4
+    # c2, c1_sq, D_c1, D_sq: the order the report's monomials print in
+    assert mons[1:5] == [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0),
+                         (1, 0, 0, 0)]
+    assert len(mons) == 15  # 1, four linear, ten quadratic
+    assert len(set(mons)) == len(mons)
 
 
 def test_monomial_names():
-    assert _monomial_name((0,) * 11) == "1"
-    e = [0] * 11
-    e[7] = 1
-    assert _monomial_name(tuple(e)) == "D_sq"
-    e[10] = 2
-    assert _monomial_name(tuple(e)) == "D_sq*c2^2"
+    assert _monomial_name((0,) * 4) == "1"
+    assert _monomial_name((1, 0, 0, 0)) == "D_sq"
+    assert _monomial_name((1, 0, 0, 2)) == "D_sq*c2^2"
 
 
 def test_universal_polynomial_evaluate():
-    e_dsq = [0] * 11
-    e_dsq[7] = 1
-    poly = UniversalPolynomial({tuple(e_dsq): 3, (0,) * 11: 1}, 1)
+    poly = UniversalPolynomial({(1, 0, 0, 0): 3, (0,) * 4: 1}, 1)
     plane = from_preset("plane")
-    cn = chern_invariants(plane, None, None, {"H": 2})
-    assert poly.evaluate(cn) == 1 + 3 * 4
+    assert poly.evaluate(invariants(plane, {"H": 2})) == 1 + 3 * 4
 
 
 def test_universal_polynomial_drops_zero_terms():
-    poly = UniversalPolynomial({(0,) * 11: Fraction(0)}, 0)
+    poly = UniversalPolynomial({(0,) * 4: Fraction(0)}, 0)
     assert poly.terms == {}
-    assert poly.evaluate(ChernNumbers.k3_point()) == 0
+    assert poly.evaluate(K3_POINT) == 0
 
 
 def test_universal_polynomial_json():
-    e = [0] * 11
-    e[8] = 1
-    poly = UniversalPolynomial({tuple(e): -2, (0,) * 11: Fraction(-7, 2)},
+    poly = UniversalPolynomial({(0, 1, 0, 0): -2, (0,) * 4: Fraction(-7, 2)},
                                1)
     blob = poly.to_json()
     assert blob["degree_bound"] == 1
-    # Fractions print like every exact value
+    # Fractions print like every exact value; the report's exponents keep
+    # the seven beta slots of FIELDS, always 0
     assert blob["terms"] == [{"exponents": [0] * 11, "monomial": "1",
                               "coefficient": "(-7)/(2)"},
-                             {"exponents": e, "monomial": "D_c1",
-                              "coefficient": "-2"}]
+                             {"exponents": [0] * 8 + [1, 0, 0],
+                              "monomial": "D_c1", "coefficient": "-2"}]
 
 
 def test_battery_geometry():
@@ -123,32 +112,27 @@ def _synthetic_samples(target_terms, bound):
     poly = UniversalPolynomial(target_terms, bound)
     out = []
     for model, div in battery_configs():
-        cn = chern_invariants(model, None, None, div)
-        out.append((cn, poly.evaluate(cn)))
+        at = invariants(model, div)
+        out.append((at, poly.evaluate(at)))
     return poly, out
 
 
 def test_fit_recovers_synthetic_polynomial():
-    e_c2 = [0] * 11
-    e_c2[10] = 1
-    e_mixed = [0] * 11
-    e_mixed[8] = 1
-    e_mixed[9] = 1
-    target = {(0,) * 11: Fraction(1, 2), tuple(e_c2): Fraction(-3),
-              tuple(e_mixed): Fraction(7, 5)}
+    target = {(0,) * 4: Fraction(1, 2), (0, 0, 0, 1): Fraction(-3),
+              (0, 1, 1, 0): Fraction(7, 5)}
     poly, samples = _synthetic_samples(target, 2)
     fitted = fit_universal(samples, 2)
     assert fitted.terms == poly.terms
 
 
 def test_fit_underdetermined():
-    _, samples = _synthetic_samples({(0,) * 11: 1}, 1)
+    _, samples = _synthetic_samples({(0,) * 4: 1}, 1)
     with pytest.raises(ValueError, match="underdetermined"):
         fit_universal(samples[:3], 1)
 
 
 def test_fit_inconsistent():
-    _, samples = _synthetic_samples({(0,) * 11: 1}, 1)
+    _, samples = _synthetic_samples({(0,) * 4: 1}, 1)
     bad = samples[:-1] + [(samples[-1][0], samples[-1][1] + 1)]
     # the battery contains repeated invariant vectors with distinct values
     with pytest.raises(ValueError, match="inconsistent"):
@@ -253,8 +237,8 @@ def test_the_one_point_cell_of_a_surface_no_preset_covers():
     model = two_point_blowup()
     for L, want in (({"H": 1}, -34), ({"H": 2, "E1": -1}, -38),
                     ({"H": 1, "E1": -1}, -32)):
-        cn = chern_invariants(model, None, None, L)
-        assert -2 * cn.D_c1 - 4 * cn.c1_sq == want
+        _, L_c1, c1_sq, _ = invariants(model, L)
+        assert -2 * L_c1 - 4 * c1_sq == want
         assert classical_limit(model, L, 1, 0) == want
 
 
@@ -289,9 +273,9 @@ def _hilbert_row_model(name):
                               for name, L, _ in HILBERT_ROW_CASES])
 def test_the_hilbert_row_has_its_closed_form(name, L, N):
     model = _hilbert_row_model(name)
-    cn = chern_invariants(model, None, None, L)
+    _, L_c1, c1_sq, _ = invariants(model, L)
     row = [classical_limit(model, L, n, 0) for n in range(N + 1)]
-    assert row == hilbert_row(cn.D_c1, cn.c1_sq, N)
+    assert row == hilbert_row(L_c1, c1_sq, N)
 
 
 def test_the_L0_series_of_a_12_ray_surface_is_its_diagonal():
@@ -318,8 +302,8 @@ def test_symbolic_one_and_two_point_integrals_are_the_hilbert_row():
     # symbolic (n, 0) integral is the classical cell
     for name, L in SYMBOLIC_ROW_CASES:
         model = from_preset(name)
-        cn = chern_invariants(model, None, None, L)
+        _, L_c1, c1_sq, _ = invariants(model, L)
         pre = PrefactorData.from_model(model, L).value()
         got = [(typeII_component_integral(model, L, n, 0) / pre).specialize(
             {"s": 1, "e1": 0, "e2": 0}).as_fraction() for n in (1, 2)]
-        assert got == hilbert_row(cn.D_c1, cn.c1_sq, 2)[1:], (name, L)
+        assert got == hilbert_row(L_c1, c1_sq, 2)[1:], (name, L)
