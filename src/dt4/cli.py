@@ -12,6 +12,7 @@ error object), 2 on a usage error.
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -295,6 +296,10 @@ def build_parser():
                    help="section coefficient of the polarization")
     p.add_argument("--u", type=_fraction, required=True,
                    help="fiber coefficient of the polarization")
+    # argparse takes only plain negative numbers for values; Python 3.11
+    # reads "--t -1/2" as --t without its value
+    p._negative_number_matcher = re.compile(
+        p._negative_number_matcher.pattern + r"|^-\d+/\d+$")
     common(p)
     p.set_defaults(func=cmd_chamber)
 

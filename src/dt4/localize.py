@@ -294,7 +294,7 @@ class PrefactorData(NamedTuple):
         return cls.from_numbers(
             model.chi(_combine((2, L))), model.chi(L),
             model.chi(_combine((-1, L))), model.pair(L, L),
-            -model.pair(L, model.canonical_divisor()), variant, alpha_pair)
+            -model.pair(L, model.canonical), variant, alpha_pair)
 
     @classmethod
     def from_numbers(cls, chi_L2, chi_L, chi_Linv, D_sq, D_c1,
@@ -355,7 +355,7 @@ def _typeII_charts(model, L, wmap):
     if L.t_weight or L.tprime_weight:
         raise ValueError("the bundle class must be untwisted here; twists "
                          "are fixed by the integrand")
-    kd = model.canonical_divisor()
+    kd = model.canonical
     return wmap.charts(model, None, L._replace(t_weight=1), *(  # kK - lL t^-l
         TwistedBundleSpec(_combine((k, kd), (-l, L.divisor)), -l)
         for k, l in ((1, 2), (1, 1), (0, 1))))

@@ -151,11 +151,11 @@ def product_power(exponent, order):
     return QSeries(dict(enumerate(newton_recurrence(p))), 0, trunc)
 
 
-def goettsche_series(euler_char, order):
-    """prod (1 - q^m)^(-euler_char); the q^n coefficient is the Euler
-    number of the Hilbert scheme of n points on a surface with that
-    topological Euler characteristic."""
-    return product_power(-euler_char, order)
+def goettsche_series(chi, order):
+    """prod (1 - q^m)^(-chi); the q^n coefficient is the Euler number of
+    the Hilbert scheme of n points on a surface whose topological Euler
+    characteristic is chi."""
+    return product_power(-chi, order)
 
 
 def delta_inverse(order):

@@ -14,14 +14,13 @@ oracles:
 
 Divisor classes are maps from basis divisor names to integers.  The fans
 also fix the pairing, the canonical class and the Chern numbers, so a
-model derives them and takes none as input.  Disjoint unions concatenate
-the fans, reusing the same (e1, e2) pair for every fan; that
-specialization keeps all localization denominators nonzero because no
-character ever mixes fans.
+model derives them from the toric intersection numbers of the ray
+divisors and takes none as input.  Disjoint unions concatenate the fans,
+reusing the same (e1, e2) pair for every fan; that specialization keeps
+all localization denominators nonzero because no character mixes fans.
 """
 
 import json
-import math
 import os
 from fractions import Fraction
 from typing import NamedTuple
@@ -73,42 +72,33 @@ def _solve2(v1, v2, b1, b2):
     return x, y
 
 
-def _fan_intersections(name, charts, weights):
+def _fan_intersections(name, fan, self_int):
     """The pairing and the canonical class of one fan's basis divisors,
-    by localization at (e1, e2) = (1, m), where no tangent form of the
-    ``charts`` vanishes: D.E sums D(p) E(p) / (w1(p) w2(p)) over the
-    charts, with the fiber forms of the basis divisors in ``weights`` and
-    -(w1 + w2) for K; the canonical class solves pairing(K, k) = K.k for
-    every basis name k."""
-    m = 1 + max(abs(w[0]) for chart in charts for w in chart)
-    values = {k: [w[0] + m * w[1] for w in ws] for k, ws in weights.items()}
-    tangents = [(w1[0] + m * w1[1], w2[0] + m * w2[1]) for w1, w2 in charts]
-    dens = [t1 * t2 for t1, t2 in tangents]
-    common = math.lcm(*dens)
+    by the toric intersection numbers of its ray divisors: neighbouring
+    rays meet once, D_r^2 = ``self_int[r]`` and any other pair is 0.  The
+    canonical class solves pairing(K, k) = K.k for every basis name k,
+    where K = -sum D_r."""
+    n, names = len(fan.rays), sorted(fan.ray_coeffs)
 
-    def integral(f, g):
-        # exact: the fan is smooth and complete, so the sum is an integer
-        return sum(a * b * (common // d)
-                   for a, b, d in zip(f, g, dens)) // common
+    def dot(a, b):
+        return sum(x * (s * b[r] + b[r - 1] + b[(r + 1) % n])
+                   for r, (x, s) in enumerate(zip(a, self_int)))
 
-    names = sorted(values)
-    pairing = {k: {j: integral(values[k], values[j]) for j in names}
-               for k in names}
+    pairing = {k: {j: dot(fan.ray_coeffs[k], fan.ray_coeffs[j])
+                   for j in names} for k in names}
     rows = [[Fraction(pairing[k][j]) for j in names] for k in names]
-    rhs = [Fraction(integral([-t1 - t2 for t1, t2 in tangents], values[k]))
-           for k in names]
+    rhs = [Fraction(dot(fan.ray_coeffs[k], [-1] * n)) for k in names]
     if len(_eliminate(rows, rhs, len(names))) < len(names):
         raise ValueError(f"the basis divisors of {name} are not independent")
     if any(x.denominator != 1 for x in rhs):
         raise ValueError(f"the canonical class of {name} is no integral "
                          "combination of its basis divisors")
     canonical = {k: int(x) for k, x in zip(names, rhs)}
-    # K and its canonical linearization differ by one global character
-    shifts = {tuple(w1[x] + w2[x] + sum(c * weights[k][p][x]
-                                        for k, c in canonical.items())
-                    for x in (0, 1))
-              for p, (w1, w2) in enumerate(charts)}
-    if len(shifts) > 1:
+    # K - sum c_k D_k must be principal, sum <m, v_r> D_r for the one
+    # character m that the first cone fixes
+    b = [-1 - c for c in fan.divisor_coeffs(canonical)]
+    m = _solve2(fan.rays[0], fan.rays[1], b[0], b[1])
+    if any(m[0] * x + m[1] * y != c for (x, y), c in zip(fan.rays, b)):
         raise ValueError(f"the basis divisors of {name} do not span its "
                          "canonical class")
     return pairing, canonical
@@ -145,7 +135,10 @@ class ToricSurfaceModel:
 
     Every cone must be unimodular, det(v_i, v_j) = 1, and the rays must
     wind once around the origin: D_i^2 = -det(v_{i-1}, v_{i+1}), and these
-    sum to 12 - 3n on a smooth complete surface with n rays."""
+    sum to 12 - 3n on a smooth complete surface with n rays.  The same
+    self-intersections, with D_i.D_{i+1} = 1 and every other pair 0, give
+    the pairing; K minus its solved combination of basis divisors must be
+    principal, or the basis does not span K."""
 
     def __init__(self, name, fans):
         self.name = name
@@ -157,10 +150,10 @@ class ToricSurfaceModel:
         self._basis_weights = {k: [] for k in self.basis}
         self.pairing, self.canonical = {}, {}
         for fan in self.fans:
-            n, start, v = len(fan.rays), len(self.fixed_points), fan.rays
+            n, v = len(fan.rays), fan.rays
+            self_int = [-_det(v[i - 1], v[(i + 1) % n]) for i in range(n)]
             if (any(_det(v[i - 1], v[i]) != 1 for i in range(n))
-                    or sum(_det(v[i - 1], v[(i + 1) % n])
-                           for i in range(n)) != 3 * n - 12):
+                    or sum(self_int) != 12 - 3 * n):
                 raise ValueError(f"the rays of {name} are not a smooth "
                                  "complete fan listed counterclockwise")
             for i in range(n):
@@ -172,9 +165,7 @@ class ToricSurfaceModel:
                     a = fan.ray_coeffs.get(k, (0,) * n)
                     weights.append((a[i] * w1[0] + a[j] * w2[0],
                                     a[i] * w1[1] + a[j] * w2[1]))
-            pairing, canonical = _fan_intersections(
-                name, self.fixed_points[start:],
-                {k: self._basis_weights[k][start:] for k in fan.ray_coeffs})
+            pairing, canonical = _fan_intersections(name, fan, self_int)
             self.pairing.update(pairing)
             self.canonical.update(canonical)
         # every smooth complete toric surface is rational: chi(O) = 1 per fan
@@ -203,10 +194,6 @@ class ToricSurfaceModel:
                             {k: tuple(v) for k, v in ray_coeffs.items()})
         return cls(name, [fan])
 
-    @property
-    def euler_char(self):
-        return len(self.fixed_points)
-
     # -- divisor arithmetic ------------------------------------------------
 
     def check_divisor(self, d):
@@ -222,19 +209,16 @@ class ToricSurfaceModel:
                    for k1, c1 in self.check_divisor(d1).items()
                    for k2, c2 in d2.items())
 
-    def canonical_divisor(self):
-        return dict(self.canonical)
-
     def chi(self, d):
         """Euler characteristic of O(d) by Riemann-Roch."""
-        k = self.canonical_divisor()
-        return self.chern.chi_O + (self.pair(d, d) - self.pair(d, k)) // 2
+        return self.chern.chi_O + (self.pair(d, d)
+                                   - self.pair(d, self.canonical)) // 2
 
     # -- per-fixed-point weights -------------------------------------------
 
     def bundle_weights(self, d):
         """Fiber weight forms of O(d) at every fixed point, over (e1, e2)."""
-        out = [(0, 0)] * self.euler_char
+        out = [(0, 0)] * len(self.fixed_points)
         for k, c in self.check_divisor(d).items():
             out = [(x + c * a, y + c * b)
                    for (x, y), (a, b) in zip(out, self._basis_weights[k])]

@@ -46,7 +46,7 @@ EPS_LINE = (89, -55)
 
 def invariants(model, L):
     """The configuration's (L^2, L.c1, c1^2, c2), in FIT_FIELDS order."""
-    c1 = {k: -v for k, v in model.canonical_divisor().items()}
+    c1 = {k: -v for k, v in model.canonical.items()}
     return (model.pair(L, L), model.pair(L, c1), model.chern.c1_sq,
             model.chern.c2)
 
@@ -93,14 +93,13 @@ class UniversalPolynomial:
 
 def fit_basis(sample_count, degree_bound):
     """Monomials of a fit over FIT_FIELDS up to the degree bound; raises
-    when they outnumber ``sample_count``, which callers can check before
-    computing any sample."""
-    monos = _monomials(degree_bound)
-    if sample_count < len(monos):
-        raise ValueError(
-            f"fit underdetermined: {sample_count} samples for {len(monos)} "
-            f"monomials ({', '.join(_monomial_name(e) for e in monos)})")
-    return monos
+    before building any when they outnumber ``sample_count``, which
+    callers can check before computing any sample."""
+    count = math.comb(degree_bound + len(FIT_FIELDS), len(FIT_FIELDS))
+    if sample_count < count:
+        raise ValueError(f"fit underdetermined: {sample_count} samples for "
+                         f"{count} monomials at degree bound {degree_bound}")
+    return _monomials(degree_bound)
 
 
 def fit_universal(samples, degree_bound):

@@ -5,9 +5,9 @@ checks: plain integer recurrences, dictionary Laurent algebra over box
 diagrams, Riemann-Roch arithmetic, Fraction-valued series expansion, a
 polynomial gcd, which the library does not have, a lattice search over
 divisor classes on an elliptic surface, the total Chern class of the
-pair difference character, lattice-point cohomology against the
-intersection data of a toric surface model, and the closed form of the
-Hilbert-scheme row of the nested integrals.
+pair difference character, lattice-point cohomology and localization
+against the intersection data of a toric surface model, and the closed
+form of the Hilbert-scheme row of the nested integrals.
 """
 
 import itertools
@@ -298,7 +298,7 @@ def tangent_weights_oracle(fp, model):
 def chi_riemann_roch(model, divisor):
     """chi(O(D)) = chi(O) + D.(D - K)/2 with chi(O) from Noether."""
     chi_O = (model.chern.c1_sq + model.chern.c2) // 12
-    k = model.canonical_divisor()
+    k = model.canonical
     d = model.check_divisor(divisor)
     dd = model.pair(d, d)
     dk = model.pair(d, k)
@@ -315,7 +315,7 @@ def validate_model(model):
     K.K against c1 squared, trivial bundle cohomology, Riemann-Roch ranks
     vs lattice cohomology, and Serre duality at character level.
     """
-    kd = model.canonical_divisor()
+    kd = model.canonical
     assert model.pair(kd, kd) == model.chern.c1_sq, \
         f"{model.name}: K.K {model.pair(kd, kd)} != c1_sq {model.chern.c1_sq}"
 
@@ -344,6 +344,47 @@ def _divisor_samples(model):
     names = model.basis[:2]
     return [model.check_divisor(dict(zip(names, coeffs)))
             for coeffs in itertools.product(range(-2, 3), repeat=len(names))]
+
+
+# -- intersection numbers, by localization ---------------------------------
+
+def localized_intersections(model):
+    """The pairing of the basis divisors and K.k for every basis name k, by
+    localization at the integer point (e1, e2) = (1, m), where no tangent
+    form vanishes: D.E sums D(p) E(p) / (w1(p) w2(p)) over the fixed
+    points, with the fiber weight -(w1 + w2) for K."""
+    m = 1 + max(abs(w[0]) for fp in model.fixed_points for w in fp)
+
+    def at(w):
+        return w[0] + m * w[1]
+
+    tangents = [(at(w1), at(w2)) for w1, w2 in model.fixed_points]
+
+    def integral(f, g):
+        total = sum(Fraction(a * b, t1 * t2)
+                    for a, b, (t1, t2) in zip(f, g, tangents))
+        assert total.denominator == 1, f"{model.name}: {total} not integral"
+        return int(total)
+
+    fibers = {k: [at(w) for w in model.bundle_weights({k: 1})]
+              for k in model.basis}
+    canonical = [-t1 - t2 for t1, t2 in tangents]
+    pairing = {k: {j: integral(fibers[k], fibers[j]) for j in model.basis}
+               for k in model.basis}
+    return pairing, {k: integral(canonical, fibers[k]) for k in model.basis}
+
+
+def assert_localized_intersections(model):
+    """``model.pairing`` and ``model.canonical`` against
+    ``localized_intersections``; a pair of basis divisors on different
+    fans is absent from the pairing and meets 0 times."""
+    pairing, k_dot = localized_intersections(model)
+    for k, row in pairing.items():
+        for j, v in row.items():
+            assert model.pairing[k].get(j, 0) == v, \
+                f"{model.name}: {k}.{j} is {model.pairing[k].get(j)}, not {v}"
+    assert {k: model.pair(model.canonical, {k: 1}) for k in model.basis} \
+        == k_dot, f"{model.name}: K.k is not {k_dot}"
 
 
 # -- a 12-ray surface with c1^2 = 0 -----------------------------------------

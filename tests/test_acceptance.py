@@ -84,7 +84,7 @@ def test_criterion_3_even_twist_vanishing():
 def test_criterion_4_fixed_point_counts():
     for name in PRESET_NAMES:
         model = from_preset(name)
-        chi = model.euler_char
+        chi = model.chern.c2
         series = goettsche_series(chi, 7)
         counts = colored_counts(chi, 6)
         for n in range(7):

@@ -185,6 +185,22 @@ def test_chamber_rational_flags(capsys):
     assert report["results"]["threshold"] == "1/5"
 
 
+def test_chamber_negative_rational_flags(capsys):
+    # "-1/2" as its own argument is the flag's value, not an unknown option
+    code, report, _ = run_json(capsys, ["chamber", "--k", "0", "--r", "2",
+                                        "--delta", "-1/2", "--t", "-1/2",
+                                        "--u", "-3/4"])
+    assert code == 1
+    assert report["parameters"] == {"k": 0, "r": 2, "delta": "-1/2",
+                                    "t": "-1/2", "u": "-3/4"}
+    assert report["error"]["message"] == "discriminant must be nonnegative"
+    code, report, _ = run_json(capsys, ["chamber", "--k", "0", "--r", "2",
+                                        "--delta", "1", "--t", "-1/2",
+                                        "--u", "1"])
+    assert code == 0
+    assert report["results"]["ample"] is False
+
+
 def test_chamber_domain_error(capsys):
     code, report, _ = run_json(capsys, ["chamber", "--k", "0", "--r", "0",
                                         "--delta", "1", "--t", "1",
@@ -381,8 +397,20 @@ def test_fit_underdetermined_fails_before_integrating(capsys, monkeypatch):
     code, report, _ = run_json(capsys, ["fit", "--n1", "1", "--n2", "1",
                                         "--degree-bound", "3"])
     assert code == 1
-    assert report["error"]["message"].startswith(
-        "fit underdetermined: 28 samples for 35 monomials (1, c2, ")
+    assert report["error"]["message"] == (
+        "fit underdetermined: 28 samples for 35 monomials at degree bound 3")
+
+
+def test_fit_at_a_huge_degree_bound_refuses_at_once(capsys):
+    # the monomials are counted, not built: C(10^6 + 4, 4) of them
+    start = time.perf_counter()
+    code, report, _ = run_json(capsys, ["fit", "--degree-bound", "1000000"])
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert report["error"]["type"] == "ValueError"
+    assert report["error"]["message"] == (
+        "fit underdetermined: 28 samples for 41667083334791668750001 "
+        "monomials at degree bound 1000000")
 
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -943,7 +971,7 @@ def command_lines(draw):
         pairs[i] = (pairs[i][0], draw(MALFORMED))
     argv = [command]
     for name, value in pairs:
-        # "--delta=-1/2" reaches the flag's parser, "--delta -1/2" does not
+        # "--delta=-1/2" and "--delta -1/2" both reach the flag's parser
         argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
     return argv + [s for s in switches if draw(st.booleans())]
 

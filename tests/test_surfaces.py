@@ -10,7 +10,8 @@ from dt4.surfaces import (PRESET_DIR, PRESET_NAMES, ToricSurfaceModel,
                           from_preset)
 from dt4.universal import battery_configs
 
-from oracles import chi_riemann_roch, validate_model
+from oracles import (assert_localized_intersections, chi_riemann_roch,
+                     twelve_ray_surface, validate_model)
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -131,11 +132,11 @@ def test_intersection_numbers():
 
 
 def test_canonical_divisors():
-    assert from_preset("plane").canonical_divisor() == {"H": -3}
-    assert from_preset("quadric").canonical_divisor() == {"A": -2, "B": -2}
+    assert from_preset("plane").canonical == {"H": -3}
+    assert from_preset("quadric").canonical == {"A": -2, "B": -2}
     h2 = from_preset("hirzebruch2")
     # K = -2 C0 - (2 + k) F on the k-th ruled surface
-    assert h2.canonical_divisor() == {"C0": -2, "F": -4}
+    assert h2.canonical == {"C0": -2, "F": -4}
 
 
 def test_check_divisor():
@@ -160,7 +161,6 @@ def test_chern_data():
 def test_euler_char_counts_fixed_points():
     for name in PRESET_NAMES:
         model = from_preset(name)
-        assert model.euler_char == model.chern.c2
         assert len(model.fixed_points) == model.chern.c2
 
 
@@ -191,7 +191,7 @@ def test_chi_spot_values():
 def test_cohomology_character_rank():
     for name in ("plane", "quadric", "hirzebruch1"):
         model = from_preset(name)
-        for d in ({}, model.canonical_divisor()):
+        for d in ({}, model.canonical):
             coh = model.cohomology_character(d)
             assert sum(coh.terms.values()) == model.chi(d)
     plane = from_preset("plane")
@@ -230,7 +230,7 @@ def test_disjoint_union():
     validate_model(u)
     assert u.chern.c2 == 7
     assert u.chern.chi_O == 2
-    assert u.euler_char == 7
+    assert len(u.fixed_points) == 7
     assert set(u.basis) == {"a.H", "b.A", "b.B"}
     # blockwise intersection: cross terms vanish
     assert u.pair({"a.H": 1}, {"b.A": 1}) == 0
@@ -239,14 +239,19 @@ def test_disjoint_union():
     assert u.chi({"a.H": 1, "b.A": 1, "b.B": 1}) == 3 + 4
 
 
-def battery_model_charts():
-    """Name, charts, basis, basis bundle weights, pairing, canonical class
-    and Chern numbers of every distinct model the fit battery samples, in
-    order of first use, as JSON values."""
+def battery_models():
+    """Every distinct model the fit battery samples, in order of first use:
+    the five presets and five unions."""
     models = []
     for model, _ in battery_configs():
         if all(model is not m for m in models):
             models.append(model)
+    return models
+
+
+def battery_model_charts():
+    """Name, charts, basis, basis bundle weights, pairing, canonical class
+    and Chern numbers of every battery model, as JSON values."""
     return [{"name": m.name,
              "fixed_points": [[list(w1), list(w2)]
                               for w1, w2 in m.fixed_points],
@@ -254,7 +259,7 @@ def battery_model_charts():
              "bundle_weights": {k: [list(w) for w in m.bundle_weights({k: 1})]
                                 for k in m.basis},
              "pairing": m.pairing, "canonical": m.canonical,
-             "chern": m.chern._asdict()} for m in models]
+             "chern": m.chern._asdict()} for m in battery_models()]
 
 
 def test_battery_model_charts_are_golden():
@@ -264,6 +269,13 @@ def test_battery_model_charts_are_golden():
         golden = json.load(fh)
     assert len(golden) == 10
     assert battery_model_charts() == golden
+
+
+def test_the_pairing_and_canonical_class_match_localization():
+    # the toric formula against Bott localization over the fixed points
+    for model in battery_models() + [twelve_ray_surface(),
+                                     two_point_blowup()]:
+        assert_localized_intersections(model)
 
 
 # the plane blown up in two torus-fixed points, a surface that no preset
@@ -284,7 +296,7 @@ def test_a_fan_fixes_the_intersection_data():
     assert model.pairing == {"H": {"H": 1, "E1": 0, "E2": 0},
                              "E1": {"H": 0, "E1": -1, "E2": 0},
                              "E2": {"H": 0, "E1": 0, "E2": -1}}
-    assert model.canonical_divisor() == {"H": -3, "E1": 1, "E2": 1}
+    assert model.canonical == {"H": -3, "E1": 1, "E2": 1}
     assert model.chern._asdict() == {"c1_sq": 7, "c2": 5, "chi_O": 1}
     validate_model(model)
     again = ToricSurfaceModel.from_json(json.loads(json.dumps(BLOWUP2)))
@@ -343,6 +355,7 @@ def test_generated_fans_load_and_their_perturbations_are_refused_or_valid(
     model = ToricSurfaceModel.from_json(json.loads(json.dumps(
         fan_preset(rays))))
     validate_model(model)
+    assert_localized_intersections(model)
     assert model.chern.c1_sq == 12 - len(rays)
     # negate one coordinate of one ray, or list the rays clockwise
     r = data.draw(st.integers(0, len(rays) - 1))
@@ -355,6 +368,7 @@ def test_generated_fans_load_and_their_perturbations_are_refused_or_valid(
         except ValueError:
             continue
         validate_model(model)
+        assert_localized_intersections(model)
 
 
 @settings(max_examples=30, deadline=None)
