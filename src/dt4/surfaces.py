@@ -47,15 +47,15 @@ class _FanComponent(NamedTuple):
         return [sum(c * a[r] for c, a in terms) for r in range(len(self.rays))]
 
 
-def _check_ints(where, rays, ray_coeffs):
-    """ValueError, prefixed ``where``, unless every entry is a plain int."""
+def _check_ints(rays, ray_coeffs):
+    """ValueError unless every entry is a plain int."""
     for key, lists in (("rays", enumerate(rays)),
                        ("ray_coeffs", ray_coeffs.items())):
         for k, entries in lists:
             for i, v in enumerate(entries):
                 if type(v) is not int:
-                    raise ValueError(f"{where}: {key}[{k!r}][{i}] is {v!r}, "
-                                     "not an integer")
+                    raise ValueError(f"malformed preset: {key}[{k!r}][{i}] is "
+                                     f"{v!r}, not an integer")
 
 
 def _det(u, v):
@@ -179,7 +179,7 @@ class ToricSurfaceModel:
     @classmethod
     def from_fan(cls, name, rays, ray_coeffs):
         """A one-fan model; rays listed counterclockwise, each with two
-        coordinates, and one coefficient per ray for each basis name."""
+        coordinates, one coefficient per ray for each basis name, all ints."""
         if any(len(a) != len(rays) for a in ray_coeffs.values()):
             raise ValueError(f"malformed preset: {name} stores "
                              "ray_coeffs without one entry per ray")
@@ -189,7 +189,7 @@ class ToricSurfaceModel:
         if len(rays) < 3:
             raise ValueError(f"fan of {name} has {len(rays)} rays, fewer "
                              "than three")
-        _check_ints(f"fan of {name}", rays, ray_coeffs)
+        _check_ints(rays, ray_coeffs)
         fan = _FanComponent(tuple(map(tuple, rays)),
                             {k: tuple(v) for k, v in ray_coeffs.items()})
         return cls(name, [fan])
@@ -197,11 +197,16 @@ class ToricSurfaceModel:
     # -- divisor arithmetic ------------------------------------------------
 
     def check_divisor(self, d):
+        """``d`` less zeros; ValueError unless it maps basis names to ints."""
         unknown = set(d) - set(self.basis)
         if unknown:
             raise ValueError(f"divisor outside the model lattice: "
                              f"{sorted(unknown)}")
-        return {k: int(v) for k, v in d.items() if v}
+        for k, v in d.items():
+            if type(v) is not int:
+                raise ValueError(f"divisor coefficient {k}={v!r} is not an "
+                                 "integer")
+        return {k: v for k, v in d.items() if v}
 
     def pair(self, d1, d2):
         d2 = self.check_divisor(d2)
@@ -257,23 +262,17 @@ class ToricSurfaceModel:
 
     @classmethod
     def from_json(cls, data):
-        """Model from preset data; malformed data raises ValueError."""
+        """Model from the arguments of ``from_fan``, with a string name;
+        other keys are ignored, and malformed data raises ValueError."""
         try:
-            return cls._from_json(data)
+            name, rays, coeffs = data["name"], data["rays"], data["ray_coeffs"]
+            if type(name) is not str:
+                raise ValueError("malformed preset: its name is not a "
+                                 "string")
+            return cls.from_fan(name, rays, coeffs)
         except (KeyError, TypeError, IndexError, AttributeError) as exc:
             raise ValueError(f"malformed preset: missing or ill-typed entry "
                              f"({type(exc).__name__}: {exc})") from None
-
-    @classmethod
-    def _from_json(cls, data):
-        """Model from the keyword arguments of ``from_fan``: a name, the
-        rays and the ray coefficients of each basis divisor, all plain
-        ints (no bools, strings or floats).  Other keys are ignored."""
-        name, rays, ray_coeffs = data["name"], data["rays"], data["ray_coeffs"]
-        if type(name) is not str:
-            raise ValueError("malformed preset: its name is not a string")
-        _check_ints("malformed preset", rays, ray_coeffs)
-        return cls.from_fan(name, rays, ray_coeffs)
 
 
 PRESET_NAMES = ("plane", "quadric", "hirzebruch1", "hirzebruch2", "hirzebruch3")

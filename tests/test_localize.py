@@ -245,6 +245,29 @@ def test_eps_and_eps_line_together_are_refused():
                                   eps_line=(3, 4))
 
 
+HALF_H = {"H": 1.5}
+
+
+@pytest.mark.parametrize("call", [
+    lambda: PLANE.pair(HALF_H, {"H": 1}),
+    lambda: PLANE.chi(HALF_H),
+    lambda: PLANE.bundle_weights(HALF_H),
+    lambda: PLANE.cohomology_character(HALF_H),
+    lambda: PrefactorData.from_model(PLANE, HALF_H),
+    lambda: split_budget(PLANE, HALF_H, {"H": -1}, 2),
+    lambda: typeII_component_integral(PLANE, HALF_H, 1, 0),
+    lambda: mochizuki_coefficient(PLANE, {"H": 1}, {"H": -1}, HALF_H, 0, 1),
+    lambda: classical_limit(PLANE, HALF_H, 1, 0)],
+    ids=["pair", "chi", "bundle_weights", "cohomology_character",
+         "prefactor", "split_budget", "typeII", "mochizuki",
+         "classical_limit"])
+def test_a_divisor_coefficient_that_is_no_int_is_refused(call):
+    # classical_limit once read H = 1.5 as 2L = 3 in K - 2L and as H = 1 in
+    # every other bundle, and returned -45 between H = 1 (-42) and H = 2
+    with pytest.raises(ValueError, match="is not an integer"):
+        call()
+
+
 def test_twisted_divisor_argument_rejected():
     spec = TwistedBundleSpec({"H": 1}, t_weight=2)
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import json
 import os
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,11 +75,11 @@ def test_bad_fans_are_refused():
 
 @pytest.mark.parametrize("rays,ray_coeffs,message", [
     ([(1.0, 0), (0, 1), (-1, -1)], {"H": (1, 0, 0)},
-     "fan of p: rays[0][0] is 1.0, not an integer"),
+     "malformed preset: rays[0][0] is 1.0, not an integer"),
     ([(1, 0), (0, 1), (-1, -1)], {"H": (1.0, 0, 0)},
-     "fan of p: ray_coeffs['H'][0] is 1.0, not an integer"),
+     "malformed preset: ray_coeffs['H'][0] is 1.0, not an integer"),
     ([(1, 0), (0, 1), (-1, -1)], {"H": (1, 0, True)},
-     "fan of p: ray_coeffs['H'][2] is True, not an integer")],
+     "malformed preset: ray_coeffs['H'][2] is True, not an integer")],
     ids=["float-ray", "float-coefficient", "bool-coefficient"])
 def test_from_fan_refuses_entries_that_are_not_ints(rays, ray_coeffs,
                                                     message):
@@ -104,6 +105,20 @@ def test_from_fan_refuses_lists_of_the_wrong_length(rays, ray_coeffs,
     with pytest.raises(ValueError) as exc:
         ToricSurfaceModel.from_fan("p", rays, ray_coeffs)
     assert str(exc.value) == message
+
+
+def test_a_preset_with_a_shape_and_a_type_error_reports_the_shape(
+        tmp_path, monkeypatch):
+    # shapes are checked before types, so the float in the three-coordinate
+    # ray is never reached
+    blob = packaged_preset("plane")
+    blob["rays"][0] = [1.0, 0, 0]
+    (tmp_path / "plane.json").write_text(json.dumps(blob))
+    monkeypatch.setenv("DT4_PRESET_DIR", str(tmp_path))
+    with pytest.raises(ValueError) as exc:
+        from_preset("plane")
+    assert str(exc.value) == ("malformed preset: plane stores a ray without "
+                              "two coordinates")
 
 
 def test_preset_dir_env(tmp_path, monkeypatch):
@@ -145,6 +160,12 @@ def test_check_divisor():
     assert plane.check_divisor({"H": 0}) == {}
     with pytest.raises(ValueError):
         plane.check_divisor({"A": 1})
+    # a coefficient that is no plain int is refused, not truncated to one
+    for value in (1.5, True, "2", Fraction(2)):
+        with pytest.raises(ValueError) as exc:
+            plane.check_divisor({"H": value})
+        assert str(exc.value) == (f"divisor coefficient H={value!r} is not "
+                                  "an integer")
 
 
 def test_chern_data():
@@ -152,16 +173,19 @@ def test_chern_data():
     assert (plane.chern.c1_sq, plane.chern.c2, plane.chern.chi_O) == (9, 3, 1)
     quadric = from_preset("quadric")
     assert (quadric.chern.c1_sq, quadric.chern.c2) == (8, 4)
-    # Noether holds for every preset
-    for name in PRESET_NAMES:
-        ch = from_preset(name).chern
-        assert 12 * ch.chi_O == ch.c1_sq + ch.c2
+    # Noether, with K.K from the pairing rather than the c1_sq the
+    # constructor sets to 12 chi(O) - c2, on every preset and union
+    for model in battery_models():
+        ch = model.chern
+        assert 12 * ch.chi_O == model.pair(model.canonical,
+                                           model.canonical) + ch.c2, model.name
 
 
 def test_euler_char_counts_fixed_points():
-    for name in PRESET_NAMES:
-        model = from_preset(name)
-        assert len(model.fixed_points) == model.chern.c2
+    # c2 counts the fixed points, one per cone, and a complete fan has as
+    # many cones as rays
+    for model in battery_models():
+        assert model.chern.c2 == sum(len(fan.rays) for fan in model.fans)
 
 
 def test_chi_matches_riemann_roch_oracle():
