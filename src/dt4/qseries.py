@@ -1,39 +1,38 @@
 """Truncated Laurent series in q with exact coefficients, and the
 fiberwise rank-two K3 series built from them.
 
-Exponents are ints.  Every series carries an exclusive truncation bound;
-arithmetic propagates it pessimistically and coefficient access beyond
-it is an error rather than a silent zero.
+Exponents are ints.  A series is its coefficients below one exclusive
+truncation order; arithmetic propagates the order pessimistically and
+coefficient access at or beyond it is an error rather than a silent zero.
 
 Coefficients may be int, Fraction, or FactoredScalar; builders produce ints and
 scaling promotes as needed.  The K3 series (the non-nested count, its
 closed form, and the conjectured nested series behind the paper's
-modularity prediction) are products and substitutions of these series
-scaled by exact scalars in s.
+modularity prediction) are product formulas and substitutions of these
+series scaled by exact scalars in s.
 """
 
 from fractions import Fraction
 from operator import index
 
 from .eqalg import FactoredScalar, exact_str
-from .poly import newton_recurrence
+from .poly import product_power_coefficients
 
 
 class QSeries:
     """Laurent series in q, truncated, with exact coefficients: ``units``
-    maps int exponents in [min_exponent, truncation_order) to nonzero
+    maps int exponents below ``truncation_order`` to nonzero
     coefficients."""
 
-    __slots__ = ("units", "min_exponent", "truncation_order")
+    __slots__ = ("units", "truncation_order")
 
-    def __init__(self, units, min_exponent, truncation_order):
+    def __init__(self, units, truncation_order):
         self.units = {e: c for e, c in units.items() if not _is_zero(c)}
-        self.min_exponent = min_exponent
         self.truncation_order = truncation_order
         for e in self.units:
-            if not (min_exponent <= e < truncation_order):
-                raise ValueError(f"exponent {e} outside "
-                                 f"[{min_exponent}, {truncation_order})")
+            if e >= truncation_order:
+                raise ValueError(f"exponent {e} outside the window below "
+                                 f"{truncation_order}")
 
     def coefficient(self, e):
         """Coefficient at exponent ``e``; known zeros are 0, beyond truncation errors."""
@@ -46,7 +45,6 @@ class QSeries:
     def __eq__(self, other):
         return (isinstance(other, QSeries)
                 and self.units == other.units
-                and self.min_exponent == other.min_exponent
                 and self.truncation_order == other.truncation_order)
 
     def matches(self, other, through=None):
@@ -80,32 +78,21 @@ class QSeries:
         for e, c in other.units.items():
             if e < trunc:
                 t[e] = t.get(e, 0) + c
-        return QSeries(t, min(self.min_exponent, other.min_exponent), trunc)
+        return QSeries(t, trunc)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
-    def __mul__(self, other):
-        trunc = min(self.truncation_order + other.min_exponent,
-                    other.truncation_order + self.min_exponent)
-        t = {}
-        for e1, c1 in self.units.items():
-            for e2, c2 in other.units.items():
-                e = e1 + e2
-                if e < trunc:
-                    t[e] = t.get(e, 0) + c1 * c2
-        return QSeries(t, self.min_exponent + other.min_exponent, trunc)
-
     def scale(self, c):
         """Multiply every coefficient by a scalar (int, Fraction, FactoredScalar)."""
         return QSeries({e: c * v for e, v in self.units.items()},
-                       self.min_exponent, self.truncation_order)
+                       self.truncation_order)
 
     def shift_exponent(self, delta):
         """Multiply by q^delta."""
         d = index(delta)
         return QSeries({e + d: c for e, c in self.units.items()},
-                       self.min_exponent + d, self.truncation_order + d)
+                       self.truncation_order + d)
 
     # -- serialization -----------------------------------------------------
 
@@ -125,17 +112,9 @@ def _is_zero(c):
 # -- builders --------------------------------------------------------------
 
 def product_power(exponent, order):
-    """Truncated expansion of prod_{m>=1} (1 - q^m)^a for an integer a.
-
-    ``order`` is the exclusive truncation bound.  The q^n coefficients
-    f_n follow from log prod (1 - q^m)^a = -a sum_n sigma(n) q^n / n,
-    sigma(n) the sum of the divisors of n, whose derivative gives the
-    Newton recurrence (``poly.newton_recurrence``)
-
-        n f_n = -a (sigma(1) f_{n-1} + sigma(2) f_{n-2} + ... + sigma(n) f_0).
-
-    For integer a every f_n is an integer, so the arithmetic stays in
-    integers.  N coefficients cost O(N^2) multiplications.
+    """Truncated expansion of prod_{m>=1} (1 - q^m)^a for an integer a;
+    ``order`` is the exclusive truncation bound, and the coefficients are
+    ``poly.product_power_coefficients``.
 
     >>> product_power(-1, 5).coefficient(4)
     5
@@ -144,11 +123,8 @@ def product_power(exponent, order):
     trunc = index(order)
     if trunc <= 0:
         raise ValueError("order must be positive")
-    p = [0] * trunc                    # p_k = -a sigma(k)
-    for d in range(1, trunc):
-        for k in range(d, trunc, d):
-            p[k] -= a * d
-    return QSeries(dict(enumerate(newton_recurrence(p))), 0, trunc)
+    return QSeries(dict(enumerate(product_power_coefficients(a, trunc))),
+                   trunc)
 
 
 def goettsche_series(chi, order):
@@ -177,11 +153,11 @@ def sqrt_average(f):
 
         (f(q^(1/2)) + f(-q^(1/2))) / 2 = sum_e f_(2e) q^e,
 
-    the odd powers of f cancelling.  Known on ceil(min/2) <= e <
-    ceil(trunc/2) for f known on min <= e < trunc.
+    the odd powers of f cancelling.  Known below ceil(trunc/2) for f
+    known below trunc.
     """
     return QSeries({e // 2: c for e, c in f.units.items() if e % 2 == 0},
-                   -(-f.min_exponent // 2), -(-f.truncation_order // 2))
+                   -(-f.truncation_order // 2))
 
 
 def substitute_power(series, k):
@@ -189,7 +165,7 @@ def substitute_power(series, k):
     if index(k) < 1:
         raise ValueError("k must be a positive integer")
     return QSeries({e * k: c for e, c in series.units.items()},
-                   series.min_exponent * k, series.truncation_order * k)
+                   series.truncation_order * k)
 
 
 # -- K3 partition-function series ------------------------------------------
@@ -210,29 +186,19 @@ def _k3_order(order):
     return order
 
 
-def typeI_DT_K3(n):
-    """Fiberwise rank-two count of the non-nested locus on K3.
-
-    Zero for n <= 1 (empty moduli); otherwise 1/s times the Euler number
-    of the Hilbert scheme of 2n-3 points of a K3 surface.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n <= 1:
-        return FactoredScalar.const(0)
-    return z_typeI_series(n - 2).coefficient(n - 2)
-
-
 def z_typeI_series(order):
-    """Series of non-nested counts typeI_DT_K3(n) at exponent n-2, known
-    through q^order inclusive; every Euler number is read off one
-    expansion of the Hilbert-scheme generating series."""
+    """Series of the fiberwise rank-two counts of the non-nested locus on
+    K3, known through q^order inclusive.  The count at charge n sits at
+    exponent n-2: 1/s times the Euler number of the Hilbert scheme of
+    2n-3 points of a K3 surface, and 0 for n <= 1 (empty moduli).  Every
+    Euler number is read off one expansion of the Hilbert-scheme
+    generating series."""
     order = _k3_order(order)
     chi = goettsche_series(24, max(2 * order + 2, 1))
     s = FactoredScalar.var("s")
     units = {n - 2: FactoredScalar.const(chi.coefficient(2 * n - 3)) / s
              for n in range(2, order + 3)}
-    return QSeries(units, -2, order + 1)
+    return QSeries(units, order + 1)
 
 
 def z_typeI_closed_form(order):

@@ -64,7 +64,7 @@ def test_odd_power_in_the_conjecture_series_fails_its_check(capsys,
     # the conjecture series has only even powers of q; a q^1 term must
     # fail the check even though its exponent is an integer
     def odd(order):
-        return dt4.QSeries({-2: 1, 1: 5}, -2, order + 1)
+        return dt4.QSeries({-2: 1, 1: 5}, order + 1)
     monkeypatch.setattr(cli, "z_typeII_conjecture_series", odd)
     code, report, _ = run_json(capsys, ["zseries", "--order", "3"])
     assert code == 1
@@ -411,6 +411,24 @@ def test_fit_at_a_huge_degree_bound_refuses_at_once(capsys):
     assert report["error"]["message"] == (
         "fit underdetermined: 28 samples for 41667083334791668750001 "
         "monomials at degree bound 1000000")
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("localize --surface plane --divisor H=1 --n1 12 --n2 12",
+     "61905424 fixed-point pairs, above the maximum 2000000"),
+    ("mochizuki --surface plane --divisor H=0 --split1 H=8 --split2 H=-8 "
+     "--n 0", "the Hilbert scheme of 64 points on 3 charts has at least "),
+    ("fit --n1 40", "the Hilbert scheme of 40 points on 3 charts has at "
+     "least ")], ids=["localize", "mochizuki", "fit"])
+def test_enumerations_above_their_maximum_refuse_at_once(argv, message,
+                                                         capsys):
+    # each ended in a MemoryError traceback under a limited address space
+    start = time.perf_counter()
+    code, report, _ = run_json(capsys, argv.split())
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert report["error"]["type"] == "ValueError"
+    assert report["error"]["message"].startswith(message)
 
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -913,6 +931,14 @@ def _on_a_surface(divisor_count):
                                * divisor_count))
 
 
+# large splittings whose point budget n - split1.split2 is refused at once,
+# or negative, for every drawn n
+LARGE_SPLITS = st.sampled_from([
+    ("plane", "H=1", "H=8", "H=-8"), ("plane", "", "H=40", "H=-40"),
+    ("quadric", "A=1", "A=40", "B=-40"), ("hirzebruch1", "", "F=40", "C0=-40"),
+    ("plane", "H=1", "H=40", "H=40"), ("quadric", "", "A=40,B=40", "A=40")])
+
+
 def _split_budget_at_most_n(drawn):
     """Whether split1.split2 >= 0, so that mochizuki's point budget
     n - split1.split2 stays at most n."""
@@ -924,9 +950,15 @@ def _split_budget_at_most_n(drawn):
         return True
 
 
-# n1 + n2 <= 1, so no case integrates more than one point
+# either n1 + n2 <= 1, so no case integrates more than one point, or a
+# point count far above its maximum, refused at once (fit reads n2 > n1 as
+# 0 without summing)
+LARGE = (40, 10 ** 6, 10 ** 30)
 POINTS = st.sampled_from([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)
-                          if a + b <= 1]).map(lambda ab: tuple(map(str, ab)))
+                          if a + b <= 1]
+                         + [(n, 0) for n in LARGE] + [(0, n) for n in LARGE]
+                         + [(1, 10 ** 6), (10 ** 30, 10 ** 30)]).map(
+    lambda ab: tuple(map(str, ab)))
 JOBS = _ints(1, 2)
 
 # per subcommand: its valued flags, each drawn from a small hand-set range,
@@ -946,9 +978,12 @@ CLI_FLAGS = {
                                             max_size=5).map(
                       lambda xs: ",".join(map(str, xs))),
                   "--jobs": JOBS}, ["--audit", "--pretty"]),
-    "mochizuki": ({"--surface --divisor --split1 --split2":
+    "mochizuki": ({"--surface --divisor --split1 --split2": st.one_of(
                    _on_a_surface(3).filter(_split_budget_at_most_n),
-                   "--n": _ints(-1, 1), "--pg": _ints(-1, 2),
+                   LARGE_SPLITS),
+                   "--n": st.one_of(_ints(-1, 1),
+                                    st.sampled_from(LARGE).map(str)),
+                   "--pg": _ints(-1, 2),
                    "--jobs": JOBS}, ["--audit", "--pretty"]),
     "fit": ({"--n1 --n2": POINTS, "--degree-bound": _ints(-1, 1),
              "--jobs": JOBS}, ["--audit", "--pretty"]),

@@ -363,6 +363,20 @@ def test_assemble_sum_batching():
     assert assemble_sum(PLANE, 0, 0, term).canonical() == ONE
 
 
+def test_pair_sums_above_the_maximum_are_refused_before_any_term():
+    def term(fp1, fp2):
+        raise AssertionError("no term may run")
+    # 7868 ** 2 pairs, each factor admitted on its own
+    with pytest.raises(ValueError, match="^61905424 fixed-point pairs, above "
+                       f"the maximum {localize.MAX_PAIRS}$"):
+        assemble_sum(PLANE, 12, 12, term)
+    # the splittings of a point budget of 10^30 are never listed
+    with pytest.raises(ValueError, match=f"^the Hilbert scheme of {10 ** 30} "
+                       "points on 3 charts has at least"):
+        mochizuki_coefficient(PLANE, {"H": 10 ** 15}, {"H": -10 ** 15}, {},
+                              0, 0)
+
+
 # -- pairwise residue machinery --------------------------------------------
 
 def test_mochizuki_zero_charge():

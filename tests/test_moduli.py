@@ -10,7 +10,7 @@ from dt4.eqalg import FactoredScalar
 from dt4.moduli import (EllipticSurface, Polarization,
                         assemble_typeII_K3_series, enumerate_typeII_K3,
                         in_stable_chamber, is_ample, wall_threshold)
-from dt4.qseries import (typeI_DT_K3, z_typeI_closed_form, z_typeI_series,
+from dt4.qseries import (z_typeI_closed_form, z_typeI_series,
                          z_typeII_conjecture_series)
 
 from oracles import (FIBER, SECTION, ZERO_DIVISOR, DivisorClass,
@@ -178,20 +178,25 @@ def test_general_enumeration_box_forms():
 
 # -- series ----------------------------------------------------------------
 
+def typeI(n):
+    """The non-nested count at charge n, read off the series."""
+    return z_typeI_series(n - 2).coefficient(n - 2)
+
+
 def test_typeI_values():
-    assert typeI_DT_K3(0) == FactoredScalar.const(0)
-    assert typeI_DT_K3(1) == FactoredScalar.const(0)
-    assert typeI_DT_K3(2) == sval(24)
-    assert typeI_DT_K3(3) == sval(3200)
-    with pytest.raises(ValueError):
-        typeI_DT_K3(-1)
+    # the moduli are empty at n <= 1; n = 0 sits at q^-2, read from the
+    # shortest series, known through q^-1
+    assert z_typeI_series(-1).coefficient(-2) == 0
+    assert typeI(1) == 0
+    assert typeI(2) == sval(24)
+    assert typeI(3) == sval(3200)
 
 
 def test_typeI_values_vs_convolution_oracle():
     # 24-colored counts at 2n-3 points
     c24 = colored_counts(24, 8)
-    assert typeI_DT_K3(2) == sval(c24[1])
-    assert typeI_DT_K3(4) == sval(c24[5])
+    assert typeI(2) == sval(c24[1])
+    assert typeI(4) == sval(c24[5])
 
 
 def test_z_typeI_spots():

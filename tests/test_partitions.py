@@ -1,9 +1,13 @@
 """Partitions and monomial fixed points."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dt4.partitions import arm_leg, boxes, hilb_fixed_points, partitions_of
+from dt4.partitions import (MAX_FIXED_POINTS, arm_leg, boxes,
+                            fixed_point_count, hilb_fixed_points,
+                            partitions_of)
 from dt4.surfaces import from_preset
 
 from oracles import colored_counts, conjugate, partition_numbers
@@ -77,6 +81,35 @@ def test_hilb_fixed_points_deterministic():
     assert hilb_fixed_points(plane, 3) == hilb_fixed_points(plane, 3)
     with pytest.raises(ValueError):
         hilb_fixed_points(plane, -1)
+
+
+def test_fixed_point_count_is_the_number_built():
+    for charts in range(7):
+        model = SimpleNamespace(fixed_points=[None] * charts)
+        for n in range(7 if charts < 5 else 5):
+            assert (fixed_point_count(charts, n)
+                    == len(hilb_fixed_points(model, n))), (charts, n)
+
+
+def test_fixed_point_count_refuses_above_the_maximum():
+    plane = from_preset("plane")
+    # the plane at n = 24 is admitted; at n = 25 it is refused with its
+    # count, and far beyond with a lower bound, never counted exactly
+    assert colored_counts(3, 25)[24:] == [1762462, 2606604]
+    assert fixed_point_count(3, 24) == 1762462 <= MAX_FIXED_POINTS
+    with pytest.raises(ValueError, match="^the Hilbert scheme of 25 points "
+                       "on 3 charts has 2606604 fixed points, above the "
+                       f"maximum {MAX_FIXED_POINTS}$"):
+        hilb_fixed_points(plane, 25)
+    for n in (1000, 10 ** 30):
+        with pytest.raises(ValueError, match=f"^the Hilbert scheme of {n} "
+                           "points on 3 charts has at least [0-9]+ fixed "
+                           "points, above the maximum"):
+            hilb_fixed_points(plane, n)
+    # no chart, no point
+    assert fixed_point_count(0, 10 ** 30) == 0
+    with pytest.raises(ValueError, match="nonnegative"):
+        fixed_point_count(3, -1)
 
 
 @settings(max_examples=25, deadline=None)

@@ -18,26 +18,25 @@ def test_partition_number_oracle_sanity():
 
 
 def test_construction_and_window():
-    f = QSeries({0: 1, 1: 2}, 0, 2)
-    assert f.min_exponent == 0
+    f = QSeries({0: 1, 1: 2}, 2)
     assert f.truncation_order == 2
     assert f.coefficient(1) == 2
     assert f.coefficient(-1) == 0
     with pytest.raises(ValueError):
         f.coefficient(2)
     with pytest.raises(ValueError, match="outside"):
-        QSeries({2: 1}, 0, 2)
+        QSeries({2: 1}, 2)
 
 
 def test_coefficients_view():
     # ``units`` keeps the nonzero coefficients only
-    f = QSeries({-1: 5, 0: 0, 1: -1}, -1, 2)
+    f = QSeries({-1: 5, 0: 0, 1: -1}, 2)
     assert f.units == {-1: 5, 1: -1}
 
 
 def test_fraction_orders_and_exponents_raise():
     # exponents and orders are ints; q^(1/2) is no longer addressable
-    f = QSeries({0: 1}, 0, 4)
+    f = QSeries({0: 1}, 4)
     calls = (f.coefficient, f.shift_exponent,
              lambda x: f.matches(f, through=x),
              lambda x: product_power(1, x), delta_inverse, _k3_order,
@@ -49,8 +48,8 @@ def test_fraction_orders_and_exponents_raise():
 
 
 def test_addition_respects_common_window():
-    f = QSeries({0: 1, 2: 7}, 0, 3)
-    g = QSeries({0: 2}, 0, 2)
+    f = QSeries({0: 1, 2: 7}, 3)
+    g = QSeries({0: 2}, 2)
     h = f + g
     assert h.truncation_order == 2
     assert h.coefficient(0) == 3
@@ -59,39 +58,29 @@ def test_addition_respects_common_window():
 
 
 def test_subtraction_and_zero():
-    f = QSeries({0: 1, 1: 3}, 0, 3)
+    f = QSeries({0: 1, 1: 3}, 3)
     assert not (f - f).to_json_entries()
 
 
-def test_multiplication():
-    # (1 - q) * (1 + q + q^2 + ...) = 1
-    N = 8
-    geo = QSeries({k: 1 for k in range(N)}, 0, N)
-    one_minus_q = QSeries({0: 1, 1: -1}, 0, N)
-    prod = geo * one_minus_q
-    assert prod.coefficient(0) == 1
-    assert all(prod.coefficient(k) == 0 for k in range(1, N - 1))
-
-
 def test_scale_and_shift():
-    f = QSeries({0: 2}, 0, 2)
+    f = QSeries({0: 2}, 2)
     assert f.scale(Fraction(1, 2)).coefficient(0) == 1
     g = f.shift_exponent(-1)
     assert g.coefficient(-1) == 2
-    assert (g.min_exponent, g.truncation_order) == (-1, 1)
+    assert g.truncation_order == 1
     s = FactoredScalar.var("s")
     h = f.scale(FactoredScalar.const(1) / s)
     assert h.coefficient(0) == FactoredScalar.const(2) / s
 
 
 def test_matches_window_semantics():
-    f = QSeries({0: 1}, 0, 2)
-    g = QSeries({0: 1, 2: 9}, 0, 3)
+    f = QSeries({0: 1}, 2)
+    g = QSeries({0: 1, 2: 9}, 3)
     assert f.matches(g)  # q^2 term of g is outside the common window
     assert f.matches(g, through=1)
     with pytest.raises(ValueError):
         f.matches(g, through=2)
-    assert not f.matches(QSeries({0: 2}, 0, 2))
+    assert not f.matches(QSeries({0: 2}, 2))
 
 
 def test_product_power_known():
@@ -139,7 +128,7 @@ def test_product_power_inverse_discriminant_vs_convolution():
 
 
 def test_product_power_zero_exponent_is_one():
-    assert product_power(0, 50) == QSeries({0: 1}, 0, 50)
+    assert product_power(0, 50) == QSeries({0: 1}, 50)
 
 
 def test_product_power_vs_binomial_factors():
@@ -180,15 +169,15 @@ def test_delta_inverse_spots():
 def test_substitute_sqrt():
     # the average of q -> q^(1/2) and q -> -q^(1/2) on q^-1 + 24 + 324 q
     # keeps the even power 24 q^0; q^-1 and 324 q cancel
-    d = QSeries({-1: 1, 0: 24, 1: 324}, -1, 2)
+    d = QSeries({-1: 1, 0: 24, 1: 324}, 2)
     avg = sqrt_average(d)
-    assert avg == QSeries({0: 24}, 0, 1)
+    assert avg == QSeries({0: 24}, 1)
     # q^2 of a window known below q^3 is q^1, known below q^2
-    assert sqrt_average(QSeries({2: 7}, -3, 3)) == QSeries({1: 7}, -1, 2)
+    assert sqrt_average(QSeries({2: 7}, 3)) == QSeries({1: 7}, 2)
 
 
 def test_substitute_power():
-    f = QSeries({1: 5}, 1, 3)
+    f = QSeries({1: 5}, 3)
     g = substitute_power(f, 2)
     assert g.coefficient(2) == 5
     assert g.truncation_order == 6
@@ -205,7 +194,7 @@ def test_exact_str_coefficients():
 
 
 def test_to_json_entries_sorted():
-    f = QSeries({1: 1, -1: 4}, -1, 2)
+    f = QSeries({1: 1, -1: 4}, 2)
     entries = f.to_json_entries()
     assert entries[0] == {"exponent_num": -1, "exponent_den": 1,
                           "coefficient": "4"}
@@ -216,6 +205,7 @@ def test_to_json_entries_sorted():
 @given(st.integers(-30, 30), st.integers(-30, 30))
 def test_product_power_additivity(a, b):
     N = 6
-    f = product_power(a, N) * product_power(b, N)
-    g = product_power(a + b, N)
-    assert f.matches(g, through=N - 1)
+    f, g = product_power(a, N), product_power(b, N)
+    product = [sum(f.coefficient(j) * g.coefficient(k - j)
+                   for j in range(k + 1)) for k in range(N)]
+    assert product == _coefficients(product_power(a + b, N), N - 1)
