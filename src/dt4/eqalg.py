@@ -133,8 +133,11 @@ class FactoredScalar:
             if num.is_zero():
                 q, forms = ONE, {}
             else:
-                g = gcd(num, forms)
-                num = num if g.is_one() else num.divexact(g)
+                # gcd lowers forms in place; divide by what it took away
+                gcd(num, forms)
+                for p, m in forms.items():
+                    for _ in range(self.forms[p] - m):
+                        num = num.divexact(Poly.linear_form(p[:-1], p[-1]))
                 forms = {p: m for p, m in forms.items() if m}
                 g = math.gcd(num.content(), q.denominator)
                 num = num.divexact(g) * q.numerator

@@ -254,20 +254,28 @@ def assemble_sum(model, n1, n2, term_fn, jobs=1, audit=None, wmap=SYMBOLIC):
 MAX_PAIRS = 2_000_000
 
 
-def _pair_sum(model, splittings, term_fn, jobs, audit, wmap):
-    """The ``factored_sum`` of the FactoredScalars term_fn over the pairs of
-    every splitting (n1, n2) in turn, one ``parallel_starmap`` for all, left
-    to the caller to canonicalise; audited terms are canonicalised one by
-    one and pass through ``wmap.finish``.  More than MAX_PAIRS pairs in all
-    are refused before any fixed point is built."""
+def pair_counts(model, splittings):
+    """The number of fixed-point pairs of each splitting (n1, n2), counted
+    before any fixed point is built; more than MAX_PAIRS in all is a
+    ValueError."""
     charts = len(model.fixed_points)
     sizes = {(n1, n2): fixed_point_count(charts, n1)
              * fixed_point_count(charts, n2) for n1, n2 in splittings}
     if (total := sum(sizes.values())) > MAX_PAIRS:
         raise ValueError(f"{total} fixed-point pairs, above the maximum "
                          f"{MAX_PAIRS}")
-    pairs = [p for n1, n2 in sizes for p in itertools.product(
-        hilb_fixed_points(model, n1), hilb_fixed_points(model, n2))]
+    return sizes
+
+
+def _pair_sum(model, splittings, term_fn, jobs, audit, wmap):
+    """The ``factored_sum`` of the FactoredScalars term_fn over the pairs of
+    every splitting (n1, n2) in turn, one ``parallel_starmap`` for all, left
+    to the caller to canonicalise; audited terms are canonicalised one by
+    one and pass through ``wmap.finish``.  Too many pairs are refused
+    first (``pair_counts``)."""
+    pairs = [p for n1, n2 in pair_counts(model, splittings)
+             for p in itertools.product(hilb_fixed_points(model, n1),
+                                        hilb_fixed_points(model, n2))]
     terms = parallel_starmap(term_fn, pairs, jobs)
     if audit is not None:
         for (fp1, fp2), t in zip(pairs, terms):

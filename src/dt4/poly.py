@@ -19,13 +19,14 @@ printing are for polynomials.
 There is no polynomial gcd.  Every denominator dt4 builds is a product of
 linear (or, after specialisation, affine) forms, so exact division by one
 form (``divides``) and the integer ``content`` are all that reducing a
-fraction needs (see ``eqalg.FactoredScalar.canonical``).
+fraction needs (see ``eqalg.FactoredScalar.canonical``).  ``divexact``
+divides by an int or by one polynomial of degree at most one, and by
+nothing else: a divisor of higher degree is a TypeError.
 """
 
-import heapq
 import math
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, mul
 
 NAMES = ("s", "sp", "e1", "e2")
 NVARS = len(NAMES)
@@ -78,11 +79,6 @@ def product_power_coefficients(a, order):
         for k in range(d, order, d):
             p[k] -= a * d
     return newton_recurrence(p)
-
-
-def _desc(exps):
-    """Min-heap entry that pops exponent tuples in descending grlex order."""
-    return (-sum(exps), tuple(-x for x in exps), exps)
 
 
 class Poly:
@@ -142,13 +138,6 @@ class Poly:
 
     def is_one(self):
         return self.terms == {CONSTANT: 1}
-
-    def lead(self):
-        """Leading (exponent, coefficient) in graded-lex order."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=grlex_key)
-        return e, self.terms[e]
 
     def key(self):
         """Hashable canonical identity of the polynomial."""
@@ -234,7 +223,9 @@ class Poly:
         return g
 
     def divexact(self, other):
-        """Exact division; raises ValueError when not divisible."""
+        """Exact division by an int or by a polynomial of degree at most
+        one; raises ValueError when not divisible, TypeError for a divisor
+        of higher degree."""
         if isinstance(other, int):
             other = Poly.const(other)
         if other.is_zero():
@@ -247,33 +238,22 @@ class Poly:
                     raise ValueError("inexact polynomial division")
                 q[e] = c // d
             return Poly._of(q)
-        oe, oc = other.lead()
-        rest = [(e, c) for e, c in other.terms.items() if e != oe]
-        r = dict(self.terms)
-        # remainder terms in a heap, largest graded-lex first; new terms
-        # always sort below the one being cancelled
-        heap = [_desc(e) for e in r]
-        heapq.heapify(heap)
-        q = {}
-        while heap:
-            e = heapq.heappop(heap)[2]
-            c = r.pop(e, 0)
-            if not c:
-                continue
-            de = tuple(map(sub, e, oe))
-            if min(de) < 0 or c % oc:
-                raise ValueError("inexact polynomial division")
-            qc = c // oc
-            q[de] = qc
-            for e2, c2 in rest:
-                ne = tuple(map(add, de, e2))
-                nc = r.get(ne, 0) - qc * c2
-                if ne not in r:
-                    heapq.heappush(heap, _desc(ne))
-                if nc:
-                    r[ne] = nc
-                else:
-                    r.pop(ne, None)
+        if any(e != CONSTANT and e not in UNITS for e in other.terms):
+            raise TypeError("division by a polynomial of degree above one")
+        # other = a x + b with b free of x.  With self = sum N_d x^d, the
+        # quotient's coefficients follow from the top x-degree down,
+        # q_(d-1) = (N_d - b q_d) / a, and N_lo - b q_lo must vanish.
+        x = next(u for u in UNITS if u in other.terms)
+        a, v = other.terms[x], UNITS.index(x)
+        b = Poly._of({e: c for e, c in other.terms.items() if e != x})
+        parts = self.by_var(v)
+        lo, q, qd = min([0, *parts]), {}, Poly()
+        for d in range(max(parts, default=0), lo, -1):
+            qd = (parts.get(d, Poly()) - b * qd).divexact(a)
+            q.update((e[:v] + (d - 1,) + e[v + 1:], c)
+                     for e, c in qd.terms.items())
+        if not (parts.get(lo, Poly()) - b * qd).is_zero():
+            raise ValueError("inexact polynomial division")
         return Poly._of(q)
 
     def divides(self, other):

@@ -47,24 +47,6 @@ class QSeries:
                 and self.units == other.units
                 and self.truncation_order == other.truncation_order)
 
-    def matches(self, other, through=None):
-        """Coefficient equality on the window both series know.
-
-        ``through`` (an exponent) narrows the window; asking beyond the
-        common truncation raises instead of passing silently.
-        """
-        common = min(self.truncation_order, other.truncation_order)
-        if through is not None:
-            through = index(through)
-            if through >= common:
-                raise ValueError(f"comparison through q^{through} exceeds the "
-                                 f"common truncation {common}")
-            common = through + 1
-        for e in set(self.units) | set(other.units):
-            if e < common and self.units.get(e, 0) != other.units.get(e, 0):
-                return False
-        return True
-
     def __repr__(self):
         parts = [f"q^{e}: {c}" for e, c in sorted(self.units.items())]
         return (f"QSeries({{{', '.join(parts)}}}, "

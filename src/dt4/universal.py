@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .eqalg import exact_str
 from .localize import (WeightMap, _typeII_character, _typeII_charts,
-                       _typeII_tangent, parallel_starmap)
+                       _typeII_tangent, pair_counts, parallel_starmap)
 # perfbench's tracer wraps this module global; fit itself never calls it
 from .localize import typeII_component_integral  # noqa: F401
 from .partitions import hilb_fixed_points, is_nested
@@ -201,11 +201,13 @@ def classical_limit(model, L, n1, n2):
     does not cancel raises ValueError, a zero weight outside diff(0)
     NonGenericWeightError.  This equals
     ``typeII_component_integral(..., eps_line=EPS_LINE)`` with a unit
-    prefactor, specialised at e1 = 0.
+    prefactor, specialised at e1 = 0.  Too many pairs are refused before
+    any fixed point is built (``localize.pair_counts``).
     """
     charts, shifts = _typeII_charts(model, L, WeightMap(EPS_LINE))
     if n2 > n1 >= 0:
         return Fraction(0)
+    pair_counts(model, [(n1, n2)])
     # a mixed weight is a + c u with a one of the bundle twists; with
     # u = scale v it is a (1 + r v) for an integer r
     scale = math.lcm(*filter(None, (shift[0][0] for shift in shifts)))

@@ -19,7 +19,7 @@ from dt4 import moduli
 from dt4.eqalg import chern_part
 from dt4.localize import difference_character
 from dt4.partitions import boxes, hilb_fixed_points
-from dt4.poly import NAMES, Poly
+from dt4.poly import NAMES, Poly, grlex_key
 from dt4.surfaces import ToricSurfaceModel, _lattice_cohomology
 
 
@@ -502,9 +502,31 @@ def residue_series_oracle(x, var):
 def _primitive(p):
     """(signed content, primitive part with positive leading coefficient)."""
     c = p.content()
-    if p.lead()[1] < 0:
+    if p.terms[max(p.terms, key=grlex_key)] < 0:
         c = -c
     return c, p.divexact(c)
+
+
+def exact_quotient(a, b):
+    """a / b for a nonzero polynomial b that divides a, else ValueError:
+    long division in the top variable of b, each leading coefficient
+    divided recursively, down to the integer division of a constant."""
+    if b.is_const():
+        return a.divexact(b.const_value())
+    v = max(i for e in b.terms for i, k in enumerate(e) if k)
+    bv = b.by_var(v)
+    db = max(bv)
+    q = Poly()
+    while not a.is_zero():
+        av = a.by_var(v)
+        da = max(av)
+        if da < db:
+            raise ValueError("inexact polynomial division")
+        c = exact_quotient(av[da], bv[db])
+        t = Poly({e[:v] + (da - db,) + e[v + 1:]: k
+                  for e, k in c.terms.items()})
+        q, a = q + t, a - t * b
+    return q
 
 
 def _prem(a, b):
@@ -547,15 +569,15 @@ def poly_gcd(a, b):
     v = max(used)
     pa, pb = pa.by_var(v), pb.by_var(v)
     conta, contb = _content_of(pa), _content_of(pb)
-    pa = {d: p.divexact(conta) for d, p in pa.items()}
-    pb = {d: p.divexact(contb) for d, p in pb.items()}
+    pa = {d: exact_quotient(p, conta) for d, p in pa.items()}
+    pb = {d: exact_quotient(p, contb) for d, p in pb.items()}
     if max(pa) < max(pb):
         pa, pb = pb, pa
     while pb:
         r = _prem(pa, pb)
         if r:
             rc = _content_of(r)
-            r = {d: p.divexact(rc) for d, p in r.items()}
+            r = {d: exact_quotient(p, rc) for d, p in r.items()}
         pa, pb = pb, r
     lift = Poly({e[:v] + (e[v] + d,) + e[v + 1:]: c
                  for d, p in pa.items() for e, c in p.terms.items()})

@@ -419,7 +419,10 @@ def test_fit_at_a_huge_degree_bound_refuses_at_once(capsys):
     ("mochizuki --surface plane --divisor H=0 --split1 H=8 --split2 H=-8 "
      "--n 0", "the Hilbert scheme of 64 points on 3 charts has at least "),
     ("fit --n1 40", "the Hilbert scheme of 40 points on 3 charts has at "
-     "least ")], ids=["localize", "mochizuki", "fit"])
+     "least "),
+    ("fit --n1 12 --n2 12",
+     "61905424 fixed-point pairs, above the maximum 2000000")],
+    ids=["localize", "mochizuki", "fit", "fit_pairs"])
 def test_enumerations_above_their_maximum_refuse_at_once(argv, message,
                                                          capsys):
     # each ended in a MemoryError traceback under a limited address space

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from dt4.eqalg import (FactoredScalar, NonGenericWeightError, chern_part,
                        euler_of_character, exact_str, factored_sum, gcd,
                        residue)
-from dt4.poly import NAMES, Poly
+from dt4.poly import NAMES, Poly, grlex_key
 
 from oracles import poly_gcd
 
@@ -316,7 +316,7 @@ def assert_canonical(x):
         return
     assert c.scalar.numerator == 1
     assert poly_gcd(c.num, c.den).is_one()
-    assert c.den.lead()[1] > 0
+    assert c.den.terms[max(c.den.terms, key=grlex_key)] > 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -405,7 +405,7 @@ def assert_reduced_over_forms(x):
         top = max(parts)
         assert not sum((q * (-r) ** d * p[i] ** (top - d)
                         for d, q in parts.items()), Poly()).is_zero(), p
-    assert c.den.lead()[1] > 0
+    assert c.den.terms[max(c.den.terms, key=grlex_key)] > 0
 
 
 def euler_by_products(char):

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from dt4.localize import WeightMap
 from dt4.poly import Poly, grlex_key, newton_recurrence, poly_str
 
-from oracles import binomial_product, linear_power_product, poly_gcd
+from oracles import (binomial_product, exact_quotient, linear_power_product,
+                     poly_gcd)
 
 # the first three of the ring's four variables, s, sp and e1
 X = Poly.variable(0)
@@ -24,6 +25,11 @@ def small_polys(max_terms=4, max_deg=3, max_coeff=6):
     return st.lists(term, max_size=max_terms).map(
         lambda ts: Poly({e: c for e, c in ts if c}))
 
+
+# a non-constant form in s, sp, e1, e2 with a constant part
+AFFINE_FORMS = st.tuples(st.tuples(*[st.integers(-3, 3)] * 4).filter(any),
+                         st.integers(-3, 3)).map(
+    lambda t: Poly.linear_form(*t))
 
 WEIGHTS = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 WEIGHT_PAIRS = st.lists(st.tuples(WEIGHTS, st.integers(-3, 3)), max_size=5)
@@ -57,9 +63,9 @@ def test_linear_form():
 def test_grlex_lead():
     # total degree first, then lexicographic on exponents
     p = X * Y + Z * Z * Z
-    assert p.lead()[0] == (0, 0, 3, 0)
+    assert max(p.terms, key=grlex_key) == (0, 0, 3, 0)
     q = X * Y + X * Z
-    assert q.lead()[0] == (1, 1, 0, 0)
+    assert max(q.terms, key=grlex_key) == (1, 1, 0, 0)
     assert grlex_key((1, 1, 0, 0)) > grlex_key((1, 0, 1, 0))
 
 
@@ -207,11 +213,32 @@ def test_from_pairs_sums_repeats_and_drops_zeros(pairs, line):
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_polys(), small_polys())
+@given(small_polys(), st.one_of(st.integers(-6, 6).filter(bool),
+                                AFFINE_FORMS))
 def test_divexact_inverts_product(a, b):
-    if b.is_zero():
-        return
     assert (a * b).divexact(b) == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys(), st.one_of(
+    st.integers(-6, 6).filter(lambda k: abs(k) > 1).map(Poly.const),
+    AFFINE_FORMS))
+def test_division_is_exact_or_refused(q, d):
+    assert d.divides(q * d) == q
+    assert d.divides(q * d + 1) is None
+    assert d.divides(Poly()) == Poly()
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_polys(), AFFINE_FORMS, AFFINE_FORMS)
+def test_a_divisor_of_degree_two_is_a_type_error(q, f, g):
+    # even where it divides, so that no such divisor reads as "does not
+    # divide"
+    for d in (f * g, f * X * Y + 1, Z ** 3):
+        with pytest.raises(TypeError):
+            (q * d).divexact(d)
+        with pytest.raises(TypeError):
+            d.divides(q * d)
 
 
 @settings(max_examples=30, deadline=None)
@@ -220,5 +247,6 @@ def test_gcd_divides_both(a, b, c):
     if c.is_zero() or (a.is_zero() and b.is_zero()):
         return
     g = poly_gcd(a * c, b * c)
-    assert g.divides(a * c) and g.divides(b * c)
-    assert c.divides(g)
+    assert exact_quotient(a * c, g) * g == a * c
+    assert exact_quotient(b * c, g) * g == b * c
+    assert exact_quotient(g, c) * c == g

@@ -38,7 +38,6 @@ def test_fraction_orders_and_exponents_raise():
     # exponents and orders are ints; q^(1/2) is no longer addressable
     f = QSeries({0: 1}, 4)
     calls = (f.coefficient, f.shift_exponent,
-             lambda x: f.matches(f, through=x),
              lambda x: product_power(1, x), delta_inverse, _k3_order,
              lambda x: substitute_power(f, x))
     for x in (Fraction(1, 2), Fraction(1), 0.5):
@@ -71,16 +70,6 @@ def test_scale_and_shift():
     s = FactoredScalar.var("s")
     h = f.scale(FactoredScalar.const(1) / s)
     assert h.coefficient(0) == FactoredScalar.const(2) / s
-
-
-def test_matches_window_semantics():
-    f = QSeries({0: 1}, 2)
-    g = QSeries({0: 1, 2: 9}, 3)
-    assert f.matches(g)  # q^2 term of g is outside the common window
-    assert f.matches(g, through=1)
-    with pytest.raises(ValueError):
-        f.matches(g, through=2)
-    assert not f.matches(QSeries({0: 2}, 2))
 
 
 def test_product_power_known():
