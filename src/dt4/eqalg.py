@@ -317,9 +317,19 @@ def euler_of_character(char):
 
 
 def factored_sum(terms):
+    """Sum of FactoredScalars as a balanced tree: while more than two terms
+    remain, each consecutive pair becomes its ``_lcd_sum``; no level
+    reduces.  Lifting every term to the full common denominator at once
+    multiplies large numerators by many forms; pairs keep them small."""
+    terms = [t for t in terms if not t.num.is_zero()]
+    while len(terms) > 2:
+        terms = [_lcd_sum(terms[i:i + 2]) for i in range(0, len(terms), 2)]
+    return _lcd_sum(terms)
+
+
+def _lcd_sum(terms):
     """Sum of FactoredScalars over one least common denominator (the
     largest multiplicity of each form): one numerator sum, no reduction."""
-    terms = [t for t in terms if not t.num.is_zero()]
     forms, lcd = {}, 1
     for t in terms:
         for p, m in t.forms.items():

@@ -46,6 +46,15 @@ class _FanComponent(NamedTuple):
                  if k in self.ray_coeffs]
         return [sum(c * a[r] for c, a in terms) for r in range(len(self.rays))]
 
+    def dot(self, a, b):
+        """The intersection number of sum a_r D_r and sum b_r D_r: rays
+        r and r + 1 meet once, D_r^2 = -det(v_{r-1}, v_{r+1}), and any
+        other pair is 0."""
+        v, n = self.rays, len(self.rays)
+        return sum(x * (b[r - 1] + b[(r + 1) % n]
+                        - _det(v[r - 1], v[(r + 1) % n]) * b[r])
+                   for r, x in enumerate(a))
+
 
 def _check_ints(rays, ray_coeffs):
     """ValueError unless every entry is a plain int."""
@@ -72,22 +81,13 @@ def _solve2(v1, v2, b1, b2):
     return x, y
 
 
-def _fan_intersections(name, fan, self_int):
-    """The pairing and the canonical class of one fan's basis divisors,
-    by the toric intersection numbers of its ray divisors: neighbouring
-    rays meet once, D_r^2 = ``self_int[r]`` and any other pair is 0.  The
-    canonical class solves pairing(K, k) = K.k for every basis name k,
-    where K = -sum D_r."""
-    n, names = len(fan.rays), sorted(fan.ray_coeffs)
-
-    def dot(a, b):
-        return sum(x * (s * b[r] + b[r - 1] + b[(r + 1) % n])
-                   for r, (x, s) in enumerate(zip(a, self_int)))
-
-    pairing = {k: {j: dot(fan.ray_coeffs[k], fan.ray_coeffs[j])
-                   for j in names} for k in names}
-    rows = [[Fraction(pairing[k][j]) for j in names] for k in names]
-    rhs = [Fraction(dot(fan.ray_coeffs[k], [-1] * n)) for k in names]
+def _fan_canonical(name, fan):
+    """The canonical class of one fan in its basis divisors: it solves
+    K.k = fan.dot(K, k) for every basis name k, where K = -sum D_r."""
+    names, coeffs = sorted(fan.ray_coeffs), fan.ray_coeffs
+    rows = [[Fraction(fan.dot(coeffs[k], coeffs[j])) for j in names]
+            for k in names]
+    rhs = [Fraction(fan.dot(coeffs[k], [-1] * len(fan.rays))) for k in names]
     if len(_eliminate(rows, rhs, len(names))) < len(names):
         raise ValueError(f"the basis divisors of {name} are not independent")
     if any(x.denominator != 1 for x in rhs):
@@ -101,7 +101,7 @@ def _fan_intersections(name, fan, self_int):
     if any(m[0] * x + m[1] * y != c for (x, y), c in zip(fan.rays, b)):
         raise ValueError(f"the basis divisors of {name} do not span its "
                          "canonical class")
-    return pairing, canonical
+    return canonical
 
 
 def _eliminate(rows, rhs, ncols):
@@ -137,7 +137,7 @@ class ToricSurfaceModel:
     wind once around the origin: D_i^2 = -det(v_{i-1}, v_{i+1}), and these
     sum to 12 - 3n on a smooth complete surface with n rays.  The same
     self-intersections, with D_i.D_{i+1} = 1 and every other pair 0, give
-    the pairing; K minus its solved combination of basis divisors must be
+    ``pair``; K minus its solved combination of basis divisors must be
     principal, or the basis does not span K."""
 
     def __init__(self, name, fans):
@@ -145,10 +145,7 @@ class ToricSurfaceModel:
         self.fans = tuple(fans)
         self.basis = tuple(sorted(k for fan in self.fans
                                   for k in fan.ray_coeffs))
-        self.fixed_points = []
-        # basis divisor name -> its fiber weight form at every fixed point
-        self._basis_weights = {k: [] for k in self.basis}
-        self.pairing, self.canonical = {}, {}
+        self.fixed_points, self.canonical = [], {}
         for fan in self.fans:
             n, v = len(fan.rays), fan.rays
             self_int = [-_det(v[i - 1], v[(i + 1) % n]) for i in range(n)]
@@ -161,13 +158,7 @@ class ToricSurfaceModel:
                 # the dual basis of the unimodular cone (v_i, v_j)
                 w1, w2 = (v[j][1], -v[j][0]), (-v[i][1], v[i][0])
                 self.fixed_points.append((w1, w2))
-                for k, weights in self._basis_weights.items():
-                    a = fan.ray_coeffs.get(k, (0,) * n)
-                    weights.append((a[i] * w1[0] + a[j] * w2[0],
-                                    a[i] * w1[1] + a[j] * w2[1]))
-            pairing, canonical = _fan_intersections(name, fan, self_int)
-            self.pairing.update(pairing)
-            self.canonical.update(canonical)
+            self.canonical.update(_fan_canonical(name, fan))
         # every smooth complete toric surface is rational: chi(O) = 1 per fan
         c2 = len(self.fixed_points)
         self.chern = SurfaceChernData(12 * len(self.fans) - c2, c2,
@@ -209,10 +200,11 @@ class ToricSurfaceModel:
         return {k: v for k, v in d.items() if v}
 
     def pair(self, d1, d2):
-        d2 = self.check_divisor(d2)
-        return sum(c1 * c2 * self.pairing[k1].get(k2, 0)
-                   for k1, c1 in self.check_divisor(d1).items()
-                   for k2, c2 in d2.items())
+        """The intersection number of two divisor classes, fan by fan;
+        divisors on different fans meet 0 times."""
+        d1, d2 = self.check_divisor(d1), self.check_divisor(d2)
+        return sum(fan.dot(fan.divisor_coeffs(d1), fan.divisor_coeffs(d2))
+                   for fan in self.fans)
 
     def chi(self, d):
         """Euler characteristic of O(d) by Riemann-Roch."""
@@ -222,12 +214,14 @@ class ToricSurfaceModel:
     # -- per-fixed-point weights -------------------------------------------
 
     def bundle_weights(self, d):
-        """Fiber weight forms of O(d) at every fixed point, over (e1, e2)."""
-        out = [(0, 0)] * len(self.fixed_points)
-        for k, c in self.check_divisor(d).items():
-            out = [(x + c * a, y + c * b)
-                   for (x, y), (a, b) in zip(out, self._basis_weights[k])]
-        return out
+        """Fiber weight forms of O(d) at every fixed point, over (e1, e2):
+        a_i w1 + a_{i+1} w2 at the cone (i, i + 1), a = its ray
+        coefficients."""
+        d = self.check_divisor(d)
+        coeffs = [fan.divisor_coeffs(d) for fan in self.fans]
+        a = [cone for c in coeffs for cone in zip(c, c[1:] + c[:1])]
+        return [(x * w1[0] + y * w2[0], x * w1[1] + y * w2[1])
+                for (x, y), (w1, w2) in zip(a, self.fixed_points)]
 
     # -- sheaf cohomology --------------------------------------------------
 

@@ -193,13 +193,12 @@ def classical_limit(model, L, n1, n2):
     Every term is homogeneous of s-degree 0, so s = 1 loses nothing and
     every weight becomes a + c u.  Only pairs nested chart by chart
     contribute (none does when n2 > n1, so such a cell is 0), each the
-    Euler class of one character (see ``localize._typeII_character``): its
-    pure-u weights (a = 0) give a power u^-k, and every mixed form is
-    expanded through u^k.  The
-    u^-K .. u^-1 coefficients of the sum must cancel exactly and the u^0
-    coefficient is the value; a term of nonzero s-degree or a pole that
-    does not cancel raises ValueError, a zero weight outside diff(0)
-    NonGenericWeightError.  This equals
+    Euler class of one character (see ``localize._typeII_character``) of
+    pure-u order -K, K = n1 + n2 (see ``_laurent_term``).  The u^-K ..
+    u^-1 coefficients of the sum must cancel exactly and the u^0
+    coefficient is the value; a term of nonzero s-degree or of another
+    u-order, or a pole that does not cancel, raises ValueError, a zero
+    weight outside diff(0) NonGenericWeightError.  This equals
     ``typeII_component_integral(..., eps_line=EPS_LINE)`` with a unit
     prefactor, specialised at e1 = 0.  Too many pairs are refused before
     any fixed point is built (``localize.pair_counts``).
@@ -215,20 +214,28 @@ def classical_limit(model, L, n1, n2):
     def with_tangents(n):
         return [(fp, _typeII_tangent(charts, shifts, fp))
                 for fp in hilb_fixed_points(model, n)]
-    acc = {}
+    k = n1 + n2
+    acc = [Fraction(0)] * (k + 1)
     for (fp1, tan1), (fp2, tan2) in itertools.product(with_tangents(n1),
                                                       with_tangents(n2)):
         if is_nested(fp1, fp2):
             char = _typeII_character(charts, shifts, fp1, fp2, tan1 + tan2)
             if char is not None:
-                _add_laurent_term(acc, char, scale)
-    return _constant_term(acc)
+                term = _laurent_term(char, scale, k)
+                acc = [x + y for x, y in zip(acc, term)]
+    for j, c in enumerate(acc[:k]):
+        if c:
+            raise ValueError(f"classical limit: the u^{j - k} coefficient "
+                             f"{c} of the sum does not cancel")
+    return acc[k]
 
 
-def _add_laurent_term(acc, char, scale):
-    """Add the u^-k .. u^0 coefficients of the Euler class of ``char``, a
-    character of rank 0 without zero weights, into ``acc`` (order ->
-    Fraction), over one integer denominator."""
+def _laurent_term(char, scale, k):
+    """The u^-k .. u^0 coefficients of the Euler class of ``char``, a
+    character of rank 0 without zero weights, over one integer denominator.
+    Only diff(0), which adds k pure-u weights, and the two tangents, which
+    take away 2k, carry twist 0, so a pure-u order other than -k raises
+    ValueError, as does a nonzero s-degree."""
     if sum(char.terms.values()):
         raise ValueError("classical limit: a term of s-degree "
                          f"{sum(char.terms.values())}, not 0")
@@ -242,13 +249,12 @@ def _add_laurent_term(acc, char, scale):
             num *= (a or c) ** m
         else:
             den *= (a or c) ** -m
-    k = -order
-    if k < 0:
-        return
+    if order != -k:
+        raise ValueError(f"classical limit: a term of u-order {order}, "
+                         f"not {-k}")
     den *= scale ** k
-    for j, e in enumerate(_power_product(mixed, k)):
-        acc[j - k] = acc.get(j - k, 0) + Fraction(num * e * scale ** (k - j),
-                                                  den)
+    return [Fraction(num * e * scale ** (k - j), den)
+            for j, e in enumerate(_power_product(mixed, k))]
 
 
 def _power_product(forms, k):
@@ -261,13 +267,3 @@ def _power_product(forms, k):
             x *= -r
             p[i] += x
     return newton_recurrence(p)
-
-
-def _constant_term(acc):
-    """The u^0 coefficient of a summed Laurent series whose negative orders
-    must all cancel."""
-    for order, c in sorted(acc.items()):
-        if order < 0 and c:
-            raise ValueError(f"classical limit: the u^{order} coefficient "
-                             f"{c} of the sum does not cancel")
-    return acc.get(0, Fraction(0))

@@ -375,14 +375,14 @@ def localized_intersections(model):
 
 
 def assert_localized_intersections(model):
-    """``model.pairing`` and ``model.canonical`` against
-    ``localized_intersections``; a pair of basis divisors on different
-    fans is absent from the pairing and meets 0 times."""
+    """``model.pair`` on basis divisors and ``model.canonical`` against
+    ``localized_intersections``; basis divisors on different fans meet 0
+    times."""
     pairing, k_dot = localized_intersections(model)
     for k, row in pairing.items():
         for j, v in row.items():
-            assert model.pairing[k].get(j, 0) == v, \
-                f"{model.name}: {k}.{j} is {model.pairing[k].get(j)}, not {v}"
+            got = model.pair({k: 1}, {j: 1})
+            assert got == v, f"{model.name}: {k}.{j} is {got}, not {v}"
     assert {k: model.pair(model.canonical, {k: 1}) for k in model.basis} \
         == k_dot, f"{model.name}: K.k is not {k_dot}"
 

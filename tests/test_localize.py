@@ -475,7 +475,7 @@ ROUTE_CASES = ([(name, n1, n - n1) for name in ROUTE_DIVISORS
                + [("plane", n1, 3 - n1) for n1 in range(4)]
                + [(name, n1, 3 - n1) for name in ROUTE_DIVISORS
                   if name != "plane" for n1 in range(3)]
-               + [("quadric", 3, 0)])
+               + [("quadric", 3, 0), ("plane", 3, 1)])
 
 
 @pytest.mark.parametrize("name,n1,n2", ROUTE_CASES)

@@ -282,7 +282,10 @@ def battery_model_charts():
              "basis": list(m.basis),
              "bundle_weights": {k: [list(w) for w in m.bundle_weights({k: 1})]
                                 for k in m.basis},
-             "pairing": m.pairing, "canonical": m.canonical,
+             "pairing": {k: {j: m.pair({k: 1}, {j: 1})
+                             for j in fan.ray_coeffs}
+                         for fan in m.fans for k in fan.ray_coeffs},
+             "canonical": m.canonical,
              "chern": m.chern._asdict()} for m in battery_models()]
 
 
@@ -317,16 +320,17 @@ def two_point_blowup():
 def test_a_fan_fixes_the_intersection_data():
     model = two_point_blowup()
     # H^2 = 1, E1^2 = E2^2 = -1, K = -3H + E1 + E2, c1^2 = 9 - 2
-    assert model.pairing == {"H": {"H": 1, "E1": 0, "E2": 0},
-                             "E1": {"H": 0, "E1": -1, "E2": 0},
-                             "E2": {"H": 0, "E1": 0, "E2": -1}}
+    assert {(k, j): model.pair({k: 1}, {j: 1})
+            for k in model.basis for j in model.basis} == {
+        ("H", "H"): 1, ("E1", "E1"): -1, ("E2", "E2"): -1,
+        ("H", "E1"): 0, ("H", "E2"): 0, ("E1", "H"): 0, ("E1", "E2"): 0,
+        ("E2", "H"): 0, ("E2", "E1"): 0}
     assert model.canonical == {"H": -3, "E1": 1, "E2": 1}
     assert model.chern._asdict() == {"c1_sq": 7, "c2": 5, "chi_O": 1}
     validate_model(model)
     again = ToricSurfaceModel.from_json(json.loads(json.dumps(BLOWUP2)))
     assert again.fixed_points == model.fixed_points
-    assert (again.pairing, again.canonical) == (model.pairing,
-                                                model.canonical)
+    assert (again.fans, again.canonical) == (model.fans, model.canonical)
 
 
 def test_a_basis_that_fixes_no_canonical_class_raises():

@@ -13,8 +13,8 @@ from dt4.surfaces import from_preset
 from dt4.universal import (EPS_LINE, FIELDS, FIT_FIELDS, K3_POINT,
                            UniversalPolynomial, battery_configs,
                            classical_limit, fit_universal, invariants,
-                           typeII_samples, _add_laurent_term, _constant_term,
-                           _monomial_name, _monomials)
+                           typeII_samples, _laurent_term, _monomial_name,
+                           _monomials)
 
 from oracles import (colored_counts, hilbert_row, twelve_ray_surface,
                      validate_model)
@@ -173,27 +173,44 @@ def test_classical_limit_equals_the_line_route_at_its_origin(name, div,
             assert FactoredScalar.const(got) == want, (n1, n - n1)
 
 
-def _laurent_sum(*chars):
-    acc = {}
-    for char in chars:
-        _add_laurent_term(acc, Poly(char), 1)
-    return _constant_term(acc)
+def _laurent_sum(k, *chars):
+    return [sum(c) for c in zip(*(_laurent_term(Poly(char), 1, k)
+                                  for char in chars))]
 
 
 def test_cancelling_poles_leave_the_constant_term():
     # (s + u)/u + s/(-u) = 1 at s = 1
-    assert _laurent_sum({(0, 0, 1, 0): -1, (1, 0, 1, 0): 1},
-                        {(0, 0, -1, 0): -1, (1, 0, 0, 0): 1}) == 1
+    assert _laurent_sum(1, {(0, 0, 1, 0): -1, (1, 0, 1, 0): 1},
+                        {(0, 0, -1, 0): -1, (1, 0, 0, 0): 1}) == [0, 1]
 
 
-def test_a_pole_that_does_not_cancel_raises():
-    with pytest.raises(ValueError, match="u\\^-1 coefficient 1 .*cancel"):
-        _laurent_sum({(0, 0, 1, 0): -1, (1, 0, 1, 0): 1})
+def _classical_limit_of(monkeypatch, char):
+    """``classical_limit`` of cell (1, 0) on the plane at H = 1, with
+    ``char`` in place of the character of every nested pair."""
+    monkeypatch.setattr(universal, "_typeII_character",
+                        lambda *args: Poly(char))
+    return classical_limit(from_preset("plane"), {"H": 1}, 1, 0)
+
+
+def test_a_pole_that_does_not_cancel_raises(monkeypatch):
+    # (s + u)/u at each of the three nested pairs of cell (1, 0)
+    with pytest.raises(ValueError, match="u\\^-1 coefficient 3 .*cancel"):
+        _classical_limit_of(monkeypatch, {(0, 0, 1, 0): -1, (1, 0, 1, 0): 1})
+
+
+def test_a_term_of_another_u_order_raises(monkeypatch):
+    # s/(s + u) has u-order 0, and every term of cell (1, 0) has -1
+    with pytest.raises(ValueError, match="u-order 0, not -1"):
+        _classical_limit_of(monkeypatch, {(1, 0, 0, 0): 1, (1, 0, 1, 0): -1})
+    # s (s + u)/u^2 has u-order -2
+    with pytest.raises(ValueError, match="u-order -2, not -1"):
+        _classical_limit_of(monkeypatch, {(0, 0, 1, 0): -2, (1, 0, 1, 0): 1,
+                                          (1, 0, 0, 0): 1})
 
 
 def test_a_term_of_nonzero_s_degree_raises():
     with pytest.raises(ValueError, match="s-degree 1"):
-        _laurent_sum({(1, 0, 0, 0): 1})
+        _laurent_term(Poly({(1, 0, 0, 0): 1}), 1, 0)
 
 
 def test_degenerate_line_raises(monkeypatch):
