@@ -14,10 +14,11 @@ ideal-sheaf pair at one chart is
 
 with t_i the one dimensional character of weight w_i and V the box
 character of the chart partition.  Summed over charts and shifted by the
-bundle weights this reproduces the full pair Euler characteristic; the
-small-n oracles in the test suite pin both the tangent and the pair
-formulas against direct deformation-space and sheaf-cohomology
-computations.
+bundle weights this reproduces the full pair Euler characteristic.  The
+tangent of the Hilbert scheme at an ideal I is the diagonal case
+chi(O, O) - chi(I, I) = N(V, V); the small-n oracles in the test suite pin
+it against the arm/leg weights and the pair formula against direct
+sheaf-cohomology computations.
 """
 
 import functools
@@ -31,8 +32,7 @@ from .eqalg import (FactoredScalar, NonGenericWeightError, euler_of_character,
                     factored_sum, residue)
 # perfbench's tracer wraps this module global; no route calls it
 from .eqalg import chern_part  # noqa: F401
-from .partitions import (arm_leg, boxes, fixed_point_count,
-                         hilb_fixed_points, is_nested)
+from .partitions import boxes, fixed_point_count, hilb_fixed_points, is_nested
 from .poly import CONSTANT as ZERO_WEIGHT, Poly
 
 
@@ -128,26 +128,18 @@ def _chart_sum(local, charts, shifts, *fps):
     return [Poly.from_pairs(pairs) for pairs in out]
 
 
-def _tangent_chart(lam, w1, w2):
-    """Each box contributes the arm/leg pair (l+1)*w1 - a*w2 and
-    -l*w1 + (a+1)*w2."""
-    out = {}
-    for box in boxes(lam):
-        a, l = arm_leg(lam, box)
-        for (c1, c2) in (((l + 1), -a), (-l, (a + 1))):
-            w = (c1 * w1[0] + c2 * w2[0], c1 * w1[1] + c2 * w2[1])
-            out[w] = out.get(w, 0) + 1
-    return Poly._of(out)
-
-
 def _box_character(lam, w1, w2):
     return Poly.from_pairs(((-(i * w1[0] + j * w2[0]),
                              -(i * w1[1] + j * w2[1])), 1)
                            for (i, j) in boxes(lam))
 
 
+@functools.lru_cache(maxsize=None)
 def _pair_correction(lam1, lam2, w1, w2):
-    """Chart character N(V1, V2) of an ideal-sheaf pair."""
+    """Chart character N(V1, V2) of an ideal-sheaf pair; N(V, V) is the
+    tangent.  Memoised on its arguments, all tuples: no bundle shift enters,
+    so one Poly serves every pair, tangent and twist with the same chart
+    forms, and callers only read it."""
     v1 = _box_character(lam1, w1, w2)
     v2 = _box_character(lam2, w1, w2)
     if v1.is_zero():
@@ -169,13 +161,15 @@ def _pair_correction(lam1, lam2, w1, w2):
 def tangent_character(fp, model):
     """Tangent weights of the Hilbert scheme at a monomial fixed point:
     exactly 2n weights with multiplicity."""
-    return _chart_sum(_tangent_chart, *SYMBOLIC.charts(model, None), fp)[0]
+    return _chart_sum(_pair_correction, *SYMBOLIC.charts(model, None),
+                      fp, fp)[0]
 
 
 # no route calls this; tests and perfbench's tracer do
 def twisted_tangent_character(fp, bundle, model):
     """Tangent character shifted at each chart by the twisted bundle."""
-    return _chart_sum(_tangent_chart, *SYMBOLIC.charts(model, bundle), fp)[0]
+    return _chart_sum(_pair_correction, *SYMBOLIC.charts(model, bundle),
+                      fp, fp)[0]
 
 
 def chi_character(fp1, fp2, bundle, model):
@@ -384,14 +378,15 @@ def _typeII_charts(model, L, wmap):
 
 def _typeII_tangent(charts, shifts, fp):
     """tangent x L t - tangent at one fixed point."""
-    tangent, twisted = _chart_sum(_tangent_chart, charts, shifts[:2], fp)
+    tangent, twisted = _chart_sum(_pair_correction, charts, shifts[:2], fp, fp)
     return twisted - tangent
 
 
-def _typeII_character(charts, shifts, fp1, fp2, tangents):
+def _typeII_character(charts, shifts, fp1, fp2):
     """The one character whose Euler class is the integrand at a nested
     pair: diff(0) + diff(K - 2L) t^-2 - diff(K - L) t^-1 - diff(-L) t^-1
-    plus ``tangents``, or None when the integrand is 0 there.
+    plus ``_typeII_tangent`` at both fixed points, or None when the
+    integrand is 0 there.
 
     diff(0) must be honest of rank n1 + n2, so that its Euler class is its
     top Chern part; otherwise ValueError.  A zero weight of the rest raises
@@ -404,7 +399,8 @@ def _typeII_character(charts, shifts, fp1, fp2, tangents):
     if sum(mults) != n or any(m < 0 for m in mults):
         raise ValueError(f"typeII term: diff(0) at the nested pair {fp1}, "
                          f"{fp2} is not an honest character of rank {n}")
-    rest = k2l - kl - negl + tangents
+    rest = (k2l - kl - negl + _typeII_tangent(charts, shifts, fp1)
+            + _typeII_tangent(charts, shifts, fp2))
     if ZERO_WEIGHT in rest.terms:
         raise NonGenericWeightError(
             "zero torus weight: Euler class is not invertible")
@@ -418,9 +414,7 @@ def _typeII_term(charts, shifts, fp1, fp2):
     unless the pair is nested."""
     if not is_nested(fp1, fp2):
         return FactoredScalar.const(0)
-    char = _typeII_character(charts, shifts, fp1, fp2,
-                             _typeII_tangent(charts, shifts, fp1)
-                             + _typeII_tangent(charts, shifts, fp2))
+    char = _typeII_character(charts, shifts, fp1, fp2)
     return FactoredScalar.const(0) if char is None else euler_of_character(char)
 
 

@@ -46,15 +46,6 @@ def boxes(lam):
     return [(i, j) for i, p in enumerate(lam) for j in range(p)]
 
 
-def arm_leg(lam, box):
-    """(arm, leg) of a box: cells strictly right in its row, strictly below
-    in its column."""
-    i, j = box
-    if not (0 <= i < len(lam) and 0 <= j < lam[i]):
-        raise ValueError(f"box {box} outside the diagram of {lam}")
-    return lam[i] - j - 1, sum(1 for p in lam[i + 1:] if p > j)
-
-
 def is_nested(fp1, fp2):
     """Whether the pair is nested chart by chart: the partition of ``fp2``
     fits inside that of ``fp1`` at every chart.

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .eqalg import exact_str
 from .localize import (WeightMap, _typeII_character, _typeII_charts,
-                       _typeII_tangent, pair_counts, parallel_starmap)
+                       pair_counts, parallel_starmap)
 # perfbench's tracer wraps this module global; fit itself never calls it
 from .localize import typeII_component_integral  # noqa: F401
 from .partitions import hilb_fixed_points, is_nested
@@ -210,16 +210,12 @@ def classical_limit(model, L, n1, n2):
     # a mixed weight is a + c u with a one of the bundle twists; with
     # u = scale v it is a (1 + r v) for an integer r
     scale = math.lcm(*filter(None, (shift[0][0] for shift in shifts)))
-
-    def with_tangents(n):
-        return [(fp, _typeII_tangent(charts, shifts, fp))
-                for fp in hilb_fixed_points(model, n)]
     k = n1 + n2
     acc = [Fraction(0)] * (k + 1)
-    for (fp1, tan1), (fp2, tan2) in itertools.product(with_tangents(n1),
-                                                      with_tangents(n2)):
+    for fp1, fp2 in itertools.product(hilb_fixed_points(model, n1),
+                                      hilb_fixed_points(model, n2)):
         if is_nested(fp1, fp2):
-            char = _typeII_character(charts, shifts, fp1, fp2, tan1 + tan2)
+            char = _typeII_character(charts, shifts, fp1, fp2)
             if char is not None:
                 term = _laurent_term(char, scale, k)
                 acc = [x + y for x, y in zip(acc, term)]

@@ -1,8 +1,8 @@
 """Independent desk oracles used by the tests.
 
 Everything here is derived by a different route than the library code it
-checks: plain integer recurrences, dictionary Laurent algebra over box
-diagrams, Riemann-Roch arithmetic, Fraction-valued series expansion, a
+checks: plain integer recurrences, the arm/leg weights of box diagrams,
+Riemann-Roch arithmetic, Fraction-valued series expansion, a
 polynomial gcd, which the library does not have, a lattice search over
 divisor classes on an elliptic surface, the total Chern class of the
 pair difference character, lattice-point cohomology and localization
@@ -233,63 +233,37 @@ def nested_support(model, n):
     return pairs, support
 
 
-# -- dictionary Laurent algebra over one chart -----------------------------
+# -- arm/leg weights over one chart ----------------------------------------
 
-def _ldict_mul(a, b):
+def arm_leg(lam, box):
+    """(arm, leg) of a box: cells strictly right in its row, strictly below
+    in its column."""
+    i, j = box
+    if not (0 <= i < len(lam) and 0 <= j < lam[i]):
+        raise ValueError(f"box {box} outside the diagram of {lam}")
+    return lam[i] - j - 1, sum(1 for p in lam[i + 1:] if p > j)
+
+
+def chart_tangent_oracle(lam, w1, w2):
+    """Tangent weights of one chart with forms w1, w2 by Ellingsrud-Stromme
+    (Nakajima, Lectures on Hilbert schemes of points on surfaces, Prop.
+    5.8): a box with arm a and leg l contributes (l + 1) w1 - a w2 and
+    -l w1 + (a + 1) w2.  Returns {(e1, e2) weight: multiplicity}."""
     out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = (ea[0] + eb[0], ea[1] + eb[1])
-            n = out.get(e, 0) + ca * cb
-            if n:
-                out[e] = n
-            else:
-                out.pop(e, None)
+    for box in boxes(lam):
+        a, l = arm_leg(lam, box)
+        for c1, c2 in ((l + 1, -a), (-l, a + 1)):
+            w = (c1 * w1[0] + c2 * w2[0], c1 * w1[1] + c2 * w2[1])
+            out[w] = out.get(w, 0) + 1
     return out
-
-
-def _ldict_add(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        n = out.get(e, 0) + c
-        if n:
-            out[e] = n
-        else:
-            out.pop(e, None)
-    return out
-
-
-def chart_tangent_oracle(lam):
-    """Tangent weights of one chart from the ideal-sheaf character.
-
-    With V the character of the quotient ring (one monomial x^-i y^-j per
-    box), the tangent space is V + Vbar*x*y - V*Vbar*(1-x)(1-y); returns
-    the multiset of (p, q) exponents meaning p*w1 + q*w2.
-    """
-    V = {}
-    for (i, j) in boxes(lam):
-        e = (-i, -j)
-        V[e] = V.get(e, 0) + 1
-    Vbar = {(-e0, -e1): c for (e0, e1), c in V.items()}
-    xy = {(1, 1): 1}
-    one_minus = _ldict_mul({(0, 0): 1, (1, 0): -1}, {(0, 0): 1, (0, 1): -1})
-    t = _ldict_add(V, _ldict_mul(Vbar, xy))
-    t = _ldict_add(t, {e: -c for e, c in _ldict_mul(_ldict_mul(V, Vbar),
-                                                    one_minus).items()})
-    return t
 
 
 def tangent_weights_oracle(fp, model):
     """Aggregate chart tangent weights into 4-component weight vectors."""
     acc = {}
     for lam, (w1, w2) in zip(fp, model.fixed_points):
-        for (p, q), c in chart_tangent_oracle(lam).items():
-            w = (0, 0, p * w1[0] + q * w2[0], p * w1[1] + q * w2[1])
-            n = acc.get(w, 0) + c
-            if n:
-                acc[w] = n
-            else:
-                acc.pop(w, None)
+        for w, c in chart_tangent_oracle(lam, w1, w2).items():
+            acc[(0, 0) + w] = acc.get((0, 0) + w, 0) + c
     return acc
 
 

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dt4 import localize
 from dt4.eqalg import (FactoredScalar, NonGenericWeightError, chern_part,
@@ -17,12 +18,13 @@ from dt4.localize import (SYMBOLIC, PrefactorData, TwistedBundleSpec,
                           split_budget, tangent_character,
                           tautological_character, twisted_tangent_character,
                           typeII_component_integral)
-from dt4.partitions import hilb_fixed_points, is_nested
+from dt4.partitions import hilb_fixed_points, is_nested, partitions_of
 from dt4.poly import Poly
 from dt4.surfaces import PRESET_NAMES, from_preset
 from dt4.universal import classical_limit
 
-from oracles import nested_support, tangent_weights_oracle
+from oracles import (chart_tangent_oracle, nested_support,
+                     tangent_weights_oracle)
 
 S = FactoredScalar.var("s")
 ZERO = FactoredScalar.const(0)
@@ -67,6 +69,20 @@ def test_tangent_matches_deformation_oracle():
                 assert sum(got.terms.values()) == 2 * n
 
 
+FORMS = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(0, 10).flatmap(lambda n: st.sampled_from(partitions_of(n))),
+       FORMS, FORMS)
+def test_diagonal_pair_correction_is_the_arm_leg_tangent(lam, w1, w2):
+    # an identity of Laurent polynomials, so it holds at every pair of
+    # integer forms, degenerate ones included
+    got = localize._pair_correction(lam, lam, w1, w2)
+    assert got.terms == chart_tangent_oracle(lam, w1, w2)
+    assert sum(got.terms.values()) == 2 * sum(lam)
+
+
 def test_twisted_tangent_shifts_charts():
     fp = hilb_fixed_points(PLANE, 2)[0]
     spec = TwistedBundleSpec({"H": 1}, t_weight=1)
@@ -106,7 +122,7 @@ def test_diagonal_difference_of_trivial_bundle_is_tangent():
     for n in range(4):
         for fp in hilb_fixed_points(PLANE, n):
             d = difference_character(fp, fp, None, PLANE)
-            assert d.terms == tangent_character(fp, PLANE).terms
+            assert d.terms == tangent_weights_oracle(fp, PLANE)
 
 
 def test_tautological_character():

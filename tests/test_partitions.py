@@ -5,12 +5,11 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dt4.partitions import (MAX_FIXED_POINTS, arm_leg, boxes,
-                            fixed_point_count, hilb_fixed_points,
-                            partitions_of)
+from dt4.partitions import (MAX_FIXED_POINTS, boxes, fixed_point_count,
+                            hilb_fixed_points, partitions_of)
 from dt4.surfaces import from_preset
 
-from oracles import colored_counts, conjugate, partition_numbers
+from oracles import arm_leg, colored_counts, conjugate, partition_numbers
 
 
 def test_partition_counts_vs_pentagonal_oracle():

@@ -221,17 +221,17 @@ def test_degenerate_line_raises(monkeypatch):
 
 def test_a_cell_with_n2_above_n1_builds_no_tangent(monkeypatch):
     # no pair of such a cell is nested, so its value is 0 before any
-    # character is built
+    # character, tangents included, is built
     calls = []
-    tangent = universal._typeII_tangent
-    monkeypatch.setattr(universal, "_typeII_tangent",
-                        lambda *args: calls.append(args) or tangent(*args))
+    character = universal._typeII_character
+    monkeypatch.setattr(universal, "_typeII_character",
+                        lambda *args: calls.append(args) or character(*args))
     plane = from_preset("plane")
     for n1, n2 in ((0, 1), (1, 2)):
         assert classical_limit(plane, {"H": 1}, n1, n2) == 0
     assert calls == []
     classical_limit(plane, {"H": 1}, 1, 0)
-    assert len(calls) == 3 + 1          # the fixed points of both factors
+    assert len(calls) == 3              # one per nested pair
 
 
 def test_a_cell_with_n2_above_n1_checks_its_inputs_first():
