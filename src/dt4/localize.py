@@ -248,28 +248,28 @@ def assemble_sum(model, n1, n2, term_fn, jobs=1, audit=None, wmap=SYMBOLIC):
 MAX_PAIRS = 2_000_000
 
 
-def pair_counts(model, splittings):
-    """The number of fixed-point pairs of each splitting (n1, n2), counted
-    before any fixed point is built; more than MAX_PAIRS in all is a
-    ValueError."""
+def fixed_point_pairs(model, splittings):
+    """The fixed-point pairs of every splitting (n1, n2) in turn, one lazy
+    iterator.  The splittings are read and counted at the call, before any
+    fixed point is built; more than MAX_PAIRS in all is a ValueError."""
     charts = len(model.fixed_points)
     sizes = {(n1, n2): fixed_point_count(charts, n1)
              * fixed_point_count(charts, n2) for n1, n2 in splittings}
     if (total := sum(sizes.values())) > MAX_PAIRS:
         raise ValueError(f"{total} fixed-point pairs, above the maximum "
                          f"{MAX_PAIRS}")
-    return sizes
+    return itertools.chain.from_iterable(
+        itertools.product(hilb_fixed_points(model, n1),
+                          hilb_fixed_points(model, n2))
+        for n1, n2 in sizes)
 
 
 def _pair_sum(model, splittings, term_fn, jobs, audit, wmap):
-    """The ``factored_sum`` of the FactoredScalars term_fn over the pairs of
-    every splitting (n1, n2) in turn, one ``parallel_starmap`` for all, left
-    to the caller to canonicalise; audited terms are canonicalised one by
-    one and pass through ``wmap.finish``.  Too many pairs are refused
-    first (``pair_counts``)."""
-    pairs = [p for n1, n2 in pair_counts(model, splittings)
-             for p in itertools.product(hilb_fixed_points(model, n1),
-                                        hilb_fixed_points(model, n2))]
+    """The ``factored_sum`` of the FactoredScalars term_fn over
+    ``fixed_point_pairs(model, splittings)``, one ``parallel_starmap`` for
+    all, left to the caller to canonicalise; audited terms are
+    canonicalised one by one and pass through ``wmap.finish``."""
+    pairs = list(fixed_point_pairs(model, splittings))
     terms = parallel_starmap(term_fn, pairs, jobs)
     if audit is not None:
         for (fp1, fp2), t in zip(pairs, terms):
@@ -376,22 +376,18 @@ def _typeII_charts(model, L, wmap):
         for k, l in ((1, 2), (1, 1), (0, 1))))
 
 
-def _typeII_tangent(charts, shifts, fp):
-    """tangent x L t - tangent at one fixed point."""
-    tangent, twisted = _chart_sum(_pair_correction, charts, shifts[:2], fp, fp)
-    return twisted - tangent
-
-
 def _typeII_character(charts, shifts, fp1, fp2):
-    """The one character whose Euler class is the integrand at a nested
-    pair: diff(0) + diff(K - 2L) t^-2 - diff(K - L) t^-1 - diff(-L) t^-1
-    plus ``_typeII_tangent`` at both fixed points, or None when the
-    integrand is 0 there.
+    """The character whose Euler class is the integrand at a pair: diff(0)
+    + diff(K - 2L) t^-2 - diff(K - L) t^-1 - diff(-L) t^-1 plus tangent x
+    L t - tangent at both fixed points; None where the integrand is 0, as
+    at every pair not nested chart by chart (``partitions.is_nested``).
 
-    diff(0) must be honest of rank n1 + n2, so that its Euler class is its
-    top Chern part; otherwise ValueError.  A zero weight of the rest raises
-    NonGenericWeightError, and then a zero weight of diff(0) makes the
-    integrand 0 (its top Chern part vanishes)."""
+    At a nested pair diff(0) must be honest of rank n1 + n2, so that its
+    Euler class is its top Chern part; otherwise ValueError.  A zero weight
+    of the rest raises NonGenericWeightError, and then a zero weight of
+    diff(0) makes the integrand 0 (its top Chern part vanishes)."""
+    if not is_nested(fp1, fp2):
+        return None
     e_cls, k2l, kl, negl = _chart_sum(_pair_correction, charts,
                                       shifts[:1] + shifts[2:], fp1, fp2)
     n = sum(map(sum, fp1 + fp2))
@@ -399,8 +395,10 @@ def _typeII_character(charts, shifts, fp1, fp2):
     if sum(mults) != n or any(m < 0 for m in mults):
         raise ValueError(f"typeII term: diff(0) at the nested pair {fp1}, "
                          f"{fp2} is not an honest character of rank {n}")
-    rest = (k2l - kl - negl + _typeII_tangent(charts, shifts, fp1)
-            + _typeII_tangent(charts, shifts, fp2))
+    rest = k2l - kl - negl
+    for fp in (fp1, fp2):
+        tan, twisted = _chart_sum(_pair_correction, charts, shifts[:2], fp, fp)
+        rest = rest + (twisted - tan)
     if ZERO_WEIGHT in rest.terms:
         raise NonGenericWeightError(
             "zero torus weight: Euler class is not invertible")
@@ -411,14 +409,17 @@ def _typeII_character(charts, shifts, fp1, fp2):
 
 def _typeII_term(charts, shifts, fp1, fp2):
     """Integrand of typeII_component_integral at one fixed-point pair: 0
-    unless the pair is nested."""
-    if not is_nested(fp1, fp2):
-        return FactoredScalar.const(0)
+    where ``_typeII_character`` is None."""
     char = _typeII_character(charts, shifts, fp1, fp2)
     return FactoredScalar.const(0) if char is None else euler_of_character(char)
 
 
 # -- Mochizuki-style residue coefficients ----------------------------------
+
+# sp-carrying weights of one term, with multiplicity, all expanded into the
+# residue: at the one pair of `mochizuki --surface plane --n 0`, --divisor
+# H=8 has 92 and takes 0.7-1.3 s, H=9 112 and 1.6 s, H=10 134 and 2-3.5 s
+MAX_SP_WEIGHTS = 100
 
 def _mochizuki_term(model, Lb1, Lb2, L, p_g, wmap, fp1, fp2):
     """Residue in sp of the integrand at one fixed-point pair.
@@ -430,7 +431,8 @@ def _mochizuki_term(model, Lb1, Lb2, L, p_g, wmap, fp1, fp2):
     twisted by L t, and Q the Euler class of minus the two cross
     characteristics without the L t twist.  A genuinely zero weight of V1
     makes the term 0.  The residue is linear over the sp-free weights, so
-    only the weights that carry sp are expanded into its series."""
+    only the weights that carry sp are expanded into its series; more
+    than MAX_SP_WEIGHTS of them, with multiplicity, is a ValueError."""
     v1 = tautological_character(fp1, Lb1, model)
     if ZERO_WEIGHT in v1.terms:
         return FactoredScalar.const(0)
@@ -451,6 +453,9 @@ def _mochizuki_term(model, Lb1, Lb2, L, p_g, wmap, fp1, fp2):
     free, rest = [], []
     for w, m in char.terms.items():
         (rest if w[1] else free).append((w[:2] + wmap.form(w[2:]), m))
+    if (count := sum(abs(m) for _, m in rest)) > MAX_SP_WEIGHTS:
+        raise ValueError(f"a Mochizuki term with {count} sp-carrying "
+                         f"weights, above the maximum {MAX_SP_WEIGHTS}")
     return (euler_of_character(Poly.from_pairs(free))
             * residue(euler_of_character(Poly.from_pairs(rest)), "sp"))
 

@@ -25,10 +25,9 @@ from fractions import Fraction
 
 from .eqalg import exact_str
 from .localize import (WeightMap, _typeII_character, _typeII_charts,
-                       pair_counts, parallel_starmap)
+                       fixed_point_pairs, parallel_starmap)
 # perfbench's tracer wraps this module global; fit itself never calls it
 from .localize import typeII_component_integral  # noqa: F401
-from .partitions import hilb_fixed_points, is_nested
 from .poly import newton_recurrence
 from .surfaces import _eliminate, from_preset
 
@@ -200,25 +199,23 @@ def classical_limit(model, L, n1, n2):
     u-order, or a pole that does not cancel, raises ValueError, a zero
     weight outside diff(0) NonGenericWeightError.  This equals
     ``typeII_component_integral(..., eps_line=EPS_LINE)`` with a unit
-    prefactor, specialised at e1 = 0.  Too many pairs are refused before
-    any fixed point is built (``localize.pair_counts``).
+    prefactor, specialised at e1 = 0.  ``localize.fixed_point_pairs`` lists
+    its pairs and refuses too many before any fixed point is built.
     """
     charts, shifts = _typeII_charts(model, L, WeightMap(EPS_LINE))
     if n2 > n1 >= 0:
         return Fraction(0)
-    pair_counts(model, [(n1, n2)])
+    pairs = fixed_point_pairs(model, [(n1, n2)])
     # a mixed weight is a + c u with a one of the bundle twists; with
     # u = scale v it is a (1 + r v) for an integer r
     scale = math.lcm(*filter(None, (shift[0][0] for shift in shifts)))
     k = n1 + n2
     acc = [Fraction(0)] * (k + 1)
-    for fp1, fp2 in itertools.product(hilb_fixed_points(model, n1),
-                                      hilb_fixed_points(model, n2)):
-        if is_nested(fp1, fp2):
-            char = _typeII_character(charts, shifts, fp1, fp2)
-            if char is not None:
-                term = _laurent_term(char, scale, k)
-                acc = [x + y for x, y in zip(acc, term)]
+    for fp1, fp2 in pairs:
+        char = _typeII_character(charts, shifts, fp1, fp2)
+        if char is not None:
+            term = _laurent_term(char, scale, k)
+            acc = [x + y for x, y in zip(acc, term)]
     for j, c in enumerate(acc[:k]):
         if c:
             raise ValueError(f"classical limit: the u^{j - k} coefficient "

@@ -421,11 +421,24 @@ def test_fit_at_a_huge_degree_bound_refuses_at_once(capsys):
     ("fit --n1 40", "the Hilbert scheme of 40 points on 3 charts has at "
      "least "),
     ("fit --n1 12 --n2 12",
-     "61905424 fixed-point pairs, above the maximum 2000000")],
-    ids=["localize", "mochizuki", "fit", "fit_pairs"])
+     "61905424 fixed-point pairs, above the maximum 2000000"),
+    (f"fit --n1 {10 ** 30} --n2 {10 ** 30}",
+     f"the Hilbert scheme of {10 ** 30} points on 3 charts has at least "),
+    ("mochizuki --surface plane --divisor H=16 --n 0",
+     "a Mochizuki term with 308 sp-carrying weights, above the maximum 100"),
+    ("mochizuki --surface plane --split1 H=300 --n 0",
+     "the cohomology of a line bundle scans 93025 lattice points, above the "
+     "maximum 10000"),
+    ("mochizuki --surface plane --split1 H=100000 --n 0",
+     "the cohomology of a line bundle scans 10001000025 lattice points")],
+    ids=["localize", "mochizuki", "fit", "fit_pairs", "fit_huge_pairs",
+         "mochizuki_sp_weights", "mochizuki_twist", "mochizuki_huge_twist"])
 def test_enumerations_above_their_maximum_refuse_at_once(argv, message,
                                                          capsys):
-    # each ended in a MemoryError traceback under a limited address space
+    # each ended in a MemoryError traceback under a limited address space,
+    # would end in an OverflowError if fit counted its pairs after sizing
+    # its coefficients (fit_huge_pairs), or ran for seconds to minutes (the
+    # last three)
     start = time.perf_counter()
     code, report, _ = run_json(capsys, argv.split())
     assert time.perf_counter() - start < 1

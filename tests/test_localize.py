@@ -393,6 +393,25 @@ def test_pair_sums_above_the_maximum_are_refused_before_any_term():
                               0, 0)
 
 
+@pytest.mark.parametrize("name,splittings", [
+    ("plane", [(1, 0), (0, 1)]), ("quadric", [(2, 1)])])
+def test_fixed_point_pairs_walk_each_product_in_turn(name, splittings):
+    model = from_preset(name)
+    want = [pair for n1, n2 in splittings
+            for pair in itertools.product(hilb_fixed_points(model, n1),
+                                          hilb_fixed_points(model, n2))]
+    assert list(localize.fixed_point_pairs(model, splittings)) == want
+
+
+def test_fixed_point_pairs_refuse_at_the_call(monkeypatch):
+    def no_fixed_points(model, n):
+        raise AssertionError("a fixed point was built")
+    monkeypatch.setattr(localize, "hilb_fixed_points", no_fixed_points)
+    with pytest.raises(ValueError, match="^61905424 fixed-point pairs, above "
+                       f"the maximum {localize.MAX_PAIRS}$"):
+        localize.fixed_point_pairs(PLANE, [(12, 12)])
+
+
 # -- pairwise residue machinery --------------------------------------------
 
 def test_mochizuki_zero_charge():
@@ -459,6 +478,18 @@ def test_mochizuki_integrand_zero_weight_term():
     val = _mochizuki_term(PLANE, trivial, trivial, trivial, 0, SYMBOLIC,
                           one_pt, empty)
     assert val.canonical() == ZERO
+
+
+def test_a_mochizuki_term_above_the_maximum_builds_no_euler_class(
+        monkeypatch):
+    def no_euler_class(char):
+        raise AssertionError("an Euler class was built")
+    monkeypatch.setattr(localize, "euler_of_character", no_euler_class)
+    empty = hilb_fixed_points(PLANE, 0)[0]
+    trivial, L = TwistedBundleSpec({}), TwistedBundleSpec({"H": 16})
+    with pytest.raises(ValueError, match="^a Mochizuki term with 308 "
+                       "sp-carrying weights, above the maximum 100$"):
+        _mochizuki_term(PLANE, trivial, trivial, L, 0, SYMBOLIC, empty, empty)
 
 
 def test_mochizuki_audit():

@@ -222,6 +222,18 @@ def test_cohomology_character_rank():
     assert sum(plane.cohomology_character({"H": 2}).terms.values()) == 6
 
 
+def test_a_scan_box_above_the_maximum_is_refused_before_the_scan():
+    plane = from_preset("plane")
+    # O(95H) scans a box of 100 x 100 lattice points, the maximum
+    assert (sum(plane.cohomology_character({"H": 95}).terms.values())
+            == plane.chi({"H": 95}))
+    for h, size in ((96, 101 ** 2), (-10 ** 15, (10 ** 15 + 5) ** 2)):
+        with pytest.raises(ValueError, match=(
+                f"^the cohomology of a line bundle scans {size} lattice "
+                "points, above the maximum 10000$")):
+            plane.cohomology_character({"H": h})
+
+
 def test_cohomology_of_structure_sheaf():
     # rational surfaces: only the trivial weight, multiplicity one
     for name in PRESET_NAMES:
