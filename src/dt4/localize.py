@@ -248,28 +248,20 @@ def assemble_sum(model, n1, n2, term_fn, jobs=1, audit=None, wmap=SYMBOLIC):
 MAX_PAIRS = 2_000_000
 
 
-def fixed_point_pairs(model, splittings):
-    """The fixed-point pairs of every splitting (n1, n2) in turn, one lazy
-    iterator.  The splittings are read and counted at the call, before any
-    fixed point is built; more than MAX_PAIRS in all is a ValueError."""
-    charts = len(model.fixed_points)
-    sizes = {(n1, n2): fixed_point_count(charts, n1)
-             * fixed_point_count(charts, n2) for n1, n2 in splittings}
+def _pair_sum(model, splittings, term_fn, jobs, audit, wmap):
+    """The ``factored_sum``, left to the caller to canonicalise, of the
+    FactoredScalars term_fn over the fixed-point pairs of every splitting
+    (n1, n2) in turn, in one ``parallel_starmap``; audited terms are
+    canonicalised one by one and pass through ``wmap.finish``.  More than
+    MAX_PAIRS pairs in all is a ValueError before any fixed point is built."""
+    sizes = {(n1, n2): math.prod(fixed_point_count(len(model.fixed_points), n)
+                                 for n in (n1, n2)) for n1, n2 in splittings}
     if (total := sum(sizes.values())) > MAX_PAIRS:
         raise ValueError(f"{total} fixed-point pairs, above the maximum "
                          f"{MAX_PAIRS}")
-    return itertools.chain.from_iterable(
-        itertools.product(hilb_fixed_points(model, n1),
-                          hilb_fixed_points(model, n2))
-        for n1, n2 in sizes)
-
-
-def _pair_sum(model, splittings, term_fn, jobs, audit, wmap):
-    """The ``factored_sum`` of the FactoredScalars term_fn over
-    ``fixed_point_pairs(model, splittings)``, one ``parallel_starmap`` for
-    all, left to the caller to canonicalise; audited terms are
-    canonicalised one by one and pass through ``wmap.finish``."""
-    pairs = list(fixed_point_pairs(model, splittings))
+    pairs = [pair for n1, n2 in sizes
+             for pair in itertools.product(hilb_fixed_points(model, n1),
+                                           hilb_fixed_points(model, n2))]
     terms = parallel_starmap(term_fn, pairs, jobs)
     if audit is not None:
         for (fp1, fp2), t in zip(pairs, terms):

@@ -6,16 +6,9 @@ A configuration (surface, L) enters only through its four invariants
 every classical nested integral depends on nothing else.  A fit solves an
 exact linear system over the chosen monomials; exactness is the point, so
 rank deficiency and inconsistency are errors, never least-squares
-compromises.  The localized integrals depend on the toric parameters only
-through the choice of equivariant lift; the classical value used for
-fitting is the value at the origin of the parameter line
-(e1, e2) = EPS_LINE * u.  ``classical_limit`` computes it without any
-multivariate polynomial: only pairs nested chart by chart contribute, at
-s = 1 each of their terms is the Euler class of one character and a
-Laurent series in u with integer coefficients over one integer
-denominator, and the u^0 coefficient of their sum is the value.  The
-negative-order coefficients of that sum must cancel exactly; when they do
-not, the sample is an error, never a value.
+compromises.  The classical value used for fitting is the localized
+integral at the origin of the parameter line (e1, e2) = EPS_LINE * u
+(``classical_limit``).
 """
 
 import functools
@@ -25,9 +18,10 @@ from fractions import Fraction
 
 from .eqalg import exact_str
 from .localize import (WeightMap, _typeII_character, _typeII_charts,
-                       fixed_point_pairs, parallel_starmap)
+                       parallel_starmap)
 # perfbench's tracer wraps this module global; fit itself never calls it
 from .localize import typeII_component_integral  # noqa: F401
+from .partitions import partitions_of
 from .poly import newton_recurrence
 from .surfaces import _eliminate, from_preset
 
@@ -167,13 +161,10 @@ def battery_configs():
 
 
 def typeII_samples(configs, n1, n2, jobs=1):
-    """Classical (chart-parameter-free) integral parts of the nested
-    component integrals, paired with their invariants.
-
-    Each value is ``classical_limit``.  ``jobs`` > 1 spreads the
-    configurations left after ``localize.POOL_BUDGET_S`` of serial work
-    over one process pool (see ``parallel_starmap``).
-    """
+    """The invariants and the ``classical_limit`` of every configuration,
+    each a product of per-chart series.  ``jobs`` > 1 spreads those left
+    after ``localize.POOL_BUDGET_S`` of serial work over one process pool
+    (see ``parallel_starmap``)."""
     return parallel_starmap(functools.partial(_typeII_sample, n1=n1, n2=n2),
                             configs, jobs)
 
@@ -182,62 +173,91 @@ def _typeII_sample(model, L, n1, n2):
     return invariants(model, L), classical_limit(model, L, n1, n2)
 
 
-# -- the classical limit as a Laurent series on the parameter line ----------
+# -- the classical limit as a product of per-chart Laurent series ----------
+
+# the slowest cells at n1 + n2 = 16, (12, 4) and (13, 3) on the 10-chart
+# battery union plane+plane+quadric, take about 8 s in process and peak under
+# 45 MB resident; (16, 4) took 41 s and 138 MB (2-vCPU Linux, Python 3.11.7)
+MAX_CLASSICAL_POINTS = 16
+
 
 def classical_limit(model, L, n1, n2):
-    """The unit-prefactor nested component integral, restricted to the
-    parameter line (e1, e2) = EPS_LINE * u and evaluated at u = 0: a
-    Fraction.
+    """The unit-prefactor nested component integral on the parameter line
+    (e1, e2) = EPS_LINE * u at u = 0, a Fraction: the unit-prefactor
+    ``typeII_component_integral(..., eps_line=EPS_LINE)`` at e1 = 0.
 
-    Every term is homogeneous of s-degree 0, so s = 1 loses nothing and
-    every weight becomes a + c u.  Only pairs nested chart by chart
-    contribute (none does when n2 > n1, so such a cell is 0), each the
-    Euler class of one character (see ``localize._typeII_character``) of
-    pure-u order -K, K = n1 + n2 (see ``_laurent_term``).  The u^-K ..
-    u^-1 coefficients of the sum must cancel exactly and the u^0
-    coefficient is the value; a term of nonzero s-degree or of another
-    u-order, or a pole that does not cancel, raises ValueError, a zero
-    weight outside diff(0) NonGenericWeightError.  This equals
-    ``typeII_component_integral(..., eps_line=EPS_LINE)`` with a unit
-    prefactor, specialised at e1 = 0.  ``localize.fixed_point_pairs`` lists
-    its pairs and refuses too many before any fixed point is built.
+    A term is the Euler class of ``localize._typeII_character``, a sum over
+    the charts, so the cell is the x^n1 y^n2 coefficient of the product
+    over the charts of 1 + sum x^|l1| y^|l2| e(l1, l2) over the chart's
+    nested pairs l2 in l1, l1 not empty (none when n2 > n1: the cell is 0);
+    as |l1| >= |l2|, no x^a y^b with a - b > n1 - n2 is built.  Each
+    e(l1, l2) is a Laurent series in u (``_laurent_term``); the product's
+    u^-K .. u^-1 coefficients, K = n1 + n2, must cancel and its u^0
+    coefficient is the value, else ValueError, as for K above the maximum.
     """
     charts, shifts = _typeII_charts(model, L, WeightMap(EPS_LINE))
-    if n2 > n1 >= 0:
+    if min(n1, n2) < 0:
+        raise ValueError("n must be nonnegative")
+    if n2 > n1:
         return Fraction(0)
-    pairs = fixed_point_pairs(model, [(n1, n2)])
-    # a mixed weight is a + c u with a one of the bundle twists; with
-    # u = scale v it is a (1 + r v) for an integer r
-    scale = math.lcm(*filter(None, (shift[0][0] for shift in shifts)))
-    k = n1 + n2
-    acc = [Fraction(0)] * (k + 1)
-    for fp1, fp2 in pairs:
-        char = _typeII_character(charts, shifts, fp1, fp2)
-        if char is not None:
-            term = _laurent_term(char, scale, k)
-            acc = [x + y for x, y in zip(acc, term)]
+    if (k := n1 + n2) > MAX_CLASSICAL_POINTS:
+        raise ValueError(f"classical limit at n1 + n2 = {k}, above the "
+                         f"maximum {MAX_CLASSICAL_POINTS}")
+    sides = [[lam for size in range(lo, n + 1) for lam in partitions_of(size)]
+             for lo, n in ((1, n1), (0, n2))]
+    zero, cells = ([0] * (k + 1), 1), {(0, 0): ([1] + [0] * k, 1)}
+    for i, chart in enumerate(charts):
+        chart_shifts = [[shift[i]] for shift in shifts]
+        series = {}
+        for lam1, lam2 in itertools.product(*sides):
+            if sum(lam1) - sum(lam2) <= n1 - n2 and (char := _typeII_character(
+                    [chart], chart_shifts, (lam1,), (lam2,))) is not None:
+                key = (sum(lam1), sum(lam2))
+                series[key] = _plus(series.get(key, zero),
+                                    _laurent_term(char, sum(key), k))
+        for (a, b), (xs, dx) in list(cells.items()):
+            for (da, db), (ys, dy) in series.items():
+                if 0 <= n2 - b - db <= n1 - a - da:
+                    key = (a + da, b + db)
+                    cells[key] = _plus(cells.get(key, zero), (
+                        [sum(xs[t] * ys[j - t] for t in range(j + 1))
+                         for j in range(k + 1)], dx * dy))
+    acc, den = cells.get((n1, n2), zero)
     for j, c in enumerate(acc[:k]):
         if c:
             raise ValueError(f"classical limit: the u^{j - k} coefficient "
-                             f"{c} of the sum does not cancel")
-    return acc[k]
+                             f"{Fraction(c, den)} of the sum does not cancel")
+    return Fraction(acc[k], den)
 
 
-def _laurent_term(char, scale, k):
-    """The u^-k .. u^0 coefficients of the Euler class of ``char``, a
-    character of rank 0 without zero weights, over one integer denominator.
-    Only diff(0), which adds k pure-u weights, and the two tangents, which
-    take away 2k, carry twist 0, so a pure-u order other than -k raises
-    ValueError, as does a nonzero s-degree."""
+def _plus(x, y):
+    """The sum of two series, each (integer numerators, one denominator)."""
+    den = math.lcm(x[1], y[1])
+    return [a * (den // x[1]) + b * (den // y[1])
+            for a, b in zip(x[0], y[0])], den
+
+
+def _laurent_term(char, k, degree):
+    """The u^-k .. u^(degree - k) coefficients of the Euler class of
+    ``char`` at s = 1, a series (see ``_plus``).  Only diff(0), which adds
+    k pure-u weights, and the two tangents, which take away 2k, carry
+    twist 0, so a pure-u order other than -k raises ValueError, as does a
+    nonzero s-degree.  With u = scale v, scale the lcm of the twists, a
+    mixed weight a + c u is a (1 + r v) for an integer r, and the Newton
+    recurrence on p_i = -sum m (-r)^i multiplies out the (1 + r v)^m."""
     if sum(char.terms.values()):
         raise ValueError("classical limit: a term of s-degree "
                          f"{sum(char.terms.values())}, not 0")
-    order, num, den, mixed = 0, 1, 1, []
+    scale = math.lcm(*filter(None, (w[0] for w in char.terms)))
+    order, num, den, p = 0, 1, 1, [0] * (degree + 1)
     for (a, _, c, _), m in char.terms.items():
         if not a:
             order += m                              # (c u)^m
         elif c:
-            mixed.append((c * scale // a, m))       # a^m (1 + r v)^m
+            x, r = -m, c * scale // a               # a^m (1 + r v)^m
+            for i in range(1, degree + 1):
+                x *= -r
+                p[i] += x
         if m > 0:
             num *= (a or c) ** m
         else:
@@ -245,18 +265,6 @@ def _laurent_term(char, scale, k):
     if order != -k:
         raise ValueError(f"classical limit: a term of u-order {order}, "
                          f"not {-k}")
-    den *= scale ** k
-    return [Fraction(num * e * scale ** (k - j), den)
-            for j, e in enumerate(_power_product(mixed, k))]
-
-
-def _power_product(forms, k):
-    """Coefficients of x^0 .. x^k of prod (1 + r x)^m over integer pairs
-    (r, m), all integers: the Newton recurrence with p_i = -sum m (-r)^i."""
-    p = [0] * (k + 1)
-    for r, m in forms:
-        x = -m
-        for i in range(1, k + 1):
-            x *= -r
-            p[i] += x
-    return newton_recurrence(p)
+    return ([num * e * scale ** (degree - j)
+             for j, e in enumerate(newton_recurrence(p))],
+            den * scale ** degree)

@@ -17,10 +17,12 @@ from typing import NamedTuple
 
 from dt4 import moduli
 from dt4.eqalg import chern_part
-from dt4.localize import difference_character
+from dt4.localize import (WeightMap, _typeII_character, _typeII_charts,
+                          difference_character)
 from dt4.partitions import boxes, hilb_fixed_points
 from dt4.poly import NAMES, Poly, grlex_key
 from dt4.surfaces import ToricSurfaceModel, _lattice_cohomology
+from dt4.universal import EPS_LINE, _laurent_term
 
 
 # -- counting --------------------------------------------------------------
@@ -231,6 +233,26 @@ def nested_support(model, n):
                     support.append((fp1, fp2))
                 pairs.append((fp1, fp2))
     return pairs, support
+
+
+# -- the classical limit by a walk over every fixed-point pair ---------------
+
+def classical_limit_pair_walk(model, L, n1, n2):
+    """``universal.classical_limit`` summed over every fixed-point pair of
+    the cell, not multiplied over the charts: each pair nested chart by
+    chart adds the Laurent series in u of its whole character, the poles
+    of the sum cancel and its u^0 coefficient is the value."""
+    charts, shifts = _typeII_charts(model, L, WeightMap(EPS_LINE))
+    k = n1 + n2
+    acc = [0] * (k + 1)
+    for fp1, fp2 in itertools.product(hilb_fixed_points(model, n1),
+                                      hilb_fixed_points(model, n2)):
+        char = _typeII_character(charts, shifts, fp1, fp2)
+        if char is not None:
+            nums, den = _laurent_term(char, k, k)
+            acc = [x + Fraction(y, den) for x, y in zip(acc, nums)]
+    assert not any(acc[:k]), acc
+    return Fraction(acc[k])
 
 
 # -- arm/leg weights over one chart ----------------------------------------

@@ -418,12 +418,11 @@ def test_fit_at_a_huge_degree_bound_refuses_at_once(capsys):
      "61905424 fixed-point pairs, above the maximum 2000000"),
     ("mochizuki --surface plane --divisor H=0 --split1 H=8 --split2 H=-8 "
      "--n 0", "the Hilbert scheme of 64 points on 3 charts has at least "),
-    ("fit --n1 40", "the Hilbert scheme of 40 points on 3 charts has at "
-     "least "),
+    ("fit --n1 40", "classical limit at n1 + n2 = 40, above the maximum 16"),
     ("fit --n1 12 --n2 12",
-     "61905424 fixed-point pairs, above the maximum 2000000"),
+     "classical limit at n1 + n2 = 24, above the maximum 16"),
     (f"fit --n1 {10 ** 30} --n2 {10 ** 30}",
-     f"the Hilbert scheme of {10 ** 30} points on 3 charts has at least "),
+     f"classical limit at n1 + n2 = {2 * 10 ** 30}, above the maximum 16"),
     ("mochizuki --surface plane --divisor H=16 --n 0",
      "a Mochizuki term with 308 sp-carrying weights, above the maximum 100"),
     ("mochizuki --surface plane --split1 H=300 --n 0",
@@ -436,8 +435,8 @@ def test_fit_at_a_huge_degree_bound_refuses_at_once(capsys):
 def test_enumerations_above_their_maximum_refuse_at_once(argv, message,
                                                          capsys):
     # each ended in a MemoryError traceback under a limited address space,
-    # would end in an OverflowError if fit counted its pairs after sizing
-    # its coefficients (fit_huge_pairs), or ran for seconds to minutes (the
+    # would end in an OverflowError if fit checked n1 + n2 after sizing its
+    # coefficients (fit_huge_pairs), or ran for seconds to minutes (the
     # last three)
     start = time.perf_counter()
     code, report, _ = run_json(capsys, argv.split())

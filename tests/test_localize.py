@@ -395,21 +395,25 @@ def test_pair_sums_above_the_maximum_are_refused_before_any_term():
 
 @pytest.mark.parametrize("name,splittings", [
     ("plane", [(1, 0), (0, 1)]), ("quadric", [(2, 1)])])
-def test_fixed_point_pairs_walk_each_product_in_turn(name, splittings):
+def test_pair_sums_walk_each_product_in_turn(name, splittings):
     model = from_preset(name)
     want = [pair for n1, n2 in splittings
             for pair in itertools.product(hilb_fixed_points(model, n1),
                                           hilb_fixed_points(model, n2))]
-    assert list(localize.fixed_point_pairs(model, splittings)) == want
+    rows = []
+    localize._pair_sum(model, splittings, lambda *pair: ONE, 1, rows.append,
+                       localize.SYMBOLIC)
+    assert [tuple(tuple(map(tuple, fp)) for fp in row["fixed_point"])
+            for row in rows] == want
 
 
-def test_fixed_point_pairs_refuse_at_the_call(monkeypatch):
+def test_pair_sums_refuse_before_any_fixed_point(monkeypatch):
     def no_fixed_points(model, n):
         raise AssertionError("a fixed point was built")
     monkeypatch.setattr(localize, "hilb_fixed_points", no_fixed_points)
     with pytest.raises(ValueError, match="^61905424 fixed-point pairs, above "
                        f"the maximum {localize.MAX_PAIRS}$"):
-        localize.fixed_point_pairs(PLANE, [(12, 12)])
+        localize._pair_sum(PLANE, [(12, 12)], None, 1, None, localize.SYMBOLIC)
 
 
 # -- pairwise residue machinery --------------------------------------------

@@ -1,5 +1,6 @@
 """Universal-polynomial fitting over the toric battery."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,8 @@ from dt4.universal import (EPS_LINE, FIELDS, FIT_FIELDS, K3_POINT,
                            typeII_samples, _laurent_term, _monomial_name,
                            _monomials)
 
-from oracles import (colored_counts, hilbert_row, twelve_ray_surface,
-                     validate_model)
+from oracles import (classical_limit_pair_walk, colored_counts, hilbert_row,
+                     twelve_ray_surface, validate_model)
 from test_localize import ROUTE_DIVISORS, classical_integral
 from test_surfaces import two_point_blowup
 
@@ -174,8 +175,9 @@ def test_classical_limit_equals_the_line_route_at_its_origin(name, div,
 
 
 def _laurent_sum(k, *chars):
-    return [sum(c) for c in zip(*(_laurent_term(Poly(char), 1, k)
-                                  for char in chars))]
+    terms = (_laurent_term(Poly(char), k, k) for char in chars)
+    return [sum(c) for c in zip(*([Fraction(x, den) for x in nums]
+                                  for nums, den in terms))]
 
 
 def test_cancelling_poles_leave_the_constant_term():
@@ -210,7 +212,7 @@ def test_a_term_of_another_u_order_raises(monkeypatch):
 
 def test_a_term_of_nonzero_s_degree_raises():
     with pytest.raises(ValueError, match="s-degree 1"):
-        _laurent_term(Poly({(1, 0, 0, 0): 1}), 1, 0)
+        _laurent_term(Poly({(1, 0, 0, 0): 1}), 0, 0)
 
 
 def test_degenerate_line_raises(monkeypatch):
@@ -296,14 +298,45 @@ def test_the_hilbert_row_has_its_closed_form(name, L, N):
 
 
 def test_the_L0_series_of_a_12_ray_surface_is_its_diagonal():
-    # every cell n1 + n2 <= 4: 1, 12, 90 on the diagonal, 0 off it
+    # every cell n1 + n2 <= 6: 1, 12, 90, 520 on the diagonal, 0 off it
     model = twelve_ray_surface()
     assert (model.chern.c1_sq, model.chern.c2) == (0, 12)
-    want = colored_counts(12, 2)
-    for n1 in range(5):
-        for n2 in range(5 - n1):
+    want = colored_counts(12, 3)
+    for n1 in range(7):
+        for n2 in range(7 - n1):
             got = classical_limit(model, {}, n1, n2)
             assert got == (want[n1] if n1 == n2 else 0), (n1, n2)
+
+
+# -- the chart product against the walk over every fixed-point pair -------
+
+PAIR_WALK_CASES = list(ROUTE_DIVISORS.items()) + [
+    ("plane+quadric", {"a.H": 1, "b.A": 1, "b.B": 1}),
+    ("plane+plane", {"a.H": 1, "b.H": 1})]
+
+
+@pytest.mark.parametrize("name,L", PAIR_WALK_CASES,
+                         ids=[name for name, _ in PAIR_WALK_CASES])
+def test_the_chart_product_is_the_pair_walk(name, L):
+    model = _hilbert_row_model(name)
+    for n in range(6):
+        for n1 in range(n + 1):
+            assert (classical_limit(model, L, n1, n - n1)
+                    == classical_limit_pair_walk(model, L, n1, n - n1)), \
+                (n1, n - n1)
+
+
+def test_a_cell_above_the_maximum_is_refused_before_any_character(
+        monkeypatch):
+    def no_character(*args):
+        raise AssertionError("a character was built")
+    monkeypatch.setattr(universal, "_typeII_character", no_character)
+    top = universal.MAX_CLASSICAL_POINTS
+    for n1, n2 in ((top + 1, 0), (top, 1), (10 ** 30, 10 ** 30)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"classical limit at n1 + n2 = {n1 + n2}, above the maximum "
+                f"{top}")):
+            classical_limit(from_preset("plane"), {"H": 1}, n1, n2)
 
 
 # one divisor per preset and two more, negative ones among them
