@@ -203,18 +203,17 @@ def classical_limit(model, L, n1, n2):
     if (k := n1 + n2) > MAX_CLASSICAL_POINTS:
         raise ValueError(f"classical limit at n1 + n2 = {k}, above the "
                          f"maximum {MAX_CLASSICAL_POINTS}")
-    sides = [[lam for size in range(lo, n + 1) for lam in partitions_of(size)]
-             for lo, n in ((1, n1), (0, n2))]
+    sides = [[(size, lam) for size in range(lo, n + 1)
+              for lam in partitions_of(size)] for lo, n in ((1, n1), (0, n2))]
     zero, cells = ([0] * (k + 1), 1), {(0, 0): ([1] + [0] * k, 1)}
     for i, chart in enumerate(charts):
         chart_shifts = [[shift[i]] for shift in shifts]
         series = {}
-        for lam1, lam2 in itertools.product(*sides):
-            if sum(lam1) - sum(lam2) <= n1 - n2 and (char := _typeII_character(
+        for (a, lam1), (b, lam2) in itertools.product(*sides):
+            if a - b <= n1 - n2 and (char := _typeII_character(
                     [chart], chart_shifts, (lam1,), (lam2,))) is not None:
-                key = (sum(lam1), sum(lam2))
-                series[key] = _plus(series.get(key, zero),
-                                    _laurent_term(char, sum(key), k))
+                series[a, b] = _plus(series.get((a, b), zero),
+                                     _laurent_term(char, a + b, k))
         for (a, b), (xs, dx) in list(cells.items()):
             for (da, db), (ys, dy) in series.items():
                 if 0 <= n2 - b - db <= n1 - a - da:
