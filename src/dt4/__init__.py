@@ -17,7 +17,8 @@ __version__ = "0.1.0"
 _HOME = {
     "FactoredScalar": "eqalg", "exact_str": "eqalg",
     "QSeries": "qseries", "delta_inverse": "qseries",
-    "goettsche_series": "qseries", "z_typeI_closed_form": "qseries",
+    "goettsche_series": "qseries", "k3_entries": "qseries",
+    "z_typeI_closed_form": "qseries",
     "z_typeI_series": "qseries", "z_typeII_conjecture_series": "qseries",
     "PRESET_NAMES": "surfaces", "ToricSurfaceModel": "surfaces",
     "from_preset": "surfaces",

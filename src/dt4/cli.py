@@ -113,14 +113,14 @@ _SERIES_LABELS = {"typeI_series": "non-nested series",
 
 def cmd_zseries(args):
     _bind("z_typeI_series", "z_typeI_closed_form",
-          "z_typeII_conjecture_series")
+          "z_typeII_conjecture_series", "k3_entries")
     lhs = z_typeI_series(args.order)
     rhs = z_typeI_closed_form(args.order)
     conj = z_typeII_conjecture_series(args.order)
     series = {"typeI_series": lhs, "typeI_closed_form": rhs,
               "difference": lhs - rhs, "typeII_conjecture_series": conj}
     # each series is serialised once; checks and tables read the entries
-    results = {key: s.to_json_entries() for key, s in series.items()}
+    results = {key: k3_entries(s) for key, s in series.items()}
     checks = [("typeI-series-identity", not results["difference"]),
               ("typeII-conjecture-odd-vanishing",
                all(e["exponent_num"] % 2 == 0

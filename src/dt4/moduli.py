@@ -107,7 +107,7 @@ def assemble_typeII_K3_series(m, order):
     series on the nose.
     """
     # imported here so that the chamber and fixed-locus commands never
-    # load the exact arithmetic or the q-series
+    # load the q-series or the polynomials they are built on
     from .qseries import QSeries, _k3_order
     order = _k3_order(order)
     if m < 1:

@@ -5,29 +5,29 @@ Exponents are ints.  A series is its coefficients below one exclusive
 truncation order; arithmetic propagates the order pessimistically and
 coefficient access at or beyond it is an error rather than a silent zero.
 
-Coefficients may be int, Fraction, or FactoredScalar; builders produce ints and
-scaling promotes as needed.  The K3 series (the non-nested count, its
-closed form, and the conjectured nested series behind the paper's
-modularity prediction) are product formulas and substitutions of these
-series scaled by exact scalars in s.
+Coefficients are ints and Fractions; builders produce ints and scaling
+promotes as needed.  The K3 series (the non-nested count, its closed
+form, and the conjectured nested series behind the paper's modularity
+prediction) are 1/s times product formulas and substitutions of these
+series.  Their builders return s times each series, and ``k3_entries``
+prints the 1/s back into the report.
 """
 
 from fractions import Fraction
 from operator import index
 
-from .eqalg import FactoredScalar, exact_str
 from .poly import product_power_coefficients
 
 
 class QSeries:
-    """Laurent series in q, truncated, with exact coefficients: ``units``
-    maps int exponents below ``truncation_order`` to nonzero
+    """Laurent series in q, truncated, with int or Fraction coefficients:
+    ``units`` maps int exponents below ``truncation_order`` to nonzero
     coefficients."""
 
     __slots__ = ("units", "truncation_order")
 
     def __init__(self, units, truncation_order):
-        self.units = {e: c for e, c in units.items() if not _is_zero(c)}
+        self.units = {e: c for e, c in units.items() if c}
         self.truncation_order = truncation_order
         for e in self.units:
             if e >= truncation_order:
@@ -66,7 +66,7 @@ class QSeries:
         return self + other.scale(-1)
 
     def scale(self, c):
-        """Multiply every coefficient by a scalar (int, Fraction, FactoredScalar)."""
+        """Multiply every coefficient by an int or a Fraction."""
         return QSeries({e: c * v for e, v in self.units.items()},
                        self.truncation_order)
 
@@ -75,20 +75,6 @@ class QSeries:
         d = index(delta)
         return QSeries({e + d: c for e, c in self.units.items()},
                        self.truncation_order + d)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_entries(self):
-        # the report format spells an exponent as a fraction num/den
-        return [{"exponent_num": e, "exponent_den": 1,
-                 "coefficient": exact_str(c)}
-                for e, c in sorted(self.units.items())]
-
-
-def _is_zero(c):
-    if isinstance(c, (int, Fraction)):
-        return c == 0
-    return c.is_zero()
 
 
 # -- builders --------------------------------------------------------------
@@ -152,7 +138,7 @@ def substitute_power(series, k):
 
 # -- K3 partition-function series ------------------------------------------
 
-# ``zseries --order 1000`` takes about 1.3 s in a fresh process (README)
+# ``zseries --order 1000`` takes about 0.5 s in a fresh process (README)
 MAX_K3_ORDER = 1000
 
 
@@ -169,35 +155,41 @@ def _k3_order(order):
 
 
 def z_typeI_series(order):
-    """Series of the fiberwise rank-two counts of the non-nested locus on
-    K3, known through q^order inclusive.  The count at charge n sits at
-    exponent n-2: 1/s times the Euler number of the Hilbert scheme of
-    2n-3 points of a K3 surface, and 0 for n <= 1 (empty moduli).  Every
-    Euler number is read off one expansion of the Hilbert-scheme
-    generating series."""
+    """s times the series of the fiberwise rank-two counts of the
+    non-nested locus on K3, known through q^order inclusive.  The count
+    at charge n sits at exponent n-2: 1/s times the Euler number of the
+    Hilbert scheme of 2n-3 points of a K3 surface, and 0 for n <= 1
+    (empty moduli), so the coefficient is that Euler number.  Every Euler
+    number is read off one expansion of the Hilbert-scheme generating
+    series."""
     order = _k3_order(order)
     chi = goettsche_series(24, max(2 * order + 2, 1))
-    s = FactoredScalar.var("s")
-    units = {n - 2: FactoredScalar.const(chi.coefficient(2 * n - 3)) / s
-             for n in range(2, order + 3)}
-    return QSeries(units, order + 1)
+    return QSeries({n - 2: chi.coefficient(2 * n - 3)
+                    for n in range(2, order + 3)}, order + 1)
 
 
 def z_typeI_closed_form(order):
     """Independent route to z_typeI_series: average the two square-root
-    substitutions into the inverse discriminant form, scale by 1/s.
+    substitutions into the inverse discriminant form.
 
     Same truncation order as z_typeI_series(order) when order >= 0.
     """
-    inner = delta_inverse(max(2 * _k3_order(order) + 1, 0))
-    return sqrt_average(inner).scale(FactoredScalar.const(1)
-                                     / FactoredScalar.var("s"))
+    return sqrt_average(delta_inverse(max(2 * _k3_order(order) + 1, 0)))
 
 
 def z_typeII_conjecture_series(order):
-    """Conjectured nested series: 1/(4s) times the inverse discriminant
-    form evaluated at q^2; known at least through q^order inclusive."""
+    """s times the conjectured nested series, 1/(4s) times the inverse
+    discriminant form evaluated at q^2; known at least through q^order
+    inclusive."""
     inner = delta_inverse(max(-(-_k3_order(order) // 2), 0))
-    expanded = substitute_power(inner, 2)
-    return expanded.scale(FactoredScalar.const(Fraction(1, 4))
-                           / FactoredScalar.var("s"))
+    return substitute_power(inner, 2).scale(Fraction(1, 4))
+
+
+def k3_entries(series):
+    """Report entries of a K3 series given as s times itself: each
+    coefficient c is printed as c/s, ``(n)/(s)`` or ``(n)/(d*s)``.  The
+    report spells an exponent as a fraction num/den."""
+    return [{"exponent_num": e, "exponent_den": 1,
+             "coefficient": (f"({c.numerator})/(s)" if c.denominator == 1
+                             else f"({c.numerator})/({c.denominator}*s)")}
+            for e, c in sorted(series.units.items())]

@@ -23,7 +23,7 @@ from dt4.moduli import (EllipticSurface, assemble_typeII_K3_series,
                         enumerate_typeII_K3, wall_threshold)
 from dt4.partitions import hilb_fixed_points
 from dt4.poly import Poly
-from dt4.qseries import (goettsche_series, z_typeI_closed_form,
+from dt4.qseries import (goettsche_series, k3_entries, z_typeI_closed_form,
                          z_typeI_series, z_typeII_conjecture_series)
 from dt4.surfaces import PRESET_NAMES, from_preset
 from dt4.universal import (FIELDS, FIT_FIELDS, K3_POINT, battery_configs,
@@ -50,8 +50,11 @@ def test_criterion_1_nonnested_series_identity():
     counts = colored_counts(24, 5)
     assert counts[1] == 24 and counts[3] == 3200 and counts[5] == 176256
     for exp, idx in ((0, 1), (1, 3), (2, 5)):
-        want = FactoredScalar.const(counts[idx]) / S
-        assert via_product.coefficient(exp) == want
+        assert via_product.coefficient(exp) == counts[idx]
+    # the builders return s times the series; the report prints the 1/s
+    for series in (via_product, via_sqrt_average):
+        assert k3_entries(series)[0] == {
+            "exponent_num": 0, "exponent_den": 1, "coefficient": "(24)/(s)"}
     assert elapsed < 5.0
     _passed(1, "non-nested series identity")
 
@@ -60,11 +63,12 @@ def test_criterion_2_conjecture_series_spots():
     counts = colored_counts(24, 2)
     ser = z_typeII_conjecture_series(2)
     for exp, idx in ((-2, 0), (0, 1), (2, 2)):
-        want = FactoredScalar.const(Fraction(counts[idx], 4)) / S
-        assert ser.coefficient(exp) == want
-    assert ser.coefficient(-2) == FactoredScalar.const(Fraction(1, 4)) / S
-    assert ser.coefficient(0) == FactoredScalar.const(6) / S
-    assert ser.coefficient(2) == FactoredScalar.const(81) / S
+        assert ser.coefficient(exp) == Fraction(counts[idx], 4)
+    assert ser.coefficient(-2) == Fraction(1, 4)
+    assert ser.coefficient(0) == 6
+    assert ser.coefficient(2) == 81
+    assert [e["coefficient"] for e in k3_entries(ser)] == [
+        "(1)/(4*s)", "(6)/(s)", "(81)/(s)"]
     # only even exponents survive
     big = z_typeII_conjecture_series(12)
     assert all(e % 2 == 0 for e in big.units)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dt4 import moduli
-from dt4.eqalg import FactoredScalar
 from dt4.moduli import (EllipticSurface, Polarization,
                         assemble_typeII_K3_series, enumerate_typeII_K3,
                         in_stable_chamber, is_ample, wall_threshold)
@@ -18,11 +17,6 @@ from oracles import (FIBER, SECTION, ZERO_DIVISOR, DivisorClass,
                      k3_component_count, pair, pair_h)
 
 S_K3 = EllipticSurface(0)
-S = FactoredScalar.var("s")
-
-
-def sval(n):
-    return FactoredScalar.const(n) / S
 
 
 # -- divisor arithmetic ----------------------------------------------------
@@ -177,9 +171,11 @@ def test_general_enumeration_box_forms():
 
 
 # -- series ----------------------------------------------------------------
+# The builders return s times each K3 series, so the counts below are
+# the coefficients of the count series times s.
 
 def typeI(n):
-    """The non-nested count at charge n, read off the series."""
+    """s times the non-nested count at charge n, read off the series."""
     return z_typeI_series(n - 2).coefficient(n - 2)
 
 
@@ -188,43 +184,42 @@ def test_typeI_values():
     # shortest series, known through q^-1
     assert z_typeI_series(-1).coefficient(-2) == 0
     assert typeI(1) == 0
-    assert typeI(2) == sval(24)
-    assert typeI(3) == sval(3200)
+    assert typeI(2) == 24
+    assert typeI(3) == 3200
 
 
 def test_typeI_values_vs_convolution_oracle():
     # 24-colored counts at 2n-3 points
     c24 = colored_counts(24, 8)
-    assert typeI(2) == sval(c24[1])
-    assert typeI(4) == sval(c24[5])
+    assert typeI(2) == c24[1]
+    assert typeI(4) == c24[5]
 
 
 def test_z_typeI_spots():
     z = z_typeI_series(4)
     assert z.coefficient(-2) == 0
     assert z.coefficient(-1) == 0
-    assert z.coefficient(0) == sval(24)
-    assert z.coefficient(1) == sval(3200)
-    assert z.coefficient(2) == sval(176256)
+    assert z.coefficient(0) == 24
+    assert z.coefficient(1) == 3200
+    assert z.coefficient(2) == 176256
     with pytest.raises(ValueError):
         z_typeI_series(-2)
 
 
 @pytest.mark.parametrize("order, trunc", [(-1, 0), (0, 1), (1, 2), (25, 26)])
 def test_z_typeI_series_vs_convolution_oracle(order, trunc):
-    # q^(n-2) carries the 24-colored count at 2n-3 points over s for
-    # n >= 2
+    # q^(n-2) carries the 24-colored count at 2n-3 points for n >= 2
     z = z_typeI_series(order)
     assert z.truncation_order == trunc
     c24 = colored_counts(24, max(2 * trunc, 0))
     for e in range(-2, trunc):
         n = e + 2
-        want = sval(c24[2 * n - 3]) if n >= 2 else 0
+        want = c24[2 * n - 3] if n >= 2 else 0
         assert z.coefficient(e) == want, e
     with pytest.raises(ValueError):
         z.coefficient(trunc)
     # at order -1 the two truncations are 0 and 1
-    assert not (z - z_typeI_closed_form(order)).to_json_entries()
+    assert not (z - z_typeI_closed_form(order)).units
 
 
 def test_z_typeI_closed_form_identity():
@@ -235,10 +230,9 @@ def test_z_typeI_closed_form_identity():
 
 def test_conjecture_series_spots():
     z = z_typeII_conjecture_series(6)
-    quarter = FactoredScalar.const(Fraction(1, 4)) / S
-    assert z.coefficient(-2) == quarter
-    assert z.coefficient(0) == sval(6)
-    assert z.coefficient(2) == sval(81)
+    assert z.coefficient(-2) == Fraction(1, 4)
+    assert z.coefficient(0) == 6
+    assert z.coefficient(2) == 81
     assert z.coefficient(1) == 0
     assert z.coefficient(3) == 0
 
@@ -253,7 +247,7 @@ def test_conjecture_series_odd_powers_vanish():
 def test_assembled_even_twist_series_vanishes():
     for m in (2, 4):
         z = assemble_typeII_K3_series(m, 3)
-        assert not z.to_json_entries()
+        assert not z.units
 
 
 def test_assembled_odd_twist_refuses():

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from dt4.eqalg import FactoredScalar, exact_str
 from dt4.qseries import (QSeries, _k3_order, delta_inverse,
-                         goettsche_series, product_power, sqrt_average,
-                         substitute_power)
+                         goettsche_series, k3_entries, product_power,
+                         sqrt_average, substitute_power)
 
 from oracles import binomial_product, colored_counts, partition_numbers
 
@@ -58,7 +58,7 @@ def test_addition_respects_common_window():
 
 def test_subtraction_and_zero():
     f = QSeries({0: 1, 1: 3}, 3)
-    assert not (f - f).to_json_entries()
+    assert not (f - f).units
 
 
 def test_scale_and_shift():
@@ -67,9 +67,7 @@ def test_scale_and_shift():
     g = f.shift_exponent(-1)
     assert g.coefficient(-1) == 2
     assert g.truncation_order == 1
-    s = FactoredScalar.var("s")
-    h = f.scale(FactoredScalar.const(1) / s)
-    assert h.coefficient(0) == FactoredScalar.const(2) / s
+    assert f.scale(Fraction(-3, 4)).coefficient(0) == Fraction(-3, 2)
 
 
 def test_product_power_known():
@@ -182,12 +180,31 @@ def test_exact_str_coefficients():
     assert exact_str(one_over_s) == "(1)/(s)"
 
 
-def test_to_json_entries_sorted():
+def test_k3_entries_sorted():
     f = QSeries({1: 1, -1: 4}, 2)
-    entries = f.to_json_entries()
+    entries = k3_entries(f)
     assert entries[0] == {"exponent_num": -1, "exponent_den": 1,
-                          "coefficient": "4"}
+                          "coefficient": "(4)/(s)"}
     assert entries[1]["exponent_num"] == 1
+
+
+_BIG = st.integers(10 ** 30, 10 ** 40)
+_NUMERATORS = st.integers(-1000, 1000) | _BIG | _BIG.map(lambda n: -n)
+_COEFFICIENTS = (_NUMERATORS | _NUMERATORS.map(Fraction)
+                 | st.builds(Fraction, _NUMERATORS, st.integers(1, 10 ** 6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(-3, 12), _COEFFICIENTS, max_size=8))
+def test_k3_entries_print_c_over_s_as_factored_scalars_do(units):
+    # each coefficient c prints as the exact scalar c/s prints, and a
+    # zero coefficient prints no entry
+    s = FactoredScalar.var("s")
+    want = [{"exponent_num": e, "exponent_den": 1,
+             "coefficient": str(FactoredScalar.const(c) / s)}
+            for e, c in sorted(units.items()) if c]
+    assert k3_entries(QSeries(units, 13)) == want
+    assert k3_entries(QSeries({0: 0, 1: Fraction(0)}, 2)) == []
 
 
 @settings(max_examples=25, deadline=None)
